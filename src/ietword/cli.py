@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .config import ConfigError, format_iet_config, parse_iet_config
 from .exact import ScalarParseError, format_scalar, parse_scalar
 from .iet import CodingConfig, coding_with_sets, natural_coding
 from .orders import OrderPair, check_orders, search_orders
 from .rauzy import build_k_graph, export_dot, validate_evolution
-from .reconstruct import _prefix_pieces, reconstruct_iet, verify_roundtrip
-from .words import FactorSet, complexity, special_factors
+from .reconstruct import reconstruct_iet, verify_roundtrip
+from .words import FactorSet, bispecial_factors, complexity, special_factors
 
 USAGE_ERROR = 3
 INCONCLUSIVE = 2
@@ -96,7 +95,7 @@ def _cmd_analyze(args) -> int:
     for n in range(args.max_len + 1):
         left = special_factors(fs, n, "left")
         right = special_factors(fs, n, "right")
-        both = {f for f, _, _ in left} & {f for f, _, _ in right}
+        both = bispecial_factors(fs, n)
         rows.append(f"{n},{complexity(fs, n)},{len(left)},{len(right)},{len(both)}")
     _write(args.output, "\n".join(rows) + "\n")
     return OK
@@ -172,6 +171,8 @@ def _cmd_fz(args) -> int:
         word = _read_word(args.word)
     except ValueError as e:
         return _fail(str(e))
+    if args.max_len < 0:
+        return _fail("--max-len must not be negative")
     if len(word) < args.max_len + 2:
         print(f"inconclusive: word too short to check to length {args.max_len}",
               file=sys.stderr)
@@ -212,12 +213,16 @@ def _cmd_reconstruct(args) -> int:
         word = _read_word(args.word)
     except ValueError as e:
         return _fail(str(e))
+    if args.k_min < 1 or args.k_max < args.k_min:
+        return _fail(f"bad window [{args.k_min}, {args.k_max}]")
+    if args.depth < 1 or args.roundtrip < 1:
+        return _fail("--depth and --roundtrip must be positive")
     if len(word) < max(args.k_max + 1, 100 * args.depth):
         print(f"inconclusive: word of length {len(word)} too short for "
               f"window [{args.k_min}, {args.k_max}] at depth {args.depth}",
               file=sys.stderr)
         return INCONCLUSIVE
-    fs = FactorSet(word, args.k_max + 1)
+    fs = FactorSet(word, max(args.k_max + 1, args.depth))
     report = validate_evolution(fs, args.k_min, args.k_max,
                                 oriented=args.oriented)
     if not report.accepted:
@@ -225,16 +230,11 @@ def _cmd_reconstruct(args) -> int:
               f"witness={_witness_text(report.witness)}")
         return REJECTED
     try:
-        T, residual = reconstruct_iet(word, report, args.depth)
+        T, residual = reconstruct_iet(fs, report, args.depth)
     except ValueError as e:
         return _fail(str(e))
-    n = min(len(word), args.roundtrip)
-    match, total = verify_roundtrip(word, T, n)
-    letters = sorted(set(word))
-    coded = "".join(str(letters.index(c) + 1) for c in word[:n])
-    depth_hit, pieces = _prefix_pieces(T, CodingConfig.natural(T), coded)
-    widest = max(pieces, key=lambda iv: iv.hi - iv.lo)
-    x0 = widest.lo + (widest.hi - widest.lo) * Fraction(1, 2)
+    match, total, depth_hit, x0 = verify_roundtrip(
+        word, T, min(len(word), args.roundtrip))
     _write(args.out_config, format_iet_config(T))
     csv = [
         "metric,value",

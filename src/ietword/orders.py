@@ -49,12 +49,10 @@ def extension_sets(fs: FactorSet, w: str):
     """Left and right one-letter extension sets of a factor."""
     if len(w) + 1 > fs.max_len:
         raise ValueError(f"extensions of {w!r} lie outside the indexed window")
-    if w and w not in fs.counts(len(w)):
-        raise ValueError(f"{w!r} is not a factor")
-    ext = fs.counts(len(w) + 1)
-    left = frozenset(x for x in fs.alphabet if x + w in ext)
-    right = frozenset(y for y in fs.alphabet if w + y in ext)
-    return left, right
+    try:
+        return fs.extensions(len(w))[w]
+    except KeyError:
+        raise ValueError(f"{w!r} is not a factor") from None
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,8 @@ def check_orders(fs: FactorSet, orders: OrderPair, max_len: int) -> OrderReport:
         if set(orders.pi0[:j]) == set(orders.pi1[:j]):
             return OrderReport(False, "separation", (j,), max_len)
     for n in range(max_len + 1):
-        for w in ([""] if n == 0 else sorted(fs.counts(n))):
-            left, right = extension_sets(fs, w)
+        longer = fs.extensions(n + 1)
+        for w, (left, right) in sorted(fs.extensions(n).items()):
             if not _is_interval(left, orders.rank1):
                 return OrderReport(False, "1", (w, "left", tuple(sorted(left))),
                                    max_len)
@@ -99,7 +97,7 @@ def check_orders(fs: FactorSet, orders: OrderPair, max_len: int) -> OrderReport:
                 return OrderReport(False, "1", (w, "right", tuple(sorted(right))),
                                    max_len)
             block = [x for x in orders.pi1 if x in left]
-            rights = {x: extension_sets(fs, x + w)[1] for x in block}
+            rights = {x: longer[x + w][1] for x in block}
             for x, y in zip(block, block[1:]):
                 common = rights[x] & rights[y]
                 if len(common) != 1:

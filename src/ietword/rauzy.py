@@ -256,10 +256,11 @@ class _Levels:
                         f"in-degree {din}, out-degree {dout}"))
             if k < k_max:
                 deletions = []
-                future = fs.counts(k + 2)
+                ext = fs.extensions(k + 1)
                 for a in g.arcs:
+                    right = ext[a][1]
                     for b in g.out_arcs(g.head(a)):
-                        if a + b[-1] not in future:
+                        if b[-1] not in right:
                             deletions.append((a, b))
                 by_vertex = {}
                 for a, b in deletions:

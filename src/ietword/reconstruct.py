@@ -32,7 +32,7 @@ from .iet import (
     natural_coding,
 )
 from .rauzy import EvolutionReport
-from .words import FactorSet, special_factors
+from .words import FactorSet
 
 __all__ = ["AdjacencyError", "EmpiricalMeasure", "cylinder_measures",
            "reconstruct_iet", "verify_roundtrip"]
@@ -57,78 +57,58 @@ class EmpiricalMeasure:
         return {w: f for w, f in self.weights.items() if len(w) == n}
 
 
-def cylinder_measures(word: str, depth: int) -> EmpiricalMeasure:
-    """Sliding-window factor frequencies, exact over the prefix."""
+def cylinder_measures(fs: FactorSet, depth: int) -> EmpiricalMeasure:
+    """Sliding-window factor frequencies, exact over the indexed word."""
     if depth < 1:
         raise ValueError("depth must be positive")
-    if len(word) < 100 * depth:
+    if fs.source_len < 100 * depth:
         raise ValueError(
             f"need at least {100 * depth} symbols for depth {depth}, "
-            f"got {len(word)}")
-    fs = FactorSet(word, depth)
+            f"got {fs.source_len}")
     weights = {}
     for n in range(1, depth + 1):
-        windows = len(word) - n + 1
+        windows = fs.source_len - n + 1
         for w, c in fs.counts(n).items():
             weights[w] = Fraction(c, windows)
     return EmpiricalMeasure(depth, weights)
 
 
-def _arrangement(letters, pairs):
-    """Lexicographically first order of letters making each pair adjacent."""
+def _adjacent_orders(letters, pairs):
+    """Orders of letters keeping each pair adjacent, lexicographically."""
     for cand in permutations(letters):
-        ok = True
-        for p in pairs:
-            a, b = sorted(p)
-            if abs(cand.index(a) - cand.index(b)) != 1:
-                ok = False
-                break
-        if ok:
-            return cand
-    return None
+        if all(abs(cand.index(a) - cand.index(b)) == 1 for a, b in pairs):
+            yield cand
 
 
 def _irreducible(perm) -> bool:
     return all(set(perm[:j]) != set(range(1, j + 1)) for j in range(1, len(perm)))
 
 
-def reconstruct_iet(word: str, report: EvolutionReport, depth: int):
+def reconstruct_iet(fs: FactorSet, report: EvolutionReport, depth: int):
     """Candidate exchange and its measure residual, from an accepted word."""
     if not report.accepted:
         raise ValueError("reconstruction needs an accepted validator report")
-    em = cylinder_measures(word, depth)
-    letters = sorted(set(word))
+    em = cylinder_measures(fs, depth)
+    letters = fs.alphabet
     k = len(letters)
     if k > 6:
         raise ValueError(f"alphabet of size {k} is too large")
-    fs = FactorSet(word, depth)
     dom_pairs = set()
     img_pairs = set()
     for n in range(1, depth):
-        for _, exts, valence in special_factors(fs, n, "right"):
-            if valence == 2:
-                dom_pairs.add(frozenset(exts))
-        for _, exts, valence in special_factors(fs, n, "left"):
-            if valence == 2:
-                img_pairs.add(frozenset(exts))
-    dom = _arrangement(letters, dom_pairs)
+        for left, right in fs.extensions(n).values():
+            if len(right) == 2:
+                dom_pairs.add(right)
+            if len(left) == 2:
+                img_pairs.add(left)
+    dom = next(_adjacent_orders(letters, dom_pairs), None)
     if dom is None:
         raise AdjacencyError("domain", dom_pairs)
-    img = None
-    fallback = None
-    for cand in permutations(letters):
-        if any(abs(cand.index(min(p)) - cand.index(max(p))) != 1 for p in img_pairs):
-            continue
-        if fallback is None:
-            fallback = cand
-        if _irreducible(tuple(dom.index(c) + 1 for c in cand)):
-            img = cand
-            break
-    if img is None:
-        img = fallback
-    if img is None:
+    perms = [[dom.index(c) + 1 for c in img]
+             for img in _adjacent_orders(letters, img_pairs)]
+    if not perms:
         raise AdjacencyError("image", img_pairs)
-    perm = [dom.index(c) + 1 for c in img]
+    perm = next((p for p in perms if _irreducible(p)), perms[0])
     marked_letters = {w[0] for ms in (report.marks or {}).values() for w in ms}
     flips = [c in marked_letters for c in dom]
     lengths = [rational(em.weights[c].numerator, em.weights[c].denominator)
@@ -180,12 +160,25 @@ def _measure_residual(T: IETSpec, em: EmpiricalMeasure, dom) -> Fraction:
     return worst
 
 
-def _prefix_pieces(T: IETSpec, config: CodingConfig, coded: str):
-    """Walk the cylinder tree along coded; stop at the last nonempty level."""
+def verify_roundtrip(word: str, candidate: IETSpec, n: int):
+    """Regenerate a coding from the candidate and compare it with word.
+
+    Returns (match, n, prefix_depth, x0): the longest common prefix,
+    the number of letters compared, how deep word[:n] walks into the
+    candidate's cylinder tree, and the midpoint of that cylinder's
+    widest interval, where the regenerated orbit starts.
+    """
+    if not 1 <= n <= len(word):
+        raise ValueError(f"asked for {n} symbols, word has {len(word)}")
+    letters = sorted(set(word))
+    to_candidate = {c: str(i + 1) for i, c in enumerate(letters)}
+    from_candidate = {v: c for c, v in to_candidate.items()}
+    config = CodingConfig.natural(candidate)
     pieces = [(Interval(ZERO, ONE), 1, ZERO)]
     depth = 0
     best = None
-    for letter in coded:
+    for c in word[:n]:
+        letter = to_candidate[c]
         if letter not in config.sets:
             break
         hit = _restrict_pieces(config, letter, pieces)
@@ -193,24 +186,10 @@ def _prefix_pieces(T: IETSpec, config: CodingConfig, coded: str):
             break
         depth += 1
         best = hit
-        pieces = _advance_pieces(T, hit)
+        pieces = _advance_pieces(candidate, hit)
     if best is None:
-        return 0, ()
-    return depth, _merge_intervals([_piece_source(p) for p in best])
-
-
-def verify_roundtrip(word: str, candidate: IETSpec, n: int):
-    """Regenerate a coding from the candidate; longest common prefix."""
-    if n > len(word):
-        raise ValueError(f"asked for {n} symbols, word has {len(word)}")
-    letters = sorted(set(word))
-    to_candidate = {c: str(i + 1) for i, c in enumerate(letters)}
-    from_candidate = {v: c for c, v in to_candidate.items()}
-    coded = "".join(to_candidate[c] for c in word[:n])
-    config = CodingConfig.natural(candidate)
-    depth, intervals = _prefix_pieces(candidate, config, coded)
-    if depth == 0:
         raise ValueError("empty cylinder: candidate rejects the first letter")
+    intervals = _merge_intervals([_piece_source(p) for p in best])
     widest = intervals[0]
     for iv in intervals[1:]:
         if ((iv.hi - iv.lo) - (widest.hi - widest.lo)).sign() > 0:
@@ -222,4 +201,4 @@ def verify_roundtrip(word: str, candidate: IETSpec, n: int):
         if from_candidate.get(c_out) != c_in:
             break
         match += 1
-    return match, n
+    return match, n, depth, x0

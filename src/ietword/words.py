@@ -33,6 +33,7 @@ class FactorSet:
         self.max_len = max_len
         self.alphabet = tuple(sorted(set(word)))
         self._counts: dict[int, Counter] = {0: Counter({"": len(word) + 1})}
+        self._extensions: dict[int, dict] = {}
 
     def counts(self, n: int) -> Counter:
         if not 0 <= n <= self.max_len:
@@ -42,6 +43,23 @@ class FactorSet:
             w = self.word
             got = Counter(w[i:i + n] for i in range(len(w) - n + 1))
             self._counts[n] = got
+        return got
+
+    def extensions(self, n: int) -> dict:
+        """Every length-n factor mapped to its (left, right) frozensets of
+        one-letter extensions, read off the length-(n+1) factors."""
+        got = self._extensions.get(n)
+        if got is None:
+            if not 0 <= n < self.max_len:
+                raise ValueError(
+                    f"extensions of length-{n} factors are not indexed")
+            ext: dict[str, tuple[set, set]] = {}
+            for f in self.counts(n + 1):
+                ext.setdefault(f[1:], (set(), set()))[0].add(f[0])
+                ext.setdefault(f[:-1], (set(), set()))[1].add(f[-1])
+            got = {w: (frozenset(left), frozenset(right))
+                   for w, (left, right) in ext.items()}
+            self._extensions[n] = got
         return got
 
     def factors_of_length(self, n: int) -> list[str]:
@@ -70,24 +88,18 @@ def special_factors(fs: FactorSet, n: int, side: str):
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-    if n < 0 or n + 1 > fs.max_len:
-        raise ValueError(f"extensions of length-{n} factors are not indexed")
-    ext: dict[str, set] = {}
-    for f in fs.counts(n + 1):
-        core, letter = (f[1:], f[0]) if side == "left" else (f[:-1], f[-1])
-        ext.setdefault(core, set()).add(letter)
+    i = 0 if side == "left" else 1
     out = []
-    for core in sorted(ext):
-        letters = tuple(sorted(ext[core]))
+    for core, sides in sorted(fs.extensions(n).items()):
+        letters = tuple(sorted(sides[i]))
         if len(letters) >= 2:
             out.append((core, letters, len(letters)))
     return out
 
 
 def bispecial_factors(fs: FactorSet, n: int) -> list[str]:
-    left = {f for f, _, _ in special_factors(fs, n, "left")}
-    right = {f for f, _, _ in special_factors(fs, n, "right")}
-    return sorted(left & right)
+    return sorted(w for w, (left, right) in fs.extensions(n).items()
+                  if len(left) >= 2 and len(right) >= 2)
 
 
 def is_balanced(fs: FactorSet, up_to: int, letter: str):

@@ -231,14 +231,14 @@ def test_criterion_7_reconstruction(capsys):
     # long interval to the letter that sorts second
     fib = substitution_word({"2": "21", "1": "2"}, "2", 10_000)
     rep = validate_evolution(FactorSet(fib, 13), 1, 12, oriented=True)
-    T, residual = reconstruct_iet(fib, rep, 6)
+    T, residual = reconstruct_iet(FactorSet(fib, 6), rep, 6)
     lam2_err = abs(float(Fraction(approximate(T.lengths[1], 10))) - 0.6180)
-    match, total = verify_roundtrip(fib, T, 500)
+    match, total, _, _ = verify_roundtrip(fib, T, 500)
     fib_ok = T.k == 2 and lam2_err < 0.01 and match >= 400 and total == 500
 
     word = silver_word_20k()
     rep2 = validate_evolution(FactorSet(word, 13), 1, 12, oriented=True)
-    T2, residual2 = reconstruct_iet(word, rep2, 6)
+    T2, residual2 = reconstruct_iet(FactorSet(word, 6), rep2, 6)
     len_errs = [abs(float(Fraction(approximate(got - truth, 10))))
                 for got, truth in zip(T2.lengths, silver_iet().lengths)]
     silver_ok = max(len_errs) < 0.02 and residual2 < Fraction(1, 20)

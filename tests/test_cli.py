@@ -1,13 +1,16 @@
 """End-to-end checks of the command line, run in-process via main(argv)."""
+import os
 import subprocess
 import sys
 
 import pytest
 
+import ietword
 from ietword.cli import main
 from ietword.config import parse_iet_config
 from ietword.exact import make_quadratic, parse_scalar, rational
 from ietword.iet import mechanical_word
+from ietword.words import FactorSet
 
 from wordgen import tribonacci_word
 
@@ -230,6 +233,46 @@ def test_reconstruct_too_short(tmp_path, cfg, capsys):
     assert "inconclusive" in capsys.readouterr().err
 
 
+def test_reconstruct_indexes_word_once(tmp_path, cfg, monkeypatch):
+    word = gen_word(tmp_path, cfg, 1000)
+    built = []
+    plain_init = FactorSet.__init__
+
+    def counting_init(fs, text, max_len):
+        built.append(max_len)
+        plain_init(fs, text, max_len)
+
+    monkeypatch.setattr(FactorSet, "__init__", counting_init)
+    assert main(["reconstruct", word, "--depth", "2",
+                 "--out-config", str(tmp_path / "c.cfg"),
+                 "--out-report", str(tmp_path / "c.csv")]) == 0
+    assert built == [13]
+
+
+@pytest.mark.parametrize("cmd", [
+    ["fz", "--search", "--max-len", "-1"],
+    ["fz", "--max-len", "-2"],
+    ["reconstruct", "--roundtrip", "0"],
+    ["reconstruct", "--roundtrip", "-5"],
+    ["reconstruct", "--depth", "0"],
+    ["reconstruct", "--k-max", "0"],
+    ["reconstruct", "--k-min", "0"],
+    ["reconstruct", "--k-min", "5", "--k-max", "3"],
+], ids=" ".join)
+def test_bad_numbers_are_usage_errors(tmp_path, cfg, capsys, cmd):
+    word = gen_word(tmp_path, cfg, 1000)
+    out_cfg = tmp_path / "c.cfg"
+    out_csv = tmp_path / "c.csv"
+    extra = (["--out-config", str(out_cfg), "--out-report", str(out_csv)]
+             if cmd[0] == "reconstruct" else [])
+    assert main([cmd[0], word, *cmd[1:], *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert not out_cfg.exists() and not out_csv.exists()
+
+
 def test_pipeline_closure(tmp_path, cfg, capsys):
     """gen | validate | reconstruct | gen again: >= 80% of a 500 prefix."""
     word = gen_word(tmp_path, cfg, 10000, "w10k.txt")
@@ -266,8 +309,11 @@ def test_usage_errors(capsys):
 def test_module_entry_point(tmp_path):
     path = tmp_path / "golden.cfg"
     path.write_text(GOLDEN_CFG)
+    # run from the directory holding the package under test, so the
+    # child imports it whether or not it is installed
+    src = os.path.dirname(os.path.dirname(ietword.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "ietword", "gen", str(path), "-n", "12"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, cwd=src)
     assert proc.returncode == 0
     assert proc.stdout == "121221212212\n"

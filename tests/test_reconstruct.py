@@ -37,20 +37,20 @@ def accepted_report(word, k_max=12):
 # -------------------------------------------------------------- measures
 
 def test_fibonacci_letter_frequency():
-    em = cylinder_measures(fibonacci_word(10000), 1)
+    em = cylinder_measures(FactorSet(fibonacci_word(10000), 1), 1)
     assert em.weights["a"] == Fraction(309, 500)
     assert abs(float(em.weights["a"]) - 0.618) < 0.01
 
 
 def test_measure_levels_sum_to_one():
-    em = cylinder_measures(fibonacci_word(2000), 4)
+    em = cylinder_measures(FactorSet(fibonacci_word(2000), 4), 4)
     for n in range(1, 5):
         assert sum(em.level(n).values()) == 1
 
 
 def test_measure_refinement_consistency():
     word = fibonacci_word(2000)
-    em = cylinder_measures(word, 4)
+    em = cylinder_measures(FactorSet(word, 4), 4)
     slack = Fraction(4, len(word) - 4)
     for n in range(1, 4):
         for w, f in em.level(n).items():
@@ -59,80 +59,80 @@ def test_measure_refinement_consistency():
 
 
 def test_constant_and_periodic_measures():
-    assert cylinder_measures("a" * 200, 1).weights["a"] == 1
-    em = cylinder_measures("ab" * 300, 2)
+    assert cylinder_measures(FactorSet("a" * 200, 1), 1).weights["a"] == 1
+    em = cylinder_measures(FactorSet("ab" * 300, 2), 2)
     assert em.weights["a"] == Fraction(1, 2)
     assert em.weights["ab"] == Fraction(300, 599)
 
 
 def test_measure_preconditions():
     with pytest.raises(ValueError):
-        cylinder_measures("ab" * 20, 1)
+        cylinder_measures(FactorSet("ab" * 20, 1), 1)
     with pytest.raises(ValueError):
-        cylinder_measures("ab" * 300, 0)
+        cylinder_measures(FactorSet("ab" * 300, 2), 0)
 
 
 # -------------------------------------------------------- reconstruction
 
 def test_reconstruct_fibonacci():
     word = fibonacci_word(10000)
-    T, residual = reconstruct_iet(word, accepted_report(word), 6)
+    T, residual = reconstruct_iet(FactorSet(word, 6), accepted_report(word), 6)
     assert [x.rat for x in T.lengths] == [Fraction(309, 500), Fraction(191, 500)]
     assert T.permutation == (2, 1)
     assert T.flips == (False, False)
     assert residual < Fraction(1, 500)
-    match, total = verify_roundtrip(word, T, 500)
+    match, total, _, _ = verify_roundtrip(word, T, 500)
     assert (match, total) == (464, 500)
     assert match >= 400
 
 
 def test_reconstruct_golden_coding():
     word = natural_coding(golden_iet(), rational(0), 10000)
-    T, residual = reconstruct_iet(word, accepted_report(word), 6)
+    T, residual = reconstruct_iet(FactorSet(word, 6), accepted_report(word), 6)
     assert [x.rat for x in T.lengths] == [Fraction(191, 500), Fraction(309, 500)]
     assert T.permutation == (2, 1)
     assert abs(float(T.lengths[1].rat) - float(approximate(GOLDEN_ALPHA, 12))) < 0.01
     assert residual < Fraction(1, 20)
-    assert verify_roundtrip(word, T, 500) == (465, 500)
+    assert verify_roundtrip(word, T, 500)[:2] == (465, 500)
 
 
 def test_reconstruct_silver_coding():
     word = natural_coding(silver_iet(), rational(0), 20000)
-    T, residual = reconstruct_iet(word, accepted_report(word), 6)
+    T, residual = reconstruct_iet(FactorSet(word, 6), accepted_report(word), 6)
     assert T.permutation == (3, 2, 1)
     for got, truth in zip(T.lengths, silver_iet().lengths):
         assert abs(float(approximate(got - truth, 10))) < 0.02
     assert residual < Fraction(1, 20)
-    assert verify_roundtrip(word, T, 500) == (500, 500)
+    assert verify_roundtrip(word, T, 500)[:2] == (500, 500)
 
 
 def test_reconstruct_constant_word():
     word = "a" * 200
-    T, residual = reconstruct_iet(word, accepted_report(word, 3), 2)
+    T, residual = reconstruct_iet(FactorSet(word, 2), accepted_report(word, 3), 2)
     assert T.k == 1 and T.permutation == (1,)
     assert residual == 0
-    assert verify_roundtrip(word, T, 100) == (100, 100)
+    assert verify_roundtrip(word, T, 100)[:2] == (100, 100)
 
 
 def test_reconstruct_periodic_word():
     word = "ab" * 300
-    T, residual = reconstruct_iet(word, accepted_report(word, 8), 4)
+    T, residual = reconstruct_iet(FactorSet(word, 4), accepted_report(word, 8), 4)
     assert [x.rat for x in T.lengths] == [Fraction(1, 2), Fraction(1, 2)]
     assert T.permutation == (2, 1)
-    assert verify_roundtrip(word, T, 200) == (200, 200)
+    assert verify_roundtrip(word, T, 200)[:2] == (200, 200)
 
 
 def test_reconstruct_needs_accepted_report():
     rejected = EvolutionReport((1, 12), "rejected", None, False, None)
     with pytest.raises(ValueError):
-        reconstruct_iet(fibonacci_word(2000), rejected, 4)
+        reconstruct_iet(FactorSet(fibonacci_word(2000), 4), rejected, 4)
 
 
 def test_adjacency_conflict_reported():
     word = "ccabcbccacabbcaacbccbbcaacacbcacaacab" * 20
     fake = EvolutionReport((1, 3), "accepted", 1, True, None, {}, {}, {})
     with pytest.raises(AdjacencyError) as exc:
-        reconstruct_iet(word, fake, 4)
+        reconstruct_iet(FactorSet(word, 4), fake, 4)
     assert exc.value.side == "domain"
     assert frozenset({"a", "b"}) in exc.value.pairs
     assert len(exc.value.pairs) == 3
@@ -148,13 +148,13 @@ def test_flip_marks_carry_into_candidate():
     T = build_iet(lengths, [3, 4, 2, 1], [False, True, False, False])
     word = natural_coding(T, rational(0), 20000)
     rep = validate_evolution(FactorSet(word, 13), 1, 12, oriented=False)
-    cand, residual = reconstruct_iet(word, rep, 6)
+    cand, residual = reconstruct_iet(FactorSet(word, 6), rep, 6)
     # the accepted labeling marks vertices in the letter-3 cylinder
     assert cand.flips == (False, False, True, False)
     # an eventually periodic orbit's frequencies are not interval lengths,
     # so the candidate is honest about being far off
     assert residual > Fraction(1, 2)
-    match, _ = verify_roundtrip(word, cand, 300)
+    match = verify_roundtrip(word, cand, 300)[0]
     assert match < 50
 
 
@@ -163,7 +163,7 @@ def test_residual_shrinks_with_longer_prefixes():
     for n in (1000, 10000, 100000):
         word = fibonacci_word(n)
         rep = validate_evolution(FactorSet(word, 9), 1, 8, oriented=True)
-        residuals.append(reconstruct_iet(word, rep, 5)[1])
+        residuals.append(reconstruct_iet(FactorSet(word, 5), rep, 5)[1])
     assert residuals[0] >= residuals[1] >= residuals[2]
     assert residuals[2] < residuals[0]
 
@@ -173,12 +173,15 @@ def test_residual_shrinks_with_longer_prefixes():
 def test_roundtrip_self_consistency():
     T = golden_iet()
     word = natural_coding(T, rational(0), 2000)
-    assert verify_roundtrip(word, T, 300) == (300, 300)
+    match, total, depth, x0 = verify_roundtrip(word, T, 300)
+    assert (match, total, depth) == (300, 300, 300)
+    # x0 sits in the depth-300 cylinder of the word, so it codes the same
+    assert natural_coding(T, x0, 300) == word[:300]
 
 
 def test_roundtrip_wrong_permutation_dies_fast():
     wrong = build_iet([rational(309, 500), rational(191, 500)], [1, 2])
-    match, total = verify_roundtrip(fibonacci_word(10000), wrong, 500)
+    match, total, _, _ = verify_roundtrip(fibonacci_word(10000), wrong, 500)
     assert total == 500
     assert match == 1
     assert match < 10
@@ -186,8 +189,9 @@ def test_roundtrip_wrong_permutation_dies_fast():
 
 def test_roundtrip_errors():
     T = golden_iet()
-    with pytest.raises(ValueError):
-        verify_roundtrip("12", T, 3)
+    for n in (3, 0, -5):
+        with pytest.raises(ValueError):
+            verify_roundtrip("12", T, n)
     one = build_iet([rational(1)], [1])
     # "b" is the second letter of the word's alphabet, absent from a 1-IET
     with pytest.raises(ValueError):
@@ -199,6 +203,6 @@ def test_roundtrip_errors():
 @settings(max_examples=40)
 @given(st.text(alphabet="abc", min_size=100, max_size=180))
 def test_letter_measures_sum_to_one(w):
-    em = cylinder_measures(w, 1)
+    em = cylinder_measures(FactorSet(w, 1), 1)
     assert sum(em.level(1).values()) == 1
     assert all(0 < f <= 1 for f in em.level(1).values())

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ietword.exact import make_quadratic, rational
+from ietword.iet import build_iet, natural_coding
 from ietword.words import (
     FactorSet,
     bispecial_factors,
@@ -18,6 +20,20 @@ from wordgen import fibonacci_word, thue_morse_word, tribonacci_word
 FIB = fibonacci_word(2000)
 TM = thue_morse_word(1024)
 TRI = tribonacci_word(2000)
+
+
+def silver_word(n):
+    s = make_quadratic(-1, 1, 1, 1, 2)
+    T = build_iet([s, s, rational(3) - make_quadratic(0, 1, 2, 1, 2)], [3, 2, 1])
+    return natural_coding(T, rational(0), n)
+
+
+def probed_extensions(fs, n):
+    """Reference: probe every alphabet letter on each side of each factor."""
+    longer = fs.counts(n + 1)
+    return {w: (frozenset(x for x in fs.alphabet if x + w in longer),
+                frozenset(y for y in fs.alphabet if w + y in longer))
+            for w in fs.counts(n)}
 
 
 def test_counts_small_examples():
@@ -81,6 +97,25 @@ def test_special_factors_validation():
         special_factors(fs, 3, "left")
     with pytest.raises(ValueError):
         special_factors(fs, 1, "middle")
+
+
+@pytest.mark.parametrize("word", [FIB, TM, TRI, silver_word(6000)],
+                         ids=["fibonacci", "thue-morse", "tribonacci", "silver"])
+def test_extensions_match_letter_probe(word):
+    fs = factors(word, 24)
+    for n in range(24):
+        assert fs.extensions(n) == probed_extensions(fs, n)
+    for n in (-1, 24):
+        with pytest.raises(ValueError):
+            fs.extensions(n)
+
+
+@settings(max_examples=60)
+@given(st.text(alphabet="abc", min_size=1, max_size=60))
+def test_extensions_match_letter_probe_random(w):
+    fs = factors(w, len(w))
+    for n in range(len(w)):
+        assert fs.extensions(n) == probed_extensions(fs, n)
 
 
 def test_bispecial_fibonacci_lengths():
