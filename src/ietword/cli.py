@@ -57,6 +57,8 @@ def _cmd_gen(args) -> int:
             cfg_text = fh.read()
     except OSError as e:
         return _fail(f"cannot read {args.config}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        return _fail(f"{args.config}: not ASCII text: {e.reason} at byte {e.start}")
     try:
         T, sets = parse_iet_config(cfg_text)
     except ConfigError as e:

@@ -26,6 +26,7 @@ __all__ = [
     "format_scalar",
     "make_quadratic",
     "parse_scalar",
+    "quadratic_sign",
     "rational",
 ]
 
@@ -48,6 +49,27 @@ def _square_free_split(n: int) -> tuple[int, int]:
             m *= f
         f += 1
     return m, n0
+
+
+def quadratic_sign(u, v, d: int) -> int:
+    """Sign of u + v*sqrt(d) for ints or Fractions u, v and square-free d.
+
+    Decided by integer comparisons only: with opposite signs, |u| versus
+    |v| sqrt(d) is decided by u^2 versus v^2 d.
+    """
+    if v == 0:
+        return (u > 0) - (u < 0)
+    if u == 0:
+        return 1 if v > 0 else -1
+    if (u > 0) == (v > 0):
+        return 1 if u > 0 else -1
+    lhs = u * u
+    rhs = v * v * d
+    if lhs == rhs:
+        return 0
+    if lhs > rhs:
+        return 1 if u > 0 else -1
+    return 1 if v > 0 else -1
 
 
 @total_ordering
@@ -118,23 +140,7 @@ class ExactScalar:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1} via integer comparisons only."""
-        u, v = self.rat, self.coef
-        if v == 0:
-            return (u > 0) - (u < 0)
-        if u == 0:
-            return 1 if v > 0 else -1
-        if u > 0 and v > 0:
-            return 1
-        if u < 0 and v < 0:
-            return -1
-        # opposite signs: |u| vs |v| sqrt(d) decided by u^2 vs v^2 d
-        lhs = u * u
-        rhs = v * v * self.d
-        if lhs == rhs:
-            return 0
-        if lhs > rhs:
-            return 1 if u > 0 else -1
-        return 1 if v > 0 else -1
+        return quadratic_sign(self.rat, self.coef, self.d)
 
     def __bool__(self) -> bool:
         return self.rat != 0 or self.coef != 0

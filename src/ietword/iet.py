@@ -13,10 +13,13 @@ Conventions, fixed once for the whole package:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cmp_to_key
 
-from .exact import ExactScalar, Interval, ONE, ZERO, as_scalar, compare
+from .exact import (ExactScalar, Interval, MixedRadicalError, ONE, ZERO, as_scalar,
+                    compare, quadratic_sign)
 
 __all__ = [
     "BoundaryHit",
@@ -31,8 +34,10 @@ __all__ = [
     "check_regular",
     "coding_with_sets",
     "cylinder",
+    "cylinder_lengths",
     "displacement",
     "essential_codings",
+    "longest_cylinder",
     "mechanical_word",
     "natural_coding",
     "orbit",
@@ -185,33 +190,22 @@ def apply_inverse(T: IETSpec, y) -> ExactScalar:
     return T.apply_inverse(y)
 
 
-def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:
-    if n < 0:
-        raise ValueError("orbit length must be >= 0")
-    pts = []
-    x = T._domain(x0)
-    for _ in range(n):
-        pts.append(x)
-        x = T.apply(x)
-    return pts
-
-
 class _IntOrbit:
-    """Orbit stepper on integer pairs, for long codings.
+    """The orbit kernel: every multi-step walk of an exchange runs here.
 
     All scalars of one exchange live in a single quadratic field, so a
     point is (A + B*sqrt(d))/D with a common denominator D fixed up
-    front.  Steps and comparisons are then pure integer arithmetic;
-    results are bit-identical to the ExactScalar path.
+    front.  Steps and comparisons are then pure integer arithmetic, and
+    equal points are equal pairs; results are identical to stepping
+    with IETSpec.apply.
     """
 
     def __init__(self, T: IETSpec, extra=()):
-        import math
-        scalars = list(T.left) + list(T.disp) + list(T.refl) + list(T.dest_lo)
+        scalars = list(T.left) + list(T.slot_start) + list(T.disp) + list(T.refl)
         scalars += list(extra)
         ds = {s.d for s in scalars if s.d}
         if len(ds) > 1:
-            raise ValueError("points span two quadratic fields")
+            raise MixedRadicalError("points span two quadratic fields")
         self.d = ds.pop() if ds else 0
         D = 1
         for s in scalars:
@@ -219,6 +213,7 @@ class _IntOrbit:
         self.D = D
         self.T = T
         self.left = [self.encode(s) for s in T.left]
+        self.slot_start = [self.encode(s) for s in T.slot_start]
         self.disp = [self.encode(s) for s in T.disp]
         self.refl = [self.encode(s) for s in T.refl]
         self.dest_lo = [self.encode(s) for s in T.dest_lo]
@@ -229,42 +224,59 @@ class _IntOrbit:
                 s.coef.numerator * (D // s.coef.denominator))
 
     def decode(self, p) -> ExactScalar:
-        from fractions import Fraction
         return ExactScalar(Fraction(p[0], self.D), Fraction(p[1], self.D), self.d)
 
-    def sign(self, a: int, b: int) -> int:
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        lhs, rhs = a * a, b * b * self.d
-        if lhs == rhs:
-            return 0
-        if lhs > rhs:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
+    def locate(self, cuts, p, side: int = 1) -> int:
+        """1-based j with cuts[j-1] <= p + side*epsilon < cuts[j]."""
+        a, b = p
+        d = self.d
+        for j in range(1, len(cuts)):
+            c = cuts[j]
+            # a tie with the cut is decided by the side of the limit
+            if (quadratic_sign(a - c[0], b - c[1], d) or side) < 0:
+                return j
+        raise AssertionError("unreachable: the cuts cover [0,1)")
 
-    def less(self, p, q) -> bool:
-        return self.sign(p[0] - q[0], p[1] - q[1]) < 0
-
-    def index_of(self, p) -> int:
-        left = self.left
-        for i in range(1, self.T.k + 1):
-            if self.less(p, left[i]):
-                return i
-        raise AssertionError("unreachable: partition covers [0,1)")
-
-    def step(self, p, i: int):
+    def step(self, p, i: int | None = None):
+        """T(p), with i the index of the interval holding p if known."""
+        if i is None:
+            i = self.locate(self.left, p)
         if not self.T.flips[i - 1]:
             d = self.disp[i - 1]
             return (p[0] + d[0], p[1] + d[1])
-        lo = self.left[i - 1]
-        if p == lo:
+        if p == self.left[i - 1]:
             return self.dest_lo[i - 1]
         r = self.refl[i - 1]
         return (r[0] - p[0], r[1] - p[1])
+
+    def step_back(self, p):
+        """The preimage of p under T."""
+        i = self.T.permutation[self.locate(self.slot_start, p) - 1]
+        if not self.T.flips[i - 1]:
+            d = self.disp[i - 1]
+            return (p[0] - d[0], p[1] - d[1])
+        if p == self.dest_lo[i - 1]:
+            return self.left[i - 1]
+        r = self.refl[i - 1]
+        return (r[0] - p[0], r[1] - p[1])
+
+
+def _walk(T: IETSpec, x0, n: int, extra=()):
+    """Kernel and encoded start point for an n-step walk from x0."""
+    if n < 0:
+        raise ValueError("orbit length must be >= 0")
+    x0 = T._domain(x0)
+    stepper = _IntOrbit(T, (*extra, x0))
+    return stepper, stepper.encode(x0)
+
+
+def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:
+    stepper, p = _walk(T, x0, n)
+    pts = []
+    for _ in range(n):
+        pts.append(stepper.decode(p))
+        p = stepper.step(p)
+    return pts
 
 
 def natural_coding(T: IETSpec, x0, n: int, letters: str | None = None) -> str:
@@ -272,12 +284,11 @@ def natural_coding(T: IETSpec, x0, n: int, letters: str | None = None) -> str:
         letters = DEFAULT_LETTERS
     if len(letters) < T.k:
         raise ValueError(f"need {T.k} letters, got {len(letters)}")
-    x0 = T._domain(x0)
-    stepper = _IntOrbit(T, (x0,))
-    p = stepper.encode(x0)
+    stepper, p = _walk(T, x0, n)
+    left = stepper.left
     out = []
     for _ in range(n):
-        i = stepper.index_of(p)
+        i = stepper.locate(left, p)
         out.append(letters[i - 1])
         p = stepper.step(p, i)
     return "".join(out)
@@ -312,11 +323,6 @@ class CodingConfig:
             raise ValueError(f"partition stops at {cursor}, not 1")
         self.pieces = tuple(pieces)
         self.letters = tuple(self.sets)
-        # interior boundary points, where one-sided limits may disagree
-        bounds = []
-        for iv, _ in pieces[1:]:
-            bounds.append(iv.lo)
-        self.boundaries = tuple(bounds)
 
     @classmethod
     def natural(cls, T: IETSpec, letters: str | None = None) -> "CodingConfig":
@@ -326,50 +332,26 @@ class CodingConfig:
             raise ValueError(f"need {T.k} letters, got {len(letters)}")
         return cls((letters[i - 1], (T.interval(i),)) for i in range(1, T.k + 1))
 
-    def letter_at(self, x: ExactScalar) -> str:
-        for iv, letter in self.pieces:
-            if iv.contains(x):
-                return letter
-        raise DomainError(f"point {x} outside [0,1)")
 
-    def letter_at_limit(self, x: ExactScalar, side: int) -> str:
-        for iv, letter in self.pieces:
-            if iv.contains_limit(x, side):
-                return letter
-        raise DomainError(f"limit point {x}{'+' if side > 0 else '-'} outside (0,1)")
-
-    def on_boundary(self, x: ExactScalar) -> bool:
-        return any(compare(x, b) == 0 for b in self.boundaries)
+def _coding_walk(T: IETSpec, config: CodingConfig, x0, n: int):
+    """Kernel, start point, encoded piece cuts (left ends, then 1) and
+    the letter of each piece, for an n-step coding of x0."""
+    cuts = [iv.lo for iv, _ in config.pieces] + [ONE]
+    stepper, p = _walk(T, x0, n, cuts)
+    return (stepper, p, [stepper.encode(c) for c in cuts],
+            [letter for _, letter in config.pieces])
 
 
 def coding_with_sets(T: IETSpec, config: CodingConfig, x0, n: int, strict: bool = True) -> str:
-    x0 = T._domain(x0)
-    cuts = [iv.lo for iv, _ in config.pieces] + [ONE]
-    stepper = _IntOrbit(T, tuple(cuts) + (x0,))
-    cut_reps = [stepper.encode(c) for c in cuts]
-    piece_letters = [letter for _, letter in config.pieces]
-    bound_reps = [stepper.encode(b) for b in config.boundaries]
-    p = stepper.encode(x0)
+    stepper, p, cut_reps, piece_letters = _coding_walk(T, config, x0, n)
     out = []
     for step in range(n):
-        if strict and p in bound_reps:
+        j = stepper.locate(cut_reps, p)
+        if strict and j > 1 and p == cut_reps[j - 1]:
             raise BoundaryHit(step, stepper.decode(p))
-        for j in range(len(piece_letters)):
-            if stepper.less(p, cut_reps[j + 1]):
-                out.append(piece_letters[j])
-                break
-        p = stepper.step(p, stepper.index_of(p))
+        out.append(piece_letters[j - 1])
+        p = stepper.step(p)
     return "".join(out)
-
-
-def _branch_at_limit(T: IETSpec, x: ExactScalar, side: int) -> int:
-    """Interval index whose closure contains x + side*epsilon."""
-    if side > 0:
-        return T.index_of(x)
-    for i in range(1, T.k + 1):
-        if compare(x, T.left[i - 1]) > 0 and compare(x, T.left[i]) <= 0:
-            return i
-    raise DomainError(f"limit point {x}- outside (0,1)")
 
 
 def essential_codings(T: IETSpec, config: CodingConfig, x0, n: int) -> frozenset[str]:
@@ -379,19 +361,20 @@ def essential_codings(T: IETSpec, config: CodingConfig, x0, n: int) -> frozenset
     reverse the sign; set membership of a signed point never depends on
     endpoint ownership, so boundary hits resolve deterministically.
     """
-    x0 = T._domain(x0)
-    sides = [1] if x0.sign() == 0 else [1, -1]
+    stepper, p0, cut_reps, piece_letters = _coding_walk(T, config, x0, n)
     words = set()
-    for s0 in sides:
-        x, s = x0, s0
+    for s0 in ([1] if p0 == (0, 0) else [1, -1]):
+        p, s = p0, s0
         out = []
         for _ in range(n):
-            out.append(config.letter_at_limit(x, s))
-            i = _branch_at_limit(T, x, s)
-            if not T.flips[i - 1]:
-                x = x + T.disp[i - 1]
+            out.append(piece_letters[stepper.locate(cut_reps, p, s) - 1])
+            i = stepper.locate(stepper.left, p, s)
+            if T.flips[i - 1]:
+                # a limit never sits on an owned endpoint: reflect it whole
+                r = stepper.refl[i - 1]
+                p, s = (r[0] - p[0], r[1] - p[1]), -s
             else:
-                x, s = T.refl[i - 1] - x, -s
+                p = stepper.step(p, i)
         words.add("".join(out))
     return frozenset(words)
 
@@ -416,12 +399,14 @@ def check_regular(T: IETSpec, depth: int) -> RegularityReport:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    targets = {T.left[j]: j + 1 for j in range(1, T.k)}
+    stepper = _IntOrbit(T)
+    left = stepper.left
+    targets = {left[j]: j + 1 for j in range(1, T.k)}
     for i in range(1, T.k + 1):
-        x = T.left[i - 1]
+        p = left[i - 1]
         for n in range(1, depth + 1):
-            x = T.apply(x)
-            j = targets.get(x)
+            p = stepper.step(p)
+            j = targets.get(p)
             if j is not None:
                 return RegularityReport(depth, "collision", (i, n, j))
     return RegularityReport(depth, "no-collision-up-to-depth")
@@ -431,19 +416,21 @@ def check_idoc(T: IETSpec, depth: int) -> RegularityReport:
     """Backward orbits of the interior discontinuities, pairwise disjoint."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    seen: dict[ExactScalar, tuple[int, int]] = {}
+    stepper = _IntOrbit(T)
+    left = stepper.left
+    seen: dict[tuple[int, int], tuple[int, int]] = {}
     for i in range(2, T.k + 1):
-        if T.left[i - 1] in seen:
-            return RegularityReport(depth, "collision", ((i, 0), seen[T.left[i - 1]]))
-        seen[T.left[i - 1]] = (i, 0)
+        if left[i - 1] in seen:
+            return RegularityReport(depth, "collision", ((i, 0), seen[left[i - 1]]))
+        seen[left[i - 1]] = (i, 0)
     for i in range(2, T.k + 1):
-        x = T.left[i - 1]
+        p = left[i - 1]
         for n in range(1, depth + 1):
-            x = T.apply_inverse(x)
-            prev = seen.get(x)
+            p = stepper.step_back(p)
+            prev = seen.get(p)
             if prev is not None and prev != (i, n):
                 return RegularityReport(depth, "collision", ((i, n), prev))
-            seen[x] = (i, n)
+            seen[p] = (i, n)
     return RegularityReport(depth, "no-collision-up-to-depth")
 
 
@@ -545,15 +532,55 @@ def _merge_intervals(ivs: list[Interval]) -> tuple[Interval, ...]:
     return tuple(merged)
 
 
+def _prefix_pieces(T: IETSpec, config: CodingConfig, w: str):
+    """How many leading letters of w have a nonempty cylinder, and its pieces."""
+    depth, hit = 0, [(Interval(ZERO, ONE), 1, ZERO)]
+    for letter in w:
+        part = _restrict_pieces(config, letter, _advance_pieces(T, hit) if depth else hit)
+        if not part:
+            break
+        depth, hit = depth + 1, part
+    return depth, (hit if depth else [])
+
+
+def longest_cylinder(T: IETSpec, config: CodingConfig, w: str):
+    """Longest prefix of w with a nonempty cylinder: (its length, its intervals).
+
+    (0, ()) when the cylinder of w's first letter is already empty.
+    """
+    depth, pieces = _prefix_pieces(T, config, w)
+    return depth, _merge_intervals([_piece_source(p) for p in pieces])
+
+
 def cylinder(T: IETSpec, config: CodingConfig, w: str) -> tuple[Interval, ...]:
     """Maximal intervals of points whose coding starts with w (exact)."""
     if not w:
         raise ValueError("cylinder word must be nonempty")
-    pieces = [(Interval(ZERO, ONE), 1, ZERO)]
-    for idx, letter in enumerate(w):
-        pieces = _restrict_pieces(config, letter, pieces)
-        if not pieces:
-            return ()
-        if idx < len(w) - 1:
-            pieces = _advance_pieces(T, pieces)
+    depth, pieces = _prefix_pieces(T, config, w)
+    if depth < len(w):
+        return ()
     return _merge_intervals([_piece_source(p) for p in pieces])
+
+
+def cylinder_lengths(T: IETSpec, config: CodingConfig, depth: int) -> dict[str, ExactScalar]:
+    """Exact length of the cylinder of every word of length 1..depth
+    whose cylinder is nonempty."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    lengths = {}
+    frontier = [("", [(Interval(ZERO, ONE), 1, ZERO)])]
+    for n in range(depth):
+        grown = []
+        for w, hit in frontier:
+            pieces = _advance_pieces(T, hit) if n else hit
+            for letter in config.letters:
+                part = _restrict_pieces(config, letter, pieces)
+                if not part:
+                    continue
+                total = ZERO
+                for img, _, _ in part:
+                    total = total + img.length
+                lengths[w + letter] = total
+                grown.append((w + letter, part))
+        frontier = grown
+    return lengths

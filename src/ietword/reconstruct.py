@@ -18,17 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, takewhile
 
-from .exact import Interval, ZERO, ONE, rational
+from .exact import rational
 from .iet import (
     CodingConfig,
     IETSpec,
-    _advance_pieces,
-    _merge_intervals,
-    _piece_source,
-    _restrict_pieces,
     build_iet,
+    cylinder_lengths,
+    longest_cylinder,
     natural_coding,
 )
 from .rauzy import EvolutionReport
@@ -124,38 +122,15 @@ def _as_fraction(x) -> Fraction:
     return x.rat
 
 
-def _candidate_levels(T: IETSpec, depth: int, dom):
-    """Exact cylinder measures of the candidate, keyed by word letters."""
-    config = CodingConfig.natural(T)
-    levels = {}
-    state = [("", [(Interval(ZERO, ONE), 1, ZERO)])]
-    for n in range(1, depth + 1):
-        out = {}
-        nxt = []
-        for w, pieces in state:
-            for i in range(1, T.k + 1):
-                hit = _restrict_pieces(config, str(i), pieces)
-                if not hit:
-                    continue
-                total = Fraction(0)
-                for img, _, _ in hit:
-                    total += _as_fraction(img.hi - img.lo)
-                label = w + dom[i - 1]
-                out[label] = total
-                nxt.append((label, _advance_pieces(T, hit)))
-        levels[n] = out
-        state = nxt
-    return levels
-
-
 def _measure_residual(T: IETSpec, em: EmpiricalMeasure, dom) -> Fraction:
-    cand = _candidate_levels(T, em.depth, dom)
+    cand = cylinder_lengths(T, CodingConfig.natural(T, "".join(dom)), em.depth)
     worst = Fraction(0)
     for n in range(1, em.depth + 1):
         emp = em.level(n)
+        level = {w: _as_fraction(x) for w, x in cand.items() if len(w) == n}
         diff = Fraction(0)
-        for w in set(emp) | set(cand[n]):
-            diff += abs(emp.get(w, Fraction(0)) - cand[n].get(w, Fraction(0)))
+        for w in set(emp) | set(level):
+            diff += abs(emp.get(w, Fraction(0)) - level.get(w, Fraction(0)))
         worst = max(worst, diff / 2)
     return worst
 
@@ -174,22 +149,12 @@ def verify_roundtrip(word: str, candidate: IETSpec, n: int):
     to_candidate = {c: str(i + 1) for i, c in enumerate(letters)}
     from_candidate = {v: c for c, v in to_candidate.items()}
     config = CodingConfig.natural(candidate)
-    pieces = [(Interval(ZERO, ONE), 1, ZERO)]
-    depth = 0
-    best = None
-    for c in word[:n]:
-        letter = to_candidate[c]
-        if letter not in config.sets:
-            break
-        hit = _restrict_pieces(config, letter, pieces)
-        if not hit:
-            break
-        depth += 1
-        best = hit
-        pieces = _advance_pieces(candidate, hit)
-    if best is None:
+    # the walk stops at the first letter the candidate has no interval for
+    prefix = "".join(takewhile(config.sets.__contains__,
+                               (to_candidate[c] for c in word[:n])))
+    depth, intervals = longest_cylinder(candidate, config, prefix)
+    if not depth:
         raise ValueError("empty cylinder: candidate rejects the first letter")
-    intervals = _merge_intervals([_piece_source(p) for p in best])
     widest = intervals[0]
     for iv in intervals[1:]:
         if ((iv.hi - iv.lo) - (widest.hi - widest.lo)).sign() > 0:

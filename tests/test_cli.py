@@ -84,6 +84,16 @@ def test_gen_errors(tmp_path, cfg, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_gen_non_ascii_config(tmp_path, capsys):
+    path = tmp_path / "accent.cfg"
+    path.write_text("# rotation dorée\n" + GOLDEN_CFG, encoding="utf-8")
+    assert main(["gen", str(path), "-n", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 # -------------------------------------------------------------- analyze
 
 def test_analyze_csv(tmp_path, cfg, capsys):

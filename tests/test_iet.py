@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,8 +17,10 @@ from ietword.iet import (
     check_regular,
     coding_with_sets,
     cylinder,
+    cylinder_lengths,
     displacement,
     essential_codings,
+    longest_cylinder,
     mechanical_word,
     natural_coding,
     orbit,
@@ -118,6 +121,13 @@ def test_orbit_golden():
     pts = orbit(T, ZERO, 3)
     assert pts == [ZERO, GOLDEN_ALPHA, 2 * GOLDEN_ALPHA - 1]
     assert orbit(T, ZERO, 0) == []
+    cfg = CodingConfig.natural(T)
+    for walk in (lambda n: orbit(T, ZERO, n),
+                 lambda n: natural_coding(T, ZERO, n),
+                 lambda n: coding_with_sets(T, cfg, ZERO, n),
+                 lambda n: essential_codings(T, cfg, ZERO, n)):
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            walk(-1)
 
 
 def test_natural_coding_golden_prefix():
@@ -365,3 +375,130 @@ def test_orbit_reversibility(x, n):
     for _ in range(n):
         y = apply_inverse(T, y)
     assert y == x
+
+
+# ------------------------------------------- kernel versus scalar oracle
+
+def _orbit_reference(T, x0, n):
+    pts = []
+    x = x0
+    for _ in range(n):
+        pts.append(x)
+        x = apply(T, x)
+    return pts
+
+
+def _check_regular_reference(T, depth):
+    targets = {T.left[j]: j + 1 for j in range(1, T.k)}
+    for i in range(1, T.k + 1):
+        x = T.left[i - 1]
+        for n in range(1, depth + 1):
+            x = T.apply(x)
+            if x in targets:
+                return "collision", (i, n, targets[x])
+    return "no-collision-up-to-depth", None
+
+
+def _check_idoc_reference(T, depth):
+    seen = {}
+    for i in range(2, T.k + 1):
+        if T.left[i - 1] in seen:
+            return "collision", ((i, 0), seen[T.left[i - 1]])
+        seen[T.left[i - 1]] = (i, 0)
+    for i in range(2, T.k + 1):
+        x = T.left[i - 1]
+        for n in range(1, depth + 1):
+            x = T.apply_inverse(x)
+            prev = seen.get(x)
+            if prev is not None and prev != (i, n):
+                return "collision", ((i, n), prev)
+            seen[x] = (i, n)
+    return "no-collision-up-to-depth", None
+
+
+def _essential_reference(T, config, x0, n):
+    """Signed-limit walk on scalars: (x, s) stands for x + s*epsilon."""
+    words = set()
+    for s0 in ([1] if x0 == ZERO else [1, -1]):
+        x, s = x0, s0
+        out = []
+        for _ in range(n):
+            out.append(next(letter for iv, letter in config.pieces
+                            if iv.contains_limit(x, s)))
+            i = next(i for i in range(1, T.k + 1)
+                     if T.interval(i).contains_limit(x, s))
+            if T.flips[i - 1]:
+                x, s = T.refl[i - 1] - x, -s
+            else:
+                x = x + T.disp[i - 1]
+        words.add("".join(out))
+    return frozenset(words)
+
+
+def _random_point(rng, d):
+    """A point of [0,1) in Q (d = 0) or Q(sqrt d), small denominators."""
+    y = rational(rng.randrange(1, 60), rng.randrange(2, 30))
+    if d:
+        y = y + rational(rng.randrange(-20, 21), rng.randrange(1, 15)) * \
+            make_quadratic(0, 1, 1, 1, d)
+    return y - math.floor(y)
+
+
+def _random_exchange(rng, k, d):
+    cuts = set()
+    while len(cuts) < k - 1:
+        x = _random_point(rng, d)
+        if x != ZERO:
+            cuts.add(x)
+    ends = [ZERO, *sorted(cuts), ONE]
+    perm = list(range(1, k + 1))
+    rng.shuffle(perm)
+    flips = [rng.random() < 0.3 for _ in range(k)]
+    return build_iet([b - a for a, b in zip(ends, ends[1:])], perm, flips)
+
+
+def test_kernel_matches_scalar_oracle():
+    rng = random.Random(20071)
+    collided = 0
+    for case in range(48):
+        k = 2 + case % 4
+        d = (0, 2, 5)[case // 4 % 3]
+        T = _random_exchange(rng, k, d)
+        cfg = CodingConfig.natural(T)
+        x = _random_point(rng, d)
+        assert orbit(T, x, 12) == _orbit_reference(T, x, 12)
+        for check, reference in ((check_regular, _check_regular_reference),
+                                 (check_idoc, _check_idoc_reference)):
+            rep = check(T, 8)
+            assert (rep.verdict, rep.witness) == reference(T, 8)
+            collided += rep.collided
+        for x0 in (*T.left[:-1], x):
+            assert essential_codings(T, cfg, x0, 10) == \
+                _essential_reference(T, cfg, x0, 10)
+    # the corpus exercises both verdicts
+    assert 0 < collided < 96
+
+
+def test_cylinder_lengths_match_cylinders():
+    T = silver_iet((False, True, False))
+    cfg = CodingConfig.natural(T)
+    lengths = cylinder_lengths(T, cfg, 4)
+    cyls = {}
+    for depth in range(1, 5):
+        cyls.update(enumerate_cylinders(T, cfg, "123", depth))
+    assert set(lengths) == set(cyls)
+    for word, ivs in cyls.items():
+        total = ZERO
+        for iv in ivs:
+            total = total + iv.length
+        assert lengths[word] == total
+    with pytest.raises(ValueError):
+        cylinder_lengths(T, cfg, 0)
+
+
+def test_longest_cylinder_prefix():
+    T = golden_iet()
+    cfg = CodingConfig.natural(T)
+    assert longest_cylinder(T, cfg, "1211") == (3, cylinder(T, cfg, "121"))
+    assert longest_cylinder(T, cfg, "11") == (1, cylinder(T, cfg, "1"))
+    assert longest_cylinder(T, cfg, "") == (0, ())
