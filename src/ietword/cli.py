@@ -41,12 +41,19 @@ def _read_word(path: str):
     return word
 
 
+class _WriteError(Exception):
+    """An output file could not be written; main reports it as a usage error."""
+
+
 def _write(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
+    except OSError as e:
+        raise _WriteError(f"cannot write {path}: {e.strerror}") from None
 
 
 # ----------------------------------------------------------- subcommands
@@ -117,10 +124,7 @@ def _cmd_rauzy(args) -> int:
     fs = FactorSet(word, args.k_max + 1)
     for k in range(args.k_min, args.k_max + 1):
         path = f"{args.out_dir}/rauzy_k{k}.dot"
-        try:
-            _write(path, export_dot(build_k_graph(fs, k)))
-        except OSError as e:
-            return _fail(f"cannot write {path}: {e.strerror}")
+        _write(path, export_dot(build_k_graph(fs, k)))
         print(path)
     return OK
 
@@ -309,7 +313,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _WriteError as e:
+        return _fail(str(e))
 
 
 if __name__ == "__main__":

@@ -133,7 +133,10 @@ class IETSpec:
 
     def index_of(self, x: ExactScalar) -> int:
         """1-based i with x in X_i."""
-        x = self._domain(x)
+        return self._index(self._domain(x))
+
+    def _index(self, x: ExactScalar) -> int:
+        # x is already coerced and known to lie in [0,1)
         for i in range(1, self.k + 1):
             if compare(x, self.left[i]) < 0:
                 return i
@@ -147,7 +150,7 @@ class IETSpec:
 
     def apply(self, x) -> ExactScalar:
         x = self._domain(x)
-        i = self.index_of(x)
+        i = self._index(x)
         if not self.flips[i - 1]:
             return x + self.disp[i - 1]
         if x == self.left[i - 1]:
@@ -333,13 +336,18 @@ class CodingConfig:
         return cls((letters[i - 1], (T.interval(i),)) for i in range(1, T.k + 1))
 
 
-def _coding_walk(T: IETSpec, config: CodingConfig, x0, n: int):
-    """Kernel, start point, encoded piece cuts (left ends, then 1) and
-    the letter of each piece, for an n-step coding of x0."""
-    cuts = [iv.lo for iv, _ in config.pieces] + [ONE]
-    stepper, p = _walk(T, x0, n, cuts)
-    return (stepper, p, [stepper.encode(c) for c in cuts],
+def _piece_cuts(config: CodingConfig):
+    """The left ends of the config's pieces, then 1, and each piece's letter."""
+    return ([iv.lo for iv, _ in config.pieces] + [ONE],
             [letter for _, letter in config.pieces])
+
+
+def _coding_walk(T: IETSpec, config: CodingConfig, x0, n: int):
+    """Kernel, start point, encoded piece cuts and the letter of each
+    piece, for an n-step coding of x0."""
+    cuts, letters = _piece_cuts(config)
+    stepper, p = _walk(T, x0, n, cuts)
+    return stepper, p, [stepper.encode(c) for c in cuts], letters
 
 
 def coding_with_sets(T: IETSpec, config: CodingConfig, x0, n: int, strict: bool = True) -> str:
@@ -452,95 +460,110 @@ def mechanical_word(alpha, x0, u_len, n: int) -> str:
     return coding_with_sets(T, config, x0, n, strict=False)
 
 
-def _advance_pieces(T: IETSpec, pieces):
-    """Push (image interval, sign, offset) pieces through one step of T.
+class _Cylinders:
+    """The piece walk behind the cylinder functions, on the integer kernel.
 
-    Each piece knows the affine map back to the source points:
-    source = sign * y + offset for y in the image interval.
+    A piece (lo, hi, lo_closed, hi_closed, s, b) is an interval of points
+    y reached after some steps; it came from the source points s*y + b.
+    lo, hi and b are kernel-encoded pairs, so splitting, stepping and
+    comparing are integer operations; scalars are made only on output.
     """
-    out = []
-    for img, s, b in pieces:
-        for i in range(1, T.k + 1):
-            part = img.intersect(T.interval(i))
-            if part is None:
+
+    def __init__(self, T: IETSpec, config: CodingConfig):
+        cuts, self.letters = _piece_cuts(config)
+        self.kernel = k = _IntOrbit(T, cuts)
+        self.cuts = [k.encode(c) for c in cuts]
+        self.sets = config.sets
+        self.root = ((0, 0), (k.D, 0), True, False, 1, (0, 0))
+
+    def split(self, cuts, pieces):
+        """(j, part) for every part of a piece inside [cuts[j-1], cuts[j])."""
+        locate = self.kernel.locate
+        for piece in pieces:
+            lo, hi, lc, hc, s, b = piece
+            j_lo = locate(cuts, lo)
+            j_hi = locate(cuts, hi, 1 if hc else -1)
+            if j_lo == j_hi:
+                yield j_lo, piece
                 continue
-            if not T.flips[i - 1]:
-                d = T.disp[i - 1]
-                moved = Interval(part.lo + d, part.hi + d, part.lo_closed, part.hi_closed)
-                out.append((moved, s, b - s * d))
+            yield j_lo, (lo, cuts[j_lo], lc, False, s, b)
+            for j in range(j_lo + 1, j_hi):
+                yield j, (cuts[j - 1], cuts[j], True, False, s, b)
+            yield j_hi, (cuts[j_hi - 1], hi, True, hc, s, b)
+
+    def advance(self, pieces):
+        """Push every piece through one step of T."""
+        k = self.kernel
+        out = []
+        for i, (lo, hi, lc, hc, s, b) in self.split(k.left, pieces):
+            if not k.T.flips[i - 1]:
+                d0, d1 = k.disp[i - 1]
+                out.append(((lo[0] + d0, lo[1] + d1), (hi[0] + d0, hi[1] + d1),
+                            lc, hc, s, (b[0] - s * d0, b[1] - s * d1)))
+                continue
+            if lc and lo == k.left[i - 1]:
+                # the owned left endpoint relocates to the slot start;
+                # peel it off as an exact singleton piece
+                y = k.dest_lo[i - 1]
+                out.append((y, y, True, True, 1,
+                            (s * lo[0] + b[0] - y[0], s * lo[1] + b[1] - y[1])))
+                if lo == hi:
+                    continue
+                lc = False
+            r0, r1 = k.refl[i - 1]
+            out.append(((r0 - hi[0], r1 - hi[1]), (r0 - lo[0], r1 - lo[1]),
+                        hc, lc, -s, (b[0] + s * r0, b[1] + s * r1)))
+        return out
+
+    def restrict(self, pieces):
+        """The parts of the pieces in each letter's set, by letter."""
+        parts = {}
+        for j, piece in self.split(self.cuts, pieces):
+            parts.setdefault(self.letters[j - 1], []).append(piece)
+        return parts
+
+    def prefix(self, w: str):
+        """How many leading letters of w have a nonempty cylinder, and its pieces."""
+        depth, hit = 0, [self.root]
+        for letter in w:
+            if letter not in self.sets:
+                raise ValueError(f"letter {letter!r} not in the coding config")
+            part = self.restrict(self.advance(hit) if depth else hit).get(letter)
+            if not part:
+                break
+            depth, hit = depth + 1, part
+        return depth, (hit if depth else [])
+
+    def intervals(self, pieces) -> tuple[Interval, ...]:
+        """The maximal intervals of the source points of disjoint pieces."""
+        sources = []
+        for lo, hi, lc, hc, s, b in pieces:
+            if s == 1:
+                sources.append(((lo[0] + b[0], lo[1] + b[1]),
+                                (hi[0] + b[0], hi[1] + b[1]), lc, hc))
             else:
-                lo_pt = T.left[i - 1]
-                refl = T.refl[i - 1]
-                keep = part
-                if part.lo == lo_pt and part.lo_closed:
-                    # the owned left endpoint relocates to the slot start;
-                    # peel it off as an exact singleton piece
-                    single = Interval.singleton(T.dest_lo[i - 1])
-                    src = s * lo_pt + b
-                    out.append((single, 1, src - T.dest_lo[i - 1]))
-                    if part.lo == part.hi:
-                        continue
-                    keep = Interval(part.lo, part.hi, False, part.hi_closed)
-                moved = Interval(refl - keep.hi, refl - keep.lo,
-                                 keep.hi_closed, keep.lo_closed)
-                out.append((moved, -s, b + s * refl))
-    return out
+                sources.append(((b[0] - hi[0], b[1] - hi[1]),
+                                (b[0] - lo[0], b[1] - lo[1]), hc, lc))
+        d = self.kernel.d
 
+        def order(u, v):
+            c = quadratic_sign(u[0][0] - v[0][0], u[0][1] - v[0][1], d)
+            # closed endpoint first so a touching singleton is absorbed
+            return c or (not u[2]) - (not v[2])
 
-def _restrict_pieces(config: CodingConfig, letter: str, pieces):
-    sets = config.sets.get(letter)
-    if sets is None:
-        raise ValueError(f"letter {letter!r} not in the coding config")
-    out = []
-    for img, s, b in pieces:
-        for u in sets:
-            part = img.intersect(u)
-            if part is not None:
-                out.append((part, s, b))
-    return out
+        merged = []
+        for lo, hi, lc, hc in sorted(sources, key=cmp_to_key(order)):
+            # disjoint intervals join only where they touch
+            if merged and merged[-1][1] == lo and (merged[-1][3] or lc):
+                merged[-1] = (merged[-1][0], hi, merged[-1][2], hc)
+            else:
+                merged.append((lo, hi, lc, hc))
+        decode = self.kernel.decode
+        return tuple(Interval(decode(lo), decode(hi), lc, hc) for lo, hi, lc, hc in merged)
 
-
-def _piece_source(piece) -> Interval:
-    img, s, b = piece
-    if s == 1:
-        return Interval(img.lo + b, img.hi + b, img.lo_closed, img.hi_closed)
-    return Interval(b - img.hi, b - img.lo, img.hi_closed, img.lo_closed)
-
-
-def _interval_cmp(a: Interval, b: Interval) -> int:
-    c = compare(a.lo, b.lo)
-    if c:
-        return c
-    # closed endpoint first so a touching singleton is absorbed
-    return (not a.lo_closed) - (not b.lo_closed)
-
-
-def _merge_intervals(ivs: list[Interval]) -> tuple[Interval, ...]:
-    ivs = sorted(ivs, key=cmp_to_key(_interval_cmp))
-    merged: list[Interval] = []
-    for iv in ivs:
-        if merged:
-            prev = merged[-1]
-            c = compare(prev.hi, iv.lo)
-            if c > 0 or (c == 0 and (prev.hi_closed or iv.lo_closed)):
-                if compare(iv.hi, prev.hi) > 0:
-                    merged[-1] = Interval(prev.lo, iv.hi, prev.lo_closed, iv.hi_closed)
-                elif compare(iv.hi, prev.hi) == 0 and iv.hi_closed and not prev.hi_closed:
-                    merged[-1] = Interval(prev.lo, prev.hi, prev.lo_closed, True)
-                continue
-        merged.append(iv)
-    return tuple(merged)
-
-
-def _prefix_pieces(T: IETSpec, config: CodingConfig, w: str):
-    """How many leading letters of w have a nonempty cylinder, and its pieces."""
-    depth, hit = 0, [(Interval(ZERO, ONE), 1, ZERO)]
-    for letter in w:
-        part = _restrict_pieces(config, letter, _advance_pieces(T, hit) if depth else hit)
-        if not part:
-            break
-        depth, hit = depth + 1, part
-    return depth, (hit if depth else [])
+    def length(self, pieces) -> ExactScalar:
+        return self.kernel.decode((sum(p[1][0] - p[0][0] for p in pieces),
+                                   sum(p[1][1] - p[0][1] for p in pieces)))
 
 
 def longest_cylinder(T: IETSpec, config: CodingConfig, w: str):
@@ -548,18 +571,20 @@ def longest_cylinder(T: IETSpec, config: CodingConfig, w: str):
 
     (0, ()) when the cylinder of w's first letter is already empty.
     """
-    depth, pieces = _prefix_pieces(T, config, w)
-    return depth, _merge_intervals([_piece_source(p) for p in pieces])
+    walk = _Cylinders(T, config)
+    depth, pieces = walk.prefix(w)
+    return depth, walk.intervals(pieces)
 
 
 def cylinder(T: IETSpec, config: CodingConfig, w: str) -> tuple[Interval, ...]:
     """Maximal intervals of points whose coding starts with w (exact)."""
     if not w:
         raise ValueError("cylinder word must be nonempty")
-    depth, pieces = _prefix_pieces(T, config, w)
+    walk = _Cylinders(T, config)
+    depth, pieces = walk.prefix(w)
     if depth < len(w):
         return ()
-    return _merge_intervals([_piece_source(p) for p in pieces])
+    return walk.intervals(pieces)
 
 
 def cylinder_lengths(T: IETSpec, config: CodingConfig, depth: int) -> dict[str, ExactScalar]:
@@ -567,20 +592,17 @@ def cylinder_lengths(T: IETSpec, config: CodingConfig, depth: int) -> dict[str, 
     whose cylinder is nonempty."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    walk = _Cylinders(T, config)
     lengths = {}
-    frontier = [("", [(Interval(ZERO, ONE), 1, ZERO)])]
+    frontier = [("", [walk.root])]
     for n in range(depth):
         grown = []
         for w, hit in frontier:
-            pieces = _advance_pieces(T, hit) if n else hit
+            parts = walk.restrict(walk.advance(hit) if n else hit)
             for letter in config.letters:
-                part = _restrict_pieces(config, letter, pieces)
-                if not part:
-                    continue
-                total = ZERO
-                for img, _, _ in part:
-                    total = total + img.length
-                lengths[w + letter] = total
-                grown.append((w + letter, part))
+                part = parts.get(letter)
+                if part:
+                    lengths[w + letter] = walk.length(part)
+                    grown.append((w + letter, part))
         frontier = grown
     return lengths

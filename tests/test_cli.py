@@ -283,6 +283,27 @@ def test_bad_numbers_are_usage_errors(tmp_path, cfg, capsys, cmd):
     assert not out_cfg.exists() and not out_csv.exists()
 
 
+@pytest.mark.parametrize("cmd", [
+    ["gen", "CFG", "-n", "10", "-o", "BAD"],
+    ["analyze", "WORD", "--max-len", "5", "-o", "BAD"],
+    ["validate", "WORD", "-o", "BAD"],
+    ["fz", "WORD", "--search", "--max-len", "4", "-o", "BAD"],
+    ["reconstruct", "WORD", "--depth", "2", "--out-config", "BAD",
+     "--out-report", "OK"],
+    ["reconstruct", "WORD", "--depth", "2", "--out-config", "OK",
+     "--out-report", "BAD"],
+], ids=" ".join)
+def test_unwritable_output_is_usage_error(tmp_path, cfg, capsys, cmd):
+    word = gen_word(tmp_path, cfg, 1000)
+    bad = str(tmp_path / "missing" / "out.txt")
+    subst = {"CFG": cfg, "WORD": word, "BAD": bad, "OK": str(tmp_path / "ok.txt")}
+    assert main([subst.get(a, a) for a in cmd]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: cannot write {bad}: ")
+
+
 def test_pipeline_closure(tmp_path, cfg, capsys):
     """gen | validate | reconstruct | gen again: >= 80% of a 500 prefix."""
     word = gen_word(tmp_path, cfg, 10000, "w10k.txt")

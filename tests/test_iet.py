@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ietword.exact import Interval, ONE, ZERO, make_quadratic, rational
+from ietword.exact import Interval, MixedRadicalError, ONE, ZERO, make_quadratic, rational
 from ietword.iet import (
     BoundaryHit,
     CodingConfig,
@@ -502,3 +502,161 @@ def test_longest_cylinder_prefix():
     assert longest_cylinder(T, cfg, "1211") == (3, cylinder(T, cfg, "121"))
     assert longest_cylinder(T, cfg, "11") == (1, cylinder(T, cfg, "1"))
     assert longest_cylinder(T, cfg, "") == (0, ())
+
+
+# ------------------------------------ cylinder walk versus scalar oracle
+
+def _advance_reference(T, pieces):
+    """Scalar piece walk: (image interval, sign, offset) through one step,
+    with source = sign * y + offset for y in the image interval."""
+    out = []
+    for img, s, b in pieces:
+        for i in range(1, T.k + 1):
+            part = img.intersect(T.interval(i))
+            if part is None:
+                continue
+            if not T.flips[i - 1]:
+                d = T.disp[i - 1]
+                moved = Interval(part.lo + d, part.hi + d, part.lo_closed, part.hi_closed)
+                out.append((moved, s, b - s * d))
+                continue
+            keep = part
+            if part.lo == T.left[i - 1] and part.lo_closed:
+                out.append((Interval.singleton(T.dest_lo[i - 1]), 1,
+                            s * T.left[i - 1] + b - T.dest_lo[i - 1]))
+                if part.lo == part.hi:
+                    continue
+                keep = Interval(part.lo, part.hi, False, part.hi_closed)
+            refl = T.refl[i - 1]
+            moved = Interval(refl - keep.hi, refl - keep.lo, keep.hi_closed, keep.lo_closed)
+            out.append((moved, -s, b + s * refl))
+    return out
+
+
+def _restrict_reference(config, letter, pieces):
+    return [(part, s, b) for img, s, b in pieces for u in config.sets[letter]
+            if (part := img.intersect(u)) is not None]
+
+
+def _merge_reference(pieces):
+    ivs = []
+    for img, s, b in pieces:
+        if s == 1:
+            ivs.append(Interval(img.lo + b, img.hi + b, img.lo_closed, img.hi_closed))
+        else:
+            ivs.append(Interval(b - img.hi, b - img.lo, img.hi_closed, img.lo_closed))
+    ivs.sort(key=lambda iv: (iv.lo, not iv.lo_closed))
+    merged = []
+    for iv in ivs:
+        if merged:
+            prev = merged[-1]
+            if prev.hi > iv.lo or (prev.hi == iv.lo and (prev.hi_closed or iv.lo_closed)):
+                if iv.hi > prev.hi:
+                    merged[-1] = Interval(prev.lo, iv.hi, prev.lo_closed, iv.hi_closed)
+                elif iv.hi == prev.hi and iv.hi_closed and not prev.hi_closed:
+                    merged[-1] = Interval(prev.lo, prev.hi, prev.lo_closed, True)
+                continue
+        merged.append(iv)
+    return tuple(merged)
+
+
+def _cylinder_tree_reference(T, config, depth):
+    """Pieces of every nonempty cylinder of length 1..depth, in walk order."""
+    tree = {}
+    frontier = [("", [(Interval(ZERO, ONE), 1, ZERO)])]
+    for n in range(depth):
+        grown = []
+        for w, hit in frontier:
+            pieces = _advance_reference(T, hit) if n else hit
+            for letter in config.letters:
+                part = _restrict_reference(config, letter, pieces)
+                if part:
+                    tree[w + letter] = part
+                    grown.append((w + letter, part))
+        frontier = grown
+    return tree
+
+
+def _longest_reference(T, config, w):
+    depth, hit = 0, [(Interval(ZERO, ONE), 1, ZERO)]
+    for letter in w:
+        part = _restrict_reference(config, letter,
+                                   _advance_reference(T, hit) if depth else hit)
+        if not part:
+            break
+        depth, hit = depth + 1, part
+    return depth, _merge_reference(hit if depth else [])
+
+
+def _scattered_config(rng, d, letters):
+    """Letters cycling over the pieces between random cuts, so that each
+    letter owns several pieces and no cut need be an exchange endpoint."""
+    cuts = set()
+    while len(cuts) < 2 * len(letters):
+        x = _random_point(rng, d if rng.random() < 0.5 else 0)
+        if x != ZERO:
+            cuts.add(x)
+    ends = [ZERO, *sorted(cuts), ONE]
+    sets = {c: [] for c in letters}
+    for j, (a, b) in enumerate(zip(ends, ends[1:])):
+        sets[letters[j % len(letters)]].append(Interval(a, b))
+    return CodingConfig(sets.items())
+
+
+def test_cylinder_walk_matches_scalar_oracle():
+    rng = random.Random(20072)
+    flipped = singletons = empty = 0
+    for case in range(20):
+        k = 2 + case % 5
+        d = (0, 2, 5)[case // 5 % 3]
+        T = _random_exchange(rng, k, d)
+        flipped += any(T.flips)
+        configs = [CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + case % 2])]
+        if k == 2:
+            # mechanical arc sets, cut at a point of another denominator
+            u = rational(rng.randrange(1, 13), 13)
+            configs.append(CodingConfig([("a", (Interval(ZERO, u),)),
+                                         ("b", (Interval(u, ONE),))]))
+        for cfg in configs:
+            depth = 4 if len(cfg.letters) <= 3 else 3
+            tree = _cylinder_tree_reference(T, cfg, depth)
+            words = [""]
+            for _ in range(depth):
+                words = [w + c for w in words for c in cfg.letters]
+                for w in words:
+                    expect = _merge_reference(tree[w]) if w in tree else ()
+                    assert cylinder(T, cfg, w) == expect, (T, w)
+                    empty += not expect
+                    singletons += any(iv.lo == iv.hi for iv in expect)
+            lengths = cylinder_lengths(T, cfg, depth)
+            assert list(lengths) == list(tree)
+            for w, part in tree.items():
+                total = ZERO
+                for img, _, _ in part:
+                    total = total + img.length
+                assert lengths[w] == total
+            w = list(coding_with_sets(T, cfg, _random_point(rng, d), 6, strict=False))
+            w[rng.randrange(6)] = rng.choice(cfg.letters)
+            w = "".join(w)
+            assert longest_cylinder(T, cfg, w) == _longest_reference(T, cfg, w)
+    # the corpus reaches flips, peeled singletons and empty cylinders
+    assert flipped and singletons and empty
+
+
+def test_cylinder_error_paths():
+    T = golden_iet()
+    cfg = CodingConfig.natural(T)
+    with pytest.raises(ValueError, match="not in the coding config"):
+        cylinder(T, cfg, "3")
+    with pytest.raises(ValueError, match="not in the coding config"):
+        cylinder(T, cfg, "12x")
+    with pytest.raises(ValueError, match="not in the coding config"):
+        longest_cylinder(T, cfg, "2x")
+    # arc sets in Q(sqrt 2) against an exchange in Q(sqrt 5)
+    u = SQRT2 - 1
+    other = CodingConfig([("a", (Interval(ZERO, u),)), ("b", (Interval(u, ONE),))])
+    for walk in (lambda: cylinder(T, other, "ab"),
+                 lambda: longest_cylinder(T, other, "ab"),
+                 lambda: cylinder_lengths(T, other, 2)):
+        with pytest.raises(MixedRadicalError):
+            walk()
