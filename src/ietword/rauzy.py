@@ -296,36 +296,114 @@ def _free_choices(g: RauzyGraph):
     return sides
 
 
+def _base_labels(K: int, sides, mask: int):
+    """The level-K labeling that bit i of mask picks for side i."""
+    in_l = {K: {}}
+    out_l = {K: {}}
+    for bit, (side, arcs) in enumerate(sides):
+        a, b = arcs
+        if mask >> bit & 1:
+            a, b = b, a
+        (in_l if side == "in" else out_l)[K][a] = "l"
+        (in_l if side == "in" else out_l)[K][b] = "r"
+    return in_l, out_l
+
+
+# masks are screened in blocks of at most 2**_BLOCK_BITS, one bit each
+_BLOCK_BITS = 16
+
+
+def _bit_pattern(bit: int, width: int) -> int:
+    """Bitset over masks 0..2**width - 1 holding those with `bit` set."""
+    span = 1 << bit
+    pattern = ((1 << span) - 1) << span
+    size = 2 * span
+    while size < 1 << width:
+        pattern |= pattern << size
+        size *= 2
+    return pattern
+
+
+def _screen_masks(levels: _Levels, K: int, k_max: int, oriented: bool,
+                  sides, base: int, width: int):
+    """Run _check_assignment on masks base..base + 2**width - 1 at once.
+
+    Every set of masks is an int with bit m standing for mask base + m.
+    A label at level k is inherited from level K (the in-label of an arc
+    from its (K+1)-prefix, the out-label from its (K+1)-suffix), so the
+    comparison of two labels is a parity of two mask bits.  Returns the
+    masks that succeed without marks, those that succeed with marks, and
+    for each level the masks whose first failure is there.
+    """
+    full = (1 << (1 << width)) - 1
+    side_of = {}
+    for i, (side, arcs) in enumerate(sides):
+        if i < width:
+            pattern = _bit_pattern(i, width)
+        else:
+            pattern = full if base >> i & 1 else 0
+        for flip, a in enumerate(arcs):
+            side_of[side, a] = pattern ^ (full if flip else 0)
+    alive = full
+    marked_any = 0
+    marked = {}
+    failed = {}
+    for k in range(K, k_max + 1):
+        fail = 0
+        level_marked = {}
+        for w, pairs in levels.events.get(k, {}).items():
+            any_eq = 0
+            any_ne = 0
+            for a, b in pairs:
+                ne = side_of["in", a[:K + 1]] ^ side_of["out", b[-K - 1:]]
+                any_ne |= ne
+                any_eq |= full ^ ne
+            fail |= any_eq & any_ne
+            if oriented:
+                fail |= any_eq
+            fail |= marked.get(w[:-1], 0) & any_ne
+            marked_any |= any_eq
+            level_marked[w] = any_eq
+        for v, m in marked.items():
+            for u in levels.graphs[k - 1].out_arcs(v):
+                level_marked[u] = level_marked.get(u, 0) | m
+        marked = {v: m for v, m in level_marked.items() if m}
+        failed[k] = alive & fail
+        alive &= ~fail
+    return alive & ~marked_any, alive & marked_any, failed
+
+
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
 def _search_labels(levels: _Levels, K: int, k_max: int, oriented: bool):
-    """Try every base labeling; success or the deepest-failure witness.
+    """The first base labeling that succeeds, else the deepest failure.
 
     Among successes, one without minus marks wins: marks are only
-    warranted when no orientation-preserving reading exists.
+    warranted when no orientation-preserving reading exists.  Of equal
+    candidates the lowest mask wins; _screen_masks classifies them and
+    _check_assignment builds the report of the one chosen.
     """
     sides = _free_choices(levels.graphs[K])
-    best_fail = None
-    best_k = -1
-    marked_success = None
-    for mask in range(1 << len(sides)):
-        in_l = {K: {}}
-        out_l = {K: {}}
-        for bit, (side, arcs) in enumerate(sides):
-            a, b = arcs
-            if mask >> bit & 1:
-                a, b = b, a
-            (in_l if side == "in" else out_l)[K][a] = "l"
-            (in_l if side == "in" else out_l)[K][b] = "r"
-        result = _check_assignment(levels, K, k_max, oriented, in_l, out_l)
-        if isinstance(result, Witness):
-            if result.k > best_k:
-                best_k, best_fail = result.k, result
-        elif not any(result[2].values()):
-            return result
-        elif marked_success is None:
-            marked_success = result
-    if marked_success is not None:
-        return marked_success
-    return best_fail
+    width = min(len(sides), _BLOCK_BITS)
+    marked_mask = None
+    fail_k, fail_mask = -1, None
+    for base in range(0, 1 << len(sides), 1 << width):
+        clean, marked, failed = _screen_masks(
+            levels, K, k_max, oriented, sides, base, width)
+        if clean:
+            chosen = base + _lowest(clean)
+            break
+        if marked and marked_mask is None:
+            marked_mask = base + _lowest(marked)
+        for k, bits in failed.items():
+            if bits and k > fail_k:
+                fail_k, fail_mask = k, base + _lowest(bits)
+    else:
+        chosen = fail_mask if marked_mask is None else marked_mask
+    in_l, out_l = _base_labels(K, sides, chosen)
+    return _check_assignment(levels, K, k_max, oriented, in_l, out_l)
 
 
 def _check_assignment(levels, K, k_max, oriented, in_l, out_l):

@@ -15,6 +15,7 @@ from ietword.rauzy import (
     strongly_connected,
     validate_evolution,
 )
+from ietword import rauzy
 from ietword.words import FactorSet
 
 from wordgen import fibonacci_word, thue_morse_word, tribonacci_word
@@ -275,6 +276,47 @@ def test_export_dot_labeled():
         lg.base, dict(lg.in_labels), dict(lg.out_labels),
         marks=frozenset({"a"}))
     assert '[label="a -"]' in export_dot(marked)
+
+
+# ---------------------------------------------------------- label search
+
+def _search_one_by_one(levels, K, k_max, oriented):
+    # reference: check every base labeling in mask order, first clean
+    # success wins, then the first marked one, then the deepest failure
+    sides = rauzy._free_choices(levels.graphs[K])
+    best_fail, best_k, marked_success = None, -1, None
+    for mask in range(1 << len(sides)):
+        in_l, out_l = rauzy._base_labels(K, sides, mask)
+        result = rauzy._check_assignment(levels, K, k_max, oriented, in_l, out_l)
+        if isinstance(result, rauzy.Witness):
+            if result.k > best_k:
+                best_k, best_fail = result.k, result
+        elif not any(result[2].values()):
+            return result
+        elif marked_success is None:
+            marked_success = result
+    return marked_success if marked_success is not None else best_fail
+
+
+@pytest.mark.parametrize("block_bits", [16, 3])
+@pytest.mark.parametrize("word, k_max", [
+    ("ababababbbaaabababbbbaabaaaababa", 6),            # 10 sides
+    ("abbaabbaabbababbbaabbaaabbaabbabbabaabbaa", 6),   # marks / contradiction
+    ("cbaacacbbbcacbbcbbbcbaac", 5),                    # 8 sides, 3 letters
+    ("12222311222223122223112222231222231122222312222311222223122223112222231222231122222", 8),
+])
+def test_label_search_matches_one_by_one(word, k_max, block_bits, monkeypatch):
+    fs = FactorSet(word, k_max + 1)
+    got = {}
+    for search in ("screened", "reference"):
+        if search == "reference":
+            monkeypatch.setattr(rauzy, "_search_labels", _search_one_by_one)
+        else:
+            monkeypatch.setattr(rauzy, "_BLOCK_BITS", block_bits)
+        got[search] = [vars(validate_evolution(fs, 1, k_max, oriented))
+                       for oriented in (False, True)]
+    assert got["screened"] == got["reference"]
+    assert any(r["K"] not in (None, 1) for r in got["screened"])
 
 
 # ------------------------------------------------------------ properties
