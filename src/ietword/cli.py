@@ -236,11 +236,11 @@ def _cmd_reconstruct(args) -> int:
               f"witness={_witness_text(report.witness)}")
         return REJECTED
     try:
-        T, residual = reconstruct_iet(fs, report, args.depth)
+        T, residual, letters = reconstruct_iet(fs, report, args.depth)
     except ValueError as e:
         return _fail(str(e))
     match, total, depth_hit, x0 = verify_roundtrip(
-        word, T, min(len(word), args.roundtrip))
+        word, T, min(len(word), args.roundtrip), letters)
     _write(args.out_config, format_iet_config(T))
     csv = [
         "metric,value",

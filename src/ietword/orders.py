@@ -6,7 +6,10 @@ domain (pi0) and as they sit in the image (pi1), every factor's left
 extensions form a pi1-interval, its right extensions form a
 pi0-interval, and adjacent left extensions hand over exactly one shared
 right extension.  check_orders tests a single order pair against every
-factor up to a length bound; search_orders brute-forces the pair.
+factor up to a length bound.  The first condition constrains each order
+on its own, so interval_orders lists the orders keeping every extension
+set contiguous, and order_pairs runs check_orders only on the product
+of the domain and image survivors; search_orders lists them all.
 
 A pass is evidence, not proof: only factors of the indexed prefix are
 inspected, so the verdict reads "consistent up to N".
@@ -14,12 +17,11 @@ inspected, so the verdict reads "consistent up to N".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .words import FactorSet
 
 __all__ = ["OrderPair", "OrderReport", "check_orders", "extension_sets",
-           "search_orders"]
+           "interval_orders", "order_pairs", "search_orders"]
 
 
 @dataclass(frozen=True)
@@ -75,12 +77,16 @@ def _is_interval(letters, rank) -> bool:
     return ranks[-1] - ranks[0] + 1 == len(ranks)
 
 
-def check_orders(fs: FactorSet, orders: OrderPair, max_len: int) -> OrderReport:
-    """First violated condition wins; factors scanned short-to-long."""
+def _check_window(fs: FactorSet, max_len: int) -> None:
     if max_len + 2 > fs.max_len:
         raise ValueError(
             f"checking to length {max_len} inspects factors of length "
             f"{max_len + 2}, index stops at {fs.max_len}")
+
+
+def check_orders(fs: FactorSet, orders: OrderPair, max_len: int) -> OrderReport:
+    """First violated condition wins; factors scanned short-to-long."""
+    _check_window(fs, max_len)
     if set(orders.pi0) != set(fs.alphabet):
         return OrderReport(False, "letters",
                            (tuple(fs.alphabet), orders.pi0), max_len)
@@ -116,15 +122,67 @@ def check_orders(fs: FactorSet, orders: OrderPair, max_len: int) -> OrderReport:
     return OrderReport(True, None, None, max_len)
 
 
-def search_orders(fs: FactorSet, max_len: int):
-    """Every order pair passing check_orders, in lexicographic order."""
+def interval_orders(letters, blocks):
+    """Every order of letters in which each block is contiguous.
+
+    Orders come in the order permutations(letters) gives them.  Letters
+    are placed by backtracking, and a prefix is dropped as soon as it
+    leaves a block before the block is complete: that block cannot end
+    up contiguous, and since no kept prefix leaves a block unfinished,
+    none re-enters one after a gap.
+    """
+    letters = tuple(letters)
+    bit = {x: 1 << i for i, x in enumerate(letters)}
+    full = (1 << len(letters)) - 1
+    masks = set()
+    for block in blocks:
+        mask = 0
+        for x in block:
+            if x not in bit:
+                raise ValueError(f"block letter {x!r} is not among {letters}")
+            mask |= bit[x]
+        masks.add(mask)
+    order = []
+
+    def extend(placed, last):
+        if placed == full:
+            yield tuple(order)
+            return
+        for x in letters:
+            b = bit[x]
+            if placed & b or any(m & last and not m & b and placed & m != m
+                                 for m in masks):
+                continue
+            order.append(x)
+            yield from extend(placed | b, b)
+            order.pop()
+
+    return extend(0, 0)
+
+
+def order_pairs(fs: FactorSet, max_len: int):
+    """Iterator over the order pairs passing check_orders, lexicographically.
+
+    pi0 ranges over the orders keeping every right-extension set of
+    lengths 0..max_len contiguous, pi1 over those keeping every
+    left-extension set contiguous.  Both guards raise here, before any
+    pair is formed; the pairs themselves are checked lazily.
+    """
     letters = tuple(fs.alphabet)
     if len(letters) > 6:
         raise ValueError(f"alphabet of size {len(letters)} is too large to search")
-    out = []
-    for p0 in permutations(letters):
-        for p1 in permutations(letters):
-            pair = OrderPair(p0, p1)
-            if check_orders(fs, pair, max_len).passed:
-                out.append(pair)
-    return out
+    _check_window(fs, max_len)
+    lefts, rights = set(), set()
+    for n in range(max_len + 1):
+        for left, right in fs.extensions(n).values():
+            lefts.add(left)
+            rights.add(right)
+    pi1s = list(interval_orders(letters, lefts))
+    pairs = (OrderPair(p0, p1)
+             for p0 in interval_orders(letters, rights) for p1 in pi1s)
+    return (pair for pair in pairs if check_orders(fs, pair, max_len).passed)
+
+
+def search_orders(fs: FactorSet, max_len: int):
+    """Every order pair passing check_orders, in lexicographic order."""
+    return list(order_pairs(fs, max_len))

@@ -1,10 +1,12 @@
 """Rebuild a candidate exchange from an accepted word and check it.
 
 Lengths come from letter frequencies (exact rationals), the interval
-order from adjacency constraints read off special factors: a
-right-special factor's two extensions are the two intervals meeting at
-a domain discontinuity, so they must sit side by side; left-special
-factors force the same in the image.  Flips are taken where the
+orders from the first order pair passing check_orders over the whole
+index.  When no pair passes, as with flipped words, they come from
+adjacency constraints read off special factors: a right-special
+factor's two extensions are the two intervals meeting at a domain
+discontinuity, so they must sit side by side; left-special factors
+force the same in the image.  Flips are taken where the
 accepted labeling carries minus marks.  The initial point is pinned by
 walking the word's longest admissible prefix through the candidate's
 cylinder tree and taking a midpoint.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, takewhile
+from itertools import takewhile
 
 from .exact import rational
 from .iet import (
@@ -29,6 +31,7 @@ from .iet import (
     longest_cylinder,
     natural_coding,
 )
+from .orders import interval_orders, order_pairs
 from .rauzy import EvolutionReport
 from .words import FactorSet
 
@@ -71,26 +74,16 @@ def cylinder_measures(fs: FactorSet, depth: int) -> EmpiricalMeasure:
     return EmpiricalMeasure(depth, weights)
 
 
-def _adjacent_orders(letters, pairs):
-    """Orders of letters keeping each pair adjacent, lexicographically."""
-    for cand in permutations(letters):
-        if all(abs(cand.index(a) - cand.index(b)) == 1 for a, b in pairs):
-            yield cand
-
-
 def _irreducible(perm) -> bool:
     return all(set(perm[:j]) != set(range(1, j + 1)) for j in range(1, len(perm)))
 
 
-def reconstruct_iet(fs: FactorSet, report: EvolutionReport, depth: int):
-    """Candidate exchange and its measure residual, from an accepted word."""
-    if not report.accepted:
-        raise ValueError("reconstruction needs an accepted validator report")
-    em = cylinder_measures(fs, depth)
-    letters = fs.alphabet
-    k = len(letters)
-    if k > 6:
-        raise ValueError(f"alphabet of size {k} is too large")
+def _special_factor_orders(fs: FactorSet, depth: int):
+    """Domain and image orders keeping every special factor's pair adjacent.
+
+    The domain order is the first such order; the image order is the
+    first one giving an irreducible permutation, else the first.
+    """
     dom_pairs = set()
     img_pairs = set()
     for n in range(1, depth):
@@ -99,21 +92,44 @@ def reconstruct_iet(fs: FactorSet, report: EvolutionReport, depth: int):
                 dom_pairs.add(right)
             if len(left) == 2:
                 img_pairs.add(left)
-    dom = next(_adjacent_orders(letters, dom_pairs), None)
+    dom = next(interval_orders(fs.alphabet, dom_pairs), None)
     if dom is None:
         raise AdjacencyError("domain", dom_pairs)
-    perms = [[dom.index(c) + 1 for c in img]
-             for img in _adjacent_orders(letters, img_pairs)]
-    if not perms:
+    imgs = list(interval_orders(fs.alphabet, img_pairs))
+    if not imgs:
         raise AdjacencyError("image", img_pairs)
-    perm = next((p for p in perms if _irreducible(p)), perms[0])
+    img = next((img for img in imgs
+                if _irreducible([dom.index(c) + 1 for c in img])), imgs[0])
+    return dom, img
+
+
+def reconstruct_iet(fs: FactorSet, report: EvolutionReport, depth: int):
+    """Candidate exchange, its measure residual and its letters.
+
+    The letters are the word's, as a string in the candidate's domain
+    order: interval i of the candidate carries letter i of the string.
+    """
+    if not report.accepted:
+        raise ValueError("reconstruction needs an accepted validator report")
+    em = cylinder_measures(fs, depth)
+    k = len(fs.alphabet)
+    if k > 6:
+        raise ValueError(f"alphabet of size {k} is too large")
+    # an index of max_len 1 checks letters and separation only, which
+    # picks what the adjacency fallback would: no special factor is indexed
+    pair = next(order_pairs(fs, fs.max_len - 2), None)
+    if pair is not None:
+        dom, img = pair.pi0, pair.pi1
+    else:
+        dom, img = _special_factor_orders(fs, depth)
+    perm = [dom.index(c) + 1 for c in img]
     marked_letters = {w[0] for ms in (report.marks or {}).values() for w in ms}
     flips = [c in marked_letters for c in dom]
     lengths = [rational(em.weights[c].numerator, em.weights[c].denominator)
                for c in dom]
     T = build_iet(lengths, perm, flips)
     residual = _measure_residual(T, em, dom)
-    return T, residual
+    return T, residual, "".join(dom)
 
 
 def _as_fraction(x) -> Fraction:
@@ -135,23 +151,21 @@ def _measure_residual(T: IETSpec, em: EmpiricalMeasure, dom) -> Fraction:
     return worst
 
 
-def verify_roundtrip(word: str, candidate: IETSpec, n: int):
+def verify_roundtrip(word: str, candidate: IETSpec, n: int, letters: str):
     """Regenerate a coding from the candidate and compare it with word.
 
-    Returns (match, n, prefix_depth, x0): the longest common prefix,
-    the number of letters compared, how deep word[:n] walks into the
-    candidate's cylinder tree, and the midpoint of that cylinder's
-    widest interval, where the regenerated orbit starts.
+    letters names the candidate's intervals in domain order, as
+    reconstruct_iet returns them.  Returns (match, n, prefix_depth, x0):
+    the longest common prefix, the number of letters compared, how deep
+    word[:n] walks into the candidate's cylinder tree, and the midpoint
+    of that cylinder's widest interval, where the regenerated orbit
+    starts.
     """
     if not 1 <= n <= len(word):
         raise ValueError(f"asked for {n} symbols, word has {len(word)}")
-    letters = sorted(set(word))
-    to_candidate = {c: str(i + 1) for i, c in enumerate(letters)}
-    from_candidate = {v: c for c, v in to_candidate.items()}
-    config = CodingConfig.natural(candidate)
+    config = CodingConfig.natural(candidate, letters)
     # the walk stops at the first letter the candidate has no interval for
-    prefix = "".join(takewhile(config.sets.__contains__,
-                               (to_candidate[c] for c in word[:n])))
+    prefix = "".join(takewhile(config.sets.__contains__, word[:n]))
     depth, intervals = longest_cylinder(candidate, config, prefix)
     if not depth:
         raise ValueError("empty cylinder: candidate rejects the first letter")
@@ -160,10 +174,10 @@ def verify_roundtrip(word: str, candidate: IETSpec, n: int):
         if ((iv.hi - iv.lo) - (widest.hi - widest.lo)).sign() > 0:
             widest = iv
     x0 = widest.lo + (widest.hi - widest.lo) * Fraction(1, 2)
-    regen = natural_coding(candidate, x0, n)
+    regen = natural_coding(candidate, x0, n, letters)
     match = 0
     for c_in, c_out in zip(word[:n], regen):
-        if from_candidate.get(c_out) != c_in:
+        if c_in != c_out:
             break
         match += 1
     return match, n, depth, x0

@@ -32,7 +32,12 @@ from ietword.rauzy import build_k_graph, is_subgraph_of_follower, \
 from ietword.reconstruct import reconstruct_iet, verify_roundtrip
 from ietword.words import FactorSet, complexity, is_balanced
 
-from wordgen import substitution_word, thue_morse_word, tribonacci_word
+from wordgen import (
+    random_exact_iet,
+    substitution_word,
+    thue_morse_word,
+    tribonacci_word,
+)
 
 GOLDEN_ALPHA = make_quadratic(-1, 2, 1, 2, 5)
 
@@ -68,31 +73,6 @@ def flipped_iet():
         make_quadratic(486, 2066, -37, 2066, 2),
     ]
     return build_iet(lengths, [3, 4, 2, 1], [False, True, False, False])
-
-
-def random_exact_iet(rng, k):
-    """Exact-parameter IET with lengths (a + b*sqrt2)/total, irreducible
-    permutation; retries until all lengths are positive."""
-    while True:
-        vals = []
-        for _ in range(k):
-            a, b = rng.randint(1, 20), rng.randint(-3, 3)
-            v = make_quadratic(a, 1, b, 1, 2)
-            if v.sign() <= 0:
-                break
-            vals.append(v)
-        else:
-            total = vals[0]
-            for v in vals[1:]:
-                total = total + v
-            lengths = [v / total for v in vals]
-            while True:
-                perm = list(range(1, k + 1))
-                rng.shuffle(perm)
-                if all(set(perm[:j]) != set(range(1, j + 1))
-                       for j in range(1, k)):
-                    break
-            return build_iet(lengths, perm)
 
 
 @lru_cache(maxsize=None)
@@ -231,14 +211,14 @@ def test_criterion_7_reconstruction(capsys):
     # long interval to the letter that sorts second
     fib = substitution_word({"2": "21", "1": "2"}, "2", 10_000)
     rep = validate_evolution(FactorSet(fib, 13), 1, 12, oriented=True)
-    T, residual = reconstruct_iet(FactorSet(fib, 6), rep, 6)
+    T, residual, letters = reconstruct_iet(FactorSet(fib, 6), rep, 6)
     lam2_err = abs(float(Fraction(approximate(T.lengths[1], 10))) - 0.6180)
-    match, total, _, _ = verify_roundtrip(fib, T, 500)
+    match, total, _, _ = verify_roundtrip(fib, T, 500, letters)
     fib_ok = T.k == 2 and lam2_err < 0.01 and match >= 400 and total == 500
 
     word = silver_word_20k()
     rep2 = validate_evolution(FactorSet(word, 13), 1, 12, oriented=True)
-    T2, residual2 = reconstruct_iet(FactorSet(word, 6), rep2, 6)
+    T2, residual2, _ = reconstruct_iet(FactorSet(word, 6), rep2, 6)
     len_errs = [abs(float(Fraction(approximate(got - truth, 10))))
                 for got, truth in zip(T2.lengths, silver_iet().lengths)]
     silver_ok = max(len_errs) < 0.02 and residual2 < Fraction(1, 20)

@@ -1,13 +1,27 @@
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ietword.exact import make_quadratic, rational
-from ietword.iet import build_iet, natural_coding
-from ietword.orders import OrderPair, check_orders, extension_sets, search_orders
+from ietword.iet import build_iet, check_regular, natural_coding
+from ietword.orders import (
+    OrderPair,
+    check_orders,
+    extension_sets,
+    interval_orders,
+    search_orders,
+)
 from ietword.rauzy import validate_evolution
 from ietword.words import FactorSet
 
-from wordgen import fibonacci_word, thue_morse_word, tribonacci_word
+from wordgen import (
+    fibonacci_word,
+    random_exact_iet,
+    thue_morse_word,
+    tribonacci_word,
+)
 
 GOOD = OrderPair(("a", "b"), ("b", "a"))
 
@@ -169,6 +183,132 @@ def test_slices_of_golden_word_still_pass():
     for start in (0, 137, 991):
         fs = FactorSet(w[start:start + 800], 8)
         assert check_orders(fs, pair, 6).passed
+
+
+# ------------------------------------------- differential: slow references
+
+def brute_search(fs, max_len):
+    """The (k!)^2 loop search_orders ran before, kept as its reference."""
+    letters = tuple(fs.alphabet)
+    out = []
+    for p0 in permutations(letters):
+        for p1 in permutations(letters):
+            pair = OrderPair(p0, p1)
+            if check_orders(fs, pair, max_len).passed:
+                out.append(pair)
+    return out
+
+
+def filtered_orders(letters, blocks):
+    """Orders of letters keeping each block contiguous, by filtering."""
+    def contiguous(order, block):
+        ranks = sorted(order.index(x) for x in block)
+        return not ranks or ranks[-1] - ranks[0] + 1 == len(ranks)
+    return [order for order in permutations(letters)
+            if all(contiguous(order, b) for b in blocks)]
+
+
+def test_interval_orders_match_permutation_filter():
+    rng = random.Random(20071)
+    survivors = 0
+    for k in range(1, 7):
+        for _ in range(40):
+            # a shuffled alphabet: the order is that of permutations(letters)
+            letters = rng.sample("abcdef"[:k], k)
+            blocks = [rng.sample(letters, rng.randint(0, k))
+                      for _ in range(rng.randint(0, 4))]
+            got = list(interval_orders(letters, blocks))
+            assert got == filtered_orders(letters, blocks)
+            survivors += bool(got)
+    assert 0 < survivors < 240
+
+
+def test_interval_orders_edges():
+    assert list(interval_orders("", [])) == [()]
+    assert list(interval_orders("ab", [])) == [("a", "b"), ("b", "a")]
+    # conflicting pairs: abc admits no order keeping all three adjacent
+    assert list(interval_orders("abc", ["ab", "bc", "ac"])) == []
+    with pytest.raises(ValueError):
+        interval_orders("ab", ["ac"])
+
+
+def near_miss(word, i):
+    """word with letter i replaced by another letter of its alphabet."""
+    other = next(c for c in sorted(set(word)) if c != word[i])
+    return word[:i] + other + word[i + 1:]
+
+
+def search_corpus():
+    """(word, index length, max_len) triples, k <= 5 so the brute force runs."""
+    rng = random.Random(20072)
+    words = [fibonacci_word(3000), thue_morse_word(2000),
+             tribonacci_word(2000), golden_fs(16).word, silver_fs(14).word]
+    exchanges = []
+    for k in (3, 4, 5, 3, 4):
+        T = random_exact_iet(rng, k)
+        while check_regular(T, 500).collided:
+            T = random_exact_iet(rng, k)
+        exchanges.append(T)
+    for T in exchanges:
+        word = natural_coding(T, rational(0), 3000)
+        words += [word, near_miss(word, rng.randrange(100, 3000))]
+    flipped = build_iet([make_quadratic(660, 2066, -63, 2066, 2),
+                         make_quadratic(404, 2066, -1, 2066, 2),
+                         make_quadratic(516, 2066, 101, 2066, 2),
+                         make_quadratic(486, 2066, -37, 2066, 2)],
+                        [3, 4, 2, 1], [False, True, False, False])
+    words.append(natural_coding(flipped, rational(0), 3000))
+    words += ["".join(rng.choice(alpha) for _ in range(rng.randint(30, 150)))
+              for alpha in ("ab", "abc", "abcd") for _ in range(3)]
+    cases = []
+    for word in words:
+        for max_len in (0, 3, 8):
+            cases.append((word, max_len + 2, max_len))
+        # a short prefix indexed to its whole length: the last factors
+        # have empty extension sets
+        cases.append((word[:12], 12, 10))
+        cases.append((word[:7], 6, 4))
+    return cases
+
+
+def test_search_orders_matches_brute_force():
+    cases = search_corpus()
+    found = 0
+    for word, index_len, max_len in cases:
+        fs = FactorSet(word, index_len)
+        got = search_orders(fs, max_len)
+        assert got == brute_search(fs, max_len), (word[:20], max_len)
+        found += bool(got)
+    assert 0 < found < len(cases)
+
+
+def test_search_orders_finds_six_letter_pair():
+    # a random 6-IET with irreducible permutation; 10^4 letters show all
+    # 5n + 1 factors of every length up to 10, so extension sets are exact
+    third = make_quadratic(6, 23, -1, 23, 2)
+    T = build_iet([make_quadratic(16, 69, 3, 69, 2), rational(8, 69), third,
+                   make_quadratic(19, 69, -2, 69, 2),
+                   make_quadratic(1, 69, 2, 69, 2), rational(7, 69)],
+                  [5, 6, 1, 4, 2, 3])
+    fs = FactorSet(natural_coding(T, rational(0), 10_000), 10)
+    assert all(len(fs.counts(n)) == 5 * n + 1 for n in range(1, 11))
+    true = OrderPair(tuple("123456"), tuple("561423"))
+    assert search_orders(fs, 8) == [true, OrderPair(true.pi0[::-1],
+                                                    true.pi1[::-1])]
+
+
+def test_short_index_raises_when_no_order_survives():
+    word = "ccabcbccacabbcaacbccbbcaacacbcacaacab" * 20
+    rights = set()
+    fs = FactorSet(word, 5)
+    for n in range(4):
+        rights |= {right for _, right in fs.extensions(n).values()}
+    assert list(interval_orders(fs.alphabet, rights)) == []
+    assert search_orders(fs, 3) == []
+    with pytest.raises(ValueError):
+        search_orders(fs, 4)
+    with pytest.raises(ValueError):
+        search_orders(FactorSet(word, 2), 1)
 
 
 # ------------------------------------------------------------ properties

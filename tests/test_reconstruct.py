@@ -76,50 +76,85 @@ def test_measure_preconditions():
 
 def test_reconstruct_fibonacci():
     word = fibonacci_word(10000)
-    T, residual = reconstruct_iet(FactorSet(word, 6), accepted_report(word), 6)
+    T, residual, letters = reconstruct_iet(FactorSet(word, 6), accepted_report(word), 6)
     assert [x.rat for x in T.lengths] == [Fraction(309, 500), Fraction(191, 500)]
     assert T.permutation == (2, 1)
     assert T.flips == (False, False)
     assert residual < Fraction(1, 500)
-    match, total, _, _ = verify_roundtrip(word, T, 500)
+    match, total, _, _ = verify_roundtrip(word, T, 500, letters)
     assert (match, total) == (464, 500)
     assert match >= 400
 
 
 def test_reconstruct_golden_coding():
     word = natural_coding(golden_iet(), rational(0), 10000)
-    T, residual = reconstruct_iet(FactorSet(word, 6), accepted_report(word), 6)
+    T, residual, letters = reconstruct_iet(FactorSet(word, 6), accepted_report(word), 6)
     assert [x.rat for x in T.lengths] == [Fraction(191, 500), Fraction(309, 500)]
     assert T.permutation == (2, 1)
     assert abs(float(T.lengths[1].rat) - float(approximate(GOLDEN_ALPHA, 12))) < 0.01
     assert residual < Fraction(1, 20)
-    assert verify_roundtrip(word, T, 500)[:2] == (465, 500)
+    assert verify_roundtrip(word, T, 500, letters)[:2] == (465, 500)
 
 
 def test_reconstruct_silver_coding():
     word = natural_coding(silver_iet(), rational(0), 20000)
-    T, residual = reconstruct_iet(FactorSet(word, 6), accepted_report(word), 6)
+    T, residual, letters = reconstruct_iet(FactorSet(word, 6), accepted_report(word), 6)
     assert T.permutation == (3, 2, 1)
     for got, truth in zip(T.lengths, silver_iet().lengths):
         assert abs(float(approximate(got - truth, 10))) < 0.02
     assert residual < Fraction(1, 20)
-    assert verify_roundtrip(word, T, 500)[:2] == (500, 500)
+    assert verify_roundtrip(word, T, 500, letters)[:2] == (500, 500)
+
+
+@pytest.mark.parametrize("letters", ["132", "213"])
+def test_roundtrip_follows_relabeled_letters(letters):
+    # the silver coding with two letters swapped: interval i of the
+    # candidate carries the i-th letter of its domain order, not the
+    # i-th letter in sorted order
+    word = natural_coding(silver_iet(), rational(0), 20000, letters)
+    T, residual, order = reconstruct_iet(FactorSet(word, 6),
+                                         accepted_report(word), 6)
+    assert order == letters
+    assert residual < Fraction(1, 20)
+    assert verify_roundtrip(word, T, 500, order)[:2] == (500, 500)
+
+
+def test_reconstruct_takes_first_passing_order_pair():
+    # several image orders keep this 5-IET's left-special pairs adjacent;
+    # only the true one passes every order condition
+    lengths = [
+        make_quadratic(41, 233, 5, 233, 2),
+        make_quadratic(1256, 3961, -23, 3961, 2),
+        make_quadratic(311, 3961, -53, 3961, 2),
+        make_quadratic(575, 3961, 144, 3961, 2),
+        make_quadratic(66, 233, -9, 233, 2),
+    ]
+    word = natural_coding(build_iet(lengths, [4, 1, 2, 5, 3]), rational(0), 10000)
+    fs = FactorSet(word, 13)
+    T, residual, letters = reconstruct_iet(fs, accepted_report(word), 6)
+    assert (T.permutation, letters) == ((4, 1, 2, 5, 3), "12345")
+    assert residual < Fraction(1, 20)
+    assert verify_roundtrip(word, T, 500, letters)[0] > 100
 
 
 def test_reconstruct_constant_word():
     word = "a" * 200
-    T, residual = reconstruct_iet(FactorSet(word, 2), accepted_report(word, 3), 2)
+    T, residual, letters = reconstruct_iet(FactorSet(word, 2), accepted_report(word, 3), 2)
     assert T.k == 1 and T.permutation == (1,)
     assert residual == 0
-    assert verify_roundtrip(word, T, 100)[:2] == (100, 100)
+    assert verify_roundtrip(word, T, 100, letters)[:2] == (100, 100)
 
 
 def test_reconstruct_periodic_word():
     word = "ab" * 300
-    T, residual = reconstruct_iet(FactorSet(word, 4), accepted_report(word, 8), 4)
+    T, residual, letters = reconstruct_iet(FactorSet(word, 4), accepted_report(word, 8), 4)
     assert [x.rat for x in T.lengths] == [Fraction(1, 2), Fraction(1, 2)]
     assert T.permutation == (2, 1)
-    assert verify_roundtrip(word, T, 200)[:2] == (200, 200)
+    assert verify_roundtrip(word, T, 200, letters)[:2] == (200, 200)
+    # an index of single letters constrains no order: the first
+    # irreducible pair
+    T, _, letters = reconstruct_iet(FactorSet(word, 1), accepted_report(word, 8), 1)
+    assert (T.permutation, letters) == ((2, 1), "ab")
 
 
 def test_reconstruct_needs_accepted_report():
@@ -148,13 +183,13 @@ def test_flip_marks_carry_into_candidate():
     T = build_iet(lengths, [3, 4, 2, 1], [False, True, False, False])
     word = natural_coding(T, rational(0), 20000)
     rep = validate_evolution(FactorSet(word, 13), 1, 12, oriented=False)
-    cand, residual = reconstruct_iet(FactorSet(word, 6), rep, 6)
+    cand, residual, letters = reconstruct_iet(FactorSet(word, 6), rep, 6)
     # the accepted labeling marks vertices in the letter-3 cylinder
     assert cand.flips == (False, False, True, False)
     # an eventually periodic orbit's frequencies are not interval lengths,
     # so the candidate is honest about being far off
     assert residual > Fraction(1, 2)
-    match = verify_roundtrip(word, cand, 300)[0]
+    match = verify_roundtrip(word, cand, 300, letters)[0]
     assert match < 50
 
 
@@ -173,7 +208,7 @@ def test_residual_shrinks_with_longer_prefixes():
 def test_roundtrip_self_consistency():
     T = golden_iet()
     word = natural_coding(T, rational(0), 2000)
-    match, total, depth, x0 = verify_roundtrip(word, T, 300)
+    match, total, depth, x0 = verify_roundtrip(word, T, 300, "12")
     assert (match, total, depth) == (300, 300, 300)
     # x0 sits in the depth-300 cylinder of the word, so it codes the same
     assert natural_coding(T, x0, 300) == word[:300]
@@ -181,7 +216,7 @@ def test_roundtrip_self_consistency():
 
 def test_roundtrip_wrong_permutation_dies_fast():
     wrong = build_iet([rational(309, 500), rational(191, 500)], [1, 2])
-    match, total, _, _ = verify_roundtrip(fibonacci_word(10000), wrong, 500)
+    match, total, _, _ = verify_roundtrip(fibonacci_word(10000), wrong, 500, "ab")
     assert total == 500
     assert match == 1
     assert match < 10
@@ -191,11 +226,11 @@ def test_roundtrip_errors():
     T = golden_iet()
     for n in (3, 0, -5):
         with pytest.raises(ValueError):
-            verify_roundtrip("12", T, n)
+            verify_roundtrip("12", T, n, "12")
     one = build_iet([rational(1)], [1])
-    # "b" is the second letter of the word's alphabet, absent from a 1-IET
+    # "b" names no interval of a 1-IET whose one interval carries "a"
     with pytest.raises(ValueError):
-        verify_roundtrip("ba", one, 2)
+        verify_roundtrip("ba", one, 2, "a")
 
 
 # ------------------------------------------------------------ properties

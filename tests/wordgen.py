@@ -1,4 +1,8 @@
-"""Classic substitution words used as fixtures across the test suite."""
+"""Classic substitution words and random exact exchanges used as fixtures
+across the test suite."""
+
+from ietword.exact import make_quadratic
+from ietword.iet import build_iet
 
 
 def substitution_word(rules: dict[str, str], seed: str, n: int) -> str:
@@ -20,3 +24,28 @@ def thue_morse_word(n: int) -> str:
 
 def tribonacci_word(n: int) -> str:
     return substitution_word({"a": "ab", "b": "ac", "c": "a"}, "a", n)
+
+
+def random_exact_iet(rng, k):
+    """Exact-parameter IET with lengths (a + b*sqrt2)/total, irreducible
+    permutation; retries until all lengths are positive."""
+    while True:
+        vals = []
+        for _ in range(k):
+            a, b = rng.randint(1, 20), rng.randint(-3, 3)
+            v = make_quadratic(a, 1, b, 1, 2)
+            if v.sign() <= 0:
+                break
+            vals.append(v)
+        else:
+            total = vals[0]
+            for v in vals[1:]:
+                total = total + v
+            lengths = [v / total for v in vals]
+            while True:
+                perm = list(range(1, k + 1))
+                rng.shuffle(perm)
+                if all(set(perm[:j]) != set(range(1, j + 1))
+                       for j in range(1, k)):
+                    break
+            return build_iet(lengths, perm)
