@@ -12,7 +12,7 @@ import sys
 
 from .config import ConfigError, format_iet_config, parse_iet_config
 from .exact import ScalarParseError, format_scalar, parse_scalar
-from .iet import CodingConfig, coding_with_sets, natural_coding
+from .iet import DEFAULT_LETTERS, CodingConfig, coding_with_sets, natural_coding
 from .orders import OrderPair, check_orders, search_orders
 from .rauzy import build_k_graph, export_dot, validate_evolution
 from .reconstruct import reconstruct_iet, verify_roundtrip
@@ -241,7 +241,11 @@ def _cmd_reconstruct(args) -> int:
         return _fail(str(e))
     match, total, depth_hit, x0 = verify_roundtrip(
         word, T, min(len(word), args.roundtrip), letters)
-    _write(args.out_config, format_iet_config(T))
+    # sets lines keep the word's letters when they are not 1..k in domain order
+    sets = None
+    if letters != DEFAULT_LETTERS[:T.k]:
+        sets = CodingConfig.natural(T, letters).sets
+    _write(args.out_config, format_iet_config(T, sets))
     csv = [
         "metric,value",
         f"verdict,{report.verdict}",

@@ -95,12 +95,15 @@ def _special_factor_orders(fs: FactorSet, depth: int):
     dom = next(interval_orders(fs.alphabet, dom_pairs), None)
     if dom is None:
         raise AdjacencyError("domain", dom_pairs)
-    imgs = list(interval_orders(fs.alphabet, img_pairs))
-    if not imgs:
+    first = None
+    for img in interval_orders(fs.alphabet, img_pairs):
+        if _irreducible([dom.index(c) + 1 for c in img]):
+            return dom, img
+        if first is None:
+            first = img
+    if first is None:
         raise AdjacencyError("image", img_pairs)
-    img = next((img for img in imgs
-                if _irreducible([dom.index(c) + 1 for c in img])), imgs[0])
-    return dom, img
+    return dom, first
 
 
 def reconstruct_iet(fs: FactorSet, report: EvolutionReport, depth: int):

@@ -32,17 +32,38 @@ class FactorSet:
         self.source_len = len(word)
         self.max_len = max_len
         self.alphabet = tuple(sorted(set(word)))
-        self._counts: dict[int, Counter] = {0: Counter({"": len(word) + 1})}
+        self._counts: dict[int, Counter] = {}
         self._extensions: dict[int, dict] = {}
 
     def counts(self, n: int) -> Counter:
+        """Length-n factors with their window counts, in order of first
+        occurrence.
+
+        The max_len windows are counted in one pass on first use; every
+        lower level is rolled down from the level above it: a length-n
+        factor occurs once for each occurrence of its one-letter right
+        extensions, plus once more if it is the word's last length-n
+        window.
+        """
         if not 0 <= n <= self.max_len:
             raise ValueError(f"length {n} outside 0..{self.max_len}")
         got = self._counts.get(n)
         if got is None:
             w = self.word
-            got = Counter(w[i:i + n] for i in range(len(w) - n + 1))
-            self._counts[n] = got
+            if not self._counts:
+                top = self.max_len
+                self._counts[top] = Counter(
+                    w[i:i + top] for i in range(len(w) - top + 1))
+            # the cached levels always run from some length up to max_len
+            for m in range(min(self._counts) - 1, n - 1, -1):
+                rolled = Counter()
+                for g, c in self._counts[m + 1].items():
+                    f = g[:-1]
+                    rolled[f] = rolled.get(f, 0) + c
+                last = w[len(w) - m:]
+                rolled[last] = rolled.get(last, 0) + 1
+                self._counts[m] = rolled
+            got = self._counts[n]
         return got
 
     def extensions(self, n: int) -> dict:

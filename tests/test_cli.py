@@ -325,6 +325,42 @@ def test_pipeline_closure(tmp_path, cfg, capsys):
     assert int(rows["match_length"]) >= 400
 
 
+SILVER_CFG = """\
+k 3
+d 2
+lengths (-1+1*sqrt(2))/1 (-1+1*sqrt(2))/1 (3-2*sqrt(2))/1
+perm 3 2 1
+flips 0 0 0
+"""
+
+
+@pytest.mark.parametrize("relabel", ["abc", "132", "123"])
+def test_pipeline_closure_keeps_letters(tmp_path, capsys, relabel):
+    """gen | reconstruct | gen on a relabeled word regenerates its letters."""
+    silver = tmp_path / "silver.cfg"
+    silver.write_text(SILVER_CFG)
+    natural = open(gen_word(tmp_path, str(silver), 10000)).read().strip()
+    word = natural.translate(str.maketrans("123", relabel))
+    path = tmp_path / "relabeled.txt"
+    path.write_text(word + "\n")
+    out_cfg = tmp_path / "cand.cfg"
+    out_csv = tmp_path / "cand.csv"
+    assert main(["reconstruct", str(path), "--oriented",
+                 "--out-config", str(out_cfg),
+                 "--out-report", str(out_csv)]) == 0
+    rows = dict(line.split(",", 1)
+                for line in out_csv.read_text().splitlines()[1:])
+    _, sets = parse_iet_config(out_cfg.read_text())
+    # a word over 1..k in domain order keeps its sets-free config
+    assert (sets is None) == (relabel == "123")
+    match = int(rows["match_length"])
+    assert match >= 200
+    regen = open(gen_word(tmp_path, str(out_cfg), 500, "regen.txt",
+                          extra=("--x0", rows["x0"]))).read().strip()
+    assert regen[:match] == word[:match]
+    assert set(regen) == set(relabel)
+
+
 # ---------------------------------------------------------------- plumbing
 
 def test_usage_errors(capsys):

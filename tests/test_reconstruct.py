@@ -1,10 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ietword import reconstruct
 from ietword.exact import approximate, make_quadratic, rational
 from ietword.iet import build_iet, natural_coding
+from ietword.orders import interval_orders
 from ietword.rauzy import EvolutionReport, validate_evolution
 from ietword.reconstruct import (
     AdjacencyError,
@@ -155,6 +158,51 @@ def test_reconstruct_periodic_word():
     # irreducible pair
     T, _, letters = reconstruct_iet(FactorSet(word, 1), accepted_report(word, 8), 1)
     assert (T.permutation, letters) == ((2, 1), "ab")
+
+
+def eager_special_factor_orders(fs, depth):
+    """Reference: list every image order, then take the first irreducible."""
+    dom_pairs, img_pairs = set(), set()
+    for n in range(1, depth):
+        for left, right in fs.extensions(n).values():
+            if len(right) == 2:
+                dom_pairs.add(right)
+            if len(left) == 2:
+                img_pairs.add(left)
+    dom = next(interval_orders(fs.alphabet, dom_pairs))
+    imgs = list(interval_orders(fs.alphabet, img_pairs))
+    perms = [[dom.index(c) + 1 for c in img] for img in imgs]
+    return dom, next((img for img, p in zip(imgs, perms)
+                      if reconstruct._irreducible(p)), imgs[0])
+
+
+@pytest.mark.parametrize("word,depth", [
+    ("ab" * 300, 1), ("ab" * 300, 4), ("abc" * 300, 4), ("abcdef" * 100, 3),
+    (natural_coding(silver_iet(), rational(0), 3000), 5),
+    (natural_coding(golden_iet(), rational(0), 3000, "ba"), 6),
+])
+def test_special_factor_orders_match_eager_pick(word, depth):
+    fs = FactorSet(word, depth)
+    assert (reconstruct._special_factor_orders(fs, depth)
+            == eager_special_factor_orders(fs, depth))
+
+
+def test_special_factor_orders_stop_at_first_irreducible(monkeypatch):
+    pulled = []
+
+    def counted(letters, blocks):
+        for order in interval_orders(letters, blocks):
+            pulled.append(order)
+            yield order
+
+    monkeypatch.setattr(reconstruct, "interval_orders", counted)
+    # nine letters and no special factor: every one of the 9! orders
+    # fits, and the 8! image orders that start with the domain's first
+    # letter are reducible
+    fs = FactorSet("abcdefghi" * 20, 1)
+    dom, img = reconstruct._special_factor_orders(fs, 1)
+    assert reconstruct._irreducible([dom.index(c) + 1 for c in img])
+    assert math.factorial(8) < len(pulled) < math.factorial(9) // 4
 
 
 def test_reconstruct_needs_accepted_report():

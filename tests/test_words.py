@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,22 @@ def silver_word(n):
     return natural_coding(T, rational(0), n)
 
 
+def window_counts(word, n):
+    """Reference: slice every length-n window of the word again."""
+    return Counter(word[i:i + n] for i in range(len(word) - n + 1))
+
+
+def assert_counts_match(fs, levels):
+    for n in levels:
+        # same counts, and the same first-occurrence key order
+        assert list(fs.counts(n).items()) == list(window_counts(fs.word, n).items())
+
+
+def random_word(seed, letters, n):
+    rng = random.Random(seed)
+    return "".join(rng.choice(letters) for _ in range(n))
+
+
 def probed_extensions(fs, n):
     """Reference: probe every alphabet letter on each side of each factor."""
     longer = fs.counts(n + 1)
@@ -41,6 +58,45 @@ def test_counts_small_examples():
     assert dict(factors("aaaa", 3).counts(3)) == {"aaa": 2}
     with pytest.raises(ValueError):
         factors("ab", 3)
+
+
+@pytest.mark.parametrize("word,max_len", [
+    (FIB, 40), (TM, 40), (TRI, 40), (silver_word(6000), 40),
+    (random_word(1, "ab", 3000), 30), (random_word(2, "abc", 3000), 25),
+    (random_word(3, "abcd", 3000), 25), (random_word(4, "ab", 200), 200),
+    (random_word(5, "abcd", 97), 97), ("abaab", 5), ("a", 1), ("b" * 50, 50),
+], ids=["fibonacci", "thue-morse", "tribonacci", "silver", "random-ab",
+        "random-abc", "random-abcd", "random-ab-full", "random-abcd-full",
+        "abaab-full", "one-letter", "constant-full"])
+def test_counts_match_window_slicing(word, max_len):
+    fs = factors(word, max_len)
+    assert_counts_match(fs, range(max_len, -1, -1))
+
+
+@pytest.mark.parametrize("letters", ["ab", "abc", "abcd"])
+def test_random_words_have_high_complexity(letters):
+    # the corpus above exercises a top level with about one key per window
+    word = random_word(len(letters) - 1, letters, 3000)
+    fs = factors(word, 25)
+    assert len(fs.counts(25)) > 0.95 * (3000 - 25 + 1)
+
+
+@pytest.mark.parametrize("order", [(3, 7), (7, 3), (0, 12, 5, 11, 1),
+                                   (12, 0), (6, 6, 2, 9)])
+def test_counts_any_level_order(order):
+    for word in (TRI[:800], random_word(6, "abc", 800)):
+        fs = factors(word, 12)
+        assert_counts_match(fs, order)
+        assert_counts_match(fs, range(13))
+
+
+@settings(max_examples=80)
+@given(st.text(alphabet="abc", min_size=1, max_size=60), st.data())
+def test_counts_match_window_slicing_random(w, data):
+    max_len = data.draw(st.integers(min_value=1, max_value=len(w)))
+    first = data.draw(st.integers(min_value=0, max_value=max_len))
+    fs = factors(w, max_len)
+    assert_counts_match(fs, [first, *range(max_len + 1)])
 
 
 def test_counts_sum_to_window_count():
