@@ -216,7 +216,7 @@ class ExactScalar:
         o = as_scalar(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() < 0
+        return compare(self, o) < 0
 
     def __hash__(self) -> int:
         if self.d == 0:
@@ -273,7 +273,8 @@ def make_quadratic(p: int, q: int, r: int, s: int, d: int) -> ExactScalar:
 
 def compare(a: ExactScalar, b: ExactScalar) -> int:
     """-1, 0 or 1; raises MixedRadicalError across distinct quadratic fields."""
-    return (a - b).sign()
+    # the sign of a - b, without building (and normalizing) the difference
+    return quadratic_sign(a.rat - b.rat, a.coef - b.coef, a._join_d(b))
 
 
 def approximate(a: ExactScalar, digits: int) -> str:

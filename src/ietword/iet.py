@@ -287,14 +287,7 @@ def natural_coding(T: IETSpec, x0, n: int, letters: str | None = None) -> str:
         letters = DEFAULT_LETTERS
     if len(letters) < T.k:
         raise ValueError(f"need {T.k} letters, got {len(letters)}")
-    stepper, p = _walk(T, x0, n)
-    left = stepper.left
-    out = []
-    for _ in range(n):
-        i = stepper.locate(left, p)
-        out.append(letters[i - 1])
-        p = stepper.step(p, i)
-    return "".join(out)
+    return _block_coding(T, T.left, list(letters[:T.k]), x0, n, strict=False)
 
 
 class CodingConfig:
@@ -342,23 +335,50 @@ def _piece_cuts(config: CodingConfig):
             [letter for _, letter in config.pieces])
 
 
-def _coding_walk(T: IETSpec, config: CodingConfig, x0, n: int):
-    """Kernel, start point, encoded piece cuts and the letter of each
-    piece, for an n-step coding of x0."""
-    cuts, letters = _piece_cuts(config)
-    stepper, p = _walk(T, x0, n, cuts)
-    return stepper, p, [stepper.encode(c) for c in cuts], letters
-
-
 def coding_with_sets(T: IETSpec, config: CodingConfig, x0, n: int, strict: bool = True) -> str:
-    stepper, p, cut_reps, piece_letters = _coding_walk(T, config, x0, n)
+    return _block_coding(T, *_piece_cuts(config), x0, n, strict)
+
+
+def _block_coding(T: IETSpec, cuts, letters, x0, n: int, strict: bool) -> str:
+    """The first n letters of x0's coding by the pieces between cuts,
+    m letters at a time from the depth-m cylinder table.
+
+    m is the largest power of two up to 64 with m**3 * pieces <= n, which
+    keeps the table (about pieces * m**2 piece steps) below the walk's
+    n / m blocks.  In strict mode an orbit point on a nonzero cut raises
+    BoundaryHit with the exact step and point.
+    """
+    if n < 0:
+        raise ValueError("orbit length must be >= 0")
+    x0 = T._domain(x0)
+    walk = _Cylinders(T, cuts, letters, (x0,))
+    m = 1
+    while m < 64 and (2 * m) ** 3 * (len(cuts) - 1) <= n:
+        m *= 2
+    starts, sides, rows, hits = walk.table(m)
+    kernel = walk.kernel
+    d = kernel.d
+    p = kernel.encode(x0)
     out = []
-    for step in range(n):
-        j = stepper.locate(cut_reps, p)
-        if strict and j > 1 and p == cut_reps[j - 1]:
-            raise BoundaryHit(step, stepper.decode(p))
-        out.append(piece_letters[j - 1])
-        p = stepper.step(p)
+    for done in range(0, n, m):
+        a, c = p
+        lo, hi = 0, len(rows)
+        while lo < hi:
+            # the row holding p is the last one starting before p, or at
+            # p with its start closed
+            mid = (lo + hi) // 2
+            u, v = starts[mid]
+            if (quadratic_sign(a - u, c - v, d) or sides[mid]) > 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if strict and p in hits:
+            j, cut = hits[p]
+            if done + j < n:
+                raise BoundaryHit(done + j, kernel.decode(cut))
+        word, s, b = rows[lo - 1]
+        out.append(word[:n - done])
+        p = (s * (a - b[0]), s * (c - b[1]))
     return "".join(out)
 
 
@@ -369,7 +389,9 @@ def essential_codings(T: IETSpec, config: CodingConfig, x0, n: int) -> frozenset
     reverse the sign; set membership of a signed point never depends on
     endpoint ownership, so boundary hits resolve deterministically.
     """
-    stepper, p0, cut_reps, piece_letters = _coding_walk(T, config, x0, n)
+    cuts, piece_letters = _piece_cuts(config)
+    stepper, p0 = _walk(T, x0, n, cuts)
+    cut_reps = [stepper.encode(c) for c in cuts]
     words = set()
     for s0 in ([1] if p0 == (0, 0) else [1, -1]):
         p, s = p0, s0
@@ -461,19 +483,21 @@ def mechanical_word(alpha, x0, u_len, n: int) -> str:
 
 
 class _Cylinders:
-    """The piece walk behind the cylinder functions, on the integer kernel.
+    """The piece walk behind the cylinder functions and the codings, on
+    the integer kernel.
 
     A piece (lo, hi, lo_closed, hi_closed, s, b) is an interval of points
     y reached after some steps; it came from the source points s*y + b.
     lo, hi and b are kernel-encoded pairs, so splitting, stepping and
     comparing are integer operations; scalars are made only on output.
+    The coding pieces lie between cuts (their left ends, then 1), and
+    letters holds each piece's letter.
     """
 
-    def __init__(self, T: IETSpec, config: CodingConfig):
-        cuts, self.letters = _piece_cuts(config)
-        self.kernel = k = _IntOrbit(T, cuts)
+    def __init__(self, T: IETSpec, cuts, letters, extra=()):
+        self.letters = letters
+        self.kernel = k = _IntOrbit(T, (*cuts, *extra))
         self.cuts = [k.encode(c) for c in cuts]
-        self.sets = config.sets
         self.root = ((0, 0), (k.D, 0), True, False, 1, (0, 0))
 
     def split(self, cuts, pieces):
@@ -522,11 +546,52 @@ class _Cylinders:
             parts.setdefault(self.letters[j - 1], []).append(piece)
         return parts
 
+    def levels(self, depth: int, alphabet):
+        """For n = 1..depth, the nonempty cylinders of the words of length
+        n as a list of (word, pieces), words listed in alphabet order."""
+        frontier = [("", [self.root])]
+        for n in range(depth):
+            grown = []
+            for w, hit in frontier:
+                parts = self.restrict(self.advance(hit) if n else hit)
+                for letter in alphabet:
+                    part = parts.get(letter)
+                    if part:
+                        grown.append((w + letter, part))
+            yield grown
+            frontier = grown
+
+    def table(self, m: int):
+        """The depth-m cylinder table, for coding m letters at a time.
+
+        Each row (word, s, b) is a piece of source points x coded by word
+        for m steps, on which T^m is y = s*x - s*b.  The rows are sorted
+        by source start, closed start first; starts and sides hold each
+        row's start and 1 if it is closed, else -1.  hits maps every
+        source point whose orbit lands on a nonzero cut within the m
+        steps to (its first such step, that cut): such a point is always
+        the closed left end of a part split at the cut.
+        """
+        interior = set(self.cuts[1:-1])
+        hits = {}
+        for n, level in enumerate(self.levels(m, dict.fromkeys(self.letters))):
+            for _, parts in level:
+                for lo, _, lc, _, s, b in parts:
+                    if lc and lo in interior:
+                        hits.setdefault((s * lo[0] + b[0], s * lo[1] + b[1]), (n, lo))
+        key = self.source_order()
+        rows = sorted(((self.source(piece), w, piece[4], piece[5])
+                       for w, parts in level for piece in self.advance(parts)),
+                      key=lambda row: key(row[0]))
+        starts = [src[0] for src, _, _, _ in rows]
+        sides = [1 if src[2] else -1 for src, _, _, _ in rows]
+        return starts, sides, [(w, s, b) for _, w, s, b in rows], hits
+
     def prefix(self, w: str):
         """How many leading letters of w have a nonempty cylinder, and its pieces."""
         depth, hit = 0, [self.root]
         for letter in w:
-            if letter not in self.sets:
+            if letter not in self.letters:
                 raise ValueError(f"letter {letter!r} not in the coding config")
             part = self.restrict(self.advance(hit) if depth else hit).get(letter)
             if not part:
@@ -534,16 +599,16 @@ class _Cylinders:
             depth, hit = depth + 1, part
         return depth, (hit if depth else [])
 
-    def intervals(self, pieces) -> tuple[Interval, ...]:
-        """The maximal intervals of the source points of disjoint pieces."""
-        sources = []
-        for lo, hi, lc, hc, s, b in pieces:
-            if s == 1:
-                sources.append(((lo[0] + b[0], lo[1] + b[1]),
-                                (hi[0] + b[0], hi[1] + b[1]), lc, hc))
-            else:
-                sources.append(((b[0] - hi[0], b[1] - hi[1]),
-                                (b[0] - lo[0], b[1] - lo[1]), hc, lc))
+    @staticmethod
+    def source(piece):
+        """(lo, hi, lo_closed, hi_closed) of the source points of a piece."""
+        lo, hi, lc, hc, s, b = piece
+        if s == 1:
+            return (lo[0] + b[0], lo[1] + b[1]), (hi[0] + b[0], hi[1] + b[1]), lc, hc
+        return (b[0] - hi[0], b[1] - hi[1]), (b[0] - lo[0], b[1] - lo[1]), hc, lc
+
+    def source_order(self):
+        """Sort key of source intervals: by start, closed start first."""
         d = self.kernel.d
 
         def order(u, v):
@@ -551,8 +616,12 @@ class _Cylinders:
             # closed endpoint first so a touching singleton is absorbed
             return c or (not u[2]) - (not v[2])
 
+        return cmp_to_key(order)
+
+    def intervals(self, pieces) -> tuple[Interval, ...]:
+        """The maximal intervals of the source points of disjoint pieces."""
         merged = []
-        for lo, hi, lc, hc in sorted(sources, key=cmp_to_key(order)):
+        for lo, hi, lc, hc in sorted(map(self.source, pieces), key=self.source_order()):
             # disjoint intervals join only where they touch
             if merged and merged[-1][1] == lo and (merged[-1][3] or lc):
                 merged[-1] = (merged[-1][0], hi, merged[-1][2], hc)
@@ -571,7 +640,7 @@ def longest_cylinder(T: IETSpec, config: CodingConfig, w: str):
 
     (0, ()) when the cylinder of w's first letter is already empty.
     """
-    walk = _Cylinders(T, config)
+    walk = _Cylinders(T, *_piece_cuts(config))
     depth, pieces = walk.prefix(w)
     return depth, walk.intervals(pieces)
 
@@ -580,7 +649,7 @@ def cylinder(T: IETSpec, config: CodingConfig, w: str) -> tuple[Interval, ...]:
     """Maximal intervals of points whose coding starts with w (exact)."""
     if not w:
         raise ValueError("cylinder word must be nonempty")
-    walk = _Cylinders(T, config)
+    walk = _Cylinders(T, *_piece_cuts(config))
     depth, pieces = walk.prefix(w)
     if depth < len(w):
         return ()
@@ -592,17 +661,6 @@ def cylinder_lengths(T: IETSpec, config: CodingConfig, depth: int) -> dict[str, 
     whose cylinder is nonempty."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    walk = _Cylinders(T, config)
-    lengths = {}
-    frontier = [("", [walk.root])]
-    for n in range(depth):
-        grown = []
-        for w, hit in frontier:
-            parts = walk.restrict(walk.advance(hit) if n else hit)
-            for letter in config.letters:
-                part = parts.get(letter)
-                if part:
-                    lengths[w + letter] = walk.length(part)
-                    grown.append((w + letter, part))
-        frontier = grown
-    return lengths
+    walk = _Cylinders(T, *_piece_cuts(config))
+    return {w: walk.length(part)
+            for level in walk.levels(depth, config.letters) for w, part in level}

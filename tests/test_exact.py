@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,25 @@ def test_approximate_close(a, digits):
     text = approximate(a, digits)
     approx = float(a.rat) + float(a.coef) * math.sqrt(a.d or 1)
     assert abs(float(text) - approx) <= 0.5 * 10.0 ** -digits + 1e-9
+
+
+def test_compare_matches_difference_sign():
+    rng = random.Random(20074)
+    for _ in range(600):
+        d = rng.choice([0, 2, 3, 5])
+        one = lambda: ExactScalar(Fraction(rng.randrange(-40, 41), rng.randrange(1, 13)),
+                                  Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) * (d > 0),
+                                  d)
+        a = one()
+        # rationals against the field, and ties
+        b = rng.choice([one(), ExactScalar(a.rat), a, ExactScalar(a.rat, a.coef, d)])
+        c = (a - b).sign()
+        assert compare(a, b) == c and compare(b, a) == -c
+        assert ((a < b), (a <= b), (a > b), (a >= b)) == (c < 0, c <= 0, c > 0, c >= 0)
+    for a, b in ((GOLDEN, SILVER), (SILVER, GOLDEN + 1)):
+        for cmp in (compare, lambda x, y: x < y, lambda x, y: x >= y):
+            with pytest.raises(MixedRadicalError):
+                cmp(a, b)
 
 
 def test_interval_contains():

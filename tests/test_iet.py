@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ietword import iet
 from ietword.exact import Interval, MixedRadicalError, ONE, ZERO, make_quadratic, rational
 from ietword.iet import (
     BoundaryHit,
@@ -660,3 +661,112 @@ def test_cylinder_error_paths():
                  lambda: cylinder_lengths(T, other, 2)):
         with pytest.raises(MixedRadicalError):
             walk()
+
+
+# ----------------------------------- block coding versus the step walk
+
+def _natural_step_reference(T, x0, n, letters="123456789"):
+    """natural_coding one letter at a time, as it ran before the block walk."""
+    stepper, p = iet._walk(T, x0, n)
+    out = []
+    for _ in range(n):
+        i = stepper.locate(stepper.left, p)
+        out.append(letters[i - 1])
+        p = stepper.step(p, i)
+    return "".join(out)
+
+
+def _sets_step_reference(T, config, x0, n, strict):
+    """coding_with_sets one letter at a time, as it ran before the block walk."""
+    cuts, piece_letters = iet._piece_cuts(config)
+    stepper, p = iet._walk(T, x0, n, cuts)
+    cut_reps = [stepper.encode(c) for c in cuts]
+    out = []
+    for step in range(n):
+        j = stepper.locate(cut_reps, p)
+        if strict and j > 1 and p == cut_reps[j - 1]:
+            raise BoundaryHit(step, stepper.decode(p))
+        out.append(piece_letters[j - 1])
+        p = stepper.step(p)
+    return "".join(out)
+
+
+def _block_lengths(pieces, m_max):
+    """n at 0, 1, m-1, m, m+1 and 3m+1 past the smallest n at which the
+    walk codes m letters a block (m**3 * pieces <= n), for m = 1..m_max."""
+    ns = {0, 1, 2}
+    m = 1
+    while m <= m_max:
+        ns.update(m ** 3 * pieces + r for r in (0, 1, m - 1, m, m + 1, 3 * m + 1))
+        m *= 2
+    return sorted(ns)
+
+
+def test_block_coding_matches_step_reference():
+    rng = random.Random(20073)
+    exchanges = [
+        build_iet([rational(1, 3), rational(2, 3)], (2, 1)),
+        build_iet([rational(1, 3)] * 3, (3, 1, 2), (True, False, False)),
+        build_iet([rational(1, 4), rational(1, 2), rational(1, 4)], (2, 3, 1),
+                  (False, True, True)),
+        silver_iet((False, True, False)),
+    ]
+    exchanges += [_random_exchange(rng, 2 + case % 5, (0, 2, 5)[case // 5 % 3])
+                  for case in range(15)]
+    hits = flipped = 0
+    for T in exchanges:
+        d = next((x.d for x in T.lengths if x.d), 0)
+        flipped += any(T.flips)
+        u = _random_point(rng, d if rng.random() < 0.5 else 0)
+        configs = [CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + T.k % 2])]
+        if u != ZERO:
+            configs.append(CodingConfig([("a", (Interval(ZERO, u),)),
+                                         ("b", (Interval(u, ONE),))]))
+        for cfg in configs:
+            natural = cfg is configs[0]
+            pieces = len(cfg.pieces)
+            ns = _block_lengths(pieces, 16 if pieces == 2 else 8 if pieces <= 4 else 4)
+            for x0 in (_random_point(rng, d), rng.choice(cfg.pieces)[0].lo):
+                # one long reference run; every shorter coding is its prefix
+                word = _sets_step_reference(T, cfg, x0, ns[-1], strict=False)
+                try:
+                    _sets_step_reference(T, cfg, x0, ns[-1], strict=True)
+                    hit = None
+                except BoundaryHit as e:
+                    hit = (e.step, e.point)
+                hits += hit is not None
+                if natural:
+                    assert word == _natural_step_reference(T, x0, ns[-1])
+                for n in ns:
+                    if natural:
+                        assert natural_coding(T, x0, n) == word[:n], (T, x0, n)
+                    assert coding_with_sets(T, cfg, x0, n, strict=False) == word[:n]
+                    if hit is not None and hit[0] < n:
+                        with pytest.raises(BoundaryHit) as e:
+                            coding_with_sets(T, cfg, x0, n, strict=True)
+                        assert (e.value.step, e.value.point) == hit, (T, cfg, x0, n)
+                    else:
+                        assert coding_with_sets(T, cfg, x0, n, strict=True) == word[:n]
+    # the corpus reaches flips and orbits through set boundaries
+    assert flipped and hits
+
+
+def test_coding_edge_cases():
+    T = golden_iet()
+    cfg = CodingConfig.natural(T)
+    # repeated letters are coded, not refused
+    assert natural_coding(T, rational(1, 7), 6, "aa") == "aaaaaa"
+    assert natural_coding(T, rational(1, 7), 200, "aab") == "a" * 200
+    with pytest.raises(ValueError, match="need 2 letters"):
+        natural_coding(T, ZERO, 4, "a")
+    for code in (lambda x0, n: natural_coding(T, x0, n),
+                 lambda x0, n: coding_with_sets(T, cfg, x0, n)):
+        assert code(rational(1, 3), 0) == ""
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            code(ONE, -1)
+        for n in (0, 5):
+            for x0 in (ONE, rational(-1, 2), GOLDEN_ALPHA + 1):
+                with pytest.raises(DomainError):
+                    code(x0, n)
+            with pytest.raises(MixedRadicalError):
+                code(SQRT2 - 1, n)
