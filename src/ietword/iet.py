@@ -60,7 +60,8 @@ class BoundaryHit(Exception):
 
 
 class IETSpec:
-    """Immutable exchange of k intervals, all derived data precomputed."""
+    """Immutable exchange of k intervals, all derived data precomputed,
+    its integer orbit kernel included: every point map runs on it."""
 
     def __init__(self, lengths, permutation, flips=None):
         lengths = tuple(self._coerce(x) for x in lengths)
@@ -110,6 +111,7 @@ class IETSpec:
         self.disp = tuple(self.dest_lo[i - 1] - self.left[i - 1] for i in range(1, k + 1))
         # reflection point: flipped branch sends interior x to refl - x
         self.refl = tuple(self.dest_lo[i - 1] + self.left[i] for i in range(1, k + 1))
+        self.kernel = _IntOrbit(self)
 
     @staticmethod
     def _coerce(x) -> ExactScalar:
@@ -131,43 +133,33 @@ class IETSpec:
         if not 1 <= i <= self.k:
             raise IndexError(f"interval index {i} out of 1..{self.k}")
 
-    def index_of(self, x: ExactScalar) -> int:
+    def index_of(self, x) -> int:
         """1-based i with x in X_i."""
-        return self._index(self._domain(x))
-
-    def _index(self, x: ExactScalar) -> int:
-        # x is already coerced and known to lie in [0,1)
-        for i in range(1, self.k + 1):
-            if compare(x, self.left[i]) < 0:
-                return i
-        raise AssertionError("unreachable: partition covers [0,1)")
+        k, p = self._point(x)
+        return k.locate(k.left, p)
 
     def _domain(self, x) -> ExactScalar:
         x = self._coerce(x)
-        if x.sign() < 0 or compare(x, ONE) >= 0:
+        # the signs of x = p/q + (r/s)sqrt(d) and of x - 1, times q*s > 0
+        q, s = x.rat.denominator, x.coef.denominator
+        u, v = x.rat.numerator * s, x.coef.numerator * q
+        if quadratic_sign(u, v, x.d) < 0 or quadratic_sign(u - q * s, v, x.d) >= 0:
             raise DomainError(f"point {x} outside [0,1)")
         return x
 
-    def apply(self, x) -> ExactScalar:
+    def _point(self, x, extra=()):
+        """A kernel that also encodes extra, and the point x of [0,1) on it."""
         x = self._domain(x)
-        i = self._index(x)
-        if not self.flips[i - 1]:
-            return x + self.disp[i - 1]
-        if x == self.left[i - 1]:
-            return self.dest_lo[i - 1]
-        return self.refl[i - 1] - x
+        k = self.kernel.widen((*extra, x))
+        return k, k.encode(x)
+
+    def apply(self, x) -> ExactScalar:
+        k, p = self._point(x)
+        return k.decode(k.step(p))
 
     def apply_inverse(self, y) -> ExactScalar:
-        y = self._domain(y)
-        j = 1
-        while compare(y, self.slot_start[j]) >= 0:
-            j += 1
-        i = self.permutation[j - 1]
-        if not self.flips[i - 1]:
-            return y - self.disp[i - 1]
-        if y == self.dest_lo[i - 1]:
-            return self.left[i - 1]
-        return self.refl[i - 1] - y
+        k, p = self._point(y)
+        return k.decode(k.step_back(p))
 
     def __repr__(self) -> str:
         lam = ", ".join(str(x) for x in self.lengths)
@@ -194,32 +186,44 @@ def apply_inverse(T: IETSpec, y) -> ExactScalar:
 
 
 class _IntOrbit:
-    """The orbit kernel: every multi-step walk of an exchange runs here.
+    """The orbit kernel: every step of an exchange runs here.
 
     All scalars of one exchange live in a single quadratic field, so a
-    point is (A + B*sqrt(d))/D with a common denominator D fixed up
-    front.  Steps and comparisons are then pure integer arithmetic, and
-    equal points are equal pairs; results are identical to stepping
-    with IETSpec.apply.
+    point is (A + B*sqrt(d))/D over a common denominator D.  Steps and
+    comparisons are then pure integer arithmetic, and equal points are
+    equal pairs.  Each exchange builds its kernel once, over its own D;
+    widen() takes in points that need a larger D or name the field.
     """
 
-    def __init__(self, T: IETSpec, extra=()):
-        scalars = list(T.left) + list(T.slot_start) + list(T.disp) + list(T.refl)
-        scalars += list(extra)
-        ds = {s.d for s in scalars if s.d}
-        if len(ds) > 1:
-            raise MixedRadicalError("points span two quadratic fields")
-        self.d = ds.pop() if ds else 0
-        D = 1
-        for s in scalars:
+    def __init__(self, T: IETSpec):
+        self.flips, self.perm = T.flips, T.permutation
+        self.d = next((s.d for s in T.lengths if s.d), 0)
+        self.D = math.lcm(*(x.denominator for s in (*T.left, *T.slot_start, *T.disp, *T.refl)
+                            for x in (s.rat, s.coef)))
+        # tuples: every call on the exchange shares these tables
+        self.left, self.slot_start, self.disp, self.refl, self.dest_lo = (
+            tuple(map(self.encode, table))
+            for table in (T.left, T.slot_start, T.disp, T.refl, T.dest_lo))
+
+    def widen(self, extra) -> "_IntOrbit":
+        """A kernel that also encodes every scalar in extra: this one when
+        it already does, else a copy over the lcm of the denominators."""
+        d, D = self.d, self.D
+        for s in extra:
+            if s.d and s.d != d:
+                if d:
+                    raise MixedRadicalError("points span two quadratic fields")
+                d = s.d
             D = math.lcm(D, s.rat.denominator, s.coef.denominator)
-        self.D = D
-        self.T = T
-        self.left = [self.encode(s) for s in T.left]
-        self.slot_start = [self.encode(s) for s in T.slot_start]
-        self.disp = [self.encode(s) for s in T.disp]
-        self.refl = [self.encode(s) for s in T.refl]
-        self.dest_lo = [self.encode(s) for s in T.dest_lo]
+        if d == self.d and D == self.D:
+            return self
+        wide = object.__new__(_IntOrbit)
+        wide.flips, wide.perm, wide.d, wide.D = self.flips, self.perm, d, D
+        f = D // self.D
+        wide.left, wide.slot_start, wide.disp, wide.refl, wide.dest_lo = (
+            [(a * f, b * f) for a, b in table]
+            for table in (self.left, self.slot_start, self.disp, self.refl, self.dest_lo))
+        return wide
 
     def encode(self, s: ExactScalar):
         D = self.D
@@ -244,7 +248,7 @@ class _IntOrbit:
         """T(p), with i the index of the interval holding p if known."""
         if i is None:
             i = self.locate(self.left, p)
-        if not self.T.flips[i - 1]:
+        if not self.flips[i - 1]:
             d = self.disp[i - 1]
             return (p[0] + d[0], p[1] + d[1])
         if p == self.left[i - 1]:
@@ -254,8 +258,8 @@ class _IntOrbit:
 
     def step_back(self, p):
         """The preimage of p under T."""
-        i = self.T.permutation[self.locate(self.slot_start, p) - 1]
-        if not self.T.flips[i - 1]:
+        i = self.perm[self.locate(self.slot_start, p) - 1]
+        if not self.flips[i - 1]:
             d = self.disp[i - 1]
             return (p[0] - d[0], p[1] - d[1])
         if p == self.dest_lo[i - 1]:
@@ -268,9 +272,7 @@ def _walk(T: IETSpec, x0, n: int, extra=()):
     """Kernel and encoded start point for an n-step walk from x0."""
     if n < 0:
         raise ValueError("orbit length must be >= 0")
-    x0 = T._domain(x0)
-    stepper = _IntOrbit(T, (*extra, x0))
-    return stepper, stepper.encode(x0)
+    return T._point(x0, extra)
 
 
 def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:
@@ -429,8 +431,7 @@ def check_regular(T: IETSpec, depth: int) -> RegularityReport:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    stepper = _IntOrbit(T)
-    left = stepper.left
+    stepper, left = T.kernel, T.kernel.left
     targets = {left[j]: j + 1 for j in range(1, T.k)}
     for i in range(1, T.k + 1):
         p = left[i - 1]
@@ -446,8 +447,7 @@ def check_idoc(T: IETSpec, depth: int) -> RegularityReport:
     """Backward orbits of the interior discontinuities, pairwise disjoint."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    stepper = _IntOrbit(T)
-    left = stepper.left
+    stepper, left = T.kernel, T.kernel.left
     seen: dict[tuple[int, int], tuple[int, int]] = {}
     for i in range(2, T.k + 1):
         if left[i - 1] in seen:
@@ -496,7 +496,7 @@ class _Cylinders:
 
     def __init__(self, T: IETSpec, cuts, letters, extra=()):
         self.letters = letters
-        self.kernel = k = _IntOrbit(T, (*cuts, *extra))
+        self.kernel = k = T.kernel.widen((*cuts, *extra))
         self.cuts = [k.encode(c) for c in cuts]
         self.root = ((0, 0), (k.D, 0), True, False, 1, (0, 0))
 
@@ -520,7 +520,7 @@ class _Cylinders:
         k = self.kernel
         out = []
         for i, (lo, hi, lc, hc, s, b) in self.split(k.left, pieces):
-            if not k.T.flips[i - 1]:
+            if not k.flips[i - 1]:
                 d0, d1 = k.disp[i - 1]
                 out.append(((lo[0] + d0, lo[1] + d1), (hi[0] + d0, hi[1] + d1),
                             lc, hc, s, (b[0] - s * d0, b[1] - s * d1)))

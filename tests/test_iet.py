@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ietword import iet
-from ietword.exact import Interval, MixedRadicalError, ONE, ZERO, make_quadratic, rational
+from ietword.exact import (Interval, MixedRadicalError, ONE, ZERO, compare, make_quadratic,
+                           rational)
 from ietword.iet import (
     BoundaryHit,
     CodingConfig,
@@ -142,8 +143,8 @@ def test_natural_coding_silver_first_letter():
 def test_natural_coding_matches_pointwise_apply():
     T = silver_iet((False, False, True))
     x0 = rational(2, 11)
-    pts = orbit(T, x0, 150)
-    slow = "".join("123"[T.index_of(x) - 1] for x in pts)
+    pts = _orbit_reference(T, x0, 150)
+    slow = "".join("123"[index_of_oracle(T, x) - 1] for x in pts)
     assert natural_coding(T, x0, 150) == slow
 
 
@@ -378,6 +379,53 @@ def test_orbit_reversibility(x, n):
     assert y == x
 
 
+# ------------------------------------------------ scalar point-map oracle
+# Single-step maps that locate by ExactScalar compares, apart from the
+# integer kernel.  Every reference below steps with these, so no test
+# compares the kernel with itself.
+
+def _domain_oracle(T, x):
+    x = T._coerce(x)
+    if x.sign() < 0 or compare(x, ONE) >= 0:
+        raise DomainError(f"point {x} outside [0,1)")
+    return x
+
+
+def _index_oracle(T, x):
+    # x is already coerced and known to lie in [0,1)
+    for i in range(1, T.k + 1):
+        if compare(x, T.left[i]) < 0:
+            return i
+    raise AssertionError("unreachable: partition covers [0,1)")
+
+
+def index_of_oracle(T, x):
+    return _index_oracle(T, _domain_oracle(T, x))
+
+
+def apply_oracle(T, x):
+    x = _domain_oracle(T, x)
+    i = _index_oracle(T, x)
+    if not T.flips[i - 1]:
+        return x + T.disp[i - 1]
+    if x == T.left[i - 1]:
+        return T.dest_lo[i - 1]
+    return T.refl[i - 1] - x
+
+
+def apply_inverse_oracle(T, y):
+    y = _domain_oracle(T, y)
+    j = 1
+    while compare(y, T.slot_start[j]) >= 0:
+        j += 1
+    i = T.permutation[j - 1]
+    if not T.flips[i - 1]:
+        return y - T.disp[i - 1]
+    if y == T.dest_lo[i - 1]:
+        return T.left[i - 1]
+    return T.refl[i - 1] - y
+
+
 # ------------------------------------------- kernel versus scalar oracle
 
 def _orbit_reference(T, x0, n):
@@ -385,7 +433,7 @@ def _orbit_reference(T, x0, n):
     x = x0
     for _ in range(n):
         pts.append(x)
-        x = apply(T, x)
+        x = apply_oracle(T, x)
     return pts
 
 
@@ -394,7 +442,7 @@ def _check_regular_reference(T, depth):
     for i in range(1, T.k + 1):
         x = T.left[i - 1]
         for n in range(1, depth + 1):
-            x = T.apply(x)
+            x = apply_oracle(T, x)
             if x in targets:
                 return "collision", (i, n, targets[x])
     return "no-collision-up-to-depth", None
@@ -409,7 +457,7 @@ def _check_idoc_reference(T, depth):
     for i in range(2, T.k + 1):
         x = T.left[i - 1]
         for n in range(1, depth + 1):
-            x = T.apply_inverse(x)
+            x = apply_inverse_oracle(T, x)
             prev = seen.get(x)
             if prev is not None and prev != (i, n):
                 return "collision", ((i, n), prev)
@@ -478,6 +526,64 @@ def test_kernel_matches_scalar_oracle():
                 _essential_reference(T, cfg, x0, 10)
     # the corpus exercises both verdicts
     assert 0 < collided < 96
+
+
+def _far_point(rng, d):
+    """A point of [0,1) over the primes 9973 and 9967, which divide no
+    denominator of a _random_exchange."""
+    y = rational(rng.randrange(1, 10 ** 5), 9973)
+    if d:
+        y = y + rational(rng.randrange(-99, 100), 9967) * make_quadratic(0, 1, 1, 1, d)
+    return y - math.floor(y)
+
+
+def test_point_maps_match_scalar_oracle():
+    rng = random.Random(20074)
+    owned = widened = foreign = 0
+    for case in range(90):
+        k = 1 + case % 6
+        d = (0, 2, 5)[case // 6 % 3]
+        T = _random_exchange(rng, k, d)
+        # interval ends and slot starts, the owned flipped endpoints and
+        # their images among them
+        pts = [*T.left[:-1], *T.slot_start[:-1]]
+        owned += sum(T.flips)
+        pts += [_random_point(rng, d) for _ in range(4)]
+        pts += [_far_point(rng, d) for _ in range(4)]
+        if not d:
+            # a rational exchange maps the points of any one field
+            other = [_random_point(rng, e) for e in (2, 3, 5)] + [_far_point(rng, 7)]
+            foreign += sum(bool(x.d) for x in other)
+            pts += other
+        for x in pts:
+            widened += T.kernel.widen((x,)) is not T.kernel
+            assert apply(T, x) == apply_oracle(T, x), (T, x)
+            assert apply_inverse(T, x) == apply_inverse_oracle(T, x), (T, x)
+            assert T.index_of(x) == index_of_oracle(T, x), (T, x)
+        for point_map in (lambda x: apply(T, x), lambda x: apply_inverse(T, x), T.index_of):
+            for x in (ONE, rational(-1, 3), _far_point(rng, d) - 1, _far_point(rng, d) + 1):
+                with pytest.raises(DomainError):
+                    point_map(x)
+            for x in (0.5, "1/2", None):
+                with pytest.raises(TypeError):
+                    point_map(x)
+    # the corpus reaches owned endpoints, widened kernels and other fields
+    assert owned and widened and foreign
+
+
+def test_point_maps_reject_a_second_field():
+    F = build_iet([rational(1, 2), make_quadratic(-1, 2, 1, 2, 2), make_quadratic(2, 2, -1, 2, 2)],
+                  (1, 3, 2))
+    x = make_quadratic(10, 100, 1, 100, 3)
+    for point_map in (lambda: apply(F, x), lambda: apply_inverse(F, x), lambda: F.index_of(x),
+                      lambda: natural_coding(F, x, 3)):
+        with pytest.raises(MixedRadicalError, match="two quadratic fields"):
+            point_map()
+    swap = build_iet([rational(1, 3), rational(2, 3)], (2, 1))
+    y = make_quadratic(2, 8, 1, 8, 2)
+    assert apply(swap, y) == make_quadratic(-2, 24, 3, 24, 2)
+    assert apply_inverse(swap, make_quadratic(-2, 24, 3, 24, 2)) == y
+    assert swap.index_of(y) == 2
 
 
 def test_cylinder_lengths_match_cylinders():
