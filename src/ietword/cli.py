@@ -35,6 +35,8 @@ def _read_word(path: str):
             text = fh.read()
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not ASCII text: {e.reason} at byte {e.start}") from None
     word = "".join(text.split())
     if not word:
         raise ValueError(f"{path} holds no symbols")

@@ -31,19 +31,42 @@ class FactorSet:
         self.word = word
         self.source_len = len(word)
         self.max_len = max_len
-        self.alphabet = tuple(sorted(set(word)))
+        self._alphabet: tuple[str, ...] | None = None
         self._counts: dict[int, Counter] = {}
         self._extensions: dict[int, dict] = {}
+
+    @property
+    def alphabet(self) -> tuple[str, ...]:
+        """The word's letters, sorted; read off the blocks of the top
+        level's count."""
+        if self._alphabet is None:
+            self.counts(self.max_len)
+        return self._alphabet
 
     def counts(self, n: int) -> Counter:
         """Length-n factors with their window counts, in order of first
         occurrence.
 
-        The max_len windows are counted in one pass on first use; every
-        lower level is rolled down from the level above it: a length-n
-        factor occurs once for each occurrence of its one-letter right
-        extensions, plus once more if it is the word's last length-n
-        window.
+        The max_len level is counted once, on first use, a block at a
+        time.  The word is cut into overlapping blocks that hold the
+        windows starting at 0..B-1, B..2B-1, ...; the blocks are counted,
+        and each distinct block adds its own windows, weighted by how
+        often the block occurs.  Every window start lies in exactly one
+        block, so the counts are exact.  A word of low complexity repeats
+        its blocks, so this slices a few windows per distinct block
+        instead of every window of the word.  B is derived from the
+        window count W, the least B with 4 B^3 >= W (63 at 10^6 windows):
+        it balances the W/B block slices against the roughly B^2 windows
+        of the distinct blocks of a word of complexity (k-1)n+1.
+
+        The keys keep their first-occurrence order: the first occurrence
+        of a window lies in the first occurrence of its block, and the
+        distinct blocks are walked in first-occurrence order.
+
+        Every lower level is rolled down from the level above it: a
+        length-n factor occurs once for each occurrence of its one-letter
+        right extensions, plus once more if it is the word's last
+        length-n window.
         """
         if not 0 <= n <= self.max_len:
             raise ValueError(f"length {n} outside 0..{self.max_len}")
@@ -51,9 +74,7 @@ class FactorSet:
         if got is None:
             w = self.word
             if not self._counts:
-                top = self.max_len
-                self._counts[top] = Counter(
-                    w[i:i + top] for i in range(len(w) - top + 1))
+                self._count_top()
             # the cached levels always run from some length up to max_len
             for m in range(min(self._counts) - 1, n - 1, -1):
                 rolled = Counter()
@@ -65,6 +86,27 @@ class FactorSet:
                 self._counts[m] = rolled
             got = self._counts[n]
         return got
+
+    def _count_top(self) -> None:
+        w, top = self.word, self.max_len
+        windows = len(w) - top + 1
+        step = 1
+        while 4 * step ** 3 < windows:
+            step += 1
+        blocks = Counter(w[i:i + step + top - 1] for i in range(0, windows, step))
+        counted = Counter()
+        for block, c in blocks.items():
+            own = (block[o:o + top] for o in range(len(block) - top + 1))
+            if c == 1:
+                # Counter.update counts in C; it keeps a word of high
+                # complexity, whose blocks are nearly all distinct, as fast
+                # as counting every window
+                counted.update(own)
+            else:
+                for f in own:
+                    counted[f] = counted.get(f, 0) + c
+        self._counts[top] = counted
+        self._alphabet = tuple(sorted(set().union(*blocks)))
 
     def extensions(self, n: int) -> dict:
         """Every length-n factor mapped to its (left, right) frozensets of

@@ -91,7 +91,25 @@ def test_gen_non_ascii_config(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: ")
+    assert captured.err == (f"error: {path}: not ASCII text: "
+                            "ordinal not in range(128) at byte 14\n")
+
+
+@pytest.mark.parametrize("cmd", [
+    ["validate"], ["validate", "--oriented"], ["fz", "--search"], ["analyze"],
+    ["rauzy"], ["reconstruct"],
+], ids=" ".join)
+def test_non_ascii_word_names_the_file(tmp_path, capsys, cmd):
+    path = tmp_path / "accent.txt"
+    path.write_bytes(b"ab\xe9" + b"ab" * 100 + b"\n")
+    extra = (["--out-config", str(tmp_path / "c.cfg"),
+              "--out-report", str(tmp_path / "c.csv")]
+             if cmd[0] == "reconstruct" else [])
+    assert main([cmd[0], str(path), *cmd[1:], *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: not ASCII text: "
+                            "ordinal not in range(128) at byte 2\n")
 
 
 # -------------------------------------------------------------- analyze
@@ -359,6 +377,60 @@ def test_pipeline_closure_keeps_letters(tmp_path, capsys, relabel):
                           extra=("--x0", rows["x0"]))).read().strip()
     assert regen[:match] == word[:match]
     assert set(regen) == set(relabel)
+
+
+# outputs written when the factor index still sliced every top-level
+# window; counting it by blocks must not change a byte of them
+SILVER_1E5_OUTPUTS = [
+    (["validate", "silver.txt"], None,
+     "word: silver.txt (100000 symbols over {1,2,3})\n"
+     "window: [1, 20]\n"
+     "verdict: accepted\n"
+     "consistent labeling found from level K=1\n"
+     "verdict=accepted;K=1;witness=none\n"),
+    (["validate", "silver.txt", "--oriented"], None,
+     "word: silver.txt (100000 symbols over {1,2,3})\n"
+     "window: [1, 20] oriented\n"
+     "verdict: accepted\n"
+     "consistent labeling found from level K=1\n"
+     "verdict=accepted;K=1;witness=none\n"),
+    (["fz", "silver.txt", "--search"], None,
+     "pi0=123;pi1=321\npi0=321;pi1=123\nresult=found;count=2\n"),
+    (["reconstruct", "silver.txt", "--oriented"], "silver",
+     "k 3\nd 0\nlengths 20711/50000 2071/5000 8579/50000\n"
+     "perm 3 2 1\nflips 0 0 0\n"),
+    (["reconstruct", "cab.txt", "--oriented"], "cab",
+     "k 3\nd 0\nlengths 8579/50000 2071/5000 20711/50000\n"
+     "perm 3 2 1\nflips 0 0 0\n"
+     "sets a=[8579/50000,29289/50000)\n"
+     "sets b=[0,8579/50000)\n"
+     "sets c=[29289/50000,1)\n"),
+]
+
+SILVER_1E5_REPORTS = {
+    "silver": "metric,value\nverdict,accepted\nK,1\nresidual,639/17856250\n"
+              "match_length,500\ntotal,500\nprefix_depth,500\nx0,47/100000\n",
+    "cab": "metric,value\nverdict,accepted\nK,1\nresidual,639/17856250\n"
+           "match_length,500\ntotal,500\nprefix_depth,500\nx0,99953/100000\n",
+}
+
+
+def test_long_silver_outputs_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "silver.cfg").write_text(SILVER_CFG)
+    assert main(["gen", "silver.cfg", "-n", "100000", "-o", "silver.txt"]) == 0
+    word = (tmp_path / "silver.txt").read_text()
+    (tmp_path / "cab.txt").write_text(word.translate(str.maketrans("123", "cab")))
+    for argv, report, expected in SILVER_1E5_OUTPUTS:
+        if report is None:
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected
+            continue
+        assert main([*argv, "--out-config", f"{report}.cfg",
+                     "--out-report", f"{report}.csv"]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / f"{report}.cfg").read_text() == expected
+        assert (tmp_path / f"{report}.csv").read_text() == SILVER_1E5_REPORTS[report]
 
 
 # ---------------------------------------------------------------- plumbing

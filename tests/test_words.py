@@ -29,6 +29,12 @@ def silver_word(n):
     return natural_coding(T, rational(0), n)
 
 
+def golden_word(n):
+    T = build_iet([make_quadratic(3, 2, -1, 2, 5), make_quadratic(-1, 2, 1, 2, 5)],
+                  [2, 1])
+    return natural_coding(T, rational(0), n)
+
+
 def window_counts(word, n):
     """Reference: slice every length-n window of the word again."""
     return Counter(word[i:i + n] for i in range(len(word) - n + 1))
@@ -38,6 +44,21 @@ def assert_counts_match(fs, levels):
     for n in levels:
         # same counts, and the same first-occurrence key order
         assert list(fs.counts(n).items()) == list(window_counts(fs.word, n).items())
+
+
+def block_size(windows):
+    """The block length the top-level count documents: the least B with
+    4 B^3 >= the window count."""
+    b = 1
+    while 4 * b ** 3 < windows:
+        b += 1
+    return b
+
+
+def assert_index_matches_slicing(word, max_len):
+    fs = factors(word, max_len)
+    assert_counts_match(fs, range(max_len, -1, -1))
+    assert fs.alphabet == tuple(sorted(set(word)))
 
 
 def random_word(seed, letters, n):
@@ -65,12 +86,35 @@ def test_counts_small_examples():
     (random_word(1, "ab", 3000), 30), (random_word(2, "abc", 3000), 25),
     (random_word(3, "abcd", 3000), 25), (random_word(4, "ab", 200), 200),
     (random_word(5, "abcd", 97), 97), ("abaab", 5), ("a", 1), ("b" * 50, 50),
+    # long enough for blocks of B > 1 windows; the short top levels of the
+    # random words mix blocks seen once with repeated ones
+    (silver_word(100000), 21), (golden_word(100000), 21),
+    ("abc" * 4000, 21), ("b" * 12000, 21),
+    (random_word(7, "ab", 6000), 8), (random_word(8, "abc", 6000), 6),
+    (random_word(9, "abcd", 6000), 5), (random_word(10, "abcde", 6000), 12),
+    (random_word(11, "abcdef", 6000), 4), (random_word(12, "abcdef", 6000), 21),
 ], ids=["fibonacci", "thue-morse", "tribonacci", "silver", "random-ab",
         "random-abc", "random-abcd", "random-ab-full", "random-abcd-full",
-        "abaab-full", "one-letter", "constant-full"])
+        "abaab-full", "one-letter", "constant-full", "silver-1e5",
+        "golden-1e5", "abc-periodic", "constant", "random2", "random3",
+        "random4", "random5", "random6-short", "random6-long"])
 def test_counts_match_window_slicing(word, max_len):
-    fs = factors(word, max_len)
-    assert_counts_match(fs, range(max_len, -1, -1))
+    assert_index_matches_slicing(word, max_len)
+
+
+@pytest.mark.parametrize("source", ["silver", "random2", "random3"])
+def test_block_count_every_last_block_length(source):
+    # window counts 1000..1012 run through every residue mod B = 7, so the
+    # last block holds B, 1 or B - 1 windows among others
+    top = 9
+    counts = range(1000, 1013)
+    b = block_size(1000)
+    assert all(block_size(n) == b for n in counts)
+    assert {0, 1, b - 1} <= {n % b for n in counts}
+    long = {"silver": silver_word(1100), "random2": random_word(14, "ab", 1100),
+            "random3": random_word(15, "abc", 1100)}[source]
+    for n in counts:
+        assert_index_matches_slicing(long[:n + top - 1], top)
 
 
 @pytest.mark.parametrize("letters", ["ab", "abc", "abcd"])
@@ -97,6 +141,7 @@ def test_counts_match_window_slicing_random(w, data):
     first = data.draw(st.integers(min_value=0, max_value=max_len))
     fs = factors(w, max_len)
     assert_counts_match(fs, [first, *range(max_len + 1)])
+    assert fs.alphabet == tuple(sorted(set(w)))
 
 
 def test_counts_sum_to_window_count():
