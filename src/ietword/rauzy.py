@@ -8,6 +8,15 @@ allowed to disappear is governed by a label discipline on branching
 vertices.  Whether a consistent discipline exists is decidable by
 finite search, and deciding it is what validate_evolution does.
 
+The validator reads its levels off the extension sets of the factor
+index (FactorSet.extensions): a vertex's in- and out-degree are the
+sizes of its left and right sets, and a follower arc disappears at
+level k when a (k+1)-factor a lacks a right extension of a[1:].  It
+checks strong connectivity on the top level only, and walks down the
+levels only when that check fails: a strongly connected (k+1)-graph
+makes the k-graph strongly connected too (proof in _Levels).
+RauzyGraph serves the DOT export and that connectivity check.
+
 Label bookkeeping, spelled out once:
 
 * a vertex with two incoming arcs (an in-crotch) has its two arcs
@@ -238,62 +247,94 @@ class EvolutionReport:
 
 
 class _Levels:
-    """Precomputed per-level graphs, static violations and deletions."""
+    """Per-level static violations, deletions and crotches of a window.
+
+    Every level is read straight off the extension sets of the index:
+    the k-graph's vertices are the keys of fs.extensions(k), a vertex
+    v has in-arcs x + v for x in its left set and out-arcs v + y for y
+    in its right set, and the follower arcs deleted at level k are
+    (a, a[1:] + y) for each (k+1)-factor a and each y in
+    right(a[1:]) - right(a).  Vertices, arcs and letters are walked in
+    sorted order, which fixes the order of the witnesses and events.
+
+    Strong connectivity is checked on the RauzyGraph of level k_max
+    only, and the levels below are checked only when it fails.  That is
+    enough: for k < k_max, if the (k+1)-graph is strongly connected, so
+    is the k-graph.  The vertices of the (k+1)-graph are the arcs of the
+    k-graph, and its arc u -> u' joins two arcs u, u' of the k-graph with
+    head(u) = tail(u').  The word is longer than k + 1, so the
+    (k+1)-graph has an arc, and being strongly connected it has a closed
+    walk through every vertex.  Read in the k-graph, that walk is a
+    closed walk along every arc, so through every vertex, since each
+    k-factor is an end of some (k+1)-factor.  The levels that fail are
+    therefore k_max and those just below it, down to the first that
+    passes.
+    """
 
     def __init__(self, fs: FactorSet, k_min: int, k_max: int):
-        self.graphs = {}
+        self.ext = {k: fs.extensions(k) for k in range(k_min, k_max + 1)}
+        verts = {k: sorted(ext) for k, ext in self.ext.items()}
+        self.in_crotches = {}
+        self.out_crotches = {}
         self.static = {}
         self.events = {}
         for k in range(k_min, k_max + 1):
-            g = build_k_graph(fs, k)
-            self.graphs[k] = g
+            ext = self.ext[k]
             viol = []
-            for v in g.vertices:
-                din, dout = g.in_degree(v), g.out_degree(v)
+            ins, outs, bispecial = [], [], []
+            for v in verts[k]:
+                left, right = ext[v]
+                din, dout = len(left), len(right)
                 if din > 2 or dout > 2:
                     viol.append(Witness(
                         "valence", k, (v,),
                         f"in-degree {din}, out-degree {dout}"))
+                if din == 2:
+                    ins.append(tuple(x + v for x in sorted(left)))
+                if dout == 2:
+                    outs.append(tuple(v + y for y in sorted(right)))
+                    if din == 2:
+                        bispecial.append(v)
+            self.in_crotches[k] = ins
+            self.out_crotches[k] = outs
             if k < k_max:
-                deletions = []
-                ext = fs.extensions(k + 1)
-                for a in g.arcs:
-                    right = ext[a][1]
-                    for b in g.out_arcs(g.head(a)):
-                        if b[-1] not in right:
-                            deletions.append((a, b))
+                ext1 = self.ext[k + 1]
                 by_vertex = {}
-                for a, b in deletions:
-                    w = g.head(a)
-                    if g.in_degree(w) == 2 and g.out_degree(w) == 2:
-                        by_vertex.setdefault(w, []).append((a, b))
-                    else:
-                        viol.append(Witness(
-                            "unlicensed-deletion", k, (a + b[-1],),
-                            f"vertex {w!r} is not bispecial"))
-                deleted_at = set(by_vertex)
-                for v in g.vertices:
-                    if (g.in_degree(v) == 2 and g.out_degree(v) == 2
-                            and v not in deleted_at):
+                for a in verts[k + 1]:
+                    w = a[1:]
+                    left, right = ext[w]
+                    kept = ext1[a][1]
+                    # right(a) lies inside right(a[1:]), so equal sizes
+                    # mean nothing is deleted
+                    if len(right) == len(kept):
+                        continue
+                    for y in sorted(right - kept):
+                        if len(left) == 2 and len(right) == 2:
+                            by_vertex.setdefault(w, []).append((a, w + y))
+                        else:
+                            viol.append(Witness(
+                                "unlicensed-deletion", k, (a + y,),
+                                f"vertex {w!r} is not bispecial"))
+                for v in bispecial:
+                    if v not in by_vertex:
                         viol.append(Witness(
                             "strong-bispecial", k, (v,),
                             "all four follower arcs survive"))
                 self.events[k] = by_vertex
-            if not strongly_connected(g):
-                viol.append(Witness("not-strongly-connected", k, (), ""))
             self.static[k] = viol
+        k = k_max
+        while k >= k_min and not strongly_connected(build_k_graph(fs, k)):
+            self.static[k].append(Witness("not-strongly-connected", k, (), ""))
+            k -= 1
+
+    def out_arcs(self, k: int, v: str) -> list[str]:
+        return [v + y for y in sorted(self.ext[k][v][1])]
 
 
-def _free_choices(g: RauzyGraph):
+def _free_choices(levels: _Levels, K: int):
     """Crotch sides of the base level, each a binary labeling choice."""
-    sides = []
-    for v in g.vertices:
-        if g.in_degree(v) == 2:
-            sides.append(("in", tuple(sorted(g.in_arcs(v)))))
-    for v in g.vertices:
-        if g.out_degree(v) == 2:
-            sides.append(("out", tuple(sorted(g.out_arcs(v)))))
-    return sides
+    return ([("in", arcs) for arcs in levels.in_crotches[K]]
+            + [("out", arcs) for arcs in levels.out_crotches[K]])
 
 
 def _base_labels(K: int, sides, mask: int):
@@ -365,7 +406,7 @@ def _screen_masks(levels: _Levels, K: int, k_max: int, oriented: bool,
             marked_any |= any_eq
             level_marked[w] = any_eq
         for v, m in marked.items():
-            for u in levels.graphs[k - 1].out_arcs(v):
+            for u in levels.out_arcs(k - 1, v):
                 level_marked[u] = level_marked.get(u, 0) | m
         marked = {v: m for v, m in level_marked.items() if m}
         failed[k] = alive & fail
@@ -385,7 +426,7 @@ def _search_labels(levels: _Levels, K: int, k_max: int, oriented: bool):
     candidates the lowest mask wins; _screen_masks classifies them and
     _check_assignment builds the report of the one chosen.
     """
-    sides = _free_choices(levels.graphs[K])
+    sides = _free_choices(levels, K)
     width = min(len(sides), _BLOCK_BITS)
     marked_mask = None
     fail_k, fail_mask = -1, None
@@ -410,18 +451,12 @@ def _check_assignment(levels, K, k_max, oriented, in_l, out_l):
     marks = {}
     prev_marks = frozenset()
     for k in range(K, k_max + 1):
-        g = levels.graphs[k]
         if k > K:
-            cur_in, cur_out = {}, {}
             p_in, p_out = in_l[k - 1], out_l[k - 1]
-            for v in g.vertices:
-                if g.in_degree(v) == 2:
-                    for w in g.in_arcs(v):
-                        cur_in[w] = p_in[w[:-1]]
-                if g.out_degree(v) == 2:
-                    for w in g.out_arcs(v):
-                        cur_out[w] = p_out[w[1:]]
-            in_l[k], out_l[k] = cur_in, cur_out
+            in_l[k] = {w: p_in[w[:-1]]
+                       for arcs in levels.in_crotches[k] for w in arcs}
+            out_l[k] = {w: p_out[w[1:]]
+                        for arcs in levels.out_crotches[k] for w in arcs}
         must_mark = set()
         must_unmark = set()
         for w, pairs in levels.events.get(k, {}).items():
@@ -442,9 +477,8 @@ def _check_assignment(levels, K, k_max, oriented, in_l, out_l):
                 "label-contradiction", k, (w,),
                 "equal-label deletion requires a minus mark, oriented mode")
         level_marks = set(must_mark)
-        for v in g.vertices:
-            if v[:-1] in prev_marks:
-                level_marks.add(v)
+        for v in prev_marks:
+            level_marks.update(levels.out_arcs(k - 1, v))
         clash = level_marks & must_unmark
         if clash:
             w = sorted(clash)[0]
@@ -486,10 +520,13 @@ def validate_evolution(fs: FactorSet, k_min: int, k_max: int,
     return EvolutionReport(window, "rejected", None, oriented, last_witness)
 
 
-def _dot_name(x) -> str:
+def _dot_name(x, suffix: str = "") -> str:
+    """x, a tuple's parts joined by |, plus suffix, as a quoted DOT
+    string; a backslash is escaped before a quote is."""
     if isinstance(x, tuple):
         x = "|".join(x)
-    return '"' + str(x).replace('"', r'\"') + '"'
+    text = str(x) + suffix
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def export_dot(g) -> str:
@@ -502,8 +539,7 @@ def export_dot(g) -> str:
         g = g.base if isinstance(g, LabeledRauzyGraph) else g.graph
     lines = ["digraph rauzy {"]
     for v in sorted(g.vertices):
-        attr = ' [label="%s -"]' % ("|".join(v) if isinstance(v, tuple) else v) \
-            if v in marks else ""
+        attr = f" [label={_dot_name(v, ' -')}]" if v in marks else ""
         lines.append(f"  {_dot_name(v)}{attr};")
     if isinstance(g, RauzyGraph):
         arc_ends = [(a[:-1], a[1:], a) for a in g.arcs]

@@ -1,5 +1,8 @@
+import random
+import re
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ietword.exact import make_quadratic, rational
 from ietword.iet import build_iet, natural_coding
@@ -7,6 +10,7 @@ from ietword.rauzy import (
     DiGraph,
     LabeledRauzyGraph,
     RauzyGraph,
+    Witness,
     build_k_graph,
     export_dot,
     follower,
@@ -18,7 +22,12 @@ from ietword.rauzy import (
 from ietword import rauzy
 from ietword.words import FactorSet
 
-from wordgen import fibonacci_word, thue_morse_word, tribonacci_word
+from wordgen import (
+    fibonacci_word,
+    random_exact_iet,
+    thue_morse_word,
+    tribonacci_word,
+)
 
 
 def golden_word(n=4000):
@@ -278,12 +287,44 @@ def test_export_dot_labeled():
     assert '[label="a -"]' in export_dot(marked)
 
 
+DOT_STRING = r'"(?:[^"\\]|\\.)*"'
+DOT_LINE = re.compile(
+    rf'  {DOT_STRING}(?: -> {DOT_STRING})?(?: \[label={DOT_STRING}\])?;')
+
+
+def test_export_dot_escapes_backslash_and_quote():
+    g = build_k_graph(FactorSet("a\\b\\ab\\a", 2), 1)
+    lines = export_dot(g).splitlines()
+    assert lines[1:4] == [r'  "\\";', '  "a";', '  "b";']
+    assert r'  "\\" -> "a";' in lines
+    quoted = export_dot(build_k_graph(FactorSet('a"ab"a', 2), 1)).splitlines()
+    assert '  "\\"" -> "a";' in quoted
+    every = lines[1:-1] + quoted[1:-1]
+    for letter, vertex in (("\\", r'  "\\" [label="\\ -"];'),
+                           ('"', r'  "\"" [label="\" -"];')):
+        base = build_k_graph(FactorSet(f"a{letter}" * 3, 2), 1)
+        marked = LabeledRauzyGraph(base, {}, {}, marks=frozenset({letter}))
+        dot = export_dot(marked).splitlines()
+        assert vertex in dot
+        every += dot[1:-1]
+    for line in every:
+        assert DOT_LINE.fullmatch(line), line
+
+
 # ---------------------------------------------------------- label search
+
+LABEL_SEARCH_WORDS = [
+    ("ababababbbaaabababbbbaabaaaababa", 6),            # 10 sides
+    ("abbaabbaabbababbbaabbaaabbaabbabbabaabbaa", 6),   # marks / contradiction
+    ("cbaacacbbbcacbbcbbbcbaac", 5),                    # 8 sides, 3 letters
+    ("12222311222223122223112222231222231122222312222311222223122223112222231222231122222", 8),
+]
+
 
 def _search_one_by_one(levels, K, k_max, oriented):
     # reference: check every base labeling in mask order, first clean
     # success wins, then the first marked one, then the deepest failure
-    sides = rauzy._free_choices(levels.graphs[K])
+    sides = rauzy._free_choices(levels, K)
     best_fail, best_k, marked_success = None, -1, None
     for mask in range(1 << len(sides)):
         in_l, out_l = rauzy._base_labels(K, sides, mask)
@@ -299,12 +340,7 @@ def _search_one_by_one(levels, K, k_max, oriented):
 
 
 @pytest.mark.parametrize("block_bits", [16, 3])
-@pytest.mark.parametrize("word, k_max", [
-    ("ababababbbaaabababbbbaabaaaababa", 6),            # 10 sides
-    ("abbaabbaabbababbbaabbaaabbaabbabbabaabbaa", 6),   # marks / contradiction
-    ("cbaacacbbbcacbbcbbbcbaac", 5),                    # 8 sides, 3 letters
-    ("12222311222223122223112222231222231122222312222311222223122223112222231222231122222", 8),
-])
+@pytest.mark.parametrize("word, k_max", LABEL_SEARCH_WORDS)
 def test_label_search_matches_one_by_one(word, k_max, block_bits, monkeypatch):
     fs = FactorSet(word, k_max + 1)
     got = {}
@@ -317,6 +353,129 @@ def test_label_search_matches_one_by_one(word, k_max, block_bits, monkeypatch):
                        for oriented in (False, True)]
     assert got["screened"] == got["reference"]
     assert any(r["K"] not in (None, 1) for r in got["screened"])
+
+
+# --------------------------------------------------------------- levels
+
+class _levels_reference:
+    """Precomputed per-level graphs, static violations and deletions."""
+
+    def __init__(self, fs: FactorSet, k_min: int, k_max: int):
+        self.graphs = {}
+        self.static = {}
+        self.events = {}
+        for k in range(k_min, k_max + 1):
+            g = build_k_graph(fs, k)
+            self.graphs[k] = g
+            viol = []
+            for v in g.vertices:
+                din, dout = g.in_degree(v), g.out_degree(v)
+                if din > 2 or dout > 2:
+                    viol.append(Witness(
+                        "valence", k, (v,),
+                        f"in-degree {din}, out-degree {dout}"))
+            if k < k_max:
+                deletions = []
+                ext = fs.extensions(k + 1)
+                for a in g.arcs:
+                    right = ext[a][1]
+                    for b in g.out_arcs(g.head(a)):
+                        if b[-1] not in right:
+                            deletions.append((a, b))
+                by_vertex = {}
+                for a, b in deletions:
+                    w = g.head(a)
+                    if g.in_degree(w) == 2 and g.out_degree(w) == 2:
+                        by_vertex.setdefault(w, []).append((a, b))
+                    else:
+                        viol.append(Witness(
+                            "unlicensed-deletion", k, (a + b[-1],),
+                            f"vertex {w!r} is not bispecial"))
+                deleted_at = set(by_vertex)
+                for v in g.vertices:
+                    if (g.in_degree(v) == 2 and g.out_degree(v) == 2
+                            and v not in deleted_at):
+                        viol.append(Witness(
+                            "strong-bispecial", k, (v,),
+                            "all four follower arcs survive"))
+                self.events[k] = by_vertex
+            if not strongly_connected(g):
+                viol.append(Witness("not-strongly-connected", k, (), ""))
+            self.static[k] = viol
+
+
+class _GraphLevels(_levels_reference):
+    """The reference levels, with crotches and out-arcs read off a
+    RauzyGraph per level, as the label search reads them."""
+
+    def __init__(self, fs, k_min, k_max):
+        super().__init__(fs, k_min, k_max)
+        self.in_crotches, self.out_crotches = {}, {}
+        for k, g in self.graphs.items():
+            self.in_crotches[k] = [tuple(sorted(g.in_arcs(v)))
+                                   for v in g.vertices if g.in_degree(v) == 2]
+            self.out_crotches[k] = [tuple(sorted(g.out_arcs(v)))
+                                    for v in g.vertices if g.out_degree(v) == 2]
+
+    def out_arcs(self, k, v):
+        return self.graphs[k].out_arcs(v)
+
+
+def _levels_corpus():
+    """Seeded words with their k_max: random words over 2-4 letters,
+    periodic words with a few letters of noise, natural codings of random
+    exact exchanges, and the fixed words of the label search tests."""
+    rng = random.Random(10)
+    corpus = []
+    for i in range(60):
+        letters = "abcd"[:2 + i % 3]
+        word = "".join(rng.choice(letters) for _ in range(rng.randint(20, 160)))
+        corpus.append((word, 8))
+    for i in range(30):
+        letters = "abcd"[:2 + i % 3]
+        period = "".join(rng.choice(letters) for _ in range(rng.randint(2, 7)))
+        word = list(period * (300 // len(period)))
+        for _ in range(rng.randint(1, 3)):
+            word[rng.randrange(len(word))] = rng.choice(letters)
+        corpus.append(("".join(word), 10))
+    for i in range(9):
+        T = random_exact_iet(rng, 2 + i % 3)
+        corpus.append((natural_coding(T, rational(0), 1500), 12))
+    corpus += [(word, k_max) for word, k_max in LABEL_SEARCH_WORDS]
+    corpus += [(thue_morse_word(500), 12), (tribonacci_word(500), 12)]
+    return corpus
+
+
+def test_levels_match_graph_reference(monkeypatch):
+    kinds, verdicts, mixed = set(), set(), 0
+    for word, k_max in _levels_corpus():
+        fs = FactorSet(word, k_max + 1)
+        for k_min in (1, 3):
+            got = rauzy._Levels(fs, k_min, k_max)
+            ref = _GraphLevels(fs, k_min, k_max)
+            assert got.static == ref.static, word
+            assert got.events == ref.events, word
+            assert [list(ev) for ev in got.events.values()] == \
+                [list(ev) for ev in ref.events.values()]
+            assert got.in_crotches == ref.in_crotches
+            assert got.out_crotches == ref.out_crotches
+            kinds.update(w.kind for ws in got.static.values() for w in ws)
+            cut = [k for k, ws in got.static.items()
+                   if any(w.kind == "not-strongly-connected" for w in ws)]
+            mixed += bool(cut) and min(cut) > k_min
+            for oriented in (False, True):
+                new = vars(validate_evolution(fs, k_min, k_max, oriented))
+                with monkeypatch.context() as m:
+                    m.setattr(rauzy, "_Levels", _GraphLevels)
+                    old = vars(validate_evolution(fs, k_min, k_max, oriented))
+                assert new == old, (word, k_min, oriented)
+                verdicts.add(new["witness"].kind if new["witness"]
+                             else new["verdict"])
+    assert kinds == {"valence", "unlicensed-deletion", "strong-bispecial",
+                     "not-strongly-connected"}
+    assert verdicts == kinds | {"label-contradiction", "accepted",
+                                "accepted-from-K"}
+    assert mixed > 10
 
 
 # ------------------------------------------------------------ properties
@@ -341,6 +500,20 @@ def test_next_graph_always_inside_follower(w):
     for k in range(1, 6):
         assert is_subgraph_of_follower(
             build_k_graph(fs, k), build_k_graph(fs, k + 1))
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(["ab", "abc"]).flatmap(
+    lambda letters: st.text(alphabet=letters, min_size=10, max_size=120)))
+@example("ab" * 20)                  # connected at every level
+@example("aab" * 10 + "ba" * 10)     # connected up to k = 3 only
+def test_connected_level_has_connected_level_below(w):
+    # the validator checks strong connectivity at its top level only,
+    # and walks down only when that check fails
+    fs = FactorSet(w, 10)
+    for k in range(1, 9):
+        if strongly_connected(build_k_graph(fs, k + 1)):
+            assert strongly_connected(build_k_graph(fs, k))
 
 
 @settings(max_examples=50)
