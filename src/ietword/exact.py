@@ -108,6 +108,15 @@ class ExactScalar:
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _canonical(cls, rat: Fraction, coef: Fraction, d: int) -> "ExactScalar":
+        """rat + coef*sqrt(d) from parts already in canonical form, so
+        __post_init__ is skipped: Fractions rat and coef, and d square-free
+        and >= 2, or 0 with coef == 0.  d is set to 0 when coef == 0."""
+        x = object.__new__(cls)
+        x.__dict__.update(rat=rat, coef=coef, d=d if coef else 0)
+        return x
+
     # numerator/denominator views of the two components
     @property
     def p(self) -> int:

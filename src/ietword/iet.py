@@ -135,31 +135,63 @@ class IETSpec:
 
     def index_of(self, x) -> int:
         """1-based i with x in X_i."""
-        k, p = self._point(x)
-        return k.locate(k.left, p)
+        return self._place(x, self.kernel.left)[1]
 
-    def _domain(self, x) -> ExactScalar:
+    def _domain(self, x):
+        """x checked to lie in [0,1), and (u, v, E) with x = (u + v*sqrt(d))/E."""
         x = self._coerce(x)
-        # the signs of x = p/q + (r/s)sqrt(d) and of x - 1, times q*s > 0
+        # the signs of x = p/q + (r/s)sqrt(d) and of x - 1, times E = q*s > 0
         q, s = x.rat.denominator, x.coef.denominator
+        E = q * s
         u, v = x.rat.numerator * s, x.coef.numerator * q
-        if quadratic_sign(u, v, x.d) < 0 or quadratic_sign(u - q * s, v, x.d) >= 0:
+        if quadratic_sign(u, v, x.d) < 0 or quadratic_sign(u - E, v, x.d) >= 0:
             raise DomainError(f"point {x} outside [0,1)")
-        return x
+        return x, u, v, E
 
-    def _point(self, x, extra=()):
-        """A kernel that also encodes extra, and the point x of [0,1) on it."""
-        x = self._domain(x)
-        k = self.kernel.widen((*extra, x))
-        return k, k.encode(x)
+    def _place(self, x, cuts):
+        """x checked to lie in [0,1), the 1-based j with cuts[j-1] <= x <
+        cuts[j] for one of the kernel's tables, and the field d that x and
+        the exchange share.
+
+        x stays over its own denominator E: against a cut (A + B*sqrt(d))/D
+        it has the sign of (u*D - A*E) + (v*D - B*E)*sqrt(d), so no table
+        is widened.
+        """
+        x, u, v, E = self._domain(x)
+        k = self.kernel
+        d = k.d
+        if x.d and x.d != d:
+            if d:
+                raise MixedRadicalError("points span two quadratic fields")
+            d = x.d
+        u, v = u * k.D, v * k.D
+        # the last cut is 1, which x lies below
+        for j in range(1, len(cuts) - 1):
+            A, B = cuts[j]
+            if quadratic_sign(u - A * E, v - B * E, d) < 0:
+                return x, j, d
+        return x, len(cuts) - 1, d
 
     def apply(self, x) -> ExactScalar:
-        k, p = self._point(x)
-        return k.decode(k.step(p))
+        x, i, d = self._place(x, self.kernel.left)
+        if not self.flips[i - 1]:
+            t = self.disp[i - 1]
+            return ExactScalar._canonical(x.rat + t.rat, x.coef + t.coef, d)
+        if x == self.left[i - 1]:
+            return self.dest_lo[i - 1]
+        t = self.refl[i - 1]
+        return ExactScalar._canonical(t.rat - x.rat, t.coef - x.coef, d)
 
     def apply_inverse(self, y) -> ExactScalar:
-        k, p = self._point(y)
-        return k.decode(k.step_back(p))
+        y, j, d = self._place(y, self.kernel.slot_start)
+        i = self.permutation[j - 1]
+        if not self.flips[i - 1]:
+            t = self.disp[i - 1]
+            return ExactScalar._canonical(y.rat - t.rat, y.coef - t.coef, d)
+        if y == self.dest_lo[i - 1]:
+            return self.left[i - 1]
+        t = self.refl[i - 1]
+        return ExactScalar._canonical(t.rat - y.rat, t.coef - y.coef, d)
 
     def __repr__(self) -> str:
         lam = ", ".join(str(x) for x in self.lengths)
@@ -191,8 +223,9 @@ class _IntOrbit:
     All scalars of one exchange live in a single quadratic field, so a
     point is (A + B*sqrt(d))/D over a common denominator D.  Steps and
     comparisons are then pure integer arithmetic, and equal points are
-    equal pairs.  Each exchange builds its kernel once, over its own D;
-    widen() takes in points that need a larger D or name the field.
+    equal pairs.  Each exchange builds its kernel once, over its own D.
+    The point maps read its tables as they are; widen() takes in the
+    points and cuts of a walk that need a larger D or name the field.
     """
 
     def __init__(self, T: IETSpec):
@@ -231,7 +264,7 @@ class _IntOrbit:
                 s.coef.numerator * (D // s.coef.denominator))
 
     def decode(self, p) -> ExactScalar:
-        return ExactScalar(Fraction(p[0], self.D), Fraction(p[1], self.D), self.d)
+        return ExactScalar._canonical(Fraction(p[0], self.D), Fraction(p[1], self.D), self.d)
 
     def locate(self, cuts, p, side: int = 1) -> int:
         """1-based j with cuts[j-1] <= p + side*epsilon < cuts[j]."""
@@ -269,10 +302,13 @@ class _IntOrbit:
 
 
 def _walk(T: IETSpec, x0, n: int, extra=()):
-    """Kernel and encoded start point for an n-step walk from x0."""
+    """A kernel that also encodes extra, and the start point x0 of an
+    n-step walk on it."""
     if n < 0:
         raise ValueError("orbit length must be >= 0")
-    return T._point(x0, extra)
+    x0 = T._domain(x0)[0]
+    k = T.kernel.widen((*extra, x0))
+    return k, k.encode(x0)
 
 
 def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:
@@ -352,7 +388,7 @@ def _block_coding(T: IETSpec, cuts, letters, x0, n: int, strict: bool) -> str:
     """
     if n < 0:
         raise ValueError("orbit length must be >= 0")
-    x0 = T._domain(x0)
+    x0 = T._domain(x0)[0]
     walk = _Cylinders(T, cuts, letters, (x0,))
     m = 1
     while m < 64 and (2 * m) ** 3 * (len(cuts) - 1) <= n:

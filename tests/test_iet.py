@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ietword import iet
-from ietword.exact import (Interval, MixedRadicalError, ONE, ZERO, compare, make_quadratic,
-                           rational)
+from ietword.exact import (ExactScalar, Interval, MixedRadicalError, ONE, ZERO, compare,
+                           make_quadratic, rational)
 from ietword.iet import (
     BoundaryHit,
     CodingConfig,
@@ -567,7 +567,8 @@ def test_point_maps_match_scalar_oracle():
             for x in (0.5, "1/2", None):
                 with pytest.raises(TypeError):
                     point_map(x)
-    # the corpus reaches owned endpoints, widened kernels and other fields
+    # the corpus reaches owned endpoints, points off the kernel's denominator
+    # (a walk would widen it for them) and other fields
     assert owned and widened and foreign
 
 
@@ -579,11 +580,62 @@ def test_point_maps_reject_a_second_field():
                       lambda: natural_coding(F, x, 3)):
         with pytest.raises(MixedRadicalError, match="two quadratic fields"):
             point_map()
+    # the domain is checked before the field
+    for x in (make_quadratic(110, 100, 1, 100, 3), make_quadratic(-10, 100, 1, 100, 3)):
+        for point_map in (lambda: apply(F, x), lambda: apply_inverse(F, x), lambda: F.index_of(x)):
+            with pytest.raises(DomainError):
+                point_map()
     swap = build_iet([rational(1, 3), rational(2, 3)], (2, 1))
     y = make_quadratic(2, 8, 1, 8, 2)
     assert apply(swap, y) == make_quadratic(-2, 24, 3, 24, 2)
     assert apply_inverse(swap, make_quadratic(-2, 24, 3, 24, 2)) == y
     assert swap.index_of(y) == 2
+
+
+def _assert_canonical(x):
+    y = ExactScalar(x.rat, x.coef, x.d)
+    assert type(x.rat) is Fraction and type(x.coef) is Fraction, repr(x)
+    assert (x.rat, x.coef, x.d) == (y.rat, y.coef, y.d) and hash(x) == hash(y), repr(x)
+
+
+def test_scalars_come_back_canonical():
+    rng = random.Random(20075)
+    cancelled = owned = foreign = hits = 0
+    for case in range(60):
+        k = 1 + case % 6
+        d = (0, 2, 5)[case // 6 % 3]
+        T = _random_exchange(rng, k, d)
+        pts = [*T.left[:-1], *T.slot_start[:-1], _random_point(rng, d), _far_point(rng, d)]
+        # preimages of rational points, whose images drop the sqrt part
+        pts += [apply_inverse(T, _far_point(rng, 0)) for _ in range(2)]
+        if not d:
+            pts += [_random_point(rng, e) for e in (2, 5)] + [_far_point(rng, 3)]
+        for x in pts:
+            owned += x in T.left and T.flips[T.index_of(x) - 1]
+            for y in (apply(T, x), apply_inverse(T, x), *orbit(T, x, 6)):
+                _assert_canonical(y)
+                cancelled += bool(d and x.d and not y.d)
+                foreign += bool(not d and y.d)
+        natural = CodingConfig.natural(T)
+        for cfg in (natural, _scattered_config(rng, d or 2, "xy")):
+            # the cuts of a scattered config on a rational exchange lie in Q(sqrt 2)
+            codings = {coding_with_sets(T, cfg, x, 3, strict=False)
+                       for x in pts if x.d in (0, d or 2)}
+            for w in codings:
+                for iv in cylinder(T, cfg, w):
+                    _assert_canonical(iv.lo)
+                    _assert_canonical(iv.hi)
+            for length in cylinder_lengths(T, cfg, 3).values():
+                _assert_canonical(length)
+        for cut in T.left[1:-1]:
+            # the orbit of cut's preimage meets a cut by step 1
+            with pytest.raises(BoundaryHit) as e:
+                coding_with_sets(T, natural, apply_inverse(T, cut), 3)
+            _assert_canonical(e.value.point)
+            hits += 1
+    # the corpus reaches rational results on quadratic exchanges, owned
+    # flipped endpoints and quadratic points on rational exchanges
+    assert cancelled and owned and foreign and hits
 
 
 def test_cylinder_lengths_match_cylinders():
