@@ -11,10 +11,14 @@ finite search, and deciding it is what validate_evolution does.
 The validator reads its levels off the extension sets of the factor
 index (FactorSet.extensions): a vertex's in- and out-degree are the
 sizes of its left and right sets, and a follower arc disappears at
-level k when a (k+1)-factor a lacks a right extension of a[1:].  It
-checks strong connectivity on the top level only, and walks down the
-levels only when that check fails: a strongly connected (k+1)-graph
-makes the k-graph strongly connected too (proof in _Levels).
+level k when a (k+1)-factor a lacks a right extension of a[1:].  A
+level changes from the one below only at its special (branching)
+vertices, so the validator walks those alone: their crotches, their
+valences, and the deletions through their left extensions, plus the
+one deletion the end of a finite prefix can make elsewhere.  It checks
+strong connectivity on the top level only, and walks down the levels
+only when that check fails: a strongly connected (k+1)-graph makes the
+k-graph strongly connected too.  Both claims are proved in _Levels.
 RauzyGraph serves the DOT export and that connectivity check.
 
 Label bookkeeping, spelled out once:
@@ -254,8 +258,15 @@ class _Levels:
     v has in-arcs x + v for x in its left set and out-arcs v + y for y
     in its right set, and the follower arcs deleted at level k are
     (a, a[1:] + y) for each (k+1)-factor a and each y in
-    right(a[1:]) - right(a).  Vertices, arcs and letters are walked in
-    sorted order, which fixes the order of the witnesses and events.
+    right(a[1:]) - right(a).  Only the special vertices (two or more
+    arcs on a side) can carry a crotch or a valence violation, so only
+    they are walked, in sorted order.  Deletions are looked for only
+    through a = x + w, x in left(w), for w right-special or the word's
+    last k-window.  That finds them all:
+      right(a) lies inside right(a[1:]), so only right(a) empty deletes
+      at a[1:] with one out-arc, and only the last window has it empty.
+    The (a, y) hits are sorted, which fixes the order of the witnesses
+    and events.
 
     Strong connectivity is checked on the RauzyGraph of level k_max
     only, and the levels below are checked only when it fails.  That is
@@ -273,7 +284,7 @@ class _Levels:
 
     def __init__(self, fs: FactorSet, k_min: int, k_max: int):
         self.ext = {k: fs.extensions(k) for k in range(k_min, k_max + 1)}
-        verts = {k: sorted(ext) for k, ext in self.ext.items()}
+        word = fs.word
         self.in_crotches = {}
         self.out_crotches = {}
         self.static = {}
@@ -282,7 +293,9 @@ class _Levels:
             ext = self.ext[k]
             viol = []
             ins, outs, bispecial = [], [], []
-            for v in verts[k]:
+            may_lose = {word[len(word) - k:]}
+            for v in sorted(v for v, (left, right) in ext.items()
+                            if len(left) > 1 or len(right) > 1):
                 left, right = ext[v]
                 din, dout = len(left), len(right)
                 if din > 2 or dout > 2:
@@ -291,30 +304,32 @@ class _Levels:
                         f"in-degree {din}, out-degree {dout}"))
                 if din == 2:
                     ins.append(tuple(x + v for x in sorted(left)))
-                if dout == 2:
-                    outs.append(tuple(v + y for y in sorted(right)))
-                    if din == 2:
-                        bispecial.append(v)
+                if dout > 1:
+                    may_lose.add(v)
+                    if dout == 2:
+                        outs.append(tuple(v + y for y in sorted(right)))
+                        if din == 2:
+                            bispecial.append(v)
             self.in_crotches[k] = ins
             self.out_crotches[k] = outs
             if k < k_max:
                 ext1 = self.ext[k + 1]
+                hits = []
+                for w in may_lose:
+                    left, right = ext[w]
+                    for x in left:
+                        a = x + w
+                        hits.extend((a, y) for y in right - ext1[a][1])
                 by_vertex = {}
-                for a in verts[k + 1]:
+                for a, y in sorted(hits):
                     w = a[1:]
                     left, right = ext[w]
-                    kept = ext1[a][1]
-                    # right(a) lies inside right(a[1:]), so equal sizes
-                    # mean nothing is deleted
-                    if len(right) == len(kept):
-                        continue
-                    for y in sorted(right - kept):
-                        if len(left) == 2 and len(right) == 2:
-                            by_vertex.setdefault(w, []).append((a, w + y))
-                        else:
-                            viol.append(Witness(
-                                "unlicensed-deletion", k, (a + y,),
-                                f"vertex {w!r} is not bispecial"))
+                    if len(left) == 2 and len(right) == 2:
+                        by_vertex.setdefault(w, []).append((a, w + y))
+                    else:
+                        viol.append(Witness(
+                            "unlicensed-deletion", k, (a + y,),
+                            f"vertex {w!r} is not bispecial"))
                 for v in bispecial:
                     if v not in by_vertex:
                         viol.append(Witness(
@@ -408,9 +423,11 @@ def _screen_masks(levels: _Levels, K: int, k_max: int, oriented: bool,
         for v, m in marked.items():
             for u in levels.out_arcs(k - 1, v):
                 level_marked[u] = level_marked.get(u, 0) | m
-        marked = {v: m for v, m in level_marked.items() if m}
         failed[k] = alive & fail
         alive &= ~fail
+        # no later level reads a failed mask, so only live marks go on
+        marked = {v: live for v, m in level_marked.items()
+                  if (live := m & alive)}
     return alive & ~marked_any, alive & marked_any, failed
 
 

@@ -110,19 +110,39 @@ class FactorSet:
 
     def extensions(self, n: int) -> dict:
         """Every length-n factor mapped to its (left, right) frozensets of
-        one-letter extensions, read off the length-(n+1) factors."""
+        one-letter extensions, read off the length-(n+1) factors.
+
+        Like the counts, the levels are rolled down: level max_len - 1
+        from the keys of the max_len count, every lower level from the
+        keys of the level above it.  The (n+1)-factors are distinct, so
+        each (factor, letter) pair turns up once: one pass gathers the
+        letters on each side of each n-factor as a string, and each
+        distinct string becomes one frozenset, shared by every factor
+        with those letters.  Every n-factor ends some (n+1)-factor and
+        starts one, except that the word's first n-window may have no
+        left extension and its last n-window no right one.
+        """
+        if not 0 <= n < self.max_len:
+            raise ValueError(f"extensions of length-{n} factors are not indexed")
         got = self._extensions.get(n)
         if got is None:
-            if not 0 <= n < self.max_len:
-                raise ValueError(
-                    f"extensions of length-{n} factors are not indexed")
-            ext: dict[str, tuple[set, set]] = {}
-            for f in self.counts(n + 1):
-                ext.setdefault(f[1:], (set(), set()))[0].add(f[0])
-                ext.setdefault(f[:-1], (set(), set()))[1].add(f[-1])
-            got = {w: (frozenset(left), frozenset(right))
-                   for w, (left, right) in ext.items()}
-            self._extensions[n] = got
+            w = self.word
+            # the cached levels always run from some length up to max_len - 1
+            for m in range(min(self._extensions, default=self.max_len) - 1,
+                           n - 1, -1):
+                longer = (self._extensions[m + 1] if m + 1 < self.max_len
+                          else self.counts(m + 1))
+                lefts, rights = {w[:m]: ""}, {}
+                for f in longer:
+                    tail, head = f[1:], f[:-1]
+                    lefts[tail] = lefts.get(tail, "") + f[0]
+                    rights[head] = rights.get(head, "") + f[-1]
+                rights.setdefault(w[len(w) - m:], "")
+                shared = {s: frozenset(s)
+                          for s in {*lefts.values(), *rights.values()}}
+                self._extensions[m] = {
+                    v: (shared[lefts[v]], shared[s]) for v, s in rights.items()}
+            got = self._extensions[n]
         return got
 
     def factors_of_length(self, n: int) -> list[str]:

@@ -313,11 +313,23 @@ def test_export_dot_escapes_backslash_and_quote():
 
 # ---------------------------------------------------------- label search
 
+def near_miss_word():
+    """A natural 5-IET coding with one letter changed; from n = 2 on it
+    has more than 4n + 1 factors of length n, so no flip-free 5-IET
+    codes it."""
+    word = natural_coding(random_exact_iet(random.Random(0), 5), rational(0), 400)
+    return word[:250] + ("2" if word[250] == "1" else "1") + word[251:]
+
+
 LABEL_SEARCH_WORDS = [
     ("ababababbbaaabababbbbaabaaaababa", 6),            # 10 sides
     ("abbaabbaabbababbbaabbaaabbaabbabbabaabbaa", 6),   # marks / contradiction
     ("cbaacacbbbcacbbcbbbcbaac", 5),                    # 8 sides, 3 letters
     ("12222311222223122223112222231222231122222312222311222223122223112222231222231122222", 8),
+    # unoriented: minus marks go forward from level 6 to level 11
+    (natural_coding(flipped_witness_iet(), rational(0), 150), 11),
+    # oriented: masks die at levels 3, 4, 5 and 7
+    (near_miss_word(), 8),
 ]
 
 
@@ -447,7 +459,7 @@ def _levels_corpus():
 
 
 def test_levels_match_graph_reference(monkeypatch):
-    kinds, verdicts, mixed = set(), set(), 0
+    kinds, verdicts, mixed, last_window = set(), set(), 0, 0
     for word, k_max in _levels_corpus():
         fs = FactorSet(word, k_max + 1)
         for k_min in (1, 3):
@@ -463,6 +475,12 @@ def test_levels_match_graph_reference(monkeypatch):
             cut = [k for k, ws in got.static.items()
                    if any(w.kind == "not-strongly-connected" for w in ws)]
             mixed += bool(cut) and min(cut) > k_min
+            # deletions at a vertex with one out-arc, which only the
+            # word's last window can make
+            last_window += sum(
+                len(fs.extensions(w.k)[w.factors[0][1:-1]][1]) < 2
+                for ws in got.static.values() for w in ws
+                if w.kind == "unlicensed-deletion")
             for oriented in (False, True):
                 new = vars(validate_evolution(fs, k_min, k_max, oriented))
                 with monkeypatch.context() as m:
@@ -476,6 +494,15 @@ def test_levels_match_graph_reference(monkeypatch):
     assert verdicts == kinds | {"label-contradiction", "accepted",
                                 "accepted-from-K"}
     assert mixed > 10
+    assert last_window > 10
+
+
+def test_last_window_deletes_at_a_one_arc_vertex():
+    # vertex ab has the one out-arc aba, but the word's last 3-window bab
+    # has no right extension, so the follower arc bab -> aba is deleted
+    levels = rauzy._Levels(FactorSet("aabab", 4), 1, 3)
+    assert str(levels.static[2][0]) == \
+        "unlicensed-deletion at k=2: baba (vertex 'ab' is not bispecial)"
 
 
 # ------------------------------------------------------------ properties

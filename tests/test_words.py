@@ -74,6 +74,21 @@ def probed_extensions(fs, n):
             for w in fs.counts(n)}
 
 
+def assert_extensions_any_order(word, max_len, shuffle):
+    """Roll the extension sets down from each first level: 0, the top and
+    one in the middle, then the rest in shuffled order, each on a fresh
+    index; every level must match the letter probe, and a second call
+    must hand back the cached dict."""
+    for first in (0, max_len - 1, max_len // 2):
+        fs = factors(word, max_len)
+        rest = [n for n in range(max_len) if n != first]
+        shuffle(rest)
+        got = {n: fs.extensions(n) for n in [first, *rest]}
+        for n, ext in got.items():
+            assert ext == probed_extensions(fs, n)
+            assert fs.extensions(n) is ext
+
+
 def test_counts_small_examples():
     assert dict(factors("abaab", 2).counts(2)) == {"ab": 2, "ba": 1, "aa": 1}
     assert dict(factors("aaaa", 3).counts(3)) == {"aaa": 2}
@@ -203,20 +218,17 @@ def test_special_factors_validation():
 @pytest.mark.parametrize("word", [FIB, TM, TRI, silver_word(6000)],
                          ids=["fibonacci", "thue-morse", "tribonacci", "silver"])
 def test_extensions_match_letter_probe(word):
+    assert_extensions_any_order(word, 24, random.Random(len(word)).shuffle)
     fs = factors(word, 24)
-    for n in range(24):
-        assert fs.extensions(n) == probed_extensions(fs, n)
     for n in (-1, 24):
         with pytest.raises(ValueError):
             fs.extensions(n)
 
 
 @settings(max_examples=60)
-@given(st.text(alphabet="abc", min_size=1, max_size=60))
-def test_extensions_match_letter_probe_random(w):
-    fs = factors(w, len(w))
-    for n in range(len(w)):
-        assert fs.extensions(n) == probed_extensions(fs, n)
+@given(st.text(alphabet="abc", min_size=1, max_size=60), st.randoms())
+def test_extensions_match_letter_probe_random(w, rng):
+    assert_extensions_any_order(w, len(w), rng.shuffle)
 
 
 def test_bispecial_fibonacci_lengths():
