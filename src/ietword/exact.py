@@ -134,10 +134,6 @@ class ExactScalar:
     def s(self) -> int:
         return self.coef.denominator
 
-    @property
-    def is_rational(self) -> bool:
-        return self.d == 0
-
     def _join_d(self, other: "ExactScalar") -> int:
         if self.d == 0:
             return other.d

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .words import FactorSet
 
-__all__ = ["OrderPair", "OrderReport", "check_orders", "extension_sets",
-           "interval_orders", "order_pairs", "search_orders"]
+__all__ = ["OrderPair", "OrderReport", "check_orders", "interval_orders",
+           "order_pairs", "search_orders"]
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,6 @@ class OrderPair:
 
     def rank1(self, x) -> int:
         return self.pi1.index(x)
-
-
-def extension_sets(fs: FactorSet, w: str):
-    """Left and right one-letter extension sets of a factor."""
-    if len(w) + 1 > fs.max_len:
-        raise ValueError(f"extensions of {w!r} lie outside the indexed window")
-    try:
-        return fs.extensions(len(w))[w]
-    except KeyError:
-        raise ValueError(f"{w!r} is not a factor") from None
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,12 @@ level k when a (k+1)-factor a lacks a right extension of a[1:].  A
 level changes from the one below only at its special (branching)
 vertices, so the validator walks those alone: their crotches, their
 valences, and the deletions through their left extensions, plus the
-one deletion the end of a finite prefix can make elsewhere.  It checks
-strong connectivity on the top level only, and walks down the levels
-only when that check fails: a strongly connected (k+1)-graph makes the
-k-graph strongly connected too.  Both claims are proved in _Levels.
-RauzyGraph serves the DOT export and that connectivity check.
+one deletion the end of a finite prefix can make elsewhere.  Strong
+connectivity is read off the same extension sets (strongly_connected),
+on the top level only, walking down the levels only when that check
+fails: a strongly connected (k+1)-graph makes the k-graph strongly
+connected too.  Both claims are proved in _Levels.  RauzyGraph serves
+only the DOT export of `ietword rauzy`.
 
 Label bookkeeping, spelled out once:
 
@@ -34,25 +35,22 @@ Label bookkeeping, spelled out once:
 * a minus mark on a vertex forces marks on all arcs leaving it, seen
   as vertices one level up (marks flow forward only);
 * oriented mode forbids marks entirely.
+
+_check_assignment is the one implementation of these rules;
+_screen_masks applies them to many base labelings at once, as bitsets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .words import FactorSet
 
 __all__ = [
-    "DiGraph",
     "EvolutionReport",
-    "LabeledDiGraph",
-    "LabeledRauzyGraph",
     "RauzyGraph",
     "Witness",
     "build_k_graph",
     "export_dot",
-    "follower",
-    "is_subgraph_of_follower",
-    "label_follower",
     "strongly_connected",
     "validate_evolution",
 ]
@@ -96,52 +94,15 @@ class RauzyGraph:
     def out_degree(self, v: str) -> int:
         return len(self._out[v])
 
-    def successors(self, v: str):
-        return [a[1:] for a in self._out[v]]
 
-    def predecessors(self, v: str):
-        return [a[:-1] for a in self._in[v]]
-
-
-class DiGraph:
-    """Generic digraph over hashable vertices with explicit arc pairs."""
-
-    def __init__(self, vertices, arcs):
-        self.vertices = tuple(vertices)
-        self.arcs = tuple(arcs)
-        self._succ = {v: [] for v in self.vertices}
-        self._pred = {v: [] for v in self.vertices}
-        for u, v in self.arcs:
-            self._succ[u].append(v)
-            self._pred[v].append(u)
-
-    def successors(self, v):
-        return self._succ[v]
-
-    def predecessors(self, v):
-        return self._pred[v]
+def _check_level(fs: FactorSet, k: int) -> None:
+    if k < 1 or k + 1 > fs.max_len:
+        raise ValueError(f"k = {k} outside the indexed window")
 
 
 def build_k_graph(fs: FactorSet, k: int) -> RauzyGraph:
-    if k < 1 or k + 1 > fs.max_len:
-        raise ValueError(f"k = {k} outside the indexed window")
+    _check_level(fs, k)
     return RauzyGraph(k, fs.counts(k).keys(), fs.counts(k + 1).keys())
-
-
-def follower(g: RauzyGraph) -> DiGraph:
-    """Line graph: vertices are g's arcs, adjacency is head-meets-tail."""
-    arcs = []
-    for a in g.arcs:
-        for b in g.out_arcs(g.head(a)):
-            arcs.append((a, b))
-    return DiGraph(g.arcs, arcs)
-
-
-def is_subgraph_of_follower(g_k: RauzyGraph, g_k1: RauzyGraph) -> bool:
-    if g_k1.k != g_k.k + 1:
-        raise ValueError(f"graphs are levels {g_k.k} and {g_k1.k}, not consecutive")
-    arcset = set(g_k.arcs)
-    return all(w[:-1] in arcset and w[1:] in arcset for w in g_k1.arcs)
 
 
 def _bfs(start, neighbors) -> set:
@@ -156,68 +117,17 @@ def _bfs(start, neighbors) -> set:
     return seen
 
 
-def strongly_connected(g) -> bool:
-    """True when every vertex reaches every other; singletons pass."""
-    if len(g.vertices) <= 1:
-        return True
-    start = g.vertices[0]
-    n = len(set(g.vertices))
-    return len(_bfs(start, g.successors)) == n and len(_bfs(start, g.predecessors)) == n
-
-
-@dataclass(frozen=True)
-class LabeledRauzyGraph:
-    base: RauzyGraph
-    in_labels: dict
-    out_labels: dict
-    marks: frozenset = frozenset()
-
-    def __post_init__(self):
-        g = self.base
-        for v in g.vertices:
-            if g.in_degree(v) > 2 or g.out_degree(v) > 2:
-                raise ValueError(f"vertex {v!r} has a side of degree > 2")
-        self._check_side(g, "in", self.in_labels, g.in_arcs, g.in_degree)
-        self._check_side(g, "out", self.out_labels, g.out_arcs, g.out_degree)
-
-    @staticmethod
-    def _check_side(g, name, labels, arcs_of, degree):
-        labeled = set(labels)
-        expected = set()
-        for v in g.vertices:
-            if degree(v) == 2:
-                a, b = arcs_of(v)
-                expected.update((a, b))
-                if {labels.get(a), labels.get(b)} != {"l", "r"}:
-                    raise ValueError(
-                        f"{name}-arcs of {v!r} must carry distinct l/r labels")
-        if labeled != expected:
-            raise ValueError(f"{name}-labels exist away from degree-2 sides")
-
-
-@dataclass(frozen=True)
-class LabeledDiGraph:
-    graph: DiGraph
-    in_labels: dict
-    out_labels: dict
-    marks: frozenset = frozenset()
-
-
-def label_follower(lg: LabeledRauzyGraph) -> LabeledDiGraph:
-    """Push labels one level up; inheritance is deterministic."""
-    g = lg.base
-    fol = follower(g)
-    in_labels = {}
-    out_labels = {}
-    for a, b in fol.arcs:
-        # (a, b) enters follower-vertex b whose in-side mirrors the
-        # in-side of b's tail vertex; same for the out-side of a's head
-        if g.in_degree(g.tail(b)) == 2:
-            in_labels[(a, b)] = lg.in_labels[a]
-        if g.out_degree(g.head(a)) == 2:
-            out_labels[(a, b)] = lg.out_labels[b]
-    marks = frozenset(u for u in fol.vertices if g.tail(u) in lg.marks)
-    return LabeledDiGraph(fol, in_labels, out_labels, marks)
+def strongly_connected(fs: FactorSet, k: int) -> bool:
+    """True when every vertex of the k-graph reaches every other; a lone
+    vertex passes.  The graph is read off the extension sets: a k-factor
+    v has successors v[1:] + y for y in right(v) and predecessors
+    x + v[:-1] for x in left(v)."""
+    _check_level(fs, k)
+    ext = fs.extensions(k)
+    start = next(iter(ext))
+    n = len(ext)
+    return (len(_bfs(start, lambda v: [v[1:] + y for y in ext[v][1]])) == n
+            and len(_bfs(start, lambda v: [x + v[:-1] for x in ext[v][0]])) == n)
 
 
 @dataclass(frozen=True)
@@ -268,7 +178,7 @@ class _Levels:
     The (a, y) hits are sorted, which fixes the order of the witnesses
     and events.
 
-    Strong connectivity is checked on the RauzyGraph of level k_max
+    Strong connectivity is checked on the extension sets of level k_max
     only, and the levels below are checked only when it fails.  That is
     enough: for k < k_max, if the (k+1)-graph is strongly connected, so
     is the k-graph.  The vertices of the (k+1)-graph are the arcs of the
@@ -338,7 +248,7 @@ class _Levels:
                 self.events[k] = by_vertex
             self.static[k] = viol
         k = k_max
-        while k >= k_min and not strongly_connected(build_k_graph(fs, k)):
+        while k >= k_min and not strongly_connected(fs, k):
             self.static[k].append(Witness("not-strongly-connected", k, (), ""))
             k -= 1
 
@@ -537,38 +447,16 @@ def validate_evolution(fs: FactorSet, k_min: int, k_max: int,
     return EvolutionReport(window, "rejected", None, oriented, last_witness)
 
 
-def _dot_name(x, suffix: str = "") -> str:
-    """x, a tuple's parts joined by |, plus suffix, as a quoted DOT
-    string; a backslash is escaped before a quote is."""
-    if isinstance(x, tuple):
-        x = "|".join(x)
-    text = str(x) + suffix
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _dot_name(x: str) -> str:
+    """x as a quoted DOT string; a backslash is escaped before a quote is."""
+    return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(g) -> str:
-    """Deterministic DOT text for plain or labeled graphs."""
-    in_labels = {}
-    out_labels = {}
-    marks = frozenset()
-    if isinstance(g, (LabeledRauzyGraph, LabeledDiGraph)):
-        in_labels, out_labels, marks = g.in_labels, g.out_labels, g.marks
-        g = g.base if isinstance(g, LabeledRauzyGraph) else g.graph
+def export_dot(g: RauzyGraph) -> str:
+    """Deterministic DOT text: vertices, then arcs, both sorted."""
     lines = ["digraph rauzy {"]
-    for v in sorted(g.vertices):
-        attr = f" [label={_dot_name(v, ' -')}]" if v in marks else ""
-        lines.append(f"  {_dot_name(v)}{attr};")
-    if isinstance(g, RauzyGraph):
-        arc_ends = [(a[:-1], a[1:], a) for a in g.arcs]
-    else:
-        arc_ends = [(u, v, (u, v)) for u, v in g.arcs]
-    for u, v, key in sorted(arc_ends):
-        tags = []
-        if key in in_labels:
-            tags.append(f"in={in_labels[key]}")
-        if key in out_labels:
-            tags.append(f"out={out_labels[key]}")
-        attr = f' [label="{" ".join(tags)}"]' if tags else ""
-        lines.append(f"  {_dot_name(u)} -> {_dot_name(v)}{attr};")
+    lines += [f"  {_dot_name(v)};" for v in g.vertices]
+    # arcs of one length sort as their (tail, head) pairs do
+    lines += [f"  {_dot_name(a[:-1])} -> {_dot_name(a[1:])};" for a in g.arcs]
     lines.append("}")
     return "\n".join(lines) + "\n"

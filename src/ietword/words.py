@@ -145,9 +145,6 @@ class FactorSet:
             got = self._extensions[n]
         return got
 
-    def factors_of_length(self, n: int) -> list[str]:
-        return sorted(self.counts(n))
-
     def __contains__(self, factor: str) -> bool:
         if len(factor) > self.max_len:
             raise ValueError(f"factor longer than the index ({self.max_len})")

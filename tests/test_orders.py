@@ -9,7 +9,6 @@ from ietword.iet import build_iet, check_regular, natural_coding
 from ietword.orders import (
     OrderPair,
     check_orders,
-    extension_sets,
     interval_orders,
     search_orders,
 )
@@ -44,18 +43,17 @@ def silver_fs(max_len=14):
 
 def test_extension_sets_fibonacci():
     fs = fib_fs()
-    assert extension_sets(fs, "a") == (frozenset("ab"), frozenset("ab"))
-    assert extension_sets(fs, "b") == (frozenset("a"), frozenset("a"))
+    assert fs.extensions(1)["a"] == (frozenset("ab"), frozenset("ab"))
+    assert fs.extensions(1)["b"] == (frozenset("a"), frozenset("a"))
     # the empty factor extends by every letter on both sides
-    assert extension_sets(fs, "") == (frozenset("ab"), frozenset("ab"))
+    assert fs.extensions(0)[""] == (frozenset("ab"), frozenset("ab"))
 
 
 def test_extension_sets_errors():
     fs = fib_fs(6)
+    assert "bb" not in fs.extensions(2)
     with pytest.raises(ValueError):
-        extension_sets(fs, "bb")
-    with pytest.raises(ValueError):
-        extension_sets(fs, "a" * 6)
+        fs.extensions(6)
 
 
 def test_order_pair_validation():

@@ -7,15 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from ietword.exact import make_quadratic, rational
 from ietword.iet import build_iet, natural_coding
 from ietword.rauzy import (
-    DiGraph,
-    LabeledRauzyGraph,
     RauzyGraph,
     Witness,
     build_k_graph,
     export_dot,
-    follower,
-    is_subgraph_of_follower,
-    label_follower,
     strongly_connected,
     validate_evolution,
 )
@@ -82,78 +77,68 @@ def test_build_k_graph_window():
     assert build_k_graph(fs, 4).k == 4
 
 
-def test_follower_of_fibonacci_k1():
-    fol = follower(build_k_graph(fib_fs(), 1))
-    assert set(fol.vertices) == {"aa", "ab", "ba"}
-    assert set(fol.arcs) == {
-        ("aa", "aa"), ("aa", "ab"), ("ab", "ba"), ("ba", "aa"), ("ba", "ab")}
+def inside_follower(fs: FactorSet, k: int) -> bool:
+    """The (k+1)-graph sits inside the follower of the k-graph: every
+    (k+2)-factor's prefix and suffix are (k+1)-factors."""
+    arcs = fs.counts(k + 1)
+    return all(w[:-1] in arcs and w[1:] in arcs for w in fs.counts(k + 2))
 
 
 def test_next_graph_sits_inside_follower():
     fs = fib_fs()
-    g1, g2 = build_k_graph(fs, 1), build_k_graph(fs, 2)
-    assert is_subgraph_of_follower(g1, g2)
+    assert inside_follower(fs, 1)
     # exactly one follower arc is unused: aa -> aa would spell aaa
-    used = {(w[:-1], w[1:]) for w in g2.arcs}
-    assert set(follower(g1).arcs) - used == {("aa", "aa")}
-
-
-def test_subgraph_check_needs_consecutive_levels():
-    fs = fib_fs()
-    with pytest.raises(ValueError):
-        is_subgraph_of_follower(build_k_graph(fs, 1), build_k_graph(fs, 3))
+    arcs = fs.counts(2)
+    follower = {a + b[-1] for a in arcs for b in arcs if a[1:] == b[:-1]}
+    assert follower - set(fs.counts(3)) == {"aaa"}
 
 
 def test_strongly_connected():
-    assert strongly_connected(build_k_graph(fib_fs(), 1))
-    assert strongly_connected(RauzyGraph(1, ["a"], ["aa"]))
-    assert not strongly_connected(DiGraph(["x", "y"], [("x", "x")]))
-    assert not strongly_connected(DiGraph(["x", "y"], [("x", "y")]))
+    assert strongly_connected(fib_fs(), 1)
+    assert strongly_connected(FactorSet("aaa", 2), 1)
+    # b has no out-arc, then no in-arc
+    assert not strongly_connected(FactorSet("aab", 2), 1)
+    assert not strongly_connected(FactorSet("baa", 2), 1)
+    # a cycle through every vertex, and two cycles joined one way
+    assert strongly_connected(FactorSet("abcab", 2), 1)
+    assert not strongly_connected(FactorSet("aaabbb", 2), 1)
+    for k in (0, 2):
+        with pytest.raises(ValueError):
+            strongly_connected(FactorSet("aab", 2), k)
 
 
 # ---------------------------------------------------------------- labels
 
-def fib_labeling():
-    g = build_k_graph(fib_fs(), 1)
-    return LabeledRauzyGraph(
-        g,
-        in_labels={"aa": "l", "ba": "r"},
-        out_labels={"aa": "l", "ab": "r"})
+def check_fib_labeling(out_labels, oriented=False):
+    # vertex a of the Fibonacci 1-graph is bispecial, and its follower
+    # arc aa -> aa is deleted: aaa is no factor
+    levels = rauzy._Levels(fib_fs(), 1, 3)
+    return rauzy._check_assignment(
+        levels, 1, 3, oriented, {1: {"aa": "l", "ba": "r"}}, {1: out_labels})
 
 
-def test_labeling_validation():
-    g = build_k_graph(fib_fs(), 1)
-    fib_labeling()
-    with pytest.raises(ValueError):  # missing label on a crotch arc
-        LabeledRauzyGraph(g, {"aa": "l"}, {"aa": "l", "ab": "r"})
-    with pytest.raises(ValueError):  # both arcs same letter
-        LabeledRauzyGraph(g, {"aa": "l", "ba": "l"}, {"aa": "l", "ab": "r"})
-    with pytest.raises(ValueError):  # label on a degree-1 side
-        LabeledRauzyGraph(
-            g, {"aa": "l", "ba": "r"},
-            {"aa": "l", "ab": "r", "ba": "l"})
+def test_check_assignment_inherits_labels():
+    in_l, out_l, marks = check_fib_labeling({"aa": "r", "ab": "l"})
+    # an arc keeps the in-label of its prefix one level down, and the
+    # out-label of its suffix; "ab" is the 2-graph's one in-crotch, "ba"
+    # its one out-crotch, "aba" the 3-graph's two
+    assert in_l[2] == {"aab": "l", "bab": "r"}
+    assert out_l[2] == {"baa": "r", "bab": "l"}
+    assert in_l[3] == {"aaba": "l", "baba": "r"}
+    assert out_l[3] == {"abaa": "r", "abab": "l"}
+    # aa -> aa carries mixed labels, so nothing is marked
+    assert marks == {1: frozenset(), 2: frozenset(), 3: frozenset()}
 
 
-def test_label_follower_inherits():
-    lf = label_follower(fib_labeling())
-    # arcs into follower-vertex "aa" keep the in-label of their first leg
-    assert lf.in_labels[("ba", "aa")] == "r"
-    assert lf.in_labels[("aa", "aa")] == "l"
-    # arcs out of follower-vertex "ba" keep the out-label of their last leg
-    assert lf.out_labels[("ba", "aa")] == "l"
-    assert lf.out_labels[("ba", "ab")] == "r"
-    # "ab" enters vertex "b" of in-degree one: no label there
-    assert ("ab", "ba") not in lf.in_labels
-    assert lf.marks == frozenset()
-
-
-def test_label_follower_marks_flow_forward():
-    g = build_k_graph(fib_fs(), 1)
-    lg = LabeledRauzyGraph(
-        g, {"aa": "l", "ba": "r"}, {"aa": "l", "ab": "r"},
-        marks=frozenset({"a"}))
-    lf = label_follower(lg)
-    assert lf.marks == frozenset({"aa", "ab"})
+def test_check_assignment_marks_flow_forward():
+    # equal labels on aa -> aa mark vertex a, and the mark flows to the
+    # arcs leaving each marked vertex, one level up
+    _, _, marks = check_fib_labeling({"aa": "l", "ab": "r"})
+    assert marks == {1: frozenset({"a"}), 2: frozenset({"aa", "ab"}),
+                     3: frozenset({"aab", "aba"})}
+    witness = check_fib_labeling({"aa": "l", "ab": "r"}, oriented=True)
+    assert str(witness) == ("label-contradiction at k=1: a (equal-label "
+                            "deletion requires a minus mark, oriented mode)")
 
 
 # ------------------------------------------------------------- validator
@@ -277,19 +262,8 @@ def test_export_dot_self_loop_minimal():
     ]
 
 
-def test_export_dot_labeled():
-    lg = fib_labeling()
-    dot = export_dot(lg)
-    assert '[label="in=l out=l"]' in dot
-    marked = LabeledRauzyGraph(
-        lg.base, dict(lg.in_labels), dict(lg.out_labels),
-        marks=frozenset({"a"}))
-    assert '[label="a -"]' in export_dot(marked)
-
-
 DOT_STRING = r'"(?:[^"\\]|\\.)*"'
-DOT_LINE = re.compile(
-    rf'  {DOT_STRING}(?: -> {DOT_STRING})?(?: \[label={DOT_STRING}\])?;')
+DOT_LINE = re.compile(rf'  {DOT_STRING}(?: -> {DOT_STRING})?;')
 
 
 def test_export_dot_escapes_backslash_and_quote():
@@ -299,15 +273,7 @@ def test_export_dot_escapes_backslash_and_quote():
     assert r'  "\\" -> "a";' in lines
     quoted = export_dot(build_k_graph(FactorSet('a"ab"a', 2), 1)).splitlines()
     assert '  "\\"" -> "a";' in quoted
-    every = lines[1:-1] + quoted[1:-1]
-    for letter, vertex in (("\\", r'  "\\" [label="\\ -"];'),
-                           ('"', r'  "\"" [label="\" -"];')):
-        base = build_k_graph(FactorSet(f"a{letter}" * 3, 2), 1)
-        marked = LabeledRauzyGraph(base, {}, {}, marks=frozenset({letter}))
-        dot = export_dot(marked).splitlines()
-        assert vertex in dot
-        every += dot[1:-1]
-    for line in every:
+    for line in lines[1:-1] + quoted[1:-1]:
         assert DOT_LINE.fullmatch(line), line
 
 
@@ -369,6 +335,28 @@ def test_label_search_matches_one_by_one(word, k_max, block_bits, monkeypatch):
 
 # --------------------------------------------------------------- levels
 
+def _bfs(start, neighbors) -> set:
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        v = frontier.pop()
+        for u in neighbors(v):
+            if u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    return seen
+
+
+def graph_strongly_connected(g: RauzyGraph) -> bool:
+    """Reference check: two searches on the RauzyGraph itself."""
+    if len(g.vertices) <= 1:
+        return True
+    start = g.vertices[0]
+    n = len(g.vertices)
+    return (len(_bfs(start, lambda v: [a[1:] for a in g.out_arcs(v)])) == n
+            and len(_bfs(start, lambda v: [a[:-1] for a in g.in_arcs(v)])) == n)
+
+
 class _levels_reference:
     """Precomputed per-level graphs, static violations and deletions."""
 
@@ -411,7 +399,7 @@ class _levels_reference:
                             "strong-bispecial", k, (v,),
                             "all four follower arcs survive"))
                 self.events[k] = by_vertex
-            if not strongly_connected(g):
+            if not graph_strongly_connected(g):
                 viol.append(Witness("not-strongly-connected", k, (), ""))
             self.static[k] = viol
 
@@ -465,6 +453,10 @@ def test_levels_match_graph_reference(monkeypatch):
         for k_min in (1, 3):
             got = rauzy._Levels(fs, k_min, k_max)
             ref = _GraphLevels(fs, k_min, k_max)
+            assert [strongly_connected(fs, k) for k in ref.graphs] == \
+                [graph_strongly_connected(g) for g in ref.graphs.values()]
+            assert all(fs.extensions(k).keys() == fs.counts(k).keys()
+                       for k in ref.graphs)
             assert got.static == ref.static, word
             assert got.events == ref.events, word
             assert [list(ev) for ev in got.events.values()] == \
@@ -497,6 +489,15 @@ def test_levels_match_graph_reference(monkeypatch):
     assert last_window > 10
 
 
+def test_validator_counts_the_top_level_only():
+    # connectivity fails at levels 4 to 6, so the check walks down to 3
+    fs = FactorSet("aab" * 10 + "ba" * 10, 7)
+    levels = rauzy._Levels(fs, 1, 6)
+    assert [k for k, ws in levels.static.items()
+            if any(w.kind == "not-strongly-connected" for w in ws)] == [4, 5, 6]
+    assert list(fs._counts) == [7]
+
+
 def test_last_window_deletes_at_a_one_arc_vertex():
     # vertex ab has the one out-arc aba, but the word's last 3-window bab
     # has no right extension, so the follower arc bab -> aba is deleted
@@ -525,8 +526,7 @@ def test_graph_counts_match_complexity(w):
 def test_next_graph_always_inside_follower(w):
     fs = FactorSet(w, 8)
     for k in range(1, 6):
-        assert is_subgraph_of_follower(
-            build_k_graph(fs, k), build_k_graph(fs, k + 1))
+        assert inside_follower(fs, k)
 
 
 @settings(max_examples=100)
@@ -538,9 +538,12 @@ def test_connected_level_has_connected_level_below(w):
     # the validator checks strong connectivity at its top level only,
     # and walks down only when that check fails
     fs = FactorSet(w, 10)
+    for k in range(1, 10):
+        assert strongly_connected(fs, k) == \
+            graph_strongly_connected(build_k_graph(fs, k))
     for k in range(1, 9):
-        if strongly_connected(build_k_graph(fs, k + 1)):
-            assert strongly_connected(build_k_graph(fs, k))
+        if strongly_connected(fs, k + 1):
+            assert strongly_connected(fs, k)
 
 
 @settings(max_examples=50)

@@ -54,3 +54,54 @@ def test_no_module_imports_private_names():
     crossings = {path.name: private_imports(path.read_text())
                  for path in modules}
     assert {name: got for name, got in crossings.items() if got} == {}
+
+
+def unused_names(source: str) -> list[str]:
+    """Names a module imports but never reads, then names its `__all__`
+    lists but the module does not bind at its top level."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.asname or alias.name.split(".")[0]
+                         for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    bound.add(target.id)
+                    if target.id == "__all__":
+                        exported = ast.literal_eval(node.value)
+    return ([name for name in imported
+             if name not in read and name not in exported]
+            + [name for name in exported if name not in bound])
+
+
+def test_guard_sees_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "from dataclasses import dataclass, field\n"
+              "from .words import FactorSet as FS, factors\n"
+              "__all__ = ['factors', 'Graph', 'gone', 'LIMIT']\n"
+              "LIMIT: int = 3\n"
+              "@dataclass\n"
+              "class Graph:\n"
+              "    fs: FS\n")
+    assert unused_names(source) == ["os", "field", "gone"]
+
+
+def test_no_module_has_unused_names():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 8
+    found = {path.name: unused_names(path.read_text()) for path in modules}
+    assert {name: got for name, got in found.items() if got} == {}
