@@ -106,13 +106,18 @@ def parse_iet_config(text: str):
         if x.d not in (0, d):
             raise ConfigError(ln_len, f"scalar radicand {x.d} does not match d={d}")
     ln_p, perm = ints("perm")
+    if sorted(perm) != list(range(1, k + 1)):
+        raise ConfigError(ln_p, f"permutation {tuple(perm)} is not a bijection of 1..{k}")
     ln_f, flips = ints("flips")
+    if len(flips) != k:
+        raise ConfigError(ln_f, "flips length does not match lengths")
     if any(f not in (0, 1) for f in flips):
         raise ConfigError(ln_f, "flips wants 0/1 entries")
+    # the fields are well formed, so what the exchange refuses is its lengths
     try:
         T = build_iet(lengths, perm, [bool(f) for f in flips])
     except ValueError as e:
-        raise ConfigError(ln_p, str(e)) from None
+        raise ConfigError(ln_len, str(e)) from None
     return T, (sets or None)
 
 

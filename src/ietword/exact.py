@@ -117,23 +117,6 @@ class ExactScalar:
         x.__dict__.update(rat=rat, coef=coef, d=d if coef else 0)
         return x
 
-    # numerator/denominator views of the two components
-    @property
-    def p(self) -> int:
-        return self.rat.numerator
-
-    @property
-    def q(self) -> int:
-        return self.rat.denominator
-
-    @property
-    def r(self) -> int:
-        return self.coef.numerator
-
-    @property
-    def s(self) -> int:
-        return self.coef.denominator
-
     def _join_d(self, other: "ExactScalar") -> int:
         if self.d == 0:
             return other.d

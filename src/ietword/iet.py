@@ -35,10 +35,8 @@ __all__ = [
     "coding_with_sets",
     "cylinder",
     "cylinder_lengths",
-    "displacement",
     "essential_codings",
     "longest_cylinder",
-    "mechanical_word",
     "natural_coding",
     "orbit",
 ]
@@ -125,10 +123,6 @@ class IETSpec:
         self._check_index(i)
         return Interval(self.left[i - 1], self.left[i])
 
-    def image_interval(self, i: int) -> Interval:
-        self._check_index(i)
-        return Interval(self.dest_lo[i - 1], self.dest_lo[i - 1] + self.lengths[i - 1])
-
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.k:
             raise IndexError(f"interval index {i} out of 1..{self.k}")
@@ -202,13 +196,6 @@ def build_iet(lengths, permutation, flips=None) -> IETSpec:
     return IETSpec(lengths, permutation, flips)
 
 
-def displacement(T: IETSpec, i: int) -> ExactScalar:
-    T._check_index(i)
-    if T.flips[i - 1]:
-        raise ValueError(f"interval {i} is flipped; no translation displacement")
-    return T.disp[i - 1]
-
-
 def apply(T: IETSpec, x) -> ExactScalar:
     return T.apply(x)
 
@@ -277,10 +264,9 @@ class _IntOrbit:
                 return j
         raise AssertionError("unreachable: the cuts cover [0,1)")
 
-    def step(self, p, i: int | None = None):
-        """T(p), with i the index of the interval holding p if known."""
-        if i is None:
-            i = self.locate(self.left, p)
+    def step(self, p):
+        """The image of p under T."""
+        i = self.locate(self.left, p)
         if not self.flips[i - 1]:
             d = self.disp[i - 1]
             return (p[0] + d[0], p[1] + d[1])
@@ -301,18 +287,12 @@ class _IntOrbit:
         return (r[0] - p[0], r[1] - p[1])
 
 
-def _walk(T: IETSpec, x0, n: int, extra=()):
-    """A kernel that also encodes extra, and the start point x0 of an
-    n-step walk on it."""
+def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:
     if n < 0:
         raise ValueError("orbit length must be >= 0")
     x0 = T._domain(x0)[0]
-    k = T.kernel.widen((*extra, x0))
-    return k, k.encode(x0)
-
-
-def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:
-    stepper, p = _walk(T, x0, n)
+    stepper = T.kernel.widen((x0,))
+    p = stepper.encode(x0)
     pts = []
     for _ in range(n):
         pts.append(stepper.decode(p))
@@ -325,7 +305,7 @@ def natural_coding(T: IETSpec, x0, n: int, letters: str | None = None) -> str:
         letters = DEFAULT_LETTERS
     if len(letters) < T.k:
         raise ValueError(f"need {T.k} letters, got {len(letters)}")
-    return _block_coding(T, T.left, list(letters[:T.k]), x0, n, strict=False)
+    return _block_coding(T, T.left, list(letters[:T.k]), x0, n)[0]
 
 
 class CodingConfig:
@@ -374,17 +354,21 @@ def _piece_cuts(config: CodingConfig):
 
 
 def coding_with_sets(T: IETSpec, config: CodingConfig, x0, n: int, strict: bool = True) -> str:
-    return _block_coding(T, *_piece_cuts(config), x0, n, strict)
+    return _block_coding(T, *_piece_cuts(config), x0, n, strict)[0]
 
 
-def _block_coding(T: IETSpec, cuts, letters, x0, n: int, strict: bool) -> str:
-    """The first n letters of x0's coding by the pieces between cuts,
-    m letters at a time from the depth-m cylinder table.
+def _block_coding(T: IETSpec, cuts, letters, x0, n: int, strict: bool = False,
+                  sides=(0,)) -> list[str]:
+    """The first n letters of the coding by the pieces between cuts of
+    x0 + side*epsilon, for each side in sides (0 codes x0 itself), m
+    letters at a time from one depth-m cylinder table.
 
     m is the largest power of two up to 64 with m**3 * pieces <= n, which
     keeps the table (about pieces * m**2 piece steps) below the walk's
-    n / m blocks.  In strict mode an orbit point on a nonzero cut raises
-    BoundaryHit with the exact step and point.
+    n / m blocks.  A limit on a row start takes that row for side +1 and
+    the row before for side -1; a block with T^m = s*x - s*b sends it to
+    the side times s.  In strict mode an orbit point on a nonzero cut
+    raises BoundaryHit with the exact step and point.
     """
     if n < 0:
         raise ValueError("orbit length must be >= 0")
@@ -393,58 +377,46 @@ def _block_coding(T: IETSpec, cuts, letters, x0, n: int, strict: bool) -> str:
     m = 1
     while m < 64 and (2 * m) ** 3 * (len(cuts) - 1) <= n:
         m *= 2
-    starts, sides, rows, hits = walk.table(m)
+    starts, closed, rows, hits = walk.table(m)
     kernel = walk.kernel
     d = kernel.d
-    p = kernel.encode(x0)
-    out = []
-    for done in range(0, n, m):
-        a, c = p
-        lo, hi = 0, len(rows)
-        while lo < hi:
-            # the row holding p is the last one starting before p, or at
-            # p with its start closed
-            mid = (lo + hi) // 2
-            u, v = starts[mid]
-            if (quadratic_sign(a - u, c - v, d) or sides[mid]) > 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        if strict and p in hits:
-            j, cut = hits[p]
-            if done + j < n:
-                raise BoundaryHit(done + j, kernel.decode(cut))
-        word, s, b = rows[lo - 1]
-        out.append(word[:n - done])
-        p = (s * (a - b[0]), s * (c - b[1]))
-    return "".join(out)
+    p0 = kernel.encode(x0)
+    words = []
+    for side in sides:
+        p, out = p0, []
+        for done in range(0, n, m):
+            a, c = p
+            lo, hi = 0, len(rows)
+            while lo < hi:
+                # the row holding p is the last one starting before p, or
+                # at p with its start closed or p a right limit
+                mid = (lo + hi) // 2
+                u, v = starts[mid]
+                if (quadratic_sign(a - u, c - v, d) or side or closed[mid]) > 0:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            if strict and p in hits:
+                j, cut = hits[p]
+                if done + j < n:
+                    raise BoundaryHit(done + j, kernel.decode(cut))
+            word, s, b = rows[lo - 1]
+            out.append(word[:n - done])
+            p = (s * (a - b[0]), s * (c - b[1]))
+            side *= s
+        words.append("".join(out))
+    return words
 
 
 def essential_codings(T: IETSpec, config: CodingConfig, x0, n: int) -> frozenset[str]:
-    """Codings stable on one-sided neighborhoods of x0.
+    """Codings stable on one-sided neighborhoods of x0: those of the
+    limits x0 + epsilon and x0 - epsilon, or at x0 = 0 of 0 + epsilon alone.
 
-    A signed point (x, s) stands for x + s*epsilon.  Flipped branches
-    reverse the sign; set membership of a signed point never depends on
-    endpoint ownership, so boundary hits resolve deterministically.
+    Set membership of a limit never depends on endpoint ownership, so
+    boundary hits resolve deterministically.
     """
-    cuts, piece_letters = _piece_cuts(config)
-    stepper, p0 = _walk(T, x0, n, cuts)
-    cut_reps = [stepper.encode(c) for c in cuts]
-    words = set()
-    for s0 in ([1] if p0 == (0, 0) else [1, -1]):
-        p, s = p0, s0
-        out = []
-        for _ in range(n):
-            out.append(piece_letters[stepper.locate(cut_reps, p, s) - 1])
-            i = stepper.locate(stepper.left, p, s)
-            if T.flips[i - 1]:
-                # a limit never sits on an owned endpoint: reflect it whole
-                r = stepper.refl[i - 1]
-                p, s = (r[0] - p[0], r[1] - p[1]), -s
-            else:
-                p = stepper.step(p, i)
-        words.add("".join(out))
-    return frozenset(words)
+    sides = (1,) if T._coerce(x0) == ZERO else (1, -1)
+    return frozenset(_block_coding(T, *_piece_cuts(config), x0, n, sides=sides))
 
 
 @dataclass(frozen=True)
@@ -498,24 +470,6 @@ def check_idoc(T: IETSpec, depth: int) -> RegularityReport:
                 return RegularityReport(depth, "collision", ((i, n), prev))
             seen[p] = (i, n)
     return RegularityReport(depth, "no-collision-up-to-depth")
-
-
-def mechanical_word(alpha, x0, u_len, n: int) -> str:
-    """Coding of the rotation x -> x + alpha by the arc U = [0, u_len)."""
-    alpha = IETSpec._coerce(alpha)
-    u_len = IETSpec._coerce(u_len)
-    if alpha.sign() <= 0 or compare(alpha, ONE) >= 0:
-        raise ValueError("need 0 < alpha < 1")
-    if u_len.sign() <= 0 or compare(u_len, ONE) >= 0:
-        raise ValueError("need 0 < u_len < 1")
-    T = build_iet([ONE - alpha, alpha], (2, 1))
-    config = CodingConfig([
-        ("a", (Interval(ZERO, u_len),)),
-        ("b", (Interval(u_len, ONE),)),
-    ])
-    # rational alpha makes orbits hit the arc boundary; membership under
-    # the half-open convention is still well defined, so no strict check
-    return coding_with_sets(T, config, x0, n, strict=False)
 
 
 class _Cylinders:
@@ -602,7 +556,7 @@ class _Cylinders:
 
         Each row (word, s, b) is a piece of source points x coded by word
         for m steps, on which T^m is y = s*x - s*b.  The rows are sorted
-        by source start, closed start first; starts and sides hold each
+        by source start, closed start first; starts and closed hold each
         row's start and 1 if it is closed, else -1.  hits maps every
         source point whose orbit lands on a nonzero cut within the m
         steps to (its first such step, that cut): such a point is always
@@ -620,8 +574,8 @@ class _Cylinders:
                        for w, parts in level for piece in self.advance(parts)),
                       key=lambda row: key(row[0]))
         starts = [src[0] for src, _, _, _ in rows]
-        sides = [1 if src[2] else -1 for src, _, _, _ in rows]
-        return starts, sides, [(w, s, b) for _, w, s, b in rows], hits
+        closed = [1 if src[2] else -1 for src, _, _, _ in rows]
+        return starts, closed, [(w, s, b) for _, w, s, b in rows], hits
 
     def prefix(self, w: str):
         """How many leading letters of w have a nonempty cylinder, and its pieces."""

@@ -64,35 +64,11 @@ class RauzyGraph:
         self.vertices = tuple(sorted(vertices))
         self.arcs = tuple(sorted(arcs))
         vset = set(self.vertices)
-        self._in = {v: [] for v in self.vertices}
-        self._out = {v: [] for v in self.vertices}
         for a in self.arcs:
             if len(a) != k + 1:
                 raise ValueError(f"arc {a!r} is not a length-{k + 1} factor")
             if a[:-1] not in vset or a[1:] not in vset:
                 raise ValueError(f"arc {a!r} has a missing endpoint vertex")
-            self._out[a[:-1]].append(a)
-            self._in[a[1:]].append(a)
-
-    @staticmethod
-    def tail(arc: str) -> str:
-        return arc[:-1]
-
-    @staticmethod
-    def head(arc: str) -> str:
-        return arc[1:]
-
-    def in_arcs(self, v: str) -> list[str]:
-        return self._in[v]
-
-    def out_arcs(self, v: str) -> list[str]:
-        return self._out[v]
-
-    def in_degree(self, v: str) -> int:
-        return len(self._in[v])
-
-    def out_degree(self, v: str) -> int:
-        return len(self._out[v])
 
 
 def _check_level(fs: FactorSet, k: int) -> None:

@@ -23,7 +23,6 @@ from ietword.iet import (
     build_iet,
     check_regular,
     cylinder,
-    mechanical_word,
     natural_coding,
 )
 from ietword.orders import OrderPair, check_orders, search_orders
@@ -33,6 +32,7 @@ from ietword.reconstruct import reconstruct_iet, verify_roundtrip
 from ietword.words import FactorSet, complexity, is_balanced
 
 from wordgen import (
+    mechanical_word,
     random_exact_iet,
     substitution_word,
     thue_morse_word,

@@ -9,10 +9,9 @@ import ietword
 from ietword.cli import main
 from ietword.config import parse_iet_config
 from ietword.exact import make_quadratic, parse_scalar, rational
-from ietword.iet import mechanical_word
 from ietword.words import FactorSet
 
-from wordgen import tribonacci_word
+from wordgen import mechanical_word, tribonacci_word
 
 GOLDEN_CFG = """\
 k 2

@@ -168,6 +168,22 @@ def test_lengths_not_summing_to_one():
         parse_iet_config("k 2\nd 0\nlengths 1/2 1/3\nperm 2 1\nflips 0 0\n")
 
 
+def test_exchange_errors_reported_on_their_field_line():
+    good = {"lengths": "lengths 1/2 1/2", "perm": "perm 2 1", "flips": "flips 0 0"}
+    bad = [("lengths", "lengths 1/2 1/3", "sum to 5/6"),
+           ("lengths", "lengths 1 0", "non-positive"),
+           ("perm", "perm 1 1", "not a bijection"),
+           ("perm", "perm 2 1 3", "not a bijection"),
+           ("flips", "flips 0 0 1", "flips length")]
+    for order in (["k 2", "d 0", "lengths", "perm", "flips"],
+                  ["flips", "perm", "d 0", "lengths", "k 2"]):
+        for field, line, message in bad:
+            e = err("".join((line if f == field else good.get(f, f)) + "\n"
+                            for f in order))
+            assert e.line_no == order.index(field) + 1, (order, line)
+            assert message in str(e)
+
+
 def test_bad_interval_token():
     e = err(GOLDEN_CFG + "sets a=[0,1/2]\n")
     assert e.line_no == 6

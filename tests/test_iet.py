@@ -20,13 +20,13 @@ from ietword.iet import (
     coding_with_sets,
     cylinder,
     cylinder_lengths,
-    displacement,
     essential_codings,
     longest_cylinder,
-    mechanical_word,
     natural_coding,
     orbit,
 )
+
+from wordgen import mechanical_word
 
 GOLDEN_ALPHA = make_quadratic(-1, 2, 1, 2, 5)
 SQRT2 = make_quadratic(0, 1, 1, 1, 2)
@@ -53,31 +53,27 @@ def test_build_rejects_bad_input():
 
 def test_identity_iet():
     T = build_iet([ONE], (1,))
-    assert displacement(T, 1) == ZERO
+    assert T.disp == (ZERO,)
     assert apply(T, rational(1, 3)) == rational(1, 3)
     assert natural_coding(T, rational(1, 7), 5) == "11111"
 
 
 def test_golden_displacements():
     T = golden_iet()
-    assert displacement(T, 1) == GOLDEN_ALPHA
-    assert displacement(T, 2) == GOLDEN_ALPHA - 1
-    with pytest.raises(IndexError):
-        displacement(T, 3)
+    assert T.disp == (GOLDEN_ALPHA, GOLDEN_ALPHA - 1)
 
 
 def test_silver_displacements():
     T = silver_iet()
-    assert displacement(T, 1) == rational(2) - SQRT2
-    assert displacement(T, 2) == rational(4) - 3 * SQRT2
-    assert displacement(T, 3) == rational(2) - 2 * SQRT2
+    assert T.disp == (rational(2) - SQRT2, rational(4) - 3 * SQRT2, rational(2) - 2 * SQRT2)
 
 
 def test_flipped_displacement_refused():
     T = silver_iet((False, True, False))
-    displacement(T, 1)
-    with pytest.raises(ValueError):
-        displacement(T, 2)
+    # a flipped interval reflects about refl; its disp is no translation of it
+    x = T.left[1] + rational(1, 10)
+    assert apply(T, T.left[0]) == T.left[0] + T.disp[0]
+    assert apply(T, x) == T.refl[1] - x != x + T.disp[1]
 
 
 def test_apply_golden():
@@ -111,7 +107,8 @@ def test_flip_preserves_bijection():
 def test_image_partition():
     for flips in [None, (False, True, False), (True, True, True)]:
         T = silver_iet(flips)
-        images = [T.image_interval(i) for i in T.permutation]
+        images = [Interval(T.dest_lo[i - 1], T.dest_lo[i - 1] + T.lengths[i - 1])
+                  for i in T.permutation]
         assert images[0].lo == ZERO
         assert images[0].hi == images[1].lo
         assert images[1].hi == images[2].lo
@@ -468,14 +465,15 @@ def _check_idoc_reference(T, depth):
 def _essential_reference(T, config, x0, n):
     """Signed-limit walk on scalars: (x, s) stands for x + s*epsilon."""
     words = set()
+    intervals = [T.interval(i) for i in range(1, T.k + 1)]
     for s0 in ([1] if x0 == ZERO else [1, -1]):
         x, s = x0, s0
         out = []
         for _ in range(n):
             out.append(next(letter for iv, letter in config.pieces
                             if iv.contains_limit(x, s)))
-            i = next(i for i in range(1, T.k + 1)
-                     if T.interval(i).contains_limit(x, s))
+            i = next(i for i, iv in enumerate(intervals, start=1)
+                     if iv.contains_limit(x, s))
             if T.flips[i - 1]:
                 x, s = T.refl[i - 1] - x, -s
             else:
@@ -508,7 +506,7 @@ def _random_exchange(rng, k, d):
 
 def test_kernel_matches_scalar_oracle():
     rng = random.Random(20071)
-    collided = 0
+    collided = split = flipped = 0
     for case in range(48):
         k = 2 + case % 4
         d = (0, 2, 5)[case // 4 % 3]
@@ -524,8 +522,23 @@ def test_kernel_matches_scalar_oracle():
         for x0 in (*T.left[:-1], x):
             assert essential_codings(T, cfg, x0, 10) == \
                 _essential_reference(T, cfg, x0, 10)
-    # the corpus exercises both verdicts
+        if case % 8 < 2:
+            # 200 letters over at most 3 pieces code 4 letters a block;
+            # start at the slot starts and at a preimage of a cut
+            u = _random_point(rng, d if rng.random() < 0.5 else 0) or rational(1, 2)
+            arcs = CodingConfig([("a", (Interval(ZERO, u),)), ("b", (Interval(u, ONE),))])
+            for c in (cfg, arcs):
+                y = rng.choice(c.pieces[1:])[0].lo
+                for _ in range(rng.randint(1, 3)):
+                    y = apply_inverse_oracle(T, y)
+                for x0 in (*T.slot_start[1:-1], y):
+                    words = essential_codings(T, c, x0, 200)
+                    assert words == _essential_reference(T, c, x0, 200), (T, c, x0)
+                    split += len(words) == 2
+                    flipped += any(T.flips)
+    # the corpus exercises both verdicts, codings that split and flips
     assert 0 < collided < 96
+    assert split and flipped
 
 
 def _far_point(rng, d):
@@ -825,19 +838,20 @@ def test_cylinder_error_paths():
 
 def _natural_step_reference(T, x0, n, letters="123456789"):
     """natural_coding one letter at a time, as it ran before the block walk."""
-    stepper, p = iet._walk(T, x0, n)
+    stepper = T.kernel.widen((x0,))
+    p = stepper.encode(x0)
     out = []
     for _ in range(n):
-        i = stepper.locate(stepper.left, p)
-        out.append(letters[i - 1])
-        p = stepper.step(p, i)
+        out.append(letters[stepper.locate(stepper.left, p) - 1])
+        p = stepper.step(p)
     return "".join(out)
 
 
 def _sets_step_reference(T, config, x0, n, strict):
     """coding_with_sets one letter at a time, as it ran before the block walk."""
     cuts, piece_letters = iet._piece_cuts(config)
-    stepper, p = iet._walk(T, x0, n, cuts)
+    stepper = T.kernel.widen((*cuts, x0))
+    p = stepper.encode(x0)
     cut_reps = [stepper.encode(c) for c in cuts]
     out = []
     for step in range(n):

@@ -44,21 +44,33 @@ def fib_fs(max_len=21):
 
 # ---------------------------------------------------------------- graphs
 
+def adjacency(g: RauzyGraph):
+    """The in-arcs and out-arcs of every vertex of g, in arc order: an arc
+    leaves its k-prefix and enters its k-suffix."""
+    ins = {v: [] for v in g.vertices}
+    outs = {v: [] for v in g.vertices}
+    for a in g.arcs:
+        outs[a[:-1]].append(a)
+        ins[a[1:]].append(a)
+    return ins, outs
+
+
 def test_fibonacci_k1_graph():
     g = build_k_graph(fib_fs(), 1)
     assert g.vertices == ("a", "b")
     assert g.arcs == ("aa", "ab", "ba")
-    assert g.in_arcs("a") == ["aa", "ba"]
-    assert g.out_arcs("a") == ["aa", "ab"]
-    assert g.in_degree("b") == 1 and g.out_degree("b") == 1
+    ins, outs = adjacency(g)
+    assert ins["a"] == ["aa", "ba"]
+    assert outs["a"] == ["aa", "ab"]
+    assert len(ins["b"]) == 1 and len(outs["b"]) == 1
 
 
 def test_fibonacci_k2_graph():
     g = build_k_graph(fib_fs(), 2)
     assert g.vertices == ("aa", "ab", "ba")
     assert g.arcs == ("aab", "aba", "baa", "bab")
-    assert RauzyGraph.tail("aab") == "aa"
-    assert RauzyGraph.head("aab") == "ab"
+    ins, outs = adjacency(g)
+    assert outs["aa"] == ["aab"] and ins["ab"] == ["aab", "bab"]
 
 
 def test_graph_rejects_dangling_arc():
@@ -351,10 +363,11 @@ def graph_strongly_connected(g: RauzyGraph) -> bool:
     """Reference check: two searches on the RauzyGraph itself."""
     if len(g.vertices) <= 1:
         return True
+    ins, outs = adjacency(g)
     start = g.vertices[0]
     n = len(g.vertices)
-    return (len(_bfs(start, lambda v: [a[1:] for a in g.out_arcs(v)])) == n
-            and len(_bfs(start, lambda v: [a[:-1] for a in g.in_arcs(v)])) == n)
+    return (len(_bfs(start, lambda v: [a[1:] for a in outs[v]])) == n
+            and len(_bfs(start, lambda v: [a[:-1] for a in ins[v]])) == n)
 
 
 class _levels_reference:
@@ -362,14 +375,16 @@ class _levels_reference:
 
     def __init__(self, fs: FactorSet, k_min: int, k_max: int):
         self.graphs = {}
+        self.adjacency = {}
         self.static = {}
         self.events = {}
         for k in range(k_min, k_max + 1):
             g = build_k_graph(fs, k)
             self.graphs[k] = g
+            self.adjacency[k] = ins, outs = adjacency(g)
             viol = []
             for v in g.vertices:
-                din, dout = g.in_degree(v), g.out_degree(v)
+                din, dout = len(ins[v]), len(outs[v])
                 if din > 2 or dout > 2:
                     viol.append(Witness(
                         "valence", k, (v,),
@@ -379,13 +394,13 @@ class _levels_reference:
                 ext = fs.extensions(k + 1)
                 for a in g.arcs:
                     right = ext[a][1]
-                    for b in g.out_arcs(g.head(a)):
+                    for b in outs[a[1:]]:
                         if b[-1] not in right:
                             deletions.append((a, b))
                 by_vertex = {}
                 for a, b in deletions:
-                    w = g.head(a)
-                    if g.in_degree(w) == 2 and g.out_degree(w) == 2:
+                    w = a[1:]
+                    if len(ins[w]) == 2 and len(outs[w]) == 2:
                         by_vertex.setdefault(w, []).append((a, b))
                     else:
                         viol.append(Witness(
@@ -393,8 +408,7 @@ class _levels_reference:
                             f"vertex {w!r} is not bispecial"))
                 deleted_at = set(by_vertex)
                 for v in g.vertices:
-                    if (g.in_degree(v) == 2 and g.out_degree(v) == 2
-                            and v not in deleted_at):
+                    if len(ins[v]) == 2 and len(outs[v]) == 2 and v not in deleted_at:
                         viol.append(Witness(
                             "strong-bispecial", k, (v,),
                             "all four follower arcs survive"))
@@ -405,20 +419,21 @@ class _levels_reference:
 
 
 class _GraphLevels(_levels_reference):
-    """The reference levels, with crotches and out-arcs read off a
-    RauzyGraph per level, as the label search reads them."""
+    """The reference levels, with crotches and out-arcs read off the
+    adjacency of a RauzyGraph per level, as the label search reads them."""
 
     def __init__(self, fs, k_min, k_max):
         super().__init__(fs, k_min, k_max)
         self.in_crotches, self.out_crotches = {}, {}
         for k, g in self.graphs.items():
-            self.in_crotches[k] = [tuple(sorted(g.in_arcs(v)))
-                                   for v in g.vertices if g.in_degree(v) == 2]
-            self.out_crotches[k] = [tuple(sorted(g.out_arcs(v)))
-                                    for v in g.vertices if g.out_degree(v) == 2]
+            ins, outs = self.adjacency[k]
+            self.in_crotches[k] = [tuple(sorted(ins[v]))
+                                   for v in g.vertices if len(ins[v]) == 2]
+            self.out_crotches[k] = [tuple(sorted(outs[v]))
+                                    for v in g.vertices if len(outs[v]) == 2]
 
     def out_arcs(self, k, v):
-        return self.graphs[k].out_arcs(v)
+        return self.adjacency[k][1][v]
 
 
 def _levels_corpus():

@@ -105,3 +105,43 @@ def test_no_module_has_unused_names():
     assert len(modules) >= 8
     found = {path.name: unused_names(path.read_text()) for path in modules}
     assert {name: got for name, got in found.items() if got} == {}
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """`_`-prefixed functions, classes and methods, dunders aside, whose
+    name no module of the package reads, as module:name."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append(f"{module}:{node.name}")
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in defined if name.split(":")[1] not in read]
+
+
+def test_guard_sees_unreferenced_privates():
+    sources = {
+        "a.py": ("def _walk(n):\n"
+                 "    return _step(n)\n"
+                 "def _step(n):\n"
+                 "    return n\n"
+                 "class _Kernel:\n"
+                 "    def __init__(self):\n"
+                 "        self._hint = None\n"
+                 "    def _locate(self):\n"
+                 "        pass\n"
+                 "    def _widen(self):\n"
+                 "        pass\n"),
+        "b.py": "from .a import _Kernel\n_Kernel()._widen()\n",
+    }
+    assert unreferenced_privates(sources) == ["a.py:_walk", "a.py:_locate"]
+
+
+def test_no_module_has_unreferenced_privates():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 8
+    assert unreferenced_privates({path.name: path.read_text() for path in modules}) == []

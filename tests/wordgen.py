@@ -1,8 +1,8 @@
 """Classic substitution words and random exact exchanges used as fixtures
 across the test suite."""
 
-from ietword.exact import make_quadratic
-from ietword.iet import build_iet
+from ietword.exact import ONE, ZERO, Interval, make_quadratic
+from ietword.iet import CodingConfig, build_iet, coding_with_sets
 
 
 def substitution_word(rules: dict[str, str], seed: str, n: int) -> str:
@@ -24,6 +24,19 @@ def thue_morse_word(n: int) -> str:
 
 def tribonacci_word(n: int) -> str:
     return substitution_word({"a": "ab", "b": "ac", "c": "a"}, "a", n)
+
+
+def mechanical_word(alpha, x0, u_len, n: int) -> str:
+    """Coding of the rotation x -> x + alpha by the arc U = [0, u_len),
+    for 0 < alpha, u_len < 1."""
+    T = build_iet([ONE - alpha, alpha], (2, 1))
+    config = CodingConfig([
+        ("a", (Interval(ZERO, u_len),)),
+        ("b", (Interval(u_len, ONE),)),
+    ])
+    # rational alpha makes orbits hit the arc boundary; membership under
+    # the half-open convention is still well defined, so no strict check
+    return coding_with_sets(T, config, x0, n, strict=False)
 
 
 def random_exact_iet(rng, k):
