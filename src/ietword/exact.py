@@ -330,7 +330,8 @@ class Interval:
     hi_closed: bool = False
 
     def __post_init__(self) -> None:
-        if (self.hi - self.lo).sign() < 0:
+        # hi against lo, so that a mixed-field error names hi's field first
+        if compare(self.hi, self.lo) < 0:
             raise ValueError(f"interval endpoints out of order: {self}")
 
     @classmethod
@@ -353,16 +354,6 @@ class Interval:
         if c > 0 or (c == 0 and not self.hi_closed):
             return False
         return True
-
-    def contains_limit(self, x: ExactScalar, side: int) -> bool:
-        """Membership of the one-sided limit x + side*epsilon.
-
-        Independent of endpoint ownership: x+eps lies in the interval iff
-        lo <= x < hi, and x-eps iff lo < x <= hi.
-        """
-        if side > 0:
-            return compare(x, self.lo) >= 0 and compare(x, self.hi) < 0
-        return compare(x, self.lo) > 0 and compare(x, self.hi) <= 0
 
     def intersect(self, other: "Interval") -> "Interval | None":
         c = compare(self.lo, other.lo)

@@ -204,6 +204,16 @@ def apply_inverse(T: IETSpec, y) -> ExactScalar:
     return T.apply_inverse(y)
 
 
+def _denominator(s: ExactScalar) -> int:
+    return math.lcm(s.rat.denominator, s.coef.denominator)
+
+
+def _encode(s: ExactScalar, D: int):
+    """(A, B) with s = (A + B*sqrt(d))/D, for D a multiple of s's denominators."""
+    return (s.rat.numerator * (D // s.rat.denominator),
+            s.coef.numerator * (D // s.coef.denominator))
+
+
 class _IntOrbit:
     """The orbit kernel: every step of an exchange runs here.
 
@@ -212,55 +222,50 @@ class _IntOrbit:
     comparisons are then pure integer arithmetic, and equal points are
     equal pairs.  Each exchange builds its kernel once, over its own D.
     The point maps read its tables as they are; widen() takes in the
-    points and cuts of a walk that need a larger D or name the field.
+    field and denominator of the points and cuts of a walk.
     """
 
     def __init__(self, T: IETSpec):
         self.flips, self.perm = T.flips, T.permutation
         self.d = next((s.d for s in T.lengths if s.d), 0)
-        self.D = math.lcm(*(x.denominator for s in (*T.left, *T.slot_start, *T.disp, *T.refl)
-                            for x in (s.rat, s.coef)))
+        self.D = math.lcm(*map(_denominator, (*T.left, *T.slot_start, *T.disp, *T.refl)))
         # tuples: every call on the exchange shares these tables
         self.left, self.slot_start, self.disp, self.refl, self.dest_lo = (
             tuple(map(self.encode, table))
             for table in (T.left, T.slot_start, T.disp, T.refl, T.dest_lo))
 
-    def widen(self, extra) -> "_IntOrbit":
-        """A kernel that also encodes every scalar in extra: this one when
-        it already does, else a copy over the lcm of the denominators."""
-        d, D = self.d, self.D
-        for s in extra:
-            if s.d and s.d != d:
-                if d:
-                    raise MixedRadicalError("points span two quadratic fields")
-                d = s.d
-            D = math.lcm(D, s.rat.denominator, s.coef.denominator)
-        if d == self.d and D == self.D:
-            return self
+    def widen(self, d: int, D: int) -> "_IntOrbit":
+        """A kernel that also encodes the scalars of field d (0 for Q) over
+        denominator D: this one when it already does, else a copy over
+        the lcm of the denominators."""
+        if not d or d == self.d:
+            if self.D % D == 0:
+                return self
+            d = self.d
+        elif self.d:
+            raise MixedRadicalError("points span two quadratic fields")
         wide = object.__new__(_IntOrbit)
-        wide.flips, wide.perm, wide.d, wide.D = self.flips, self.perm, d, D
+        wide.flips, wide.perm, wide.d = self.flips, self.perm, d
+        wide.D = D = math.lcm(self.D, D)
         f = D // self.D
         wide.left, wide.slot_start, wide.disp, wide.refl, wide.dest_lo = (
-            [(a * f, b * f) for a, b in table]
+            table if f == 1 else tuple((a * f, b * f) for a, b in table)
             for table in (self.left, self.slot_start, self.disp, self.refl, self.dest_lo))
         return wide
 
     def encode(self, s: ExactScalar):
-        D = self.D
-        return (s.rat.numerator * (D // s.rat.denominator),
-                s.coef.numerator * (D // s.coef.denominator))
+        return _encode(s, self.D)
 
     def decode(self, p) -> ExactScalar:
         return ExactScalar._canonical(Fraction(p[0], self.D), Fraction(p[1], self.D), self.d)
 
-    def locate(self, cuts, p, side: int = 1) -> int:
-        """1-based j with cuts[j-1] <= p + side*epsilon < cuts[j]."""
+    def locate(self, cuts, p) -> int:
+        """1-based j with cuts[j-1] <= p < cuts[j]."""
         a, b = p
         d = self.d
         for j in range(1, len(cuts)):
             c = cuts[j]
-            # a tie with the cut is decided by the side of the limit
-            if (quadratic_sign(a - c[0], b - c[1], d) or side) < 0:
+            if quadratic_sign(a - c[0], b - c[1], d) < 0:
                 return j
         raise AssertionError("unreachable: the cuts cover [0,1)")
 
@@ -291,7 +296,7 @@ def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:
     if n < 0:
         raise ValueError("orbit length must be >= 0")
     x0 = T._domain(x0)[0]
-    stepper = T.kernel.widen((x0,))
+    stepper = T.kernel.widen(x0.d, _denominator(x0))
     p = stepper.encode(x0)
     pts = []
     for _ in range(n):
@@ -305,11 +310,18 @@ def natural_coding(T: IETSpec, x0, n: int, letters: str | None = None) -> str:
         letters = DEFAULT_LETTERS
     if len(letters) < T.k:
         raise ValueError(f"need {T.k} letters, got {len(letters)}")
-    return _block_coding(T, T.left, list(letters[:T.k]), x0, n)[0]
+    k = T.kernel
+    return _block_coding(T, (k.d, k.D, k.left), list(letters[:T.k]), x0, n)[0]
 
 
 class CodingConfig:
-    """Partition of [0,1) into labeled unions of half-open intervals."""
+    """Partition of [0,1) into labeled unions of half-open intervals.
+
+    Built once with the config: cuts, the left ends of its pieces and
+    then 1; piece_letters, each piece's letter; and encoded, the triple
+    (d, D, pairs) with cut j equal to (A + B*sqrt(d))/D for pairs[j] =
+    (A, B), over the config's own field d and common denominator D.
+    """
 
     def __init__(self, sets):
         pieces = []
@@ -337,6 +349,16 @@ class CodingConfig:
             raise ValueError(f"partition stops at {cursor}, not 1")
         self.pieces = tuple(pieces)
         self.letters = tuple(self.sets)
+        self.cuts = (*(iv.lo for iv, _ in pieces), ONE)
+        self.piece_letters = tuple(letter for _, letter in pieces)
+        d = 0
+        for c in self.cuts:
+            if c.d and c.d != d:
+                if d:
+                    raise MixedRadicalError("points span two quadratic fields")
+                d = c.d
+        D = math.lcm(*map(_denominator, self.cuts))
+        self.encoded = (d, D, tuple(_encode(c, D) for c in self.cuts))
 
     @classmethod
     def natural(cls, T: IETSpec, letters: str | None = None) -> "CodingConfig":
@@ -347,21 +369,16 @@ class CodingConfig:
         return cls((letters[i - 1], (T.interval(i),)) for i in range(1, T.k + 1))
 
 
-def _piece_cuts(config: CodingConfig):
-    """The left ends of the config's pieces, then 1, and each piece's letter."""
-    return ([iv.lo for iv, _ in config.pieces] + [ONE],
-            [letter for _, letter in config.pieces])
-
-
 def coding_with_sets(T: IETSpec, config: CodingConfig, x0, n: int, strict: bool = True) -> str:
-    return _block_coding(T, *_piece_cuts(config), x0, n, strict)[0]
+    return _block_coding(T, config.encoded, config.piece_letters, x0, n, strict)[0]
 
 
-def _block_coding(T: IETSpec, cuts, letters, x0, n: int, strict: bool = False,
+def _block_coding(T: IETSpec, encoded, letters, x0, n: int, strict: bool = False,
                   sides=(0,)) -> list[str]:
-    """The first n letters of the coding by the pieces between cuts of
-    x0 + side*epsilon, for each side in sides (0 codes x0 itself), m
-    letters at a time from one depth-m cylinder table.
+    """The first n letters of the coding by the pieces between the
+    encoded cuts (d, D, pairs) of x0 + side*epsilon, for each side in
+    sides (0 codes x0 itself), m letters at a time from one depth-m
+    cylinder table.
 
     m is the largest power of two up to 64 with m**3 * pieces <= n, which
     keeps the table (about pieces * m**2 piece steps) below the walk's
@@ -373,9 +390,9 @@ def _block_coding(T: IETSpec, cuts, letters, x0, n: int, strict: bool = False,
     if n < 0:
         raise ValueError("orbit length must be >= 0")
     x0 = T._domain(x0)[0]
-    walk = _Cylinders(T, cuts, letters, (x0,))
+    walk = _Cylinders(T.kernel.widen(x0.d, _denominator(x0)), encoded, letters)
     m = 1
-    while m < 64 and (2 * m) ** 3 * (len(cuts) - 1) <= n:
+    while m < 64 and (2 * m) ** 3 * len(letters) <= n:
         m *= 2
     starts, closed, rows, hits = walk.table(m)
     kernel = walk.kernel
@@ -416,7 +433,8 @@ def essential_codings(T: IETSpec, config: CodingConfig, x0, n: int) -> frozenset
     boundary hits resolve deterministically.
     """
     sides = (1,) if T._coerce(x0) == ZERO else (1, -1)
-    return frozenset(_block_coding(T, *_piece_cuts(config), x0, n, sides=sides))
+    return frozenset(_block_coding(T, config.encoded, config.piece_letters, x0, n,
+                                   sides=sides))
 
 
 @dataclass(frozen=True)
@@ -480,36 +498,92 @@ class _Cylinders:
     y reached after some steps; it came from the source points s*y + b.
     lo, hi and b are kernel-encoded pairs, so splitting, stepping and
     comparing are integer operations; scalars are made only on output.
-    The coding pieces lie between cuts (their left ends, then 1), and
-    letters holds each piece's letter.
+
+    The walk cuts [0,1) at one bound list, the coding cuts merged with
+    the exchange ends; for the natural coding it is the kernel's own
+    left table.  Span j, between bounds j-1 and j, lies in the piece of
+    letter span_letters[j-1] and in exchange interval exchange[j-1].  A
+    part is a piece inside one span, tagged (j, piece), so a step reads
+    its branch off the tag.
     """
 
-    def __init__(self, T: IETSpec, cuts, letters, extra=()):
-        self.letters = letters
-        self.kernel = k = T.kernel.widen((*cuts, *extra))
-        self.cuts = [k.encode(c) for c in cuts]
+    def __init__(self, kernel: _IntOrbit, encoded, letters):
+        d, D, cuts = encoded
+        self.kernel = k = kernel.widen(d, D)
+        if k.D != D:
+            f = k.D // D
+            cuts = tuple((a * f, b * f) for a, b in cuts)
+        self.cuts = cuts
+        if cuts == k.left:
+            bounds, span_letters, self.exchange = k.left, letters, range(1, len(cuts))
+        else:
+            left, d = k.left, k.d
+            bounds, span_letters, self.exchange = [cuts[0]], [], []
+            i = j = 1
+            while i < len(cuts):
+                # both lists end at 1, so they run out together
+                c, e = cuts[i], left[j]
+                sign = quadratic_sign(c[0] - e[0], c[1] - e[1], d)
+                bounds.append(c if sign <= 0 else e)
+                span_letters.append(letters[i - 1])
+                self.exchange.append(j)
+                i += sign <= 0
+                j += sign >= 0
+        self.bounds, self.span_letters = bounds, span_letters
+        # spans[letter]: (j, lo, hi) of each span of the letter, in order
+        self.spans = {}
+        for j, letter in enumerate(span_letters, start=1):
+            self.spans.setdefault(letter, []).append((j, bounds[j - 1], bounds[j]))
         self.root = ((0, 0), (k.D, 0), True, False, 1, (0, 0))
 
-    def split(self, cuts, pieces):
-        """(j, part) for every part of a piece inside [cuts[j-1], cuts[j])."""
-        locate = self.kernel.locate
+    def split(self, pieces):
+        """(j, part) for every part of a piece inside span j."""
+        bounds, d = self.bounds, self.kernel.d
         for piece in pieces:
             lo, hi, lc, hc, s, b = piece
-            j_lo = locate(cuts, lo)
-            j_hi = locate(cuts, hi, 1 if hc else -1)
-            if j_lo == j_hi:
-                yield j_lo, piece
+            # one scan finds the spans of both ends: lo's is the first
+            # bound above lo, hi's the first above hi (closed) or at it
+            j = 1
+            while quadratic_sign(lo[0] - bounds[j][0], lo[1] - bounds[j][1], d) >= 0:
+                j += 1
+            j_lo, side = j, 1 if hc else -1
+            while (quadratic_sign(hi[0] - bounds[j][0], hi[1] - bounds[j][1], d) or side) > 0:
+                j += 1
+            if j_lo == j:
+                yield j, piece
                 continue
-            yield j_lo, (lo, cuts[j_lo], lc, False, s, b)
-            for j in range(j_lo + 1, j_hi):
-                yield j, (cuts[j - 1], cuts[j], True, False, s, b)
-            yield j_hi, (cuts[j_hi - 1], hi, True, hc, s, b)
+            yield j_lo, (lo, bounds[j_lo], lc, False, s, b)
+            for i in range(j_lo + 1, j):
+                yield i, (bounds[i - 1], bounds[i], True, False, s, b)
+            yield j, (bounds[j - 1], hi, True, hc, s, b)
 
-    def advance(self, pieces):
-        """Push every piece through one step of T."""
-        k = self.kernel
+    def clip(self, pieces, spans):
+        """The parts of the pieces inside the given spans of one letter."""
+        d = self.kernel.d
         out = []
-        for i, (lo, hi, lc, hc, s, b) in self.split(k.left, pieces):
+        for piece in pieces:
+            lo, hi, lc, hc, s, b = piece
+            for j, u, v in spans:
+                # skip the span when the piece ends before u or starts at v
+                c = quadratic_sign(hi[0] - u[0], hi[1] - u[1], d)
+                if c < 0 or (c == 0 and not hc) or \
+                        quadratic_sign(lo[0] - v[0], lo[1] - v[1], d) >= 0:
+                    continue
+                below = quadratic_sign(lo[0] - u[0], lo[1] - u[1], d) < 0
+                above = c > 0 and quadratic_sign(hi[0] - v[0], hi[1] - v[1], d) >= 0
+                if below or above:
+                    out.append((j, (u if below else lo, v if above else hi,
+                                    below or lc, hc and not above, s, b)))
+                else:
+                    out.append((j, piece))
+        return out
+
+    def advance(self, parts):
+        """Push every part through one step of T."""
+        k, exchange = self.kernel, self.exchange
+        out = []
+        for j, (lo, hi, lc, hc, s, b) in parts:
+            i = exchange[j - 1]
             if not k.flips[i - 1]:
                 d0, d1 = k.disp[i - 1]
                 out.append(((lo[0] + d0, lo[1] + d1), (hi[0] + d0, hi[1] + d1),
@@ -531,19 +605,19 @@ class _Cylinders:
 
     def restrict(self, pieces):
         """The parts of the pieces in each letter's set, by letter."""
-        parts = {}
-        for j, piece in self.split(self.cuts, pieces):
-            parts.setdefault(self.letters[j - 1], []).append(piece)
+        parts, letters = {}, self.span_letters
+        for part in self.split(pieces):
+            parts.setdefault(letters[part[0] - 1], []).append(part)
         return parts
 
     def levels(self, depth: int, alphabet):
         """For n = 1..depth, the nonempty cylinders of the words of length
-        n as a list of (word, pieces), words listed in alphabet order."""
-        frontier = [("", [self.root])]
+        n as a list of (word, parts), words listed in alphabet order."""
+        frontier = [("", [])]
         for n in range(depth):
             grown = []
             for w, hit in frontier:
-                parts = self.restrict(self.advance(hit) if n else hit)
+                parts = self.restrict(self.advance(hit) if n else [self.root])
                 for letter in alphabet:
                     part = parts.get(letter)
                     if part:
@@ -558,15 +632,15 @@ class _Cylinders:
         for m steps, on which T^m is y = s*x - s*b.  The rows are sorted
         by source start, closed start first; starts and closed hold each
         row's start and 1 if it is closed, else -1.  hits maps every
-        source point whose orbit lands on a nonzero cut within the m
-        steps to (its first such step, that cut): such a point is always
+        source point whose orbit lands on a nonzero coding cut within the
+        m steps to (its first such step, that cut): such a point is always
         the closed left end of a part split at the cut.
         """
         interior = set(self.cuts[1:-1])
         hits = {}
-        for n, level in enumerate(self.levels(m, dict.fromkeys(self.letters))):
+        for n, level in enumerate(self.levels(m, self.spans)):
             for _, parts in level:
-                for lo, _, lc, _, s, b in parts:
+                for _, (lo, _, lc, _, s, b) in parts:
                     if lc and lo in interior:
                         hits.setdefault((s * lo[0] + b[0], s * lo[1] + b[1]), (n, lo))
         key = self.source_order()
@@ -578,16 +652,17 @@ class _Cylinders:
         return starts, closed, [(w, s, b) for _, w, s, b in rows], hits
 
     def prefix(self, w: str):
-        """How many leading letters of w have a nonempty cylinder, and its pieces."""
-        depth, hit = 0, [self.root]
+        """How many leading letters of w have a nonempty cylinder, and its parts."""
+        depth, hit = 0, []
         for letter in w:
-            if letter not in self.letters:
+            spans = self.spans.get(letter)
+            if spans is None:
                 raise ValueError(f"letter {letter!r} not in the coding config")
-            part = self.restrict(self.advance(hit) if depth else hit).get(letter)
+            part = self.clip(self.advance(hit) if depth else [self.root], spans)
             if not part:
                 break
             depth, hit = depth + 1, part
-        return depth, (hit if depth else [])
+        return depth, hit
 
     @staticmethod
     def source(piece):
@@ -608,10 +683,11 @@ class _Cylinders:
 
         return cmp_to_key(order)
 
-    def intervals(self, pieces) -> tuple[Interval, ...]:
-        """The maximal intervals of the source points of disjoint pieces."""
+    def intervals(self, parts) -> tuple[Interval, ...]:
+        """The maximal intervals of the source points of disjoint parts."""
         merged = []
-        for lo, hi, lc, hc in sorted(map(self.source, pieces), key=self.source_order()):
+        for lo, hi, lc, hc in sorted((self.source(p) for _, p in parts),
+                                     key=self.source_order()):
             # disjoint intervals join only where they touch
             if merged and merged[-1][1] == lo and (merged[-1][3] or lc):
                 merged[-1] = (merged[-1][0], hi, merged[-1][2], hc)
@@ -620,9 +696,9 @@ class _Cylinders:
         decode = self.kernel.decode
         return tuple(Interval(decode(lo), decode(hi), lc, hc) for lo, hi, lc, hc in merged)
 
-    def length(self, pieces) -> ExactScalar:
-        return self.kernel.decode((sum(p[1][0] - p[0][0] for p in pieces),
-                                   sum(p[1][1] - p[0][1] for p in pieces)))
+    def length(self, parts) -> ExactScalar:
+        return self.kernel.decode((sum(p[1][0] - p[0][0] for _, p in parts),
+                                   sum(p[1][1] - p[0][1] for _, p in parts)))
 
 
 def longest_cylinder(T: IETSpec, config: CodingConfig, w: str):
@@ -630,20 +706,20 @@ def longest_cylinder(T: IETSpec, config: CodingConfig, w: str):
 
     (0, ()) when the cylinder of w's first letter is already empty.
     """
-    walk = _Cylinders(T, *_piece_cuts(config))
-    depth, pieces = walk.prefix(w)
-    return depth, walk.intervals(pieces)
+    walk = _Cylinders(T.kernel, config.encoded, config.piece_letters)
+    depth, parts = walk.prefix(w)
+    return depth, walk.intervals(parts)
 
 
 def cylinder(T: IETSpec, config: CodingConfig, w: str) -> tuple[Interval, ...]:
     """Maximal intervals of points whose coding starts with w (exact)."""
     if not w:
         raise ValueError("cylinder word must be nonempty")
-    walk = _Cylinders(T, *_piece_cuts(config))
-    depth, pieces = walk.prefix(w)
+    walk = _Cylinders(T.kernel, config.encoded, config.piece_letters)
+    depth, parts = walk.prefix(w)
     if depth < len(w):
         return ()
-    return walk.intervals(pieces)
+    return walk.intervals(parts)
 
 
 def cylinder_lengths(T: IETSpec, config: CodingConfig, depth: int) -> dict[str, ExactScalar]:
@@ -651,6 +727,6 @@ def cylinder_lengths(T: IETSpec, config: CodingConfig, depth: int) -> dict[str, 
     whose cylinder is nonempty."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    walk = _Cylinders(T, *_piece_cuts(config))
+    walk = _Cylinders(T.kernel, config.encoded, config.piece_letters)
     return {w: walk.length(part)
             for level in walk.levels(depth, config.letters) for w, part in level}

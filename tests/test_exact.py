@@ -18,6 +18,8 @@ from ietword.exact import (
     rational,
 )
 
+from test_iet import contains_limit
+
 GOLDEN = make_quadratic(-1, 2, 1, 2, 5)      # (sqrt5 - 1)/2
 SILVER = make_quadratic(-1, 1, 1, 1, 2)      # sqrt2 - 1
 
@@ -235,12 +237,18 @@ def test_interval_intersect():
 
 def test_interval_contains_limit():
     iv = Interval(rational(0), rational(1))
-    assert iv.contains_limit(rational(0), +1)
-    assert not iv.contains_limit(rational(0), -1)
-    assert iv.contains_limit(rational(1), -1)
-    assert not iv.contains_limit(rational(1), +1)
+    assert contains_limit(iv, rational(0), +1)
+    assert not contains_limit(iv, rational(0), -1)
+    assert contains_limit(iv, rational(1), -1)
+    assert not contains_limit(iv, rational(1), +1)
 
 
 def test_interval_rejects_reversed():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="interval endpoints out of order"):
         Interval(rational(1), rational(0))
+    with pytest.raises(ValueError, match="out of order"):
+        Interval(SILVER + 1, SILVER)
+    # equal ends are a (possibly empty) interval, not an error
+    assert Interval(GOLDEN, GOLDEN).is_empty
+    with pytest.raises(MixedRadicalError, match=r"sqrt\(5\) with sqrt\(2\)"):
+        Interval(SILVER, GOLDEN)

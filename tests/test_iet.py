@@ -183,6 +183,10 @@ def test_config_partition_validated():
             [("a", (Interval(ZERO, rational(2, 3)),)),
              ("b", (Interval(rational(1, 3), ONE),))]
         )
+    # cuts in Q(sqrt 2) and Q(sqrt 5), never compared with each other
+    ends = [ZERO, SQRT2 - 1, rational(1, 2), GOLDEN_ALPHA, ONE]
+    with pytest.raises(MixedRadicalError, match="two quadratic fields"):
+        CodingConfig((c, (Interval(a, b),)) for c, a, b in zip("abcd", ends, ends[1:]))
 
 
 def test_mechanical_golden_prefix():
@@ -425,6 +429,14 @@ def apply_inverse_oracle(T, y):
 
 # ------------------------------------------- kernel versus scalar oracle
 
+def _widened(T, scalars):
+    """T's kernel, widened to encode each of the scalars."""
+    kernel = T.kernel
+    for s in scalars:
+        kernel = kernel.widen(s.d, math.lcm(s.rat.denominator, s.coef.denominator))
+    return kernel
+
+
 def _orbit_reference(T, x0, n):
     pts = []
     x = x0
@@ -462,6 +474,17 @@ def _check_idoc_reference(T, depth):
     return "no-collision-up-to-depth", None
 
 
+def contains_limit(iv, x, side):
+    """Membership of the one-sided limit x + side*epsilon in iv.
+
+    Independent of endpoint ownership: x+eps lies in the interval iff
+    lo <= x < hi, and x-eps iff lo < x <= hi.
+    """
+    if side > 0:
+        return compare(x, iv.lo) >= 0 and compare(x, iv.hi) < 0
+    return compare(x, iv.lo) > 0 and compare(x, iv.hi) <= 0
+
+
 def _essential_reference(T, config, x0, n):
     """Signed-limit walk on scalars: (x, s) stands for x + s*epsilon."""
     words = set()
@@ -471,9 +494,9 @@ def _essential_reference(T, config, x0, n):
         out = []
         for _ in range(n):
             out.append(next(letter for iv, letter in config.pieces
-                            if iv.contains_limit(x, s)))
+                            if contains_limit(iv, x, s)))
             i = next(i for i, iv in enumerate(intervals, start=1)
-                     if iv.contains_limit(x, s))
+                     if contains_limit(iv, x, s))
             if T.flips[i - 1]:
                 x, s = T.refl[i - 1] - x, -s
             else:
@@ -569,7 +592,7 @@ def test_point_maps_match_scalar_oracle():
             foreign += sum(bool(x.d) for x in other)
             pts += other
         for x in pts:
-            widened += T.kernel.widen((x,)) is not T.kernel
+            widened += _widened(T, (x,)) is not T.kernel
             assert apply(T, x) == apply_oracle(T, x), (T, x)
             assert apply_inverse(T, x) == apply_inverse_oracle(T, x), (T, x)
             assert T.index_of(x) == index_of_oracle(T, x), (T, x)
@@ -760,12 +783,18 @@ def _longest_reference(T, config, w):
     return depth, _merge_reference(hit if depth else [])
 
 
-def _scattered_config(rng, d, letters):
+def _scattered_config(rng, d, letters, T=None):
     """Letters cycling over the pieces between random cuts, so that each
-    letter owns several pieces and no cut need be an exchange endpoint."""
+    letter owns several pieces and no cut need be an exchange endpoint.
+    Given the exchange T, about one cut in three is one of its interval
+    ends or image slot starts."""
+    on_exchange = [*T.left[1:-1], *T.slot_start[1:-1]] if T else []
     cuts = set()
     while len(cuts) < 2 * len(letters):
-        x = _random_point(rng, d if rng.random() < 0.5 else 0)
+        if on_exchange and rng.random() < 0.35:
+            x = rng.choice(on_exchange)
+        else:
+            x = _random_point(rng, d if rng.random() < 0.5 else 0)
         if x != ZERO:
             cuts.add(x)
     ends = [ZERO, *sorted(cuts), ONE]
@@ -775,15 +804,30 @@ def _scattered_config(rng, d, letters):
     return CodingConfig(sets.items())
 
 
+def _shared_and_crossing(T, config):
+    """Whether a cut of the config is an interval end of T, and whether
+    a piece of the config has an interval end of T inside it."""
+    ends = T.left[1:-1]
+    shared = any(c in ends for c in config.cuts[1:-1])
+    crossing = any(compare(iv.lo, e) < 0 < compare(iv.hi, e)
+                   for iv, _ in config.pieces for e in ends)
+    return shared, crossing
+
+
 def test_cylinder_walk_matches_scalar_oracle():
     rng = random.Random(20072)
-    flipped = singletons = empty = 0
+    flipped = singletons = empty = shared = crossing = 0
     for case in range(20):
         k = 2 + case % 5
         d = (0, 2, 5)[case // 5 % 3]
         T = _random_exchange(rng, k, d)
         flipped += any(T.flips)
-        configs = [CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + case % 2])]
+        scattered = _scattered_config(rng, d, "xyz"[:2 + case % 2], T)
+        configs = [CodingConfig.natural(T), scattered]
+        # the walk's bounds merge both partitions; here they differ from each
+        has_shared, has_crossing = _shared_and_crossing(T, scattered)
+        shared += has_shared
+        crossing += has_crossing
         if k == 2:
             # mechanical arc sets, cut at a point of another denominator
             u = rational(rng.randrange(1, 13), 13)
@@ -811,8 +855,9 @@ def test_cylinder_walk_matches_scalar_oracle():
             w[rng.randrange(6)] = rng.choice(cfg.letters)
             w = "".join(w)
             assert longest_cylinder(T, cfg, w) == _longest_reference(T, cfg, w)
-    # the corpus reaches flips, peeled singletons and empty cylinders
-    assert flipped and singletons and empty
+    # the corpus reaches flips, peeled singletons, empty cylinders, a cut
+    # on an exchange end and a letter's piece across one
+    assert flipped and singletons and empty and shared and crossing
 
 
 def test_cylinder_error_paths():
@@ -834,11 +879,46 @@ def test_cylinder_error_paths():
             walk()
 
 
+def test_natural_walk_runs_on_the_kernel_itself(monkeypatch):
+    walks = []
+    init = iet._Cylinders.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        walks.append(self)
+
+    monkeypatch.setattr(iet._Cylinders, "__init__", spy)
+    exchanges = [golden_iet(), silver_iet((False, True, False)),
+                 build_iet([rational(1, 4), rational(1, 2), rational(1, 4)], (2, 3, 1),
+                           (False, True, True))]
+    for T in exchanges:
+        cfg = CodingConfig.natural(T, "abc")
+        x0 = T.left[1]
+        natural_coding(T, x0, 40)
+        coding_with_sets(T, cfg, x0, 40, strict=False)
+        essential_codings(T, cfg, x0, 40)
+        cylinder(T, cfg, "ab")
+        longest_cylinder(T, cfg, "abab")
+        cylinder_lengths(T, cfg, 2)
+        # the natural config's bounds are the kernel's own table, not a copy
+        assert len(walks) == 6
+        for walk in walks:
+            assert walk.kernel is T.kernel and walk.bounds is T.kernel.left
+        walks.clear()
+        # a point off the kernel's denominator widens it, and the bounds follow
+        natural_coding(T, rational(1, 9973), 5)
+        scattered = _scattered_config(random.Random(T.k), 0, "xy")
+        cylinder(T, scattered, "x")
+        assert walks[0].kernel is not T.kernel and walks[0].bounds is walks[0].kernel.left
+        assert walks[1].bounds != walks[1].kernel.left
+        walks.clear()
+
+
 # ----------------------------------- block coding versus the step walk
 
 def _natural_step_reference(T, x0, n, letters="123456789"):
     """natural_coding one letter at a time, as it ran before the block walk."""
-    stepper = T.kernel.widen((x0,))
+    stepper = _widened(T, (x0,))
     p = stepper.encode(x0)
     out = []
     for _ in range(n):
@@ -849,8 +929,8 @@ def _natural_step_reference(T, x0, n, letters="123456789"):
 
 def _sets_step_reference(T, config, x0, n, strict):
     """coding_with_sets one letter at a time, as it ran before the block walk."""
-    cuts, piece_letters = iet._piece_cuts(config)
-    stepper = T.kernel.widen((*cuts, x0))
+    cuts, piece_letters = config.cuts, config.piece_letters
+    stepper = _widened(T, (*cuts, x0))
     p = stepper.encode(x0)
     cut_reps = [stepper.encode(c) for c in cuts]
     out = []
@@ -890,7 +970,7 @@ def test_block_coding_matches_step_reference():
         d = next((x.d for x in T.lengths if x.d), 0)
         flipped += any(T.flips)
         u = _random_point(rng, d if rng.random() < 0.5 else 0)
-        configs = [CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + T.k % 2])]
+        configs = [CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + T.k % 2], T)]
         if u != ZERO:
             configs.append(CodingConfig([("a", (Interval(ZERO, u),)),
                                          ("b", (Interval(u, ONE),))]))
