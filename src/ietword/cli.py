@@ -29,15 +29,18 @@ def _fail(msg: str) -> int:
     return USAGE_ERROR
 
 
-def _read_word(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="ascii") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: not ASCII text: {e.reason} at byte {e.start}") from None
-    word = "".join(text.split())
+
+
+def _read_word(path: str):
+    word = "".join(_read_text(path).split())
     if not word:
         raise ValueError(f"{path} holds no symbols")
     return word
@@ -62,16 +65,11 @@ def _write(path, text: str) -> None:
 
 def _cmd_gen(args) -> int:
     try:
-        with open(args.config, encoding="ascii") as fh:
-            cfg_text = fh.read()
-    except OSError as e:
-        return _fail(f"cannot read {args.config}: {e.strerror}")
-    except UnicodeDecodeError as e:
-        return _fail(f"{args.config}: not ASCII text: {e.reason} at byte {e.start}")
-    try:
-        T, sets = parse_iet_config(cfg_text)
+        T, sets = parse_iet_config(_read_text(args.config))
     except ConfigError as e:
         return _fail(f"{args.config}: {e}")
+    except ValueError as e:
+        return _fail(str(e))
     if args.length <= 0:
         return _fail("length must be positive")
     try:
@@ -82,8 +80,7 @@ def _cmd_gen(args) -> int:
         if sets is None:
             word = natural_coding(T, x0, args.length)
         else:
-            word = coding_with_sets(T, CodingConfig(sets.items()), x0, args.length,
-                                    strict=False)
+            word = coding_with_sets(T, CodingConfig(sets.items()), x0, args.length)
     except ValueError as e:
         return _fail(str(e))
     _write(args.output, word + "\n")

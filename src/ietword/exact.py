@@ -283,27 +283,40 @@ _WS = re.compile(r"\s+")
 _INT = re.compile(r"^[+-]?\d+$")
 _FRAC = re.compile(r"^([+-]?\d+)/([+-]?\d+)$")
 _QUAD = re.compile(r"^\(([+-]?\d+)([+-])(\d+)\*sqrt\((\d+)\)\)/([+-]?\d+)$")
+# making a radicand square-free trial-divides up to its square root
+MAX_RADICAND = 10 ** 9
+
+
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        # past the interpreter's limit on digits converted to an int
+        raise ScalarParseError(
+            f"integer literal of {len(digits.lstrip('+-'))} digits is too long") from None
 
 
 def parse_scalar(text: str) -> ExactScalar:
-    """Parse `INT`, `INT/INT` or `(INT+-INT*sqrt(INT))/INT` (whitespace ignored)."""
+    """Parse `INT`, `INT/INT` or `(INT+-INT*sqrt(INT))/INT` (whitespace
+    ignored), with the radicand at most MAX_RADICAND."""
     s = _WS.sub("", text)
     if _INT.match(s):
-        return ExactScalar(Fraction(int(s)))
+        return ExactScalar(Fraction(_int(s)))
     m = _FRAC.match(s)
     if m:
-        den = int(m.group(2))
+        den = _int(m.group(2))
         if den == 0:
             raise ScalarParseError(f"zero denominator in {text!r}")
-        return ExactScalar(Fraction(int(m.group(1)), den))
+        return ExactScalar(Fraction(_int(m.group(1)), den))
     m = _QUAD.match(s)
     if m:
         p, sgn, r, d, q = m.groups()
-        den = int(q)
-        if den == 0:
+        p, r, d, q = _int(p), _int(sgn + r), _int(d), _int(q)
+        if q == 0:
             raise ScalarParseError(f"zero denominator in {text!r}")
-        r_signed = int(r) if sgn == "+" else -int(r)
-        return make_quadratic(int(p), den, r_signed, den, int(d))
+        if d > MAX_RADICAND:
+            raise ScalarParseError(f"radicand above {MAX_RADICAND} in {text!r}")
+        return make_quadratic(p, q, r, q, d)
     raise ScalarParseError(f"not a scalar literal: {text!r}")
 
 

@@ -22,7 +22,6 @@ from .exact import (ExactScalar, Interval, MixedRadicalError, ONE, ZERO, as_scal
                     compare, quadratic_sign)
 
 __all__ = [
-    "BoundaryHit",
     "CodingConfig",
     "DomainError",
     "IETSpec",
@@ -46,15 +45,6 @@ DEFAULT_LETTERS = "123456789"
 
 class DomainError(ValueError):
     """Point outside [0,1)."""
-
-
-class BoundaryHit(Exception):
-    """Orbit point landed on a characteristic-set boundary in strict mode."""
-
-    def __init__(self, step: int, point: ExactScalar):
-        super().__init__(f"orbit hits a set boundary at step {step} (x = {point})")
-        self.step = step
-        self.point = point
 
 
 class IETSpec:
@@ -369,12 +359,11 @@ class CodingConfig:
         return cls((letters[i - 1], (T.interval(i),)) for i in range(1, T.k + 1))
 
 
-def coding_with_sets(T: IETSpec, config: CodingConfig, x0, n: int, strict: bool = True) -> str:
-    return _block_coding(T, config.encoded, config.piece_letters, x0, n, strict)[0]
+def coding_with_sets(T: IETSpec, config: CodingConfig, x0, n: int) -> str:
+    return _block_coding(T, config.encoded, config.piece_letters, x0, n)[0]
 
 
-def _block_coding(T: IETSpec, encoded, letters, x0, n: int, strict: bool = False,
-                  sides=(0,)) -> list[str]:
+def _block_coding(T: IETSpec, encoded, letters, x0, n: int, sides=(0,)) -> list[str]:
     """The first n letters of the coding by the pieces between the
     encoded cuts (d, D, pairs) of x0 + side*epsilon, for each side in
     sides (0 codes x0 itself), m letters at a time from one depth-m
@@ -384,8 +373,7 @@ def _block_coding(T: IETSpec, encoded, letters, x0, n: int, strict: bool = False
     keeps the table (about pieces * m**2 piece steps) below the walk's
     n / m blocks.  A limit on a row start takes that row for side +1 and
     the row before for side -1; a block with T^m = s*x - s*b sends it to
-    the side times s.  In strict mode an orbit point on a nonzero cut
-    raises BoundaryHit with the exact step and point.
+    the side times s.
     """
     if n < 0:
         raise ValueError("orbit length must be >= 0")
@@ -394,10 +382,9 @@ def _block_coding(T: IETSpec, encoded, letters, x0, n: int, strict: bool = False
     m = 1
     while m < 64 and (2 * m) ** 3 * len(letters) <= n:
         m *= 2
-    starts, closed, rows, hits = walk.table(m)
-    kernel = walk.kernel
-    d = kernel.d
-    p0 = kernel.encode(x0)
+    starts, closed, rows = walk.table(m)
+    d = walk.kernel.d
+    p0 = walk.kernel.encode(x0)
     words = []
     for side in sides:
         p, out = p0, []
@@ -413,10 +400,6 @@ def _block_coding(T: IETSpec, encoded, letters, x0, n: int, strict: bool = False
                     lo = mid + 1
                 else:
                     hi = mid
-            if strict and p in hits:
-                j, cut = hits[p]
-                if done + j < n:
-                    raise BoundaryHit(done + j, kernel.decode(cut))
             word, s, b = rows[lo - 1]
             out.append(word[:n - done])
             p = (s * (a - b[0]), s * (c - b[1]))
@@ -513,7 +496,6 @@ class _Cylinders:
         if k.D != D:
             f = k.D // D
             cuts = tuple((a * f, b * f) for a, b in cuts)
-        self.cuts = cuts
         if cuts == k.left:
             bounds, span_letters, self.exchange = k.left, letters, range(1, len(cuts))
         else:
@@ -603,7 +585,7 @@ class _Cylinders:
                         hc, lc, -s, (b[0] + s * r0, b[1] + s * r1)))
         return out
 
-    def restrict(self, pieces):
+    def by_letter(self, pieces):
         """The parts of the pieces in each letter's set, by letter."""
         parts, letters = {}, self.span_letters
         for part in self.split(pieces):
@@ -617,7 +599,7 @@ class _Cylinders:
         for n in range(depth):
             grown = []
             for w, hit in frontier:
-                parts = self.restrict(self.advance(hit) if n else [self.root])
+                parts = self.by_letter(self.advance(hit) if n else [self.root])
                 for letter in alphabet:
                     part = parts.get(letter)
                     if part:
@@ -631,25 +613,17 @@ class _Cylinders:
         Each row (word, s, b) is a piece of source points x coded by word
         for m steps, on which T^m is y = s*x - s*b.  The rows are sorted
         by source start, closed start first; starts and closed hold each
-        row's start and 1 if it is closed, else -1.  hits maps every
-        source point whose orbit lands on a nonzero coding cut within the
-        m steps to (its first such step, that cut): such a point is always
-        the closed left end of a part split at the cut.
+        row's start and 1 if it is closed, else -1.
         """
-        interior = set(self.cuts[1:-1])
-        hits = {}
-        for n, level in enumerate(self.levels(m, self.spans)):
-            for _, parts in level:
-                for _, (lo, _, lc, _, s, b) in parts:
-                    if lc and lo in interior:
-                        hits.setdefault((s * lo[0] + b[0], s * lo[1] + b[1]), (n, lo))
+        for level in self.levels(m, self.spans):
+            pass  # each level grows from the one before; only depth m is read
         key = self.source_order()
         rows = sorted(((self.source(piece), w, piece[4], piece[5])
                        for w, parts in level for piece in self.advance(parts)),
                       key=lambda row: key(row[0]))
         starts = [src[0] for src, _, _, _ in rows]
         closed = [1 if src[2] else -1 for src, _, _, _ in rows]
-        return starts, closed, [(w, s, b) for _, w, s, b in rows], hits
+        return starts, closed, [(w, s, b) for _, w, s, b in rows]
 
     def prefix(self, w: str):
         """How many leading letters of w have a nonempty cylinder, and its parts."""

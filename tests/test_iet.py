@@ -9,7 +9,6 @@ from ietword import iet
 from ietword.exact import (ExactScalar, Interval, MixedRadicalError, ONE, ZERO, compare,
                            make_quadratic, rational)
 from ietword.iet import (
-    BoundaryHit,
     CodingConfig,
     DomainError,
     apply,
@@ -158,21 +157,16 @@ def test_coding_with_sets_fibonacci_ab():
          ("b", (Interval(ONE - GOLDEN_ALPHA, ONE),))]
     )
     assert coding_with_sets(T, cfg, ZERO, 8) == "abab" + "baba"[:4]
+    # the half swap sends 0 onto the cut 1/2 and back: a point on a cut
+    # takes the letter of the piece it starts
+    swap = build_iet([rational(1, 2), rational(1, 2)], (2, 1))
+    assert coding_with_sets(swap, CodingConfig.natural(swap, "ab"), ZERO, 4) == "abab"
 
 
 def test_single_set_constant():
     T = golden_iet()
     cfg = CodingConfig([("u", (Interval(ZERO, ONE),))])
     assert coding_with_sets(T, cfg, rational(1, 5), 6) == "uuuuuu"
-
-
-def test_strict_boundary_hit():
-    T = build_iet([rational(1, 2), rational(1, 2)], (2, 1))
-    cfg = CodingConfig.natural(T, "ab")
-    with pytest.raises(BoundaryHit) as e:
-        coding_with_sets(T, cfg, ZERO, 4, strict=True)
-    assert e.value.step == 1
-    assert coding_with_sets(T, cfg, ZERO, 4, strict=False) == "abab"
 
 
 def test_config_partition_validated():
@@ -210,7 +204,7 @@ def test_mechanical_matches_iet_coding():
     )
     x0 = rational(1, 3)
     assert mechanical_word(GOLDEN_ALPHA, x0, GOLDEN_ALPHA, 200) == coding_with_sets(
-        T, cfg, x0, 200, strict=False)
+        T, cfg, x0, 200)
 
 
 def test_essential_at_discontinuity():
@@ -636,7 +630,7 @@ def _assert_canonical(x):
 
 def test_scalars_come_back_canonical():
     rng = random.Random(20075)
-    cancelled = owned = foreign = hits = 0
+    cancelled = owned = foreign = 0
     for case in range(60):
         k = 1 + case % 6
         d = (0, 2, 5)[case // 6 % 3]
@@ -655,7 +649,7 @@ def test_scalars_come_back_canonical():
         natural = CodingConfig.natural(T)
         for cfg in (natural, _scattered_config(rng, d or 2, "xy")):
             # the cuts of a scattered config on a rational exchange lie in Q(sqrt 2)
-            codings = {coding_with_sets(T, cfg, x, 3, strict=False)
+            codings = {coding_with_sets(T, cfg, x, 3)
                        for x in pts if x.d in (0, d or 2)}
             for w in codings:
                 for iv in cylinder(T, cfg, w):
@@ -663,15 +657,9 @@ def test_scalars_come_back_canonical():
                     _assert_canonical(iv.hi)
             for length in cylinder_lengths(T, cfg, 3).values():
                 _assert_canonical(length)
-        for cut in T.left[1:-1]:
-            # the orbit of cut's preimage meets a cut by step 1
-            with pytest.raises(BoundaryHit) as e:
-                coding_with_sets(T, natural, apply_inverse(T, cut), 3)
-            _assert_canonical(e.value.point)
-            hits += 1
     # the corpus reaches rational results on quadratic exchanges, owned
     # flipped endpoints and quadratic points on rational exchanges
-    assert cancelled and owned and foreign and hits
+    assert cancelled and owned and foreign
 
 
 def test_cylinder_lengths_match_cylinders():
@@ -851,7 +839,7 @@ def test_cylinder_walk_matches_scalar_oracle():
                 for img, _, _ in part:
                     total = total + img.length
                 assert lengths[w] == total
-            w = list(coding_with_sets(T, cfg, _random_point(rng, d), 6, strict=False))
+            w = list(coding_with_sets(T, cfg, _random_point(rng, d), 6))
             w[rng.randrange(6)] = rng.choice(cfg.letters)
             w = "".join(w)
             assert longest_cylinder(T, cfg, w) == _longest_reference(T, cfg, w)
@@ -895,7 +883,7 @@ def test_natural_walk_runs_on_the_kernel_itself(monkeypatch):
         cfg = CodingConfig.natural(T, "abc")
         x0 = T.left[1]
         natural_coding(T, x0, 40)
-        coding_with_sets(T, cfg, x0, 40, strict=False)
+        coding_with_sets(T, cfg, x0, 40)
         essential_codings(T, cfg, x0, 40)
         cylinder(T, cfg, "ab")
         longest_cylinder(T, cfg, "abab")
@@ -927,20 +915,20 @@ def _natural_step_reference(T, x0, n, letters="123456789"):
     return "".join(out)
 
 
-def _sets_step_reference(T, config, x0, n, strict):
-    """coding_with_sets one letter at a time, as it ran before the block walk."""
+def _sets_step_reference(T, config, x0, n):
+    """coding_with_sets one letter at a time, as it ran before the block
+    walk, and how many of the orbit points land on a nonzero cut."""
     cuts, piece_letters = config.cuts, config.piece_letters
     stepper = _widened(T, (*cuts, x0))
     p = stepper.encode(x0)
     cut_reps = [stepper.encode(c) for c in cuts]
-    out = []
-    for step in range(n):
+    out, on_cut = [], 0
+    for _ in range(n):
         j = stepper.locate(cut_reps, p)
-        if strict and j > 1 and p == cut_reps[j - 1]:
-            raise BoundaryHit(step, stepper.decode(p))
+        on_cut += j > 1 and p == cut_reps[j - 1]
         out.append(piece_letters[j - 1])
         p = stepper.step(p)
-    return "".join(out)
+    return "".join(out), on_cut
 
 
 def _block_lengths(pieces, m_max):
@@ -980,25 +968,14 @@ def test_block_coding_matches_step_reference():
             ns = _block_lengths(pieces, 16 if pieces == 2 else 8 if pieces <= 4 else 4)
             for x0 in (_random_point(rng, d), rng.choice(cfg.pieces)[0].lo):
                 # one long reference run; every shorter coding is its prefix
-                word = _sets_step_reference(T, cfg, x0, ns[-1], strict=False)
-                try:
-                    _sets_step_reference(T, cfg, x0, ns[-1], strict=True)
-                    hit = None
-                except BoundaryHit as e:
-                    hit = (e.step, e.point)
-                hits += hit is not None
+                word, on_cut = _sets_step_reference(T, cfg, x0, ns[-1])
+                hits += on_cut > 0
                 if natural:
                     assert word == _natural_step_reference(T, x0, ns[-1])
                 for n in ns:
                     if natural:
                         assert natural_coding(T, x0, n) == word[:n], (T, x0, n)
-                    assert coding_with_sets(T, cfg, x0, n, strict=False) == word[:n]
-                    if hit is not None and hit[0] < n:
-                        with pytest.raises(BoundaryHit) as e:
-                            coding_with_sets(T, cfg, x0, n, strict=True)
-                        assert (e.value.step, e.value.point) == hit, (T, cfg, x0, n)
-                    else:
-                        assert coding_with_sets(T, cfg, x0, n, strict=True) == word[:n]
+                    assert coding_with_sets(T, cfg, x0, n) == word[:n], (T, cfg, x0, n)
     # the corpus reaches flips and orbits through set boundaries
     assert flipped and hits
 

@@ -5,6 +5,7 @@ was not meant as an interface, so either the name should be public or
 the work belongs on the other side of the seam.
 """
 import ast
+import importlib
 from pathlib import Path
 
 import ietword
@@ -145,3 +146,40 @@ def test_no_module_has_unreferenced_privates():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 8
     assert unreferenced_privates({path.name: path.read_text() for path in modules}) == []
+
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def spanned_names(source: str) -> list[str]:
+    """layer.name for every name the `SPANNED` dict literal of a source
+    lists under its layer."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "SPANNED" for t in node.targets)):
+            return [f"{layer}.{name}"
+                    for layer, names in ast.literal_eval(node.value).items()
+                    for name in names]
+    return []
+
+
+def test_guard_reads_spanned_names():
+    source = ("SPANNED = {\n"
+              "    'iet': ['natural_coding', 'cylinder'],\n"
+              "    'cli': ['main'],\n"
+              "}\n"
+              "COMPARE = ['sign']\n")
+    assert spanned_names(source) == ["iet.natural_coding", "iet.cylinder", "cli.main"]
+    assert spanned_names("COMPARE = ['sign']\n") == []
+
+
+def test_benchmark_spans_name_library_functions():
+    # the traced benchmark wraps each of these; a missing one fails every traced run
+    names = spanned_names(TRACER.read_text())
+    assert len(names) >= 10
+    missing = []
+    for name in names:
+        layer, attr = name.split(".")
+        if not hasattr(importlib.import_module(f"ietword.{layer}"), attr):
+            missing.append(name)
+    assert missing == []

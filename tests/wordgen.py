@@ -34,9 +34,9 @@ def mechanical_word(alpha, x0, u_len, n: int) -> str:
         ("a", (Interval(ZERO, u_len),)),
         ("b", (Interval(u_len, ONE),)),
     ])
-    # rational alpha makes orbits hit the arc boundary; membership under
-    # the half-open convention is still well defined, so no strict check
-    return coding_with_sets(T, config, x0, n, strict=False)
+    # rational alpha makes orbits hit the arc boundary; under the
+    # half-open convention a point on it takes the letter of the arc it starts
+    return coding_with_sets(T, config, x0, n)
 
 
 def random_exact_iet(rng, k):
