@@ -29,25 +29,26 @@ def _fail(msg: str) -> int:
     return USAGE_ERROR
 
 
+class _UsageError(Exception):
+    """An input file could not be read or an output file written; main
+    reports it as a usage error."""
+
+
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="ascii") as fh:
             return fh.read()
     except OSError as e:
-        raise ValueError(f"cannot read {path}: {e.strerror}") from None
+        raise _UsageError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not ASCII text: {e.reason} at byte {e.start}") from None
+        raise _UsageError(f"{path}: not ASCII text: {e.reason} at byte {e.start}") from None
 
 
 def _read_word(path: str):
     word = "".join(_read_text(path).split())
     if not word:
-        raise ValueError(f"{path} holds no symbols")
+        raise _UsageError(f"{path} holds no symbols")
     return word
-
-
-class _WriteError(Exception):
-    """An output file could not be written; main reports it as a usage error."""
 
 
 def _write(path, text: str) -> None:
@@ -58,7 +59,7 @@ def _write(path, text: str) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
     except OSError as e:
-        raise _WriteError(f"cannot write {path}: {e.strerror}") from None
+        raise _UsageError(f"cannot write {path}: {e.strerror}") from None
 
 
 # ----------------------------------------------------------- subcommands
@@ -68,8 +69,6 @@ def _cmd_gen(args) -> int:
         T, sets = parse_iet_config(_read_text(args.config))
     except ConfigError as e:
         return _fail(f"{args.config}: {e}")
-    except ValueError as e:
-        return _fail(str(e))
     if args.length <= 0:
         return _fail("length must be positive")
     try:
@@ -88,10 +87,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        word = _read_word(args.word)
-    except ValueError as e:
-        return _fail(str(e))
+    word = _read_word(args.word)
     if args.max_len < 1:
         return _fail("--max-len must be positive")
     if len(word) < args.max_len + 1:
@@ -110,10 +106,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_rauzy(args) -> int:
-    try:
-        word = _read_word(args.word)
-    except ValueError as e:
-        return _fail(str(e))
+    word = _read_word(args.word)
     if args.k_min < 1 or args.k_max < args.k_min:
         return _fail(f"bad window [{args.k_min}, {args.k_max}]")
     if len(word) < args.k_max + 1:
@@ -133,10 +126,7 @@ def _witness_text(w) -> str:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        word = _read_word(args.word)
-    except ValueError as e:
-        return _fail(str(e))
+    word = _read_word(args.word)
     if args.k_min < 1 or args.k_max < args.k_min:
         return _fail(f"bad window [{args.k_min}, {args.k_max}]")
     if len(word) < args.k_max + 1:
@@ -172,10 +162,7 @@ def _parse_order(text: str):
 
 
 def _cmd_fz(args) -> int:
-    try:
-        word = _read_word(args.word)
-    except ValueError as e:
-        return _fail(str(e))
+    word = _read_word(args.word)
     if args.max_len < 0:
         return _fail("--max-len must not be negative")
     if len(word) < args.max_len + 2:
@@ -214,10 +201,7 @@ def _cmd_fz(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    try:
-        word = _read_word(args.word)
-    except ValueError as e:
-        return _fail(str(e))
+    word = _read_word(args.word)
     if args.k_min < 1 or args.k_max < args.k_min:
         return _fail(f"bad window [{args.k_min}, {args.k_max}]")
     if args.depth < 1 or args.roundtrip < 1:
@@ -318,7 +302,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _WriteError as e:
+    except _UsageError as e:
         return _fail(str(e))
 
 

@@ -13,7 +13,8 @@ Format, one field per line, order free, # comments and blank lines ok:
 `d` declares the single radicand used by the scalar literals (0 for a
 rational exchange); it is redundant but keeps files self-describing,
 and a mismatch is rejected.  `sets` lines are optional, one letter per
-line, and name a coding partition; without them the natural partition
+line, and name a coding partition; each letter is one character, as it
+is one letter of the coded word.  Without them the natural partition
 (letters "1".."k") is meant.
 """
 from __future__ import annotations
@@ -59,6 +60,8 @@ def parse_iet_config(text: str):
             if not m:
                 raise ConfigError(ln, "sets line needs <letter>=<interval-list>")
             letter, body = m.group(1), m.group(2)
+            if len(letter) != 1:
+                raise ConfigError(ln, f"sets letter {letter!r} is not one character")
             if letter in sets:
                 raise ConfigError(ln, f"duplicate sets entry for {letter!r}")
             ivs = []

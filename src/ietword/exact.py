@@ -21,7 +21,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "as_scalar",
-    "approximate",
     "compare",
     "format_scalar",
     "make_quadratic",
@@ -265,20 +264,6 @@ def compare(a: ExactScalar, b: ExactScalar) -> int:
     return quadratic_sign(a.rat - b.rat, a.coef - b.coef, a._join_d(b))
 
 
-def approximate(a: ExactScalar, digits: int) -> str:
-    """Decimal expansion with `digits` fractional digits, rounded half-up.
-
-    Computed from integer square roots; never touches floating point.
-    """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    if a.sign() < 0:
-        return "-" + approximate(-a, digits)
-    scale = 10 ** digits
-    m = math.floor(a * scale + Fraction(1, 2))
-    return f"{m // scale}.{m % scale:0{digits}d}"
-
-
 _WS = re.compile(r"\s+")
 _INT = re.compile(r"^[+-]?\d+$")
 _FRAC = re.compile(r"^([+-]?\d+)/([+-]?\d+)$")
@@ -347,10 +332,6 @@ class Interval:
         if compare(self.hi, self.lo) < 0:
             raise ValueError(f"interval endpoints out of order: {self}")
 
-    @classmethod
-    def singleton(cls, x: ExactScalar) -> "Interval":
-        return cls(x, x, True, True)
-
     @property
     def is_empty(self) -> bool:
         return self.lo == self.hi and not (self.lo_closed and self.hi_closed)
@@ -358,35 +339,6 @@ class Interval:
     @property
     def length(self) -> ExactScalar:
         return self.hi - self.lo
-
-    def contains(self, x: ExactScalar) -> bool:
-        c = compare(x, self.lo)
-        if c < 0 or (c == 0 and not self.lo_closed):
-            return False
-        c = compare(x, self.hi)
-        if c > 0 or (c == 0 and not self.hi_closed):
-            return False
-        return True
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        c = compare(self.lo, other.lo)
-        if c > 0:
-            lo, lo_closed = self.lo, self.lo_closed
-        elif c < 0:
-            lo, lo_closed = other.lo, other.lo_closed
-        else:
-            lo, lo_closed = self.lo, self.lo_closed and other.lo_closed
-        c = compare(self.hi, other.hi)
-        if c < 0:
-            hi, hi_closed = self.hi, self.hi_closed
-        elif c > 0:
-            hi, hi_closed = other.hi, other.hi_closed
-        else:
-            hi, hi_closed = self.hi, self.hi_closed and other.hi_closed
-        if compare(lo, hi) > 0:
-            return None
-        out = Interval(lo, hi, lo_closed, hi_closed)
-        return None if out.is_empty else out
 
     def __str__(self) -> str:
         lb = "[" if self.lo_closed else "("

@@ -318,6 +318,8 @@ class CodingConfig:
         self.sets = {}
         for letter, ivs in sets:
             ivs = tuple(ivs)
+            if not isinstance(letter, str) or len(letter) != 1:
+                raise ValueError(f"letter {letter!r} is not one character")
             if letter in self.sets:
                 raise ValueError(f"duplicate letter {letter!r}")
             if not ivs:

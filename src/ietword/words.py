@@ -12,11 +12,8 @@ __all__ = [
     "FactorSet",
     "bispecial_factors",
     "complexity",
-    "factors",
-    "is_balanced",
     "recurrence_window",
     "special_factors",
-    "sturmian_check",
 ]
 
 
@@ -151,10 +148,6 @@ class FactorSet:
         return factor in self.counts(len(factor))
 
 
-def factors(word: str, max_len: int) -> FactorSet:
-    return FactorSet(word, max_len)
-
-
 def complexity(fs: FactorSet, n: int) -> int:
     return len(fs.counts(n))
 
@@ -180,36 +173,6 @@ def special_factors(fs: FactorSet, n: int, side: str):
 def bispecial_factors(fs: FactorSet, n: int) -> list[str]:
     return sorted(w for w, (left, right) in fs.extensions(n).items()
                   if len(left) >= 2 and len(right) >= 2)
-
-
-def is_balanced(fs: FactorSet, up_to: int, letter: str):
-    """Letter counts of equal-length factors differ by at most 1."""
-    if letter not in fs.alphabet:
-        raise ValueError(f"letter {letter!r} not in alphabet {fs.alphabet}")
-    if up_to > fs.max_len:
-        raise ValueError(f"up_to {up_to} exceeds max_len {fs.max_len}")
-    for n in range(1, up_to + 1):
-        lo_f = hi_f = None
-        lo = hi = 0
-        for f in fs.counts(n):
-            c = f.count(letter)
-            if lo_f is None or c < lo:
-                lo_f, lo = f, c
-            if hi_f is None or c > hi:
-                hi_f, hi = f, c
-        if hi - lo > 1:
-            return False, (hi_f, lo_f)
-    return True, None
-
-
-def sturmian_check(fs: FactorSet, up_to: int) -> str:
-    """Verdict 'consistent' or 'violated-at-N' for T(n) = n+1."""
-    if up_to > fs.max_len:
-        raise ValueError(f"up_to {up_to} exceeds max_len {fs.max_len}")
-    for n in range(1, up_to + 1):
-        if complexity(fs, n) != n + 1:
-            return f"violated-at-{n}"
-    return "consistent"
 
 
 def recurrence_window(word: str, k: int):

@@ -83,6 +83,16 @@ def test_gen_errors(tmp_path, cfg, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_gen_refuses_multi_character_letters(tmp_path, capsys):
+    path = tmp_path / "long.cfg"
+    path.write_text(GOLDEN_CFG + "sets ab=[0,1/3)\nsets b=[1/3,1)\n")
+    assert main(["gen", str(path), "-n", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: line 6: "
+                            "sets letter 'ab' is not one character\n")
+
+
 def test_gen_non_ascii_config(tmp_path, capsys):
     path = tmp_path / "accent.cfg"
     path.write_text("# rotation dorée\n" + GOLDEN_CFG, encoding="utf-8")

@@ -201,6 +201,12 @@ def test_duplicate_sets_letter():
     assert "duplicate sets entry" in str(e)
 
 
+def test_sets_letter_is_one_character():
+    e = err(GOLDEN_CFG + "sets ab=[0,1/3)\nsets b=[1/3,1)\n")
+    assert e.line_no == 6
+    assert "sets letter 'ab' is not one character" in str(e)
+
+
 def test_empty_interval_list():
     e = err(GOLDEN_CFG + "sets a=\n")
     assert "empty interval list" in str(e)

@@ -10,7 +10,6 @@ from ietword.exact import (
     Interval,
     MixedRadicalError,
     ScalarParseError,
-    approximate,
     compare,
     format_scalar,
     make_quadratic,
@@ -83,18 +82,6 @@ def test_floor_quadratic():
     big = GOLDEN * 1000                       # 618.03...
     assert math.floor(big) == 618
     assert math.floor(-big) == -619
-
-
-def test_approximate_golden():
-    assert approximate(GOLDEN, 7) == "0.6180340"
-    assert approximate(GOLDEN, 1) == "0.6"
-    assert approximate(rational(1, 2), 3) == "0.500"
-    assert approximate(-GOLDEN, 4) == "-0.6180"
-
-
-def test_approximate_rounds_half_up():
-    assert approximate(rational(1, 4), 1) == "0.3"
-    assert approximate(rational(-1, 4), 1) == "-0.3"
 
 
 def test_parse_int_and_fraction():
@@ -174,13 +161,6 @@ def test_floor_bracket(a):
     assert compare(a, rational(n + 1)) < 0
 
 
-@given(scalars(), st.integers(min_value=1, max_value=12))
-def test_approximate_close(a, digits):
-    text = approximate(a, digits)
-    approx = float(a.rat) + float(a.coef) * math.sqrt(a.d or 1)
-    assert abs(float(text) - approx) <= 0.5 * 10.0 ** -digits + 1e-9
-
-
 def test_compare_matches_difference_sign():
     rng = random.Random(20074)
     for _ in range(600):
@@ -200,39 +180,12 @@ def test_compare_matches_difference_sign():
                 cmp(a, b)
 
 
-def test_interval_contains():
-    iv = Interval(rational(0), rational(1))
-    assert iv.contains(rational(0))
-    assert not iv.contains(rational(1))
-    assert iv.contains(GOLDEN)
-    closed = Interval(rational(0), rational(1), True, True)
-    assert closed.contains(rational(1))
-
-
 def test_interval_singleton_and_empty():
-    s = Interval.singleton(rational(1, 2))
-    assert s.contains(rational(1, 2))
+    s = Interval(rational(1, 2), rational(1, 2), True, True)
     assert not s.is_empty
     assert s.length == 0
     e = Interval(rational(1, 2), rational(1, 2), True, False)
     assert e.is_empty
-
-
-def test_interval_intersect():
-    a = Interval(rational(0), rational(1))
-    b = Interval(rational(1, 2), rational(2))
-    c = a.intersect(b)
-    assert c is not None
-    assert c.lo == rational(1, 2) and c.hi == rational(1)
-    assert c.lo_closed and not c.hi_closed
-    assert a.intersect(Interval(rational(2), rational(3))) is None
-    # touching at an endpoint owned by both sides gives a singleton
-    touch = Interval(rational(1), rational(2), True, True).intersect(
-        Interval(rational(0), rational(1), True, True))
-    assert touch is not None and touch.lo == touch.hi == rational(1)
-    # touching with ownership on one side only: empty
-    assert Interval(rational(1), rational(2)).intersect(
-        Interval(rational(0), rational(1))) is None
 
 
 def test_interval_contains_limit():

@@ -183,6 +183,14 @@ def test_config_partition_validated():
         CodingConfig((c, (Interval(a, b),)) for c, a, b in zip("abcd", ends, ends[1:]))
 
 
+@pytest.mark.parametrize("letter", ["ab", "", 1])
+def test_config_letters_are_one_character(letter):
+    # each piece writes one letter of the word
+    with pytest.raises(ValueError, match="not one character"):
+        CodingConfig([(letter, (Interval(ZERO, rational(1, 3)),)),
+                      ("b", (Interval(rational(1, 3), ONE),))])
+
+
 def test_mechanical_golden_prefix():
     assert mechanical_word(GOLDEN_ALPHA, ZERO, GOLDEN_ALPHA, 8) == "ababaaba"
 
@@ -327,7 +335,7 @@ def test_cylinder_coding_consistency():
         for iv in ivs:
             mid = (iv.lo + iv.hi) / 2
             assert natural_coding(T, mid, len(word)) == word
-            assert iv.contains(mid)
+            assert iv.lo < mid < iv.hi
 
 
 def test_cylinder_flipped_partition():
@@ -689,13 +697,22 @@ def test_longest_cylinder_prefix():
 
 # ------------------------------------ cylinder walk versus scalar oracle
 
+def _intersect(a, b):
+    """The points of interval a that lie in interval b, or None if none do."""
+    lo, lo_open = max((a.lo, not a.lo_closed), (b.lo, not b.lo_closed))
+    hi, hi_closed = min((a.hi, a.hi_closed), (b.hi, b.hi_closed))
+    if lo > hi or (lo == hi and (lo_open or not hi_closed)):
+        return None
+    return Interval(lo, hi, not lo_open, hi_closed)
+
+
 def _advance_reference(T, pieces):
     """Scalar piece walk: (image interval, sign, offset) through one step,
     with source = sign * y + offset for y in the image interval."""
     out = []
     for img, s, b in pieces:
         for i in range(1, T.k + 1):
-            part = img.intersect(T.interval(i))
+            part = _intersect(img, T.interval(i))
             if part is None:
                 continue
             if not T.flips[i - 1]:
@@ -705,7 +722,7 @@ def _advance_reference(T, pieces):
                 continue
             keep = part
             if part.lo == T.left[i - 1] and part.lo_closed:
-                out.append((Interval.singleton(T.dest_lo[i - 1]), 1,
+                out.append((Interval(T.dest_lo[i - 1], T.dest_lo[i - 1], True, True), 1,
                             s * T.left[i - 1] + b - T.dest_lo[i - 1]))
                 if part.lo == part.hi:
                     continue
@@ -718,7 +735,7 @@ def _advance_reference(T, pieces):
 
 def _restrict_reference(config, letter, pieces):
     return [(part, s, b) for img, s, b in pieces for u in config.sets[letter]
-            if (part := img.intersect(u)) is not None]
+            if (part := _intersect(img, u)) is not None]
 
 
 def _merge_reference(pieces):

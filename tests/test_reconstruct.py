@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ietword import reconstruct
-from ietword.exact import approximate, make_quadratic, rational
+from ietword.exact import make_quadratic, rational
 from ietword.iet import build_iet, natural_coding
 from ietword.orders import interval_orders
 from ietword.rauzy import EvolutionReport, validate_evolution
@@ -94,7 +94,7 @@ def test_reconstruct_golden_coding():
     T, residual, letters = reconstruct_iet(FactorSet(word, 6), accepted_report(word), 6)
     assert [x.rat for x in T.lengths] == [Fraction(191, 500), Fraction(309, 500)]
     assert T.permutation == (2, 1)
-    assert abs(float(T.lengths[1].rat) - float(approximate(GOLDEN_ALPHA, 12))) < 0.01
+    assert abs(T.lengths[1] - GOLDEN_ALPHA) < Fraction(1, 100)
     assert residual < Fraction(1, 20)
     assert verify_roundtrip(word, T, 500, letters)[:2] == (465, 500)
 
@@ -104,7 +104,7 @@ def test_reconstruct_silver_coding():
     T, residual, letters = reconstruct_iet(FactorSet(word, 6), accepted_report(word), 6)
     assert T.permutation == (3, 2, 1)
     for got, truth in zip(T.lengths, silver_iet().lengths):
-        assert abs(float(approximate(got - truth, 10))) < 0.02
+        assert abs(got - truth) < Fraction(1, 50)
     assert residual < Fraction(1, 20)
     assert verify_roundtrip(word, T, 500, letters)[:2] == (500, 500)
 

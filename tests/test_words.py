@@ -10,11 +10,8 @@ from ietword.words import (
     FactorSet,
     bispecial_factors,
     complexity,
-    factors,
-    is_balanced,
     recurrence_window,
     special_factors,
-    sturmian_check,
 )
 from wordgen import fibonacci_word, thue_morse_word, tribonacci_word
 
@@ -56,7 +53,7 @@ def block_size(windows):
 
 
 def assert_index_matches_slicing(word, max_len):
-    fs = factors(word, max_len)
+    fs = FactorSet(word, max_len)
     assert_counts_match(fs, range(max_len, -1, -1))
     assert fs.alphabet == tuple(sorted(set(word)))
 
@@ -80,7 +77,7 @@ def assert_extensions_any_order(word, max_len, shuffle):
     index; every level must match the letter probe, and a second call
     must hand back the cached dict."""
     for first in (0, max_len - 1, max_len // 2):
-        fs = factors(word, max_len)
+        fs = FactorSet(word, max_len)
         rest = [n for n in range(max_len) if n != first]
         shuffle(rest)
         got = {n: fs.extensions(n) for n in [first, *rest]}
@@ -90,10 +87,10 @@ def assert_extensions_any_order(word, max_len, shuffle):
 
 
 def test_counts_small_examples():
-    assert dict(factors("abaab", 2).counts(2)) == {"ab": 2, "ba": 1, "aa": 1}
-    assert dict(factors("aaaa", 3).counts(3)) == {"aaa": 2}
+    assert dict(FactorSet("abaab", 2).counts(2)) == {"ab": 2, "ba": 1, "aa": 1}
+    assert dict(FactorSet("aaaa", 3).counts(3)) == {"aaa": 2}
     with pytest.raises(ValueError):
-        factors("ab", 3)
+        FactorSet("ab", 3)
 
 
 @pytest.mark.parametrize("word,max_len", [
@@ -136,7 +133,7 @@ def test_block_count_every_last_block_length(source):
 def test_random_words_have_high_complexity(letters):
     # the corpus above exercises a top level with about one key per window
     word = random_word(len(letters) - 1, letters, 3000)
-    fs = factors(word, 25)
+    fs = FactorSet(word, 25)
     assert len(fs.counts(25)) > 0.95 * (3000 - 25 + 1)
 
 
@@ -144,7 +141,7 @@ def test_random_words_have_high_complexity(letters):
                                    (12, 0), (6, 6, 2, 9)])
 def test_counts_any_level_order(order):
     for word in (TRI[:800], random_word(6, "abc", 800)):
-        fs = factors(word, 12)
+        fs = FactorSet(word, 12)
         assert_counts_match(fs, order)
         assert_counts_match(fs, range(13))
 
@@ -154,19 +151,19 @@ def test_counts_any_level_order(order):
 def test_counts_match_window_slicing_random(w, data):
     max_len = data.draw(st.integers(min_value=1, max_value=len(w)))
     first = data.draw(st.integers(min_value=0, max_value=max_len))
-    fs = factors(w, max_len)
+    fs = FactorSet(w, max_len)
     assert_counts_match(fs, [first, *range(max_len + 1)])
     assert fs.alphabet == tuple(sorted(set(w)))
 
 
 def test_counts_sum_to_window_count():
-    fs = factors(FIB[:500], 20)
+    fs = FactorSet(FIB[:500], 20)
     for n in range(21):
         assert sum(fs.counts(n).values()) == 500 - n + 1
 
 
 def test_contains_and_range_checks():
-    fs = factors("abaab", 3)
+    fs = FactorSet("abaab", 3)
     assert "aba" in fs
     assert "bb" not in fs
     with pytest.raises(ValueError):
@@ -176,18 +173,18 @@ def test_contains_and_range_checks():
 
 
 def test_complexity_fibonacci():
-    fs = factors(fibonacci_word(1000), 12)
+    fs = FactorSet(fibonacci_word(1000), 12)
     assert complexity(fs, 10) == 11
     assert complexity(fs, 0) == 1
 
 
 def test_complexity_constant():
-    fs = factors("a" * 100, 10)
+    fs = FactorSet("a" * 100, 10)
     assert all(complexity(fs, n) == 1 for n in range(11))
 
 
 def test_special_factors_fibonacci():
-    fs = factors(FIB, 10)
+    fs = FactorSet(FIB, 10)
     assert special_factors(fs, 1, "right") == [("a", ("a", "b"), 2)]
     assert special_factors(fs, 1, "left") == [("a", ("a", "b"), 2)]
     # Sturmian words have exactly one special factor per length and side
@@ -197,18 +194,18 @@ def test_special_factors_fibonacci():
 
 
 def test_special_factors_constant_empty():
-    fs = factors("a" * 50, 6)
+    fs = FactorSet("a" * 50, 6)
     assert special_factors(fs, 2, "left") == []
 
 
 def test_special_factors_tribonacci_valence3():
-    fs = factors(TRI, 6)
+    fs = FactorSet(TRI, 6)
     triples = special_factors(fs, 1, "left")
     assert ("a", ("a", "b", "c"), 3) in triples
 
 
 def test_special_factors_validation():
-    fs = factors("abab", 3)
+    fs = FactorSet("abab", 3)
     with pytest.raises(ValueError):
         special_factors(fs, 3, "left")
     with pytest.raises(ValueError):
@@ -219,7 +216,7 @@ def test_special_factors_validation():
                          ids=["fibonacci", "thue-morse", "tribonacci", "silver"])
 def test_extensions_match_letter_probe(word):
     assert_extensions_any_order(word, 24, random.Random(len(word)).shuffle)
-    fs = factors(word, 24)
+    fs = FactorSet(word, 24)
     for n in (-1, 24):
         with pytest.raises(ValueError):
             fs.extensions(n)
@@ -232,7 +229,7 @@ def test_extensions_match_letter_probe_random(w, rng):
 
 
 def test_bispecial_fibonacci_lengths():
-    fs = factors(FIB, 14)
+    fs = FactorSet(FIB, 14)
     hits = {n for n in range(13) if bispecial_factors(fs, n)}
     assert hits == {0, 1, 3, 6, 11}
     assert bispecial_factors(fs, 3) == ["aba"]
@@ -240,49 +237,51 @@ def test_bispecial_fibonacci_lengths():
 
 
 def test_bispecial_thue_morse_pair():
-    fs = factors(TM, 4)
+    fs = FactorSet(TM, 4)
     assert bispecial_factors(fs, 2) == ["ab", "ba"]
 
 
+def balance_witness(fs: FactorSet, up_to: int, letter: str):
+    """Two factors of one length n <= up_to whose counts of letter differ
+    by more than 1, the heavier first; None when the factors are balanced."""
+    for n in range(1, up_to + 1):
+        level = fs.counts(n)
+        heavy = max(level, key=lambda f: f.count(letter))
+        light = min(level, key=lambda f: f.count(letter))
+        if heavy.count(letter) - light.count(letter) > 1:
+            return heavy, light
+    return None
+
+
 def test_balanced_fibonacci():
-    fs = factors(FIB, 30)
-    assert is_balanced(fs, 30, "a") == (True, None)
-    assert is_balanced(fs, 30, "b") == (True, None)
+    fs = FactorSet(FIB, 30)
+    assert balance_witness(fs, 30, "a") is None
+    assert balance_witness(fs, 30, "b") is None
 
 
 def test_balanced_thue_morse_witness():
-    fs = factors(TM, 6)
-    ok, pair = is_balanced(fs, 6, "a")
-    assert not ok
-    u, v = pair
+    u, v = balance_witness(FactorSet(TM, 6), 6, "a")
     assert len(u) == len(v) == 2
     assert u.count("a") - v.count("a") > 1
 
 
 def test_balanced_constant():
-    fs = factors("a" * 40, 8)
-    assert is_balanced(fs, 8, "a") == (True, None)
-
-
-def test_balanced_letter_validation():
-    fs = factors("abab", 2)
-    with pytest.raises(ValueError):
-        is_balanced(fs, 2, "c")
+    assert balance_witness(FactorSet("a" * 40, 8), 8, "a") is None
 
 
 def test_sturmian_check_fibonacci():
-    fs = factors(FIB, 101)
-    assert sturmian_check(fs, 50) == "consistent"
+    fs = FactorSet(FIB, 101)
+    assert all(complexity(fs, n) == n + 1 for n in range(1, 51))
 
 
 def test_sturmian_check_thue_morse():
-    fs = factors(TM, 10)
-    assert sturmian_check(fs, 10) == "violated-at-2"
+    fs = FactorSet(TM, 10)
+    assert [complexity(fs, n) for n in (1, 2)] == [2, 4]
 
 
 def test_sturmian_check_periodic():
-    fs = factors("ab" * 100, 10)
-    assert sturmian_check(fs, 10).startswith("violated-at-")
+    fs = FactorSet("ab" * 100, 10)
+    assert any(complexity(fs, n) != n + 1 for n in range(1, 11))
 
 
 def test_recurrence_periodic():
@@ -309,9 +308,9 @@ def test_recurrence_precondition():
 
 def test_fibonacci_vs_mechanical_balance_consistency():
     # balanced and aperiodic on the window implies Sturmian counts
-    fs = factors(FIB, 40)
-    assert is_balanced(fs, 30, "a")[0]
-    assert sturmian_check(fs, 30) == "consistent"
+    fs = FactorSet(FIB, 40)
+    assert balance_witness(fs, 30, "a") is None
+    assert all(complexity(fs, n) == n + 1 for n in range(1, 31))
 
 
 words_strategy = st.text(alphabet="ab", min_size=30, max_size=120)
@@ -320,7 +319,7 @@ words_strategy = st.text(alphabet="ab", min_size=30, max_size=120)
 @settings(max_examples=50)
 @given(words_strategy)
 def test_first_difference_law(w):
-    fs = factors(w, 12)
+    fs = FactorSet(w, 12)
     for n in range(11):
         rs = special_factors(fs, n, "right")
         growth = complexity(fs, n + 1) - complexity(fs, n)
@@ -333,7 +332,7 @@ def test_first_difference_law(w):
 @settings(max_examples=50)
 @given(words_strategy)
 def test_subfactor_closure(w):
-    fs = factors(w, 10)
+    fs = FactorSet(w, 10)
     for n in range(2, 11):
         shorter = fs.counts(n - 1)
         for f in fs.counts(n):
