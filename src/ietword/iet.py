@@ -223,6 +223,12 @@ class _IntOrbit:
         self.left, self.slot_start, self.disp, self.refl, self.dest_lo = (
             tuple(map(self.encode, table))
             for table in (T.left, T.slot_start, T.disp, T.refl, T.dest_lo))
+        # ahead[i-1]: the interval indices that X_i's image slot meets;
+        # behind[j-1]: the slot indices that slot j's source interval meets
+        self.ahead = tuple(self.span(self.left, self.slot_start[j - 1], self.slot_start[j])
+                           for j in T.slot_of[1:])
+        self.behind = tuple(self.span(self.slot_start, self.left[i - 1], self.left[i])
+                            for i in self.perm)
 
     def widen(self, d: int, D: int) -> "_IntOrbit":
         """A kernel that also encodes the scalars of field d (0 for Q) over
@@ -236,6 +242,7 @@ class _IntOrbit:
             raise MixedRadicalError("points span two quadratic fields")
         wide = object.__new__(_IntOrbit)
         wide.flips, wide.perm, wide.d = self.flips, self.perm, d
+        wide.ahead, wide.behind = self.ahead, self.behind
         wide.D = D = math.lcm(self.D, D)
         f = D // self.D
         wide.left, wide.slot_start, wide.disp, wide.refl, wide.dest_lo = (
@@ -259,27 +266,58 @@ class _IntOrbit:
                 return j
         raise AssertionError("unreachable: the cuts cover [0,1)")
 
-    def step(self, p):
-        """The image of p under T."""
-        i = self.locate(self.left, p)
-        if not self.flips[i - 1]:
-            d = self.disp[i - 1]
-            return (p[0] + d[0], p[1] + d[1])
-        if p == self.left[i - 1]:
-            return self.dest_lo[i - 1]
-        r = self.refl[i - 1]
-        return (r[0] - p[0], r[1] - p[1])
+    def span(self, cuts, lo, hi):
+        """(first, last): the 1-based indices of the cells between cuts
+        that the half-open interval [lo, hi) meets."""
+        first = self.locate(cuts, lo)
+        last = first
+        d = self.d
+        while quadratic_sign(hi[0] - cuts[last][0], hi[1] - cuts[last][1], d) > 0:
+            last += 1
+        return first, last
 
-    def step_back(self, p):
-        """The preimage of p under T."""
-        i = self.perm[self.locate(self.slot_start, p) - 1]
+    def step(self, p, i):
+        """The image of p, a point of X_i, under T, and the index of the
+        interval holding it.  That index is searched only among the ones
+        X_i's image slot meets, which is locate's scan over a narrower
+        range, inlined here and in step_back because the per-step walks
+        spend most of their time in them."""
         if not self.flips[i - 1]:
-            d = self.disp[i - 1]
-            return (p[0] - d[0], p[1] - d[1])
-        if p == self.dest_lo[i - 1]:
-            return self.left[i - 1]
-        r = self.refl[i - 1]
-        return (r[0] - p[0], r[1] - p[1])
+            t = self.disp[i - 1]
+            a, b = q = (p[0] + t[0], p[1] + t[1])
+        elif p == self.left[i - 1]:
+            a, b = q = self.dest_lo[i - 1]
+        else:
+            r = self.refl[i - 1]
+            a, b = q = (r[0] - p[0], r[1] - p[1])
+        lo, hi = self.ahead[i - 1]
+        left, d = self.left, self.d
+        for j in range(lo, hi):
+            c = left[j]
+            if quadratic_sign(a - c[0], b - c[1], d) < 0:
+                return q, j
+        return q, hi
+
+    def step_back(self, p, j):
+        """The preimage of p, a point of image slot j, under T, and the
+        index of the slot holding it, searched among those its source
+        interval meets."""
+        i = self.perm[j - 1]
+        if not self.flips[i - 1]:
+            t = self.disp[i - 1]
+            a, b = q = (p[0] - t[0], p[1] - t[1])
+        elif p == self.dest_lo[i - 1]:
+            a, b = q = self.left[i - 1]
+        else:
+            r = self.refl[i - 1]
+            a, b = q = (r[0] - p[0], r[1] - p[1])
+        lo, hi = self.behind[j - 1]
+        starts, d = self.slot_start, self.d
+        for j in range(lo, hi):
+            c = starts[j]
+            if quadratic_sign(a - c[0], b - c[1], d) < 0:
+                return q, j
+        return q, hi
 
 
 def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:
@@ -288,10 +326,11 @@ def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:
     x0 = T._domain(x0)[0]
     stepper = T.kernel.widen(x0.d, _denominator(x0))
     p = stepper.encode(x0)
+    i = stepper.locate(stepper.left, p)
     pts = []
     for _ in range(n):
         pts.append(stepper.decode(p))
-        p = stepper.step(p)
+        p, i = stepper.step(p, i)
     return pts
 
 
@@ -373,9 +412,12 @@ def _block_coding(T: IETSpec, encoded, letters, x0, n: int, sides=(0,)) -> list[
 
     m is the largest power of two up to 64 with m**3 * pieces <= n, which
     keeps the table (about pieces * m**2 piece steps) below the walk's
-    n / m blocks.  A limit on a row start takes that row for side +1 and
-    the row before for side -1; a block with T^m = s*x - s*b sends it to
-    the side times s.
+    n / m blocks.  The first block bisects the whole table; each later
+    block bisects only the successor range of the row before it, the
+    rows that row's image meets, about 2.
+    A limit on a row start takes that row for side +1 and the row before
+    for side -1; a block with T^m = s*x - s*b sends it to the side
+    times s.
     """
     if n < 0:
         raise ValueError("orbit length must be >= 0")
@@ -389,25 +431,29 @@ def _block_coding(T: IETSpec, encoded, letters, x0, n: int, sides=(0,)) -> list[
     p0 = walk.kernel.encode(x0)
     words = []
     for side in sides:
-        p, out = p0, []
+        p, out, lo, hi = p0, [], 0, len(rows)
         for done in range(0, n, m):
-            a, c = p
-            lo, hi = 0, len(rows)
-            while lo < hi:
-                # the row holding p is the last one starting before p, or
-                # at p with its start closed or p a right limit
-                mid = (lo + hi) // 2
-                u, v = starts[mid]
-                if (quadratic_sign(a - u, c - v, d) or side or closed[mid]) > 0:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            word, s, b = rows[lo - 1]
+            word, s, b, lo, hi = rows[_row_count(starts, closed, d, p, side, lo, hi) - 1]
             out.append(word[:n - done])
-            p = (s * (a - b[0]), s * (c - b[1]))
+            p = (s * (p[0] - b[0]), s * (p[1] - b[1]))
             side *= s
         words.append("".join(out))
     return words
+
+
+def _row_count(starts, closed, d, p, side, lo, hi) -> int:
+    """How many rows lie before p + side*epsilon, known to be lo..hi:
+    the rows starting before p, and those starting at p with the start
+    closed or p a right limit.  The row holding p is the last of them."""
+    a, c = p
+    while lo < hi:
+        mid = (lo + hi) // 2
+        u, v = starts[mid]
+        if (quadratic_sign(a - u, c - v, d) or side or closed[mid]) > 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def essential_codings(T: IETSpec, config: CodingConfig, x0, n: int) -> frozenset[str]:
@@ -445,9 +491,9 @@ def check_regular(T: IETSpec, depth: int) -> RegularityReport:
     stepper, left = T.kernel, T.kernel.left
     targets = {left[j]: j + 1 for j in range(1, T.k)}
     for i in range(1, T.k + 1):
-        p = left[i - 1]
+        p, t = left[i - 1], i
         for n in range(1, depth + 1):
-            p = stepper.step(p)
+            p, t = stepper.step(p, t)
             j = targets.get(p)
             if j is not None:
                 return RegularityReport(depth, "collision", (i, n, j))
@@ -466,8 +512,9 @@ def check_idoc(T: IETSpec, depth: int) -> RegularityReport:
         seen[left[i - 1]] = (i, 0)
     for i in range(2, T.k + 1):
         p = left[i - 1]
+        j = stepper.locate(stepper.slot_start, p)
         for n in range(1, depth + 1):
-            p = stepper.step_back(p)
+            p, j = stepper.step_back(p, j)
             prev = seen.get(p)
             if prev is not None and prev != (i, n):
                 return RegularityReport(depth, "collision", ((i, n), prev))
@@ -612,20 +659,29 @@ class _Cylinders:
     def table(self, m: int):
         """The depth-m cylinder table, for coding m letters at a time.
 
-        Each row (word, s, b) is a piece of source points x coded by word
-        for m steps, on which T^m is y = s*x - s*b.  The rows are sorted
-        by source start, closed start first; starts and closed hold each
-        row's start and 1 if it is closed, else -1.
+        Each row (word, s, b, lo, hi) is a piece of source points x coded
+        by word for m steps, on which T^m is y = s*x - s*b.  Its successor
+        range lo..hi holds the _row_count of every point of its image, and
+        of every limit there: lo counts the rows starting strictly before
+        the image's low end, hi those starting at or before its high end.
+        The stepped piece's own ends are the image's, already in order
+        when s = -1.  The rows are sorted by source start, closed start
+        first; starts and closed hold each row's start and 1 if it is
+        closed, else -1.
         """
         for level in self.levels(m, self.spans):
             pass  # each level grows from the one before; only depth m is read
         key = self.source_order()
-        rows = sorted(((self.source(piece), w, piece[4], piece[5])
-                       for w, parts in level for piece in self.advance(parts)),
-                      key=lambda row: key(row[0]))
-        starts = [src[0] for src, _, _, _ in rows]
-        closed = [1 if src[2] else -1 for src, _, _, _ in rows]
-        return starts, closed, [(w, s, b) for _, w, s, b in rows]
+        pieces = sorted(((self.source(piece), w, piece)
+                         for w, parts in level for piece in self.advance(parts)),
+                        key=lambda row: key(row[0]))
+        starts = [src[0] for src, _, _ in pieces]
+        closed = [1 if src[2] else -1 for src, _, _ in pieces]
+        d, n = self.kernel.d, len(pieces)
+        rows = [(w, s, b, _row_count(starts, closed, d, lo, -1, 0, n),
+                 _row_count(starts, closed, d, hi, 1, 0, n))
+                for _, w, (lo, hi, _, _, s, b) in pieces]
+        return starts, closed, rows
 
     def prefix(self, w: str):
         """How many leading letters of w have a nonempty cylinder, and its parts."""

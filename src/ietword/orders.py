@@ -17,6 +17,7 @@ inspected, so the verdict reads "consistent up to N".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .words import FactorSet
 
@@ -150,26 +151,33 @@ def interval_orders(letters, blocks):
     return extend(0, 0)
 
 
+_MAX_ORDERS = 720  # 6!: every order of six letters
+
+
 def order_pairs(fs: FactorSet, max_len: int):
     """Iterator over the order pairs passing check_orders, lexicographically.
 
     pi0 ranges over the orders keeping every right-extension set of
     lengths 0..max_len contiguous, pi1 over those keeping every
-    left-extension set contiguous.  Both guards raise here, before any
-    pair is formed; the pairs themselves are checked lazily.
+    left-extension set contiguous.  Each side may keep at most
+    _MAX_ORDERS, so any word on six letters or fewer is searched and a
+    longer alphabet only when its extension sets pin the orders down.
+    Both guards raise here, before any pair is formed; the pairs
+    themselves are checked lazily.
     """
     letters = tuple(fs.alphabet)
-    if len(letters) > 6:
-        raise ValueError(f"alphabet of size {len(letters)} is too large to search")
     _check_window(fs, max_len)
     lefts, rights = set(), set()
     for n in range(max_len + 1):
         for left, right in fs.extensions(n).values():
             lefts.add(left)
             rights.add(right)
-    pi1s = list(interval_orders(letters, lefts))
-    pairs = (OrderPair(p0, p1)
-             for p0 in interval_orders(letters, rights) for p1 in pi1s)
+    pi0s, pi1s = (list(islice(interval_orders(letters, blocks), _MAX_ORDERS + 1))
+                  for blocks in (rights, lefts))
+    if len(pi0s) > _MAX_ORDERS or len(pi1s) > _MAX_ORDERS:
+        raise ValueError(f"alphabet of size {len(letters)} keeps more than "
+                         f"{_MAX_ORDERS} orders on a side, too many to search")
+    pairs = (OrderPair(p0, p1) for p0 in pi0s for p1 in pi1s)
     return (pair for pair in pairs if check_orders(fs, pair, max_len).passed)
 
 

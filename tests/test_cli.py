@@ -1,7 +1,9 @@
 """End-to-end checks of the command line, run in-process via main(argv)."""
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +11,10 @@ import ietword
 from ietword.cli import main
 from ietword.config import parse_iet_config
 from ietword.exact import make_quadratic, parse_scalar, rational
+from ietword.iet import natural_coding
 from ietword.words import FactorSet
 
-from wordgen import mechanical_word, tribonacci_word
+from wordgen import mechanical_word, random_exact_iet, tribonacci_word
 
 GOLDEN_CFG = """\
 k 2
@@ -68,7 +71,7 @@ def test_gen_x0(cfg, capsys):
 
 def test_gen_output_file(tmp_path, cfg):
     word = gen_word(tmp_path, cfg, 100)
-    text = open(word).read()
+    text = Path(word).read_text()
     assert len(text) == 101 and text.endswith("\n")
 
 
@@ -225,6 +228,25 @@ def test_fz_search_none(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "result=none;count=0"
 
 
+def test_fz_search_seven_letters(tmp_path, capsys):
+    T = random_exact_iet(random.Random(2026), 7)
+    path = tmp_path / "seven.txt"
+    path.write_text(natural_coding(T, rational(1, 7), 10_000) + "\n")
+    assert main(["fz", str(path), "--search"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "pi0=1234567;pi1=6254731", "pi0=7654321;pi1=1374526", "result=found;count=2"]
+
+
+def test_fz_search_refuses_too_many_orders(tmp_path, capsys):
+    path = tmp_path / "nine.txt"
+    path.write_text("abcdefghi" * 20 + "\n")
+    assert main(["fz", str(path), "--search"]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert not captured.out and len(err) == 1
+    assert err[0].startswith("error:") and "more than 720 orders" in err[0]
+
+
 def test_fz_needs_mode(tmp_path, cfg, capsys):
     word = gen_word(tmp_path, cfg, 100)
     assert main(["fz", word]) == 3
@@ -345,8 +367,8 @@ def test_pipeline_closure(tmp_path, cfg, capsys):
                 for line in out_csv.read_text().splitlines()[1:])
     regen = gen_word(tmp_path, str(out_cfg), 500, "regen.txt",
                      extra=("--x0", rows["x0"]))
-    a = open(word).read().strip()[:500]
-    b = open(regen).read().strip()
+    a = Path(word).read_text().strip()[:500]
+    b = Path(regen).read_text().strip()
     agree = sum(1 for x, y in zip(a, b) if x == y)
     assert agree >= 400
     assert int(rows["match_length"]) >= 400
@@ -366,7 +388,7 @@ def test_pipeline_closure_keeps_letters(tmp_path, capsys, relabel):
     """gen | reconstruct | gen on a relabeled word regenerates its letters."""
     silver = tmp_path / "silver.cfg"
     silver.write_text(SILVER_CFG)
-    natural = open(gen_word(tmp_path, str(silver), 10000)).read().strip()
+    natural = Path(gen_word(tmp_path, str(silver), 10000)).read_text().strip()
     word = natural.translate(str.maketrans("123", relabel))
     path = tmp_path / "relabeled.txt"
     path.write_text(word + "\n")
@@ -382,8 +404,8 @@ def test_pipeline_closure_keeps_letters(tmp_path, capsys, relabel):
     assert (sets is None) == (relabel == "123")
     match = int(rows["match_length"])
     assert match >= 200
-    regen = open(gen_word(tmp_path, str(out_cfg), 500, "regen.txt",
-                          extra=("--x0", rows["x0"]))).read().strip()
+    regen = Path(gen_word(tmp_path, str(out_cfg), 500, "regen.txt",
+                          extra=("--x0", rows["x0"]))).read_text().strip()
     assert regen[:match] == word[:match]
     assert set(regen) == set(relabel)
 

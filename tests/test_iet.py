@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ietword import iet
 from ietword.exact import (ExactScalar, Interval, MixedRadicalError, ONE, ZERO, compare,
-                           make_quadratic, rational)
+                           make_quadratic, quadratic_sign, rational)
 from ietword.iet import (
     CodingConfig,
     DomainError,
@@ -25,7 +26,7 @@ from ietword.iet import (
     orbit,
 )
 
-from wordgen import mechanical_word
+from wordgen import mechanical_word, random_exact_iet
 
 GOLDEN_ALPHA = make_quadratic(-1, 2, 1, 2, 5)
 SQRT2 = make_quadratic(0, 1, 1, 1, 2)
@@ -516,7 +517,7 @@ def _random_point(rng, d):
     return y - math.floor(y)
 
 
-def _random_exchange(rng, k, d):
+def _random_exchange(rng, k, d, flip_p=0.3):
     cuts = set()
     while len(cuts) < k - 1:
         x = _random_point(rng, d)
@@ -525,7 +526,7 @@ def _random_exchange(rng, k, d):
     ends = [ZERO, *sorted(cuts), ONE]
     perm = list(range(1, k + 1))
     rng.shuffle(perm)
-    flips = [rng.random() < 0.3 for _ in range(k)]
+    flips = [rng.random() < flip_p for _ in range(k)]
     return build_iet([b - a for a, b in zip(ends, ends[1:])], perm, flips)
 
 
@@ -559,6 +560,7 @@ def test_kernel_matches_scalar_oracle():
                 for x0 in (*T.slot_start[1:-1], y):
                     words = essential_codings(T, c, x0, 200)
                     assert words == _essential_reference(T, c, x0, 200), (T, c, x0)
+                    assert words == _essential_step_reference(T, c, x0, 200), (T, c, x0)
                     split += len(words) == 2
                     flipped += any(T.flips)
     # the corpus exercises both verdicts, codings that split and flips
@@ -927,8 +929,10 @@ def _natural_step_reference(T, x0, n, letters="123456789"):
     p = stepper.encode(x0)
     out = []
     for _ in range(n):
-        out.append(letters[stepper.locate(stepper.left, p) - 1])
-        p = stepper.step(p)
+        # a full search each step, apart from the index step() carries
+        i = stepper.locate(stepper.left, p)
+        out.append(letters[i - 1])
+        p = stepper.step(p, i)[0]
     return "".join(out)
 
 
@@ -944,8 +948,29 @@ def _sets_step_reference(T, config, x0, n):
         j = stepper.locate(cut_reps, p)
         on_cut += j > 1 and p == cut_reps[j - 1]
         out.append(piece_letters[j - 1])
-        p = stepper.step(p)
+        p = stepper.step(p, stepper.locate(stepper.left, p))[0]
     return "".join(out), on_cut
+
+
+def _essential_step_reference(T, config, x0, n):
+    """essential_codings one letter at a time on encoded pairs: (p, s)
+    stands for p + s*epsilon, located by a linear scan every step."""
+    k = _widened(T, (*config.cuts, x0))
+    cut_reps = [k.encode(c) for c in config.cuts]
+    words = set()
+    for side in ([1] if x0 == ZERO else [1, -1]):
+        p, out = k.encode(x0), []
+        for _ in range(n):
+            out.append(config.piece_letters[_limit_index(cut_reps, p, side, k.d) - 1])
+            i = _limit_index(k.left, p, side, k.d)
+            if T.flips[i - 1]:
+                r = k.refl[i - 1]
+                p, side = (r[0] - p[0], r[1] - p[1]), -side
+            else:
+                t = k.disp[i - 1]
+                p = (p[0] + t[0], p[1] + t[1])
+        words.add("".join(out))
+    return frozenset(words)
 
 
 def _block_lengths(pieces, m_max):
@@ -970,7 +995,9 @@ def test_block_coding_matches_step_reference():
     ]
     exchanges += [_random_exchange(rng, 2 + case % 5, (0, 2, 5)[case // 5 % 3])
                   for case in range(15)]
-    hits = flipped = 0
+    # a stream of its own, so these starts leave the draws above alone
+    starts_rng = random.Random(20077)
+    hits = flipped = split = 0
     for T in exchanges:
         d = next((x.d for x in T.lengths if x.d), 0)
         flipped += any(T.flips)
@@ -993,8 +1020,119 @@ def test_block_coding_matches_step_reference():
                     if natural:
                         assert natural_coding(T, x0, n) == word[:n], (T, x0, n)
                     assert coding_with_sets(T, cfg, x0, n) == word[:n], (T, cfg, x0, n)
-    # the corpus reaches flips and orbits through set boundaries
-    assert flipped and hits
+            # the one-sided codings from a row start of the table they walk
+            # and from a preimage of a cut, where the tie rules decide
+            for m in (8, 16) if pieces == 2 else (8,):
+                n = m ** 3 * pieces
+                walk = iet._Cylinders(T.kernel, cfg.encoded, cfg.piece_letters)
+                starts = walk.table(m)[0]
+                y = starts_rng.choice(cfg.cuts[1:-1])
+                for _ in range(starts_rng.randint(1, 3)):
+                    y = apply_inverse_oracle(T, y)
+                for x0 in (walk.kernel.decode(starts_rng.choice(starts[1:])), y):
+                    words = essential_codings(T, cfg, x0, n)
+                    assert words == _essential_step_reference(T, cfg, x0, n), (T, cfg, x0, n)
+                    split += len(words) == 2
+    # the corpus reaches flips, orbits through set boundaries and
+    # one-sided codings that differ
+    assert flipped and hits and split
+
+
+def _limit_index(cuts, p, side, d):
+    """By a linear scan, the 1-based j with cuts[j-1] <= p + side*epsilon
+    < cuts[j], for encoded p and cuts."""
+    j = 1
+    while j < len(cuts) - 1 and \
+            (quadratic_sign(p[0] - cuts[j][0], p[1] - cuts[j][1], d) or side) >= 0:
+        j += 1
+    return j
+
+
+def _doubled(p):
+    return (2 * p[0], 2 * p[1])
+
+
+def _midpoint_and_limits(lo, hi):
+    """The doubled points of [lo, hi] a successor range must cover:
+    (point, side) for both ends and their limits, and the midpoint."""
+    return [*((_doubled(y), side) for y in (lo, hi) for side in (0, 1, -1)),
+            ((lo[0] + hi[0], lo[1] + hi[1]), 0)]
+
+
+def test_successor_ranges_hold_every_image():
+    rng = random.Random(20076)
+    flipped = wide = 0
+    for case in range(9):
+        k = 2 + case % 3
+        d = (0, 2, 5)[case // 3]
+        T = _random_exchange(rng, k, d, flip_p=0.35)
+        flipped += any(T.flips)
+        kernel = T.kernel
+        # the kernel: the cells X_i's image slot meets, and the slots
+        # slot j's source interval meets, exactly
+        for ranges, cuts, image in (
+                (kernel.ahead, kernel.left,
+                 [(T.slot_of[i] - 1, T.slot_of[i]) for i in range(1, k + 1)]),
+                (kernel.behind, kernel.slot_start,
+                 [(i - 1, i) for i in T.permutation])):
+            ends = kernel.slot_start if cuts is kernel.left else kernel.left
+            twice = [_doubled(c) for c in cuts]
+            for (lo, hi), (a, b) in zip(ranges, image):
+                assert lo == _limit_index(cuts, ends[a], 0, kernel.d)
+                assert hi == _limit_index(cuts, ends[b], -1, kernel.d)
+                mid = (ends[a][0] + ends[b][0], ends[a][1] + ends[b][1])
+                assert lo <= _limit_index(twice, mid, 0, kernel.d) <= hi
+        # the block table: wherever the full bisection puts a point of a
+        # row's image, that row lies in the row's range
+        for cfg in (CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + k % 2], T)):
+            walk = iet._Cylinders(T.kernel, cfg.encoded, cfg.piece_letters)
+            kd, D = walk.kernel.d, walk.kernel.D
+            for m in (1, 2, 4, 8, 16, 32, 64):
+                starts, closed, rows = walk.table(m)
+                twice = [_doubled(u) for u in starts]
+                ends = [*starts[1:], (D, 0)]
+                for (_, s, b, lo, hi), x_lo, x_hi in zip(rows, starts, ends):
+                    # source [x_lo, x_hi] goes to s*(x - b), ends swapped for s = -1
+                    y_lo, y_hi = ((s * (x[0] - b[0]), s * (x[1] - b[1])) for x in (x_lo, x_hi))
+                    if s < 0:
+                        y_lo, y_hi = y_hi, y_lo
+                    for p, side in _midpoint_and_limits(y_lo, y_hi):
+                        count = iet._row_count(twice, closed, kd, p, side, 0, len(rows))
+                        assert lo <= count <= hi, (T, cfg, m, p, side)
+                    wide += hi - lo > 1
+    # the corpus reaches flips and rows whose image meets several rows
+    assert flipped and wide
+
+
+def test_codings_and_regularity_reports_are_pinned():
+    # taken when every block bisected the whole table and every step
+    # searched every interval end: narrowing the searches changes no byte
+    def digest(word):
+        return hashlib.sha256(word.encode()).hexdigest()
+
+    x0 = rational(2202, 9973)
+    # 10^6 letters of 3 pieces run at m = 64, 10^5 at m = 32
+    assert digest(natural_coding(silver_iet(), x0, 10 ** 6)) == \
+        "76fdb29c29c5d6f8ccf013c559a3eec3ca32c8e834ace3789a25533f2f16467f"
+    assert digest(natural_coding(silver_iet((False, True, False)), x0, 10 ** 5)) == \
+        "67abbaf6c94c2e3a23e7943b3daf145c91e00c17f3268771ab6ffe2f786d72f9"
+    rng = random.Random(2026)
+    reports = []
+    for k in (2, 3, 4, 5, 6, 7, 4, 5):
+        T = random_exact_iet(rng, k)
+        reports.append((T.permutation, *((r.verdict, r.witness) for r in
+                                          (check_regular(T, 1000), check_idoc(T, 1000)))))
+    free = ("no-collision-up-to-depth", None)
+    assert reports == [
+        ((2, 1), free, free),
+        ((2, 3, 1), ("collision", (1, 28, 3)), ("collision", ((3, 29), (2, 0)))),
+        ((4, 2, 3, 1), free, free),
+        ((5, 4, 2, 3, 1), free, free),
+        ((4, 6, 3, 5, 1, 2), free, free),
+        ((7, 5, 4, 1, 6, 3, 2), free, free),
+        ((4, 3, 2, 1), ("collision", (2, 17, 3)), ("collision", ((3, 17), (2, 0)))),
+        ((3, 5, 1, 4, 2), free, free),
+    ]
 
 
 def test_coding_edge_cases():

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ietword import orders
 from ietword.exact import make_quadratic, rational
 from ietword.iet import build_iet, check_regular, natural_coding
 from ietword.orders import (
@@ -156,6 +157,40 @@ def test_search_orders_alphabet_guard():
     fs = FactorSet("abcdefg" * 4, 4)
     with pytest.raises(ValueError):
         search_orders(fs, 2)
+
+
+def test_search_orders_finds_seven_letter_pair():
+    # a genuine 7-letter coding whose extension sets leave 2 domain and
+    # 4 image orders: the cap counts orders kept, not letters
+    T = random_exact_iet(random.Random(2026), 7)
+    assert T.permutation == (6, 2, 5, 4, 7, 3, 1)
+    fs = FactorSet(natural_coding(T, rational(1, 7), 10_000), 10)
+    true = OrderPair(tuple("1234567"), tuple("6254731"))
+    assert search_orders(fs, 8) == [true, OrderPair(true.pi0[::-1], true.pi1[::-1])]
+
+
+def test_order_cap_counts_orders_per_side(monkeypatch):
+    plain, pulled, checked = orders.interval_orders, [], []
+
+    def counting(letters, blocks):
+        pulled.append(0)
+        for order in plain(letters, blocks):
+            pulled[-1] += 1
+            yield order
+
+    monkeypatch.setattr(orders, "interval_orders", counting)
+    passed = orders.OrderReport(True, None, None, 2)
+    monkeypatch.setattr(orders, "check_orders", lambda *args: checked.append(args) or passed)
+    # a periodic word constrains no order: 6! = 720 a side is searched,
+    # 9! is refused after 721 orders a side and before any pair is checked
+    pairs = orders.order_pairs(FactorSet("abcdef" * 20, 4), 2)
+    assert pulled == [720, 720] and not checked
+    assert next(pairs) == OrderPair(tuple("abcdef"), tuple("abcdef")) and len(checked) == 1
+    pulled.clear()
+    checked.clear()
+    with pytest.raises(ValueError, match="more than 720 orders"):
+        orders.order_pairs(FactorSet("abcdefghi" * 20, 4), 2)
+    assert pulled == [721, 721] and not checked
 
 
 def test_agrees_with_evolution_validator():
