@@ -10,9 +10,10 @@ Format, one field per line, order free, # comments and blank lines ok:
     sets a=[0,(-1+1*sqrt(5))/2)
     sets b=[(-1+1*sqrt(5))/2,1)
 
-`d` declares the single radicand used by the scalar literals (0 for a
-rational exchange); it is redundant but keeps files self-describing,
-and a mismatch is rejected.  `sets` lines are optional, one letter per
+`d` declares the single radicand used by the scalar literals, of the
+lengths and of the sets alike (0 for a rational exchange); it is
+redundant but keeps files self-describing, and a mismatch or a negative
+`d` is rejected at its line.  `sets` lines are optional, one letter per
 line, and name a coding partition; each letter is one character, as it
 is one letter of the coded word.  Without them the natural partition
 (letters "1".."k") is meant.
@@ -45,6 +46,7 @@ def parse_iet_config(text: str):
     """Returns (IETSpec, sets dict or None)."""
     fields = {}
     sets = {}
+    set_lines = {}  # letter -> its sets line
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -80,6 +82,7 @@ def parse_iet_config(text: str):
             if not ivs:
                 raise ConfigError(ln, f"empty interval list for {letter!r}")
             sets[letter] = tuple(ivs)
+            set_lines[letter] = ln
         else:
             raise ConfigError(ln, f"unknown field {key!r}")
     for need in ("k", "d", "lengths", "perm", "flips"):
@@ -101,13 +104,21 @@ def parse_iet_config(text: str):
     if len(ds) != 1:
         raise ConfigError(ln_d, "d wants a single integer")
     d = ds[0]
+    if d < 0:
+        raise ConfigError(ln_d, f"d wants a radicand >= 0, got {d}")
+
+    def radicands(ln, scalars):
+        for x in scalars:
+            if x.d not in (0, d):
+                raise ConfigError(ln, f"scalar radicand {x.d} does not match d={d}")
+
     ln_len, rest = fields["lengths"]
     lengths = [_scalar(t, ln_len) for t in rest.split()]
     if len(lengths) != k:
         raise ConfigError(ln_len, f"expected {k} lengths, got {len(lengths)}")
-    for x in lengths:
-        if x.d not in (0, d):
-            raise ConfigError(ln_len, f"scalar radicand {x.d} does not match d={d}")
+    radicands(ln_len, lengths)
+    for letter, ivs in sets.items():
+        radicands(set_lines[letter], (x for iv in ivs for x in (iv.lo, iv.hi)))
     ln_p, perm = ints("perm")
     if sorted(perm) != list(range(1, k + 1)):
         raise ConfigError(ln_p, f"permutation {tuple(perm)} is not a bijection of 1..{k}")

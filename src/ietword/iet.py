@@ -10,13 +10,18 @@ Conventions, fixed once for the whole package:
 * A flipped interval is reflected onto its image slot.  Interior points
   map by x -> refl_i - x; the owned left endpoint maps to the left
   endpoint of the image slot, which keeps T a bijection of [0,1).
+* ``T.inverse`` is T^-1 as an exchange of its own: its intervals are
+  T's image slots, in order, each sent back onto its source interval
+  with the same flip, so its permutation is T's slot_of.  Built once per
+  exchange, on first use; ``T.inverse.inverse is T``.  Every backward
+  map or walk is a forward one of T.inverse.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 from .exact import (ExactScalar, Interval, MixedRadicalError, ONE, ZERO, as_scalar,
                     compare, quadratic_sign)
@@ -119,7 +124,7 @@ class IETSpec:
 
     def index_of(self, x) -> int:
         """1-based i with x in X_i."""
-        return self._place(x, self.kernel.left)[1]
+        return self._place(x)[1]
 
     def _domain(self, x):
         """x checked to lie in [0,1), and (u, v, E) with x = (u + v*sqrt(d))/E."""
@@ -132,10 +137,9 @@ class IETSpec:
             raise DomainError(f"point {x} outside [0,1)")
         return x, u, v, E
 
-    def _place(self, x, cuts):
-        """x checked to lie in [0,1), the 1-based j with cuts[j-1] <= x <
-        cuts[j] for one of the kernel's tables, and the field d that x and
-        the exchange share.
+    def _place(self, x):
+        """x checked to lie in [0,1), the 1-based i with x in X_i, and the
+        field d that x and the exchange share.
 
         x stays over its own denominator E: against a cut (A + B*sqrt(d))/D
         it has the sign of (u*D - A*E) + (v*D - B*E)*sqrt(d), so no table
@@ -149,15 +153,15 @@ class IETSpec:
                 raise MixedRadicalError("points span two quadratic fields")
             d = x.d
         u, v = u * k.D, v * k.D
-        # the last cut is 1, which x lies below
-        for j in range(1, len(cuts) - 1):
-            A, B = cuts[j]
+        # the last end is 1, which x lies below
+        for i in range(1, self.k):
+            A, B = k.left[i]
             if quadratic_sign(u - A * E, v - B * E, d) < 0:
-                return x, j, d
-        return x, len(cuts) - 1, d
+                return x, i, d
+        return x, self.k, d
 
     def apply(self, x) -> ExactScalar:
-        x, i, d = self._place(x, self.kernel.left)
+        x, i, d = self._place(x)
         if not self.flips[i - 1]:
             t = self.disp[i - 1]
             return ExactScalar._canonical(x.rat + t.rat, x.coef + t.coef, d)
@@ -166,16 +170,14 @@ class IETSpec:
         t = self.refl[i - 1]
         return ExactScalar._canonical(t.rat - x.rat, t.coef - x.coef, d)
 
-    def apply_inverse(self, y) -> ExactScalar:
-        y, j, d = self._place(y, self.kernel.slot_start)
-        i = self.permutation[j - 1]
-        if not self.flips[i - 1]:
-            t = self.disp[i - 1]
-            return ExactScalar._canonical(y.rat - t.rat, y.coef - t.coef, d)
-        if y == self.dest_lo[i - 1]:
-            return self.left[i - 1]
-        t = self.refl[i - 1]
-        return ExactScalar._canonical(t.rat - y.rat, t.coef - y.coef, d)
+    @cached_property
+    def inverse(self) -> "IETSpec":
+        """T^-1: the image slots in order, each with its source's flip."""
+        order = [i - 1 for i in self.permutation]
+        inv = IETSpec([self.lengths[i] for i in order], self.slot_of[1:],
+                      [self.flips[i] for i in order])
+        inv.__dict__["inverse"] = self
+        return inv
 
     def __repr__(self) -> str:
         lam = ", ".join(str(x) for x in self.lengths)
@@ -191,7 +193,7 @@ def apply(T: IETSpec, x) -> ExactScalar:
 
 
 def apply_inverse(T: IETSpec, y) -> ExactScalar:
-    return T.apply_inverse(y)
+    return T.inverse.apply(y)
 
 
 def _denominator(s: ExactScalar) -> int:
@@ -216,19 +218,16 @@ class _IntOrbit:
     """
 
     def __init__(self, T: IETSpec):
-        self.flips, self.perm = T.flips, T.permutation
+        self.flips = T.flips
         self.d = next((s.d for s in T.lengths if s.d), 0)
         self.D = math.lcm(*map(_denominator, (*T.left, *T.slot_start, *T.disp, *T.refl)))
         # tuples: every call on the exchange shares these tables
-        self.left, self.slot_start, self.disp, self.refl, self.dest_lo = (
-            tuple(map(self.encode, table))
-            for table in (T.left, T.slot_start, T.disp, T.refl, T.dest_lo))
-        # ahead[i-1]: the interval indices that X_i's image slot meets;
-        # behind[j-1]: the slot indices that slot j's source interval meets
-        self.ahead = tuple(self.span(self.left, self.slot_start[j - 1], self.slot_start[j])
+        self.left, self.disp, self.refl, self.dest_lo = (
+            tuple(map(self.encode, table)) for table in (T.left, T.disp, T.refl, T.dest_lo))
+        # ahead[i-1]: the interval indices that X_i's image slot meets
+        starts = tuple(map(self.encode, T.slot_start))
+        self.ahead = tuple(self.span(starts[j - 1], starts[j])
                            for j in T.slot_of[1:])
-        self.behind = tuple(self.span(self.slot_start, self.left[i - 1], self.left[i])
-                            for i in self.perm)
 
     def widen(self, d: int, D: int) -> "_IntOrbit":
         """A kernel that also encodes the scalars of field d (0 for Q) over
@@ -241,13 +240,12 @@ class _IntOrbit:
         elif self.d:
             raise MixedRadicalError("points span two quadratic fields")
         wide = object.__new__(_IntOrbit)
-        wide.flips, wide.perm, wide.d = self.flips, self.perm, d
-        wide.ahead, wide.behind = self.ahead, self.behind
+        wide.flips, wide.ahead, wide.d = self.flips, self.ahead, d
         wide.D = D = math.lcm(self.D, D)
         f = D // self.D
-        wide.left, wide.slot_start, wide.disp, wide.refl, wide.dest_lo = (
+        wide.left, wide.disp, wide.refl, wide.dest_lo = (
             table if f == 1 else tuple((a * f, b * f) for a, b in table)
-            for table in (self.left, self.slot_start, self.disp, self.refl, self.dest_lo))
+            for table in (self.left, self.disp, self.refl, self.dest_lo))
         return wide
 
     def encode(self, s: ExactScalar):
@@ -256,23 +254,22 @@ class _IntOrbit:
     def decode(self, p) -> ExactScalar:
         return ExactScalar._canonical(Fraction(p[0], self.D), Fraction(p[1], self.D), self.d)
 
-    def locate(self, cuts, p) -> int:
-        """1-based j with cuts[j-1] <= p < cuts[j]."""
+    def locate(self, p) -> int:
+        """1-based i with p in X_i."""
         a, b = p
-        d = self.d
-        for j in range(1, len(cuts)):
-            c = cuts[j]
+        left, d = self.left, self.d
+        for i in range(1, len(left)):
+            c = left[i]
             if quadratic_sign(a - c[0], b - c[1], d) < 0:
-                return j
-        raise AssertionError("unreachable: the cuts cover [0,1)")
+                return i
+        raise AssertionError("unreachable: the intervals cover [0,1)")
 
-    def span(self, cuts, lo, hi):
-        """(first, last): the 1-based indices of the cells between cuts
-        that the half-open interval [lo, hi) meets."""
-        first = self.locate(cuts, lo)
-        last = first
-        d = self.d
-        while quadratic_sign(hi[0] - cuts[last][0], hi[1] - cuts[last][1], d) > 0:
+    def span(self, lo, hi):
+        """(first, last): the 1-based indices of the intervals that the
+        half-open interval [lo, hi) meets."""
+        first = last = self.locate(lo)
+        left, d = self.left, self.d
+        while quadratic_sign(hi[0] - left[last][0], hi[1] - left[last][1], d) > 0:
             last += 1
         return first, last
 
@@ -280,8 +277,8 @@ class _IntOrbit:
         """The image of p, a point of X_i, under T, and the index of the
         interval holding it.  That index is searched only among the ones
         X_i's image slot meets, which is locate's scan over a narrower
-        range, inlined here and in step_back because the per-step walks
-        spend most of their time in them."""
+        range, inlined here because the per-step walks spend most of their
+        time in it."""
         if not self.flips[i - 1]:
             t = self.disp[i - 1]
             a, b = q = (p[0] + t[0], p[1] + t[1])
@@ -298,27 +295,6 @@ class _IntOrbit:
                 return q, j
         return q, hi
 
-    def step_back(self, p, j):
-        """The preimage of p, a point of image slot j, under T, and the
-        index of the slot holding it, searched among those its source
-        interval meets."""
-        i = self.perm[j - 1]
-        if not self.flips[i - 1]:
-            t = self.disp[i - 1]
-            a, b = q = (p[0] - t[0], p[1] - t[1])
-        elif p == self.dest_lo[i - 1]:
-            a, b = q = self.left[i - 1]
-        else:
-            r = self.refl[i - 1]
-            a, b = q = (r[0] - p[0], r[1] - p[1])
-        lo, hi = self.behind[j - 1]
-        starts, d = self.slot_start, self.d
-        for j in range(lo, hi):
-            c = starts[j]
-            if quadratic_sign(a - c[0], b - c[1], d) < 0:
-                return q, j
-        return q, hi
-
 
 def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:
     if n < 0:
@@ -326,7 +302,7 @@ def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:
     x0 = T._domain(x0)[0]
     stepper = T.kernel.widen(x0.d, _denominator(x0))
     p = stepper.encode(x0)
-    i = stepper.locate(stepper.left, p)
+    i = stepper.locate(p)
     pts = []
     for _ in range(n):
         pts.append(stepper.decode(p))
@@ -501,10 +477,15 @@ def check_regular(T: IETSpec, depth: int) -> RegularityReport:
 
 
 def check_idoc(T: IETSpec, depth: int) -> RegularityReport:
-    """Backward orbits of the interior discontinuities, pairwise disjoint."""
+    """Backward orbits of the interior discontinuities, pairwise disjoint.
+
+    They are forward orbits of T.inverse.  Its scalars are T's, reordered
+    or negated, so its kernel has T's field d and denominator D, and the
+    points the two kernels encode compare as pairs.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    stepper, left = T.kernel, T.kernel.left
+    stepper, left = T.inverse.kernel, T.kernel.left
     seen: dict[tuple[int, int], tuple[int, int]] = {}
     for i in range(2, T.k + 1):
         if left[i - 1] in seen:
@@ -512,9 +493,9 @@ def check_idoc(T: IETSpec, depth: int) -> RegularityReport:
         seen[left[i - 1]] = (i, 0)
     for i in range(2, T.k + 1):
         p = left[i - 1]
-        j = stepper.locate(stepper.slot_start, p)
+        j = stepper.locate(p)
         for n in range(1, depth + 1):
-            p, j = stepper.step_back(p, j)
+            p, j = stepper.step(p, j)
             prev = seen.get(p)
             if prev is not None and prev != (i, n):
                 return RegularityReport(depth, "collision", ((i, n), prev))
@@ -523,7 +504,7 @@ def check_idoc(T: IETSpec, depth: int) -> RegularityReport:
 
 
 class _Cylinders:
-    """The piece walk behind the cylinder functions and the codings, on
+    """The piece walk under the cylinder functions and the codings, on
     the integer kernel.
 
     A piece (lo, hi, lo_closed, hi_closed, s, b) is an interval of points

@@ -47,6 +47,14 @@ class OrderPair:
     def rank1(self, x) -> int:
         return self.pi1.index(x)
 
+    def separation(self) -> int | None:
+        """The first j < k whose first j letters are the same in both
+        orders, or None: the orders of an irreducible exchange have none."""
+        for j in range(1, self.k):
+            if set(self.pi0[:j]) == set(self.pi1[:j]):
+                return j
+        return None
+
 
 @dataclass(frozen=True)
 class OrderReport:
@@ -81,9 +89,9 @@ def check_orders(fs: FactorSet, orders: OrderPair, max_len: int) -> OrderReport:
     if set(orders.pi0) != set(fs.alphabet):
         return OrderReport(False, "letters",
                            (tuple(fs.alphabet), orders.pi0), max_len)
-    for j in range(1, orders.k):
-        if set(orders.pi0[:j]) == set(orders.pi1[:j]):
-            return OrderReport(False, "separation", (j,), max_len)
+    j = orders.separation()
+    if j is not None:
+        return OrderReport(False, "separation", (j,), max_len)
     for n in range(max_len + 1):
         longer = fs.extensions(n + 1)
         for w, (left, right) in sorted(fs.extensions(n).items()):

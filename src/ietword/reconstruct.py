@@ -31,7 +31,7 @@ from .iet import (
     longest_cylinder,
     natural_coding,
 )
-from .orders import interval_orders, order_pairs
+from .orders import OrderPair, interval_orders, order_pairs
 from .rauzy import EvolutionReport
 from .words import FactorSet
 
@@ -74,10 +74,6 @@ def cylinder_measures(fs: FactorSet, depth: int) -> EmpiricalMeasure:
     return EmpiricalMeasure(depth, weights)
 
 
-def _irreducible(perm) -> bool:
-    return all(set(perm[:j]) != set(range(1, j + 1)) for j in range(1, len(perm)))
-
-
 def _special_factor_orders(fs: FactorSet, depth: int):
     """Domain and image orders keeping every special factor's pair adjacent.
 
@@ -97,7 +93,7 @@ def _special_factor_orders(fs: FactorSet, depth: int):
         raise AdjacencyError("domain", dom_pairs)
     first = None
     for img in interval_orders(fs.alphabet, img_pairs):
-        if _irreducible([dom.index(c) + 1 for c in img]):
+        if OrderPair(dom, img).separation() is None:
             return dom, img
         if first is None:
             first = img
@@ -172,11 +168,9 @@ def verify_roundtrip(word: str, candidate: IETSpec, n: int, letters: str):
     depth, intervals = longest_cylinder(candidate, config, prefix)
     if not depth:
         raise ValueError("empty cylinder: candidate rejects the first letter")
-    widest = intervals[0]
-    for iv in intervals[1:]:
-        if ((iv.hi - iv.lo) - (widest.hi - widest.lo)).sign() > 0:
-            widest = iv
-    x0 = widest.lo + (widest.hi - widest.lo) * Fraction(1, 2)
+    # max keeps the first of equally wide intervals
+    widest = max(intervals, key=lambda iv: iv.length)
+    x0 = widest.lo + widest.length * Fraction(1, 2)
     regen = natural_coding(candidate, x0, n, letters)
     match = 0
     for c_in, c_out in zip(word[:n], regen):

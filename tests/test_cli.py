@@ -96,6 +96,16 @@ def test_gen_refuses_multi_character_letters(tmp_path, capsys):
                             "sets letter 'ab' is not one character\n")
 
 
+def test_gen_refuses_sets_off_the_declared_field(tmp_path, capsys):
+    path = tmp_path / "field.cfg"
+    path.write_text(GOLDEN_CFG + "sets a=[0,(1+1*sqrt(3))/4)\nsets b=[(1+1*sqrt(3))/4,1)\n")
+    assert main(["gen", str(path), "-n", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: line 6: "
+                            "scalar radicand 3 does not match d=5\n")
+
+
 def test_gen_non_ascii_config(tmp_path, capsys):
     path = tmp_path / "accent.cfg"
     path.write_text("# rotation dorée\n" + GOLDEN_CFG, encoding="utf-8")

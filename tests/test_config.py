@@ -147,6 +147,26 @@ def test_radicand_mismatch():
     assert "does not match d=5" in str(e)
 
 
+def test_sets_radicand_mismatch():
+    rational_cfg = "k 2\nd 0\nlengths 1/2 1/2\nperm 2 1\nflips 0 0\n"
+    for cfg, cut, d in ((rational_cfg, "(1+1*sqrt(2))/8", 0),
+                        (GOLDEN_CFG, "(1+1*sqrt(3))/8", 5)):
+        e = err(cfg + f"sets a=[0,{cut})\nsets b=[{cut},1/2) [1/2,1)\n")
+        # the first sets line that names the cut is reported
+        assert e.line_no == 6
+        assert f"does not match d={d}" in str(e)
+    # a later, well-formed sets line does not hide the bad one
+    e = err(GOLDEN_CFG + "sets a=[0,1/2)\nsets b=[1/2,(1+1*sqrt(2))/4) [(1+1*sqrt(2))/4,1)\n")
+    assert e.line_no == 7
+    assert "scalar radicand 2 does not match d=5" in str(e)
+
+
+def test_negative_d():
+    e = err("k 2\nd -3\nlengths 1/2 1/2\nperm 2 1\nflips 0 0\n")
+    assert e.line_no == 2
+    assert "radicand >= 0, got -3" in str(e)
+
+
 def test_k_wants_single_integer():
     assert "single integer" in str(err("k 2 3\nd 0\nlengths 1\nperm 1\nflips 0\n"))
     assert "wants integers" in str(err("k two\nd 0\nlengths 1\nperm 1\nflips 0\n"))

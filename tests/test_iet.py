@@ -584,10 +584,23 @@ def test_point_maps_match_scalar_oracle():
         k = 1 + case % 6
         d = (0, 2, 5)[case // 6 % 3]
         T = _random_exchange(rng, k, d)
+        # T.inverse: T's image slots in order, each sent back onto its
+        # source with the same flip, over the same field and denominator
+        inv = T.inverse
+        assert inv.inverse is T
+        assert inv.lengths == tuple(T.lengths[i - 1] for i in T.permutation)
+        assert inv.permutation == T.slot_of[1:]
+        assert inv.flips == tuple(T.flips[i - 1] for i in T.permutation)
+        assert (inv.kernel.d, inv.kernel.D) == (T.kernel.d, T.kernel.D)
         # interval ends and slot starts, the owned flipped endpoints and
         # their images among them
         pts = [*T.left[:-1], *T.slot_start[:-1]]
         owned += sum(T.flips)
+        for i in range(1, k + 1):
+            # the owned endpoints of a flipped X_i and of its image slot,
+            # which T and T.inverse own in turn
+            for x in (T.left[i - 1], T.dest_lo[i - 1]) if T.flips[i - 1] else ():
+                assert apply(inv, apply(T, x)) == x == apply(T, apply(inv, x)), (T, x)
         pts += [_random_point(rng, d) for _ in range(4)]
         pts += [_far_point(rng, d) for _ in range(4)]
         if not d:
@@ -930,7 +943,7 @@ def _natural_step_reference(T, x0, n, letters="123456789"):
     out = []
     for _ in range(n):
         # a full search each step, apart from the index step() carries
-        i = stepper.locate(stepper.left, p)
+        i = stepper.locate(p)
         out.append(letters[i - 1])
         p = stepper.step(p, i)[0]
     return "".join(out)
@@ -945,10 +958,10 @@ def _sets_step_reference(T, config, x0, n):
     cut_reps = [stepper.encode(c) for c in cuts]
     out, on_cut = [], 0
     for _ in range(n):
-        j = stepper.locate(cut_reps, p)
+        j = _limit_index(cut_reps, p, 0, stepper.d)
         on_cut += j > 1 and p == cut_reps[j - 1]
         out.append(piece_letters[j - 1])
-        p = stepper.step(p, stepper.locate(stepper.left, p))[0]
+        p = stepper.step(p, stepper.locate(p))[0]
     return "".join(out), on_cut
 
 
@@ -1067,17 +1080,14 @@ def test_successor_ranges_hold_every_image():
         d = (0, 2, 5)[case // 3]
         T = _random_exchange(rng, k, d, flip_p=0.35)
         flipped += any(T.flips)
-        kernel = T.kernel
-        # the kernel: the cells X_i's image slot meets, and the slots
-        # slot j's source interval meets, exactly
-        for ranges, cuts, image in (
-                (kernel.ahead, kernel.left,
-                 [(T.slot_of[i] - 1, T.slot_of[i]) for i in range(1, k + 1)]),
-                (kernel.behind, kernel.slot_start,
-                 [(i - 1, i) for i in T.permutation])):
-            ends = kernel.slot_start if cuts is kernel.left else kernel.left
+        # the kernels of T and of T.inverse, whose intervals are T's image
+        # slots: the cells X_i's image slot meets, exactly
+        for S in (T, T.inverse):
+            kernel = S.kernel
+            cuts, ends = kernel.left, [kernel.encode(s) for s in S.slot_start]
+            image = [(S.slot_of[i] - 1, S.slot_of[i]) for i in range(1, k + 1)]
             twice = [_doubled(c) for c in cuts]
-            for (lo, hi), (a, b) in zip(ranges, image):
+            for (lo, hi), (a, b) in zip(kernel.ahead, image):
                 assert lo == _limit_index(cuts, ends[a], 0, kernel.d)
                 assert hi == _limit_index(cuts, ends[b], -1, kernel.d)
                 mid = (ends[a][0] + ends[b][0], ends[a][1] + ends[b][1])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ietword import reconstruct
 from ietword.exact import make_quadratic, rational
 from ietword.iet import build_iet, natural_coding
-from ietword.orders import interval_orders
+from ietword.orders import OrderPair, interval_orders
 from ietword.rauzy import EvolutionReport, validate_evolution
 from ietword.reconstruct import (
     AdjacencyError,
@@ -171,9 +171,8 @@ def eager_special_factor_orders(fs, depth):
                 img_pairs.add(left)
     dom = next(interval_orders(fs.alphabet, dom_pairs))
     imgs = list(interval_orders(fs.alphabet, img_pairs))
-    perms = [[dom.index(c) + 1 for c in img] for img in imgs]
-    return dom, next((img for img, p in zip(imgs, perms)
-                      if reconstruct._irreducible(p)), imgs[0])
+    return dom, next((img for img in imgs if OrderPair(dom, img).separation() is None),
+                     imgs[0])
 
 
 @pytest.mark.parametrize("word,depth", [
@@ -201,7 +200,7 @@ def test_special_factor_orders_stop_at_first_irreducible(monkeypatch):
     # letter are reducible
     fs = FactorSet("abcdefghi" * 20, 1)
     dom, img = reconstruct._special_factor_orders(fs, 1)
-    assert reconstruct._irreducible([dom.index(c) + 1 for c in img])
+    assert OrderPair(dom, img).separation() is None
     assert math.factorial(8) < len(pulled) < math.factorial(9) // 4
 
 
