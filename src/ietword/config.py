@@ -12,8 +12,10 @@ Format, one field per line, order free, # comments and blank lines ok:
 
 `d` declares the single radicand used by the scalar literals, of the
 lengths and of the sets alike (0 for a rational exchange); it is
-redundant but keeps files self-describing, and a mismatch or a negative
-`d` is rejected at its line.  `sets` lines are optional, one letter per
+redundant but keeps files self-describing.  Literals reduce their
+radicand to its square-free part, so `d` must be 0 or a square-free
+integer in 2..MAX_RADICAND; a bad `d` or a mismatch is rejected at its
+line, as is a `k` below 1.  `sets` lines are optional, one letter per
 line, and name a coding partition; each letter is one character, as it
 is one letter of the coded word.  Without them the natural partition
 (letters "1".."k") is meant.
@@ -22,7 +24,15 @@ from __future__ import annotations
 
 import re
 
-from .exact import ExactScalar, Interval, ScalarParseError, format_scalar, parse_scalar
+from .exact import (
+    MAX_RADICAND,
+    ExactScalar,
+    Interval,
+    ScalarParseError,
+    format_scalar,
+    make_quadratic,
+    parse_scalar,
+)
 from .iet import IETSpec, build_iet
 
 __all__ = ["ConfigError", "format_iet_config", "parse_iet_config"]
@@ -100,20 +110,28 @@ def parse_iet_config(text: str):
     if len(ks) != 1:
         raise ConfigError(ln_k, "k wants a single integer")
     k = ks[0]
+    if k < 1:
+        raise ConfigError(ln_k, f"k wants a positive integer, got {k}")
     ln_d, ds = ints("d")
     if len(ds) != 1:
         raise ConfigError(ln_d, "d wants a single integer")
     d = ds[0]
+    ln_len, rest = fields["lengths"]
+    # a literal's own error is reported before d is judged against it
+    lengths = [_scalar(t, ln_len) for t in rest.split()]
     if d < 0:
         raise ConfigError(ln_d, f"d wants a radicand >= 0, got {d}")
+    # the bound first, so a long d never reaches the square-free split;
+    # sqrt(d) keeps d as its radicand only when d is square-free
+    if d and not (2 <= d <= MAX_RADICAND and make_quadratic(0, 1, 1, 1, d).d == d):
+        raise ConfigError(ln_d, f"d wants 0 or a square-free radicand in "
+                                f"2..{MAX_RADICAND}, got {d}")
 
     def radicands(ln, scalars):
         for x in scalars:
             if x.d not in (0, d):
                 raise ConfigError(ln, f"scalar radicand {x.d} does not match d={d}")
 
-    ln_len, rest = fields["lengths"]
-    lengths = [_scalar(t, ln_len) for t in rest.split()]
     if len(lengths) != k:
         raise ConfigError(ln_len, f"expected {k} lengths, got {len(lengths)}")
     radicands(ln_len, lengths)

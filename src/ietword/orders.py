@@ -8,8 +8,11 @@ pi0-interval, and adjacent left extensions hand over exactly one shared
 right extension.  check_orders tests a single order pair against every
 factor up to a length bound.  The first condition constrains each order
 on its own, so interval_orders lists the orders keeping every extension
-set contiguous, and order_pairs runs check_orders only on the product
-of the domain and image survivors; search_orders lists them all.
+set contiguous, and candidate_pairs forms the product of the domain and
+image survivors, at most 720 a side.  order_pairs keeps the candidates
+passing check_orders, and search_orders lists them all; reconstruction
+reads the candidates too when none passes.  This is the package's one
+letter-order search.
 
 A pass is evidence, not proof: only factors of the indexed prefix are
 inspected, so the verdict reads "consistent up to N".
@@ -21,8 +24,8 @@ from itertools import islice
 
 from .words import FactorSet
 
-__all__ = ["OrderPair", "OrderReport", "check_orders", "interval_orders",
-           "order_pairs", "search_orders"]
+__all__ = ["OrderPair", "OrderReport", "candidate_pairs", "check_orders",
+           "interval_orders", "order_pairs", "search_orders"]
 
 
 @dataclass(frozen=True)
@@ -162,8 +165,8 @@ def interval_orders(letters, blocks):
 _MAX_ORDERS = 720  # 6!: every order of six letters
 
 
-def order_pairs(fs: FactorSet, max_len: int):
-    """Iterator over the order pairs passing check_orders, lexicographically.
+def candidate_pairs(fs: FactorSet, max_len: int):
+    """Iterator over the order pairs worth checking, lexicographically.
 
     pi0 ranges over the orders keeping every right-extension set of
     lengths 0..max_len contiguous, pi1 over those keeping every
@@ -171,7 +174,7 @@ def order_pairs(fs: FactorSet, max_len: int):
     _MAX_ORDERS, so any word on six letters or fewer is searched and a
     longer alphabet only when its extension sets pin the orders down.
     Both guards raise here, before any pair is formed; the pairs
-    themselves are checked lazily.
+    themselves are formed lazily.
     """
     letters = tuple(fs.alphabet)
     _check_window(fs, max_len)
@@ -185,8 +188,15 @@ def order_pairs(fs: FactorSet, max_len: int):
     if len(pi0s) > _MAX_ORDERS or len(pi1s) > _MAX_ORDERS:
         raise ValueError(f"alphabet of size {len(letters)} keeps more than "
                          f"{_MAX_ORDERS} orders on a side, too many to search")
-    pairs = (OrderPair(p0, p1) for p0 in pi0s for p1 in pi1s)
-    return (pair for pair in pairs if check_orders(fs, pair, max_len).passed)
+    return (OrderPair(p0, p1) for p0 in pi0s for p1 in pi1s)
+
+
+def order_pairs(fs: FactorSet, max_len: int):
+    """Iterator over the candidate pairs passing check_orders, in the
+    order candidate_pairs gives them; its guards raise here too, and the
+    pairs are checked lazily."""
+    return (pair for pair in candidate_pairs(fs, max_len)
+            if check_orders(fs, pair, max_len).passed)
 
 
 def search_orders(fs: FactorSet, max_len: int):

@@ -2,14 +2,12 @@
 
 Lengths come from letter frequencies (exact rationals), the interval
 orders from the first order pair passing check_orders over the whole
-index.  When no pair passes, as with flipped words, they come from
-adjacency constraints read off special factors: a right-special
-factor's two extensions are the two intervals meeting at a domain
-discontinuity, so they must sit side by side; left-special factors
-force the same in the image.  Flips are taken where the
-accepted labeling carries minus marks.  The initial point is pinned by
-walking the word's longest admissible prefix through the candidate's
-cylinder tree and taking a midpoint.
+index.  When no pair passes, as with flipped words, they come from the
+same search's candidates, the pairs keeping every extension set
+contiguous: the first irreducible one, else the first.  Flips are taken
+where the accepted labeling carries minus marks.  The initial point is
+pinned by walking the word's longest admissible prefix through the
+candidate's cylinder tree and taking a midpoint.
 
 Nothing irrational survives a finite sample, so the candidate is
 rational by construction and judged by how far its exact cylinder
@@ -20,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
+from itertools import chain, takewhile
 
 from .exact import rational
 from .iet import (
@@ -31,22 +29,12 @@ from .iet import (
     longest_cylinder,
     natural_coding,
 )
-from .orders import OrderPair, interval_orders, order_pairs
+from .orders import candidate_pairs, order_pairs
 from .rauzy import EvolutionReport
 from .words import FactorSet
 
-__all__ = ["AdjacencyError", "EmpiricalMeasure", "cylinder_measures",
-           "reconstruct_iet", "verify_roundtrip"]
-
-
-class AdjacencyError(ValueError):
-    """No letter order makes every constrained pair adjacent."""
-
-    def __init__(self, side: str, pairs):
-        self.side = side
-        self.pairs = frozenset(pairs)
-        listing = ", ".join(sorted("{%s}" % ",".join(sorted(p)) for p in pairs))
-        super().__init__(f"no {side} order keeps {listing} adjacent")
+__all__ = ["EmpiricalMeasure", "cylinder_measures", "reconstruct_iet",
+           "verify_roundtrip"]
 
 
 @dataclass(frozen=True)
@@ -74,34 +62,6 @@ def cylinder_measures(fs: FactorSet, depth: int) -> EmpiricalMeasure:
     return EmpiricalMeasure(depth, weights)
 
 
-def _special_factor_orders(fs: FactorSet, depth: int):
-    """Domain and image orders keeping every special factor's pair adjacent.
-
-    The domain order is the first such order; the image order is the
-    first one giving an irreducible permutation, else the first.
-    """
-    dom_pairs = set()
-    img_pairs = set()
-    for n in range(1, depth):
-        for left, right in fs.extensions(n).values():
-            if len(right) == 2:
-                dom_pairs.add(right)
-            if len(left) == 2:
-                img_pairs.add(left)
-    dom = next(interval_orders(fs.alphabet, dom_pairs), None)
-    if dom is None:
-        raise AdjacencyError("domain", dom_pairs)
-    first = None
-    for img in interval_orders(fs.alphabet, img_pairs):
-        if OrderPair(dom, img).separation() is None:
-            return dom, img
-        if first is None:
-            first = img
-    if first is None:
-        raise AdjacencyError("image", img_pairs)
-    return dom, first
-
-
 def reconstruct_iet(fs: FactorSet, report: EvolutionReport, depth: int):
     """Candidate exchange, its measure residual and its letters.
 
@@ -111,16 +71,18 @@ def reconstruct_iet(fs: FactorSet, report: EvolutionReport, depth: int):
     if not report.accepted:
         raise ValueError("reconstruction needs an accepted validator report")
     em = cylinder_measures(fs, depth)
-    k = len(fs.alphabet)
-    if k > 6:
-        raise ValueError(f"alphabet of size {k} is too large")
-    # an index of max_len 1 checks letters and separation only, which
-    # picks what the adjacency fallback would: no special factor is indexed
-    pair = next(order_pairs(fs, fs.max_len - 2), None)
-    if pair is not None:
-        dom, img = pair.pi0, pair.pi1
-    else:
-        dom, img = _special_factor_orders(fs, depth)
+    max_len = fs.max_len - 2
+    pair = next(order_pairs(fs, max_len), None)
+    if pair is None:
+        # no pair passes, as with flipped words: the first irreducible
+        # candidate, else the first
+        candidates = candidate_pairs(fs, max_len)
+        first = next(candidates, None)
+        if first is None:
+            raise ValueError("no letter order keeps every extension set contiguous")
+        pair = next((p for p in chain([first], candidates)
+                     if p.separation() is None), first)
+    dom, img = pair.pi0, pair.pi1
     perm = [dom.index(c) + 1 for c in img]
     marked_letters = {w[0] for ms in (report.marks or {}).values() for w in ms}
     flips = [c in marked_letters for c in dom]

@@ -106,6 +106,44 @@ def test_gen_refuses_sets_off_the_declared_field(tmp_path, capsys):
                             "scalar radicand 3 does not match d=5\n")
 
 
+RATIONAL_FIELDS = "lengths 1/2 1/2\nperm 2 1\nflips 0 0\n"
+BAD_D = "d wants 0 or a square-free radicand in 2..1000000000, got "
+
+
+@pytest.mark.parametrize("k,d,line,message", [
+    (2, 1, 2, BAD_D + "1"),
+    (2, 4, 2, BAD_D + "4"),
+    (2, 8, 2, BAD_D + "8"),
+    (2, 10 ** 20 - 1, 2, BAD_D + "99999999999999999999"),
+    (-1, 0, 1, "k wants a positive integer, got -1"),
+    (0, 0, 1, "k wants a positive integer, got 0"),
+], ids=["d1", "d4", "d8", "d-20-digits", "k-1", "k0"])
+def test_gen_refuses_bad_k_and_d(tmp_path, capsys, k, d, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"k {k}\nd {d}\n" + RATIONAL_FIELDS)
+    assert main(["gen", str(path), "-n", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: line {line}: {message}\n"
+
+
+def test_gen_refuses_d_that_is_not_square_free(tmp_path, capsys):
+    # sqrt(8) reduces to 2*sqrt(2); the declared 8 is refused at its own line
+    path = tmp_path / "eight.cfg"
+    path.write_text("k 2\nd 8\nlengths (0+1*sqrt(8))/8 (8-1*sqrt(8))/8\n"
+                    "perm 2 1\nflips 0 0\n")
+    assert main(["gen", str(path), "-n", "8"]) == 3
+    assert capsys.readouterr().err == f"error: {path}: line 2: {BAD_D}8\n"
+
+
+@pytest.mark.parametrize("d", [0, 2, 5])
+def test_gen_accepts_square_free_d(tmp_path, capsys, d):
+    path = tmp_path / "ok.cfg"
+    path.write_text(f"k 2\nd {d}\n" + RATIONAL_FIELDS)
+    assert main(["gen", str(path), "-n", "8"]) == 0
+    assert capsys.readouterr().out == "12121212\n"
+
+
 def test_gen_non_ascii_config(tmp_path, capsys):
     path = tmp_path / "accent.cfg"
     path.write_text("# rotation dorée\n" + GOLDEN_CFG, encoding="utf-8")
@@ -251,6 +289,20 @@ def test_fz_search_refuses_too_many_orders(tmp_path, capsys):
     path = tmp_path / "nine.txt"
     path.write_text("abcdefghi" * 20 + "\n")
     assert main(["fz", str(path), "--search"]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert not captured.out and len(err) == 1
+    assert err[0].startswith("error:") and "more than 720 orders" in err[0]
+
+
+def test_reconstruct_refuses_too_many_orders(tmp_path, capsys):
+    # a periodic 9-letter word constrains no order: every one of the 9!
+    # orders is a candidate, so it is refused before any pair is formed
+    path = tmp_path / "nine.txt"
+    path.write_text("abcdefghi" * 200 + "\n")
+    argv = ["reconstruct", str(path), "--out-config", str(tmp_path / "c.cfg"),
+            "--out-report", str(tmp_path / "c.csv")]
+    assert main(argv) == 3
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert not captured.out and len(err) == 1

@@ -1,23 +1,17 @@
-import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ietword import reconstruct
 from ietword.exact import make_quadratic, rational
 from ietword.iet import build_iet, natural_coding
-from ietword.orders import OrderPair, interval_orders
+from ietword.orders import OrderPair, interval_orders, order_pairs
 from ietword.rauzy import EvolutionReport, validate_evolution
-from ietword.reconstruct import (
-    AdjacencyError,
-    cylinder_measures,
-    reconstruct_iet,
-    verify_roundtrip,
-)
+from ietword.reconstruct import cylinder_measures, reconstruct_iet, verify_roundtrip
 from ietword.words import FactorSet
 
-from wordgen import fibonacci_word
+from wordgen import fibonacci_word, random_exact_iet
 
 GOLDEN_ALPHA = make_quadratic(-1, 2, 1, 2, 5)
 
@@ -175,33 +169,55 @@ def eager_special_factor_orders(fs, depth):
                      imgs[0])
 
 
-@pytest.mark.parametrize("word,depth", [
-    ("ab" * 300, 1), ("ab" * 300, 4), ("abc" * 300, 4), ("abcdef" * 100, 3),
-    (natural_coding(silver_iet(), rational(0), 3000), 5),
-    (natural_coding(golden_iet(), rational(0), 3000, "ba"), 6),
-])
-def test_special_factor_orders_match_eager_pick(word, depth):
-    fs = FactorSet(word, depth)
-    assert (reconstruct._special_factor_orders(fs, depth)
-            == eager_special_factor_orders(fs, depth))
+def flipped_corpus(draws):
+    """Seeded exchanges on 3..6 letters with random flips."""
+    rng = random.Random(2027)
+    for _ in range(draws):
+        k = rng.randint(3, 6)
+        vals = []
+        while len(vals) < k:
+            v = make_quadratic(rng.randint(1, 20), 1, rng.randint(-3, 3), 1, 2)
+            if v.sign() > 0:
+                vals.append(v)
+        total = sum(vals[1:], vals[0])
+        perm = list(range(1, k + 1))
+        rng.shuffle(perm)
+        flips = [rng.random() < 0.35 for _ in range(k)]
+        yield build_iet([v / total for v in vals], perm, flips)
 
 
-def test_special_factor_orders_stop_at_first_irreducible(monkeypatch):
-    pulled = []
+def test_fallback_matches_special_factor_reference():
+    # where no pair passes, the first irreducible candidate of the one
+    # order search is what the special factors' adjacency pairs picked
+    accepted = fallbacks = 0
+    for T in flipped_corpus(120):
+        word = natural_coding(T, rational(1, 7), 10_000)
+        fs = FactorSet(word, 13)
+        rep = validate_evolution(fs, 1, 12, oriented=False)
+        if not rep.accepted:
+            continue
+        accepted += 1
+        if next(order_pairs(fs, fs.max_len - 2), None) is not None:
+            continue
+        fallbacks += 1
+        cand, _, letters = reconstruct_iet(fs, rep, 6)
+        dom, img = eager_special_factor_orders(fs, 6)
+        assert letters == "".join(dom)
+        assert cand.permutation == tuple(dom.index(c) + 1 for c in img)
+    assert (accepted, fallbacks) == (110, 71)
 
-    def counted(letters, blocks):
-        for order in interval_orders(letters, blocks):
-            pulled.append(order)
-            yield order
 
-    monkeypatch.setattr(reconstruct, "interval_orders", counted)
-    # nine letters and no special factor: every one of the 9! orders
-    # fits, and the 8! image orders that start with the domain's first
-    # letter are reducible
-    fs = FactorSet("abcdefghi" * 20, 1)
-    dom, img = reconstruct._special_factor_orders(fs, 1)
-    assert OrderPair(dom, img).separation() is None
-    assert math.factorial(8) < len(pulled) < math.factorial(9) // 4
+def test_reconstruct_seven_letters():
+    # the fallback reads the same 720-a-side candidates as the search,
+    # so the alphabet is not capped
+    T = random_exact_iet(random.Random(2027), 7)
+    assert T.permutation == (4, 7, 1, 5, 3, 6, 2)
+    word = natural_coding(T, rational(1, 7), 10_000)
+    fs = FactorSet(word, 13)
+    cand, residual, letters = reconstruct_iet(fs, accepted_report(word), 6)
+    assert (cand.permutation, letters) == (T.permutation, "1234567")
+    assert residual < Fraction(1, 100)
+    assert verify_roundtrip(word, cand, 500, letters)[:2] == (500, 500)
 
 
 def test_reconstruct_needs_accepted_report():
@@ -211,13 +227,12 @@ def test_reconstruct_needs_accepted_report():
 
 
 def test_adjacency_conflict_reported():
+    # {a,b}, {b,c} and {a,c} are right-extension sets of length-3
+    # factors, which an index of 5 checks: no domain order keeps all three
     word = "ccabcbccacabbcaacbccbbcaacacbcacaacab" * 20
     fake = EvolutionReport((1, 3), "accepted", 1, True, None, {}, {}, {})
-    with pytest.raises(AdjacencyError) as exc:
-        reconstruct_iet(FactorSet(word, 4), fake, 4)
-    assert exc.value.side == "domain"
-    assert frozenset({"a", "b"}) in exc.value.pairs
-    assert len(exc.value.pairs) == 3
+    with pytest.raises(ValueError, match="no letter order keeps"):
+        reconstruct_iet(FactorSet(word, 5), fake, 4)
 
 
 def test_flip_marks_carry_into_candidate():
