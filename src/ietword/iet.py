@@ -486,18 +486,15 @@ def check_idoc(T: IETSpec, depth: int) -> RegularityReport:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     stepper, left = T.inverse.kernel, T.kernel.left
-    seen: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(2, T.k + 1):
-        if left[i - 1] in seen:
-            return RegularityReport(depth, "collision", ((i, 0), seen[left[i - 1]]))
-        seen[left[i - 1]] = (i, 0)
+    # every length is positive, so the interior ends a_2..a_k are distinct
+    seen = {left[i - 1]: (i, 0) for i in range(2, T.k + 1)}
     for i in range(2, T.k + 1):
         p = left[i - 1]
         j = stepper.locate(p)
         for n in range(1, depth + 1):
             p, j = stepper.step(p, j)
             prev = seen.get(p)
-            if prev is not None and prev != (i, n):
+            if prev is not None:
                 return RegularityReport(depth, "collision", ((i, n), prev))
             seen[p] = (i, n)
     return RegularityReport(depth, "no-collision-up-to-depth")

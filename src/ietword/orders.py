@@ -9,10 +9,10 @@ right extension.  check_orders tests a single order pair against every
 factor up to a length bound.  The first condition constrains each order
 on its own, so interval_orders lists the orders keeping every extension
 set contiguous, and candidate_pairs forms the product of the domain and
-image survivors, at most 720 a side.  order_pairs keeps the candidates
-passing check_orders, and search_orders lists them all; reconstruction
-reads the candidates too when none passes.  This is the package's one
-letter-order search.
+image survivors, at most 720 a side.  search_orders keeps the candidates
+passing check_orders; reconstruction walks the same candidates, checks
+them in turn and falls back on one when none passes.  This is the
+package's one letter-order search.
 
 A pass is evidence, not proof: only factors of the indexed prefix are
 inspected, so the verdict reads "consistent up to N".
@@ -25,7 +25,7 @@ from itertools import islice
 from .words import FactorSet
 
 __all__ = ["OrderPair", "OrderReport", "candidate_pairs", "check_orders",
-           "interval_orders", "order_pairs", "search_orders"]
+           "interval_orders", "search_orders"]
 
 
 @dataclass(frozen=True)
@@ -191,14 +191,7 @@ def candidate_pairs(fs: FactorSet, max_len: int):
     return (OrderPair(p0, p1) for p0 in pi0s for p1 in pi1s)
 
 
-def order_pairs(fs: FactorSet, max_len: int):
-    """Iterator over the candidate pairs passing check_orders, in the
-    order candidate_pairs gives them; its guards raise here too, and the
-    pairs are checked lazily."""
-    return (pair for pair in candidate_pairs(fs, max_len)
-            if check_orders(fs, pair, max_len).passed)
-
-
 def search_orders(fs: FactorSet, max_len: int):
     """Every order pair passing check_orders, in lexicographic order."""
-    return list(order_pairs(fs, max_len))
+    return [pair for pair in candidate_pairs(fs, max_len)
+            if check_orders(fs, pair, max_len).passed]

@@ -1,13 +1,14 @@
 """Rebuild a candidate exchange from an accepted word and check it.
 
 Lengths come from letter frequencies (exact rationals), the interval
-orders from the first order pair passing check_orders over the whole
-index.  When no pair passes, as with flipped words, they come from the
-same search's candidates, the pairs keeping every extension set
-contiguous: the first irreducible one, else the first.  Flips are taken
-where the accepted labeling carries minus marks.  The initial point is
-pinned by walking the word's longest admissible prefix through the
-candidate's cylinder tree and taking a midpoint.
+orders from one walk over the candidate pairs of the order search, the
+pairs keeping every extension set contiguous: the first passing
+check_orders over the whole index.  When none passes, as with flipped
+words, the walk has kept the first irreducible candidate and the first
+one, and takes the former, else the latter.  Flips are taken where the
+accepted labeling carries minus marks.  The initial point is pinned by
+walking the word's longest admissible prefix through the candidate's
+cylinder tree and taking a midpoint.
 
 Nothing irrational survives a finite sample, so the candidate is
 rational by construction and judged by how far its exact cylinder
@@ -16,9 +17,8 @@ regenerated coding tracks the input (verify_roundtrip).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, takewhile
+from itertools import takewhile
 
 from .exact import rational
 from .iet import (
@@ -29,37 +29,28 @@ from .iet import (
     longest_cylinder,
     natural_coding,
 )
-from .orders import candidate_pairs, order_pairs
+from .orders import candidate_pairs, check_orders
 from .rauzy import EvolutionReport
 from .words import FactorSet
 
-__all__ = ["EmpiricalMeasure", "cylinder_measures", "reconstruct_iet",
-           "verify_roundtrip"]
+__all__ = ["cylinder_measures", "reconstruct_iet", "verify_roundtrip"]
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    depth: int
-    weights: dict  # factor -> Fraction, all lengths 1..depth
-
-    def level(self, n: int) -> dict:
-        return {w: f for w, f in self.weights.items() if len(w) == n}
-
-
-def cylinder_measures(fs: FactorSet, depth: int) -> EmpiricalMeasure:
-    """Sliding-window factor frequencies, exact over the indexed word."""
+def cylinder_measures(fs: FactorSet, depth: int) -> dict:
+    """Sliding-window factor frequencies, exact over the indexed word:
+    {factor: Fraction} for every factor of length 1..depth."""
     if depth < 1:
         raise ValueError("depth must be positive")
-    if fs.source_len < 100 * depth:
+    size = len(fs.word)
+    if size < 100 * depth:
         raise ValueError(
-            f"need at least {100 * depth} symbols for depth {depth}, "
-            f"got {fs.source_len}")
+            f"need at least {100 * depth} symbols for depth {depth}, got {size}")
     weights = {}
     for n in range(1, depth + 1):
-        windows = fs.source_len - n + 1
+        windows = size - n + 1
         for w, c in fs.counts(n).items():
             weights[w] = Fraction(c, windows)
-    return EmpiricalMeasure(depth, weights)
+    return weights
 
 
 def reconstruct_iet(fs: FactorSet, report: EvolutionReport, depth: int):
@@ -70,46 +61,43 @@ def reconstruct_iet(fs: FactorSet, report: EvolutionReport, depth: int):
     """
     if not report.accepted:
         raise ValueError("reconstruction needs an accepted validator report")
-    em = cylinder_measures(fs, depth)
+    weights = cylinder_measures(fs, depth)
     max_len = fs.max_len - 2
-    pair = next(order_pairs(fs, max_len), None)
-    if pair is None:
+    first = irreducible = None
+    for pair in candidate_pairs(fs, max_len):
+        if check_orders(fs, pair, max_len).passed:
+            break
+        if first is None:
+            first = pair
+        if irreducible is None and pair.separation() is None:
+            irreducible = pair
+    else:
         # no pair passes, as with flipped words: the first irreducible
         # candidate, else the first
-        candidates = candidate_pairs(fs, max_len)
-        first = next(candidates, None)
-        if first is None:
+        pair = irreducible or first
+        if pair is None:
             raise ValueError("no letter order keeps every extension set contiguous")
-        pair = next((p for p in chain([first], candidates)
-                     if p.separation() is None), first)
     dom, img = pair.pi0, pair.pi1
     perm = [dom.index(c) + 1 for c in img]
     marked_letters = {w[0] for ms in (report.marks or {}).values() for w in ms}
     flips = [c in marked_letters for c in dom]
-    lengths = [rational(em.weights[c].numerator, em.weights[c].denominator)
+    lengths = [rational(weights[c].numerator, weights[c].denominator)
                for c in dom]
     T = build_iet(lengths, perm, flips)
-    residual = _measure_residual(T, em, dom)
+    residual = _measure_residual(T, weights, depth, dom)
     return T, residual, "".join(dom)
 
 
-def _as_fraction(x) -> Fraction:
-    if x.coef:
-        raise ValueError("expected a rational scalar")
-    return x.rat
-
-
-def _measure_residual(T: IETSpec, em: EmpiricalMeasure, dom) -> Fraction:
-    cand = cylinder_lengths(T, CodingConfig.natural(T, "".join(dom)), em.depth)
-    worst = Fraction(0)
-    for n in range(1, em.depth + 1):
-        emp = em.level(n)
-        level = {w: _as_fraction(x) for w, x in cand.items() if len(w) == n}
-        diff = Fraction(0)
-        for w in set(emp) | set(level):
-            diff += abs(emp.get(w, Fraction(0)) - level.get(w, Fraction(0)))
-        worst = max(worst, diff / 2)
-    return worst
+def _measure_residual(T: IETSpec, weights: dict, depth: int, dom) -> Fraction:
+    """The largest total-variation distance, over lengths 1..depth,
+    between the empirical measures and the candidate's cylinder lengths,
+    which are rational because its interval lengths are."""
+    cand = cylinder_lengths(T, CodingConfig.natural(T, "".join(dom)), depth)
+    diff = [Fraction(0)] * depth
+    for w in weights.keys() | cand.keys():
+        got = cand[w].rat if w in cand else 0
+        diff[len(w) - 1] += abs(weights.get(w, 0) - got)
+    return max(diff) / 2
 
 
 def verify_roundtrip(word: str, candidate: IETSpec, n: int, letters: str):

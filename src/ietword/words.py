@@ -26,7 +26,6 @@ class FactorSet:
         if max_len > len(word):
             raise ValueError(f"max_len {max_len} exceeds word length {len(word)}")
         self.word = word
-        self.source_len = len(word)
         self.max_len = max_len
         self._alphabet: tuple[str, ...] | None = None
         self._counts: dict[int, Counter] = {}

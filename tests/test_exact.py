@@ -35,6 +35,13 @@ def test_canonical_form_perfect_square():
     assert a.rat == Fraction(19, 2)
 
 
+def test_make_quadratic_radicand_bounds():
+    # sqrt(0) = 0: radicand 0 gives a rational, a negative one is refused
+    assert make_quadratic(1, 2, 3, 4, 0) == rational(1, 2)
+    with pytest.raises(ValueError, match="negative radicand"):
+        make_quadratic(1, 2, 3, 4, -1)
+
+
 def test_zero_coef_drops_radicand():
     a = ExactScalar(Fraction(3, 7), Fraction(0), 5)
     assert a.d == 0

@@ -182,14 +182,16 @@ def test_order_cap_counts_orders_per_side(monkeypatch):
     passed = orders.OrderReport(True, None, None, 2)
     monkeypatch.setattr(orders, "check_orders", lambda *args: checked.append(args) or passed)
     # a periodic word constrains no order: 6! = 720 a side is searched,
-    # 9! is refused after 721 orders a side and before any pair is checked
-    pairs = orders.order_pairs(FactorSet("abcdef" * 20, 4), 2)
-    assert pulled == [720, 720] and not checked
-    assert next(pairs) == OrderPair(tuple("abcdef"), tuple("abcdef")) and len(checked) == 1
+    # 9! is refused after 721 orders a side and before any pair is formed;
+    # the candidates are formed lazily and none is checked
+    pairs = orders.candidate_pairs(FactorSet("abcdef" * 20, 4), 2)
+    assert pulled == [720, 720]
+    assert next(pairs) == OrderPair(tuple("abcdef"), tuple("abcdef"))
+    assert next(pairs) == OrderPair(tuple("abcdef"), tuple("abcdfe"))
+    assert not checked
     pulled.clear()
-    checked.clear()
     with pytest.raises(ValueError, match="more than 720 orders"):
-        orders.order_pairs(FactorSet("abcdefghi" * 20, 4), 2)
+        orders.candidate_pairs(FactorSet("abcdefghi" * 20, 4), 2)
     assert pulled == [721, 721] and not checked
 
 

@@ -225,6 +225,12 @@ def test_validator_window_validation():
         validate_evolution(fs, 1, 5)  # needs length-6 factors
 
 
+def test_validator_one_level_window():
+    r = validate_evolution(fib_fs(5), 4, 4, oriented=True)
+    assert (r.window, r.verdict, r.K) == ((4, 4), "accepted", 4)
+    assert list(r.in_labels) == list(r.out_labels) == [4]
+
+
 def flipped_witness_iet():
     # one flipped interval drives the orbit of 0 onto a periodic cycle
     # whose growth phase needs minus marks

@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from ietword.exact import make_quadratic, rational
 from ietword.iet import build_iet, natural_coding
-from ietword.orders import OrderPair, interval_orders, order_pairs
+from ietword import orders, reconstruct
+from ietword.orders import (
+    OrderPair,
+    candidate_pairs,
+    check_orders,
+    interval_orders,
+    search_orders,
+)
 from ietword.rauzy import EvolutionReport, validate_evolution
 from ietword.reconstruct import cylinder_measures, reconstruct_iet, verify_roundtrip
 from ietword.words import FactorSet
@@ -26,6 +33,29 @@ def silver_iet():
         [s, s, rational(3) - make_quadratic(0, 1, 2, 1, 2)], [3, 2, 1])
 
 
+def five_iet_word():
+    # several image orders keep this 5-IET's left-special pairs adjacent;
+    # only the true one and its mirror pass every order condition
+    lengths = [
+        make_quadratic(41, 233, 5, 233, 2),
+        make_quadratic(1256, 3961, -23, 3961, 2),
+        make_quadratic(311, 3961, -53, 3961, 2),
+        make_quadratic(575, 3961, 144, 3961, 2),
+        make_quadratic(66, 233, -9, 233, 2),
+    ]
+    return natural_coding(build_iet(lengths, [4, 1, 2, 5, 3]), rational(0), 10000)
+
+
+def flipped_4iet():
+    lengths = [
+        make_quadratic(660, 2066, -63, 2066, 2),
+        make_quadratic(404, 2066, -1, 2066, 2),
+        make_quadratic(516, 2066, 101, 2066, 2),
+        make_quadratic(486, 2066, -37, 2066, 2),
+    ]
+    return build_iet(lengths, [3, 4, 2, 1], [False, True, False, False])
+
+
 def accepted_report(word, k_max=12):
     return validate_evolution(FactorSet(word, k_max + 1), 1, k_max,
                               oriented=True)
@@ -33,33 +63,38 @@ def accepted_report(word, k_max=12):
 
 # -------------------------------------------------------------- measures
 
+def level(weights, n):
+    return {w: f for w, f in weights.items() if len(w) == n}
+
+
 def test_fibonacci_letter_frequency():
-    em = cylinder_measures(FactorSet(fibonacci_word(10000), 1), 1)
-    assert em.weights["a"] == Fraction(309, 500)
-    assert abs(float(em.weights["a"]) - 0.618) < 0.01
+    weights = cylinder_measures(FactorSet(fibonacci_word(10000), 1), 1)
+    assert weights == {"a": Fraction(309, 500), "b": Fraction(191, 500)}
+    assert abs(float(weights["a"]) - 0.618) < 0.01
 
 
 def test_measure_levels_sum_to_one():
-    em = cylinder_measures(FactorSet(fibonacci_word(2000), 4), 4)
+    weights = cylinder_measures(FactorSet(fibonacci_word(2000), 4), 4)
+    assert {len(w) for w in weights} == {1, 2, 3, 4}
     for n in range(1, 5):
-        assert sum(em.level(n).values()) == 1
+        assert sum(level(weights, n).values()) == 1
 
 
 def test_measure_refinement_consistency():
     word = fibonacci_word(2000)
-    em = cylinder_measures(FactorSet(word, 4), 4)
+    weights = cylinder_measures(FactorSet(word, 4), 4)
     slack = Fraction(4, len(word) - 4)
     for n in range(1, 4):
-        for w, f in em.level(n).items():
-            children = sum(em.weights.get(w + x, Fraction(0)) for x in "ab")
+        for w, f in level(weights, n).items():
+            children = sum(weights.get(w + x, Fraction(0)) for x in "ab")
             assert abs(f - children) <= slack
 
 
 def test_constant_and_periodic_measures():
-    assert cylinder_measures(FactorSet("a" * 200, 1), 1).weights["a"] == 1
-    em = cylinder_measures(FactorSet("ab" * 300, 2), 2)
-    assert em.weights["a"] == Fraction(1, 2)
-    assert em.weights["ab"] == Fraction(300, 599)
+    assert cylinder_measures(FactorSet("a" * 200, 1), 1) == {"a": 1}
+    weights = cylinder_measures(FactorSet("ab" * 300, 2), 2)
+    assert weights["a"] == Fraction(1, 2)
+    assert weights["ab"] == Fraction(300, 599)
 
 
 def test_measure_preconditions():
@@ -117,21 +152,39 @@ def test_roundtrip_follows_relabeled_letters(letters):
 
 
 def test_reconstruct_takes_first_passing_order_pair():
-    # several image orders keep this 5-IET's left-special pairs adjacent;
-    # only the true one passes every order condition
-    lengths = [
-        make_quadratic(41, 233, 5, 233, 2),
-        make_quadratic(1256, 3961, -23, 3961, 2),
-        make_quadratic(311, 3961, -53, 3961, 2),
-        make_quadratic(575, 3961, 144, 3961, 2),
-        make_quadratic(66, 233, -9, 233, 2),
-    ]
-    word = natural_coding(build_iet(lengths, [4, 1, 2, 5, 3]), rational(0), 10000)
+    word = five_iet_word()
     fs = FactorSet(word, 13)
     T, residual, letters = reconstruct_iet(fs, accepted_report(word), 6)
     assert (T.permutation, letters) == ((4, 1, 2, 5, 3), "12345")
     assert residual < Fraction(1, 20)
     assert verify_roundtrip(word, T, 500, letters)[0] > 100
+
+
+def test_order_checks_stop_at_first_passing_pair(monkeypatch):
+    word = five_iet_word()
+    fs = FactorSet(word, 13)
+    cands = list(candidate_pairs(fs, 11))
+    assert [i for i, p in enumerate(cands) if check_orders(fs, p, 11).passed] == [1, 2]
+    checked = []
+    monkeypatch.setattr(reconstruct, "check_orders",
+                        lambda fs, pair, n: checked.append(pair) or check_orders(fs, pair, n))
+    reconstruct_iet(fs, accepted_report(word), 6)
+    assert checked == cands[:2]
+
+
+def test_fallback_builds_order_lists_once(monkeypatch):
+    # no pair passes on the flipped 4-IET's coding, and the fallback picks
+    # from the candidates already walked: one interval_orders call a side
+    word = natural_coding(flipped_4iet(), rational(0), 20000)
+    rep = validate_evolution(FactorSet(word, 13), 1, 12, oriented=False)
+    fs = FactorSet(word, 6)
+    assert search_orders(fs, 4) == []
+    plain, calls = orders.interval_orders, []
+    monkeypatch.setattr(orders, "interval_orders",
+                        lambda *args: calls.append(args) or plain(*args))
+    cand, _, letters = reconstruct_iet(fs, rep, 6)
+    assert len(calls) == 2
+    assert (cand.permutation, letters) == ((3, 4, 2, 1), "1234")
 
 
 def test_reconstruct_constant_word():
@@ -197,7 +250,7 @@ def test_fallback_matches_special_factor_reference():
         if not rep.accepted:
             continue
         accepted += 1
-        if next(order_pairs(fs, fs.max_len - 2), None) is not None:
+        if search_orders(fs, fs.max_len - 2):
             continue
         fallbacks += 1
         cand, _, letters = reconstruct_iet(fs, rep, 6)
@@ -236,14 +289,7 @@ def test_adjacency_conflict_reported():
 
 
 def test_flip_marks_carry_into_candidate():
-    lengths = [
-        make_quadratic(660, 2066, -63, 2066, 2),
-        make_quadratic(404, 2066, -1, 2066, 2),
-        make_quadratic(516, 2066, 101, 2066, 2),
-        make_quadratic(486, 2066, -37, 2066, 2),
-    ]
-    T = build_iet(lengths, [3, 4, 2, 1], [False, True, False, False])
-    word = natural_coding(T, rational(0), 20000)
+    word = natural_coding(flipped_4iet(), rational(0), 20000)
     rep = validate_evolution(FactorSet(word, 13), 1, 12, oriented=False)
     cand, residual, letters = reconstruct_iet(FactorSet(word, 6), rep, 6)
     # the accepted labeling marks vertices in the letter-3 cylinder
@@ -284,6 +330,13 @@ def test_roundtrip_wrong_permutation_dies_fast():
     assert match < 10
 
 
+def test_roundtrip_compares_one_letter_up_to_the_whole_word():
+    T = golden_iet()
+    word = natural_coding(T, rational(0), 300)
+    assert verify_roundtrip(word, T, 1, "12")[:3] == (1, 1, 1)
+    assert verify_roundtrip(word, T, len(word), "12")[:3] == (300, 300, 300)
+
+
 def test_roundtrip_errors():
     T = golden_iet()
     for n in (3, 0, -5):
@@ -300,6 +353,6 @@ def test_roundtrip_errors():
 @settings(max_examples=40)
 @given(st.text(alphabet="abc", min_size=100, max_size=180))
 def test_letter_measures_sum_to_one(w):
-    em = cylinder_measures(FactorSet(w, 1), 1)
-    assert sum(em.level(1).values()) == 1
-    assert all(0 < f <= 1 for f in em.level(1).values())
+    weights = cylinder_measures(FactorSet(w, 1), 1)
+    assert sum(level(weights, 1).values()) == 1
+    assert all(0 < f <= 1 for f in level(weights, 1).values())

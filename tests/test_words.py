@@ -306,6 +306,14 @@ def test_recurrence_precondition():
         recurrence_window("abab", 2)
 
 
+def test_recurrence_window_bounds():
+    # on 8 letters k may reach 8 // 4 = 2, and a window of 8 // 2 = 4
+    # letters is still returned: ba first ends at 4, ab last starts at 4
+    assert recurrence_window("aabaabaa", 2) == 4
+    with pytest.raises(ValueError):
+        recurrence_window("aabaabaa", 3)
+
+
 def test_fibonacci_vs_mechanical_balance_consistency():
     # balanced and aperiodic on the window implies Sturmian counts
     fs = FactorSet(FIB, 40)
