@@ -170,7 +170,7 @@ def test_search_orders_finds_seven_letter_pair():
 
 
 def test_order_cap_counts_orders_per_side(monkeypatch):
-    plain, pulled, checked = orders.interval_orders, [], []
+    plain, pulled = orders.interval_orders, []
 
     def counting(letters, blocks):
         pulled.append(0)
@@ -179,20 +179,17 @@ def test_order_cap_counts_orders_per_side(monkeypatch):
             yield order
 
     monkeypatch.setattr(orders, "interval_orders", counting)
-    passed = orders.OrderReport(True, None, None, 2)
-    monkeypatch.setattr(orders, "check_orders", lambda *args: checked.append(args) or passed)
     # a periodic word constrains no order: 6! = 720 a side is searched,
     # 9! is refused after 721 orders a side and before any pair is formed;
-    # the candidates are formed lazily and none is checked
+    # the candidates are formed lazily
     pairs = orders.candidate_pairs(FactorSet("abcdef" * 20, 4), 2)
     assert pulled == [720, 720]
     assert next(pairs) == OrderPair(tuple("abcdef"), tuple("abcdef"))
     assert next(pairs) == OrderPair(tuple("abcdef"), tuple("abcdfe"))
-    assert not checked
     pulled.clear()
     with pytest.raises(ValueError, match="more than 720 orders"):
         orders.candidate_pairs(FactorSet("abcdefghi" * 20, 4), 2)
-    assert pulled == [721, 721] and not checked
+    assert pulled == [721, 721]
 
 
 def test_agrees_with_evolution_validator():

@@ -1,9 +1,9 @@
 """Hash the answer of every operation of the benchmark plans.
 
-    python3 tools/plan_outputs.py [--seeds 1 2]
+    python3 tools/plan_outputs.py
 
 Run from the root of the checkout to be hashed. Each workload's plan is
-built from each seed by that checkout's perfbench/workloads.py, its
+built from seeds 1 and 2 by that checkout's perfbench/workloads.py, its
 input files are written to a temporary directory, and every operation
 is run once through perfbench/worker.py's `build`. One line per
 operation: workload, seed, op id, kind and a sha256 prefix over the
@@ -16,7 +16,6 @@ changed. Nothing is timed or checked against an expectation.
 """
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import os
@@ -63,11 +62,8 @@ def digest(op) -> str:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    args = ap.parse_args()
     for name, make in sorted(workloads.WORKLOADS.items()):
-        for seed in args.seeds:
+        for seed in (1, 2):
             plan = make(seed).as_json()
             with tempfile.TemporaryDirectory() as work:
                 os.chdir(work)
