@@ -146,9 +146,9 @@ class _Levels:
     (a, a[1:] + y) for each (k+1)-factor a and each y in
     right(a[1:]) - right(a).  Only the special vertices (two or more
     arcs on a side) can carry a crotch or a valence violation, so only
-    they are walked, in sorted order.  Deletions are looked for only
-    through a = x + w, x in left(w), for w right-special or the word's
-    last k-window.  That finds them all:
+    they are walked, in the sorted order fs.specials(k) lists them in.
+    Deletions are looked for only through a = x + w, x in left(w), for w
+    right-special or the word's last k-window.  That finds them all:
       right(a) lies inside right(a[1:]), so only right(a) empty deletes
       at a[1:] with one out-arc, and only the last window has it empty.
     The (a, y) hits are sorted, which fixes the order of the witnesses
@@ -180,9 +180,7 @@ class _Levels:
             viol = []
             ins, outs, bispecial = [], [], []
             may_lose = {word[len(word) - k:]}
-            for v in sorted(v for v, (left, right) in ext.items()
-                            if len(left) > 1 or len(right) > 1):
-                left, right = ext[v]
+            for v, (left, right) in fs.specials(k):
                 din, dout = len(left), len(right)
                 if din > 2 or dout > 2:
                     viol.append(Witness(

@@ -1,14 +1,13 @@
 """Rebuild a candidate exchange from an accepted word and check it.
 
 Lengths come from letter frequencies (exact rationals), the interval
-orders from one walk over the candidate pairs of the order search, the
-pairs keeping every extension set contiguous: the first passing
-check_orders over the whole index.  When none passes, as with flipped
-words, the walk has kept the first irreducible candidate and the first
-one, and takes the former, else the latter.  Flips are taken where the
-accepted labeling carries minus marks.  The initial point is pinned by
-walking the word's longest admissible prefix through the candidate's
-cylinder tree and taking a midpoint.
+orders from the order search over the whole index: the first candidate
+pair, of the orders keeping every extension set contiguous, that passes
+check_orders.  When none passes, as with flipped words, the same order
+lists give the first irreducible candidate, else the first.  Flips are
+taken where the accepted labeling carries minus marks.  The initial
+point is pinned by walking the word's longest admissible prefix through
+the candidate's cylinder tree and taking a midpoint.
 
 Nothing irrational survives a finite sample, so the candidate is
 rational by construction and judged by how far its exact cylinder
@@ -29,7 +28,7 @@ from .iet import (
     longest_cylinder,
     natural_coding,
 )
-from .orders import candidate_pairs, check_orders
+from .orders import OrderPair, candidate_orders, passing_pairs
 from .rauzy import EvolutionReport
 from .words import FactorSet
 
@@ -63,20 +62,16 @@ def reconstruct_iet(fs: FactorSet, report: EvolutionReport, depth: int):
         raise ValueError("reconstruction needs an accepted validator report")
     weights = cylinder_measures(fs, depth)
     max_len = fs.max_len - 2
-    first = irreducible = None
-    for pair in candidate_pairs(fs, max_len):
-        if check_orders(fs, pair, max_len).passed:
-            break
-        if first is None:
-            first = pair
-        if irreducible is None and pair.separation() is None:
-            irreducible = pair
-    else:
+    pi0s, pi1s = candidate_orders(fs, max_len)
+    pair = next(passing_pairs(fs, max_len, pi0s, pi1s), None)
+    if pair is None:
         # no pair passes, as with flipped words: the first irreducible
         # candidate, else the first
-        pair = irreducible or first
-        if pair is None:
+        if not (pi0s and pi1s):
             raise ValueError("no letter order keeps every extension set contiguous")
+        candidates = (OrderPair(p0, p1) for p0 in pi0s for p1 in pi1s)
+        pair = next((p for p in candidates if p.separation() is None),
+                    OrderPair(pi0s[0], pi1s[0]))
     dom, img = pair.pi0, pair.pi1
     perm = [dom.index(c) + 1 for c in img]
     marked_letters = {w[0] for ms in (report.marks or {}).values() for w in ms}

@@ -30,6 +30,7 @@ class FactorSet:
         self._alphabet: tuple[str, ...] | None = None
         self._counts: dict[int, Counter] = {}
         self._extensions: dict[int, dict] = {}
+        self._specials: dict[int, list] = {}
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -141,6 +142,17 @@ class FactorSet:
             got = self._extensions[n]
         return got
 
+    def specials(self, n: int) -> list:
+        """The length-n factors with two or more extensions on a side, as
+        sorted (factor, (left, right)) pairs, built once per level.  Only
+        these can carry a crotch or break an interval condition."""
+        got = self._specials.get(n)
+        if got is None:
+            got = self._specials[n] = sorted(
+                (v, sides) for v, sides in self.extensions(n).items()
+                if len(sides[0]) > 1 or len(sides[1]) > 1)
+        return got
+
     def __contains__(self, factor: str) -> bool:
         if len(factor) > self.max_len:
             raise ValueError(f"factor longer than the index ({self.max_len})")
@@ -162,7 +174,7 @@ def special_factors(fs: FactorSet, n: int, side: str):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     i = 0 if side == "left" else 1
     out = []
-    for core, sides in sorted(fs.extensions(n).items()):
+    for core, sides in fs.specials(n):
         letters = tuple(sorted(sides[i]))
         if len(letters) >= 2:
             out.append((core, letters, len(letters)))
@@ -170,8 +182,8 @@ def special_factors(fs: FactorSet, n: int, side: str):
 
 
 def bispecial_factors(fs: FactorSet, n: int) -> list[str]:
-    return sorted(w for w, (left, right) in fs.extensions(n).items()
-                  if len(left) >= 2 and len(right) >= 2)
+    return [w for w, (left, right) in fs.specials(n)
+            if len(left) >= 2 and len(right) >= 2]
 
 
 def recurrence_window(word: str, k: int):

@@ -262,6 +262,29 @@ def test_fz_orders_fail(tmp_path, cfg, capsys):
     assert "result=fail;condition=separation" in out
 
 
+def test_fz_orders_witness_does_not_follow_hashing(tmp_path):
+    # under these orders the empty factor breaks condition 2 with three
+    # (z, t): z = 4 from right(2) = {4} comes after t = 1, 2 and 3 from
+    # right(4) = {1, 2, 3, 4} in pi0, so the witness depends on which t
+    # is tried first; it is the least
+    word = natural_coding(random_exact_iet(random.Random(1), 4), rational(0), 3000)
+    path = tmp_path / "k4.txt"
+    path.write_text(word + "\n")
+    src = os.path.dirname(os.path.dirname(ietword.__file__))
+    outs = set()
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ietword", "fz", str(path),
+             "--orders", "1324", "2143", "--max-len", "8"],
+            capture_output=True, cwd=src,
+            env={**os.environ, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 1
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    assert outs.pop().decode().endswith(
+        "result=fail;condition=2;witness=('', '2', '4', '4', '1')\n")
+
+
 def test_fz_search(tmp_path, cfg, capsys):
     word = gen_word(tmp_path, cfg, 2000)
     assert main(["fz", word, "--search"]) == 0

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -9,6 +10,7 @@ from ietword.exact import make_quadratic, rational
 from ietword.iet import build_iet, check_regular, natural_coding
 from ietword.orders import (
     OrderPair,
+    OrderReport,
     check_orders,
     interval_orders,
     search_orders,
@@ -62,7 +64,6 @@ def test_order_pair_validation():
         OrderPair(("a", "a"), ("a", "a"))
     with pytest.raises(ValueError):
         OrderPair(("a", "b"), ("a", "c"))
-    assert GOOD.rank0("b") == 1 and GOOD.rank1("b") == 0
     assert GOOD.k == 2
 
 
@@ -180,15 +181,14 @@ def test_order_cap_counts_orders_per_side(monkeypatch):
 
     monkeypatch.setattr(orders, "interval_orders", counting)
     # a periodic word constrains no order: 6! = 720 a side is searched,
-    # 9! is refused after 721 orders a side and before any pair is formed;
-    # the candidates are formed lazily
-    pairs = orders.candidate_pairs(FactorSet("abcdef" * 20, 4), 2)
+    # 9! is refused after 721 orders a side and before any pair is formed
+    pi0s, pi1s = orders.candidate_orders(FactorSet("abcdef" * 20, 4), 2)
     assert pulled == [720, 720]
-    assert next(pairs) == OrderPair(tuple("abcdef"), tuple("abcdef"))
-    assert next(pairs) == OrderPair(tuple("abcdef"), tuple("abcdfe"))
+    assert pi0s[0] == tuple("abcdef")
+    assert pi1s[:2] == [tuple("abcdef"), tuple("abcdfe")]
     pulled.clear()
     with pytest.raises(ValueError, match="more than 720 orders"):
-        orders.candidate_pairs(FactorSet("abcdefghi" * 20, 4), 2)
+        orders.candidate_orders(FactorSet("abcdefghi" * 20, 4), 2)
     assert pulled == [721, 721]
 
 
@@ -219,6 +219,47 @@ def test_slices_of_golden_word_still_pass():
 
 # ------------------------------------------- differential: slow references
 
+def check_orders_reference(fs, orders, max_len):
+    """The per-pair loop check_orders ran before its scans: every factor
+    of every length, each order pair on its own.  z and t are taken in
+    sorted order, so the condition-2 witness does not follow hashing."""
+    if max_len + 2 > fs.max_len:
+        raise ValueError("window too long")
+
+    def interval(letters, rank):
+        ranks = sorted(rank(x) for x in letters)
+        return not ranks or ranks[-1] - ranks[0] + 1 == len(ranks)
+
+    def fail(condition, witness):
+        return OrderReport(False, condition, witness, max_len)
+
+    if set(orders.pi0) != set(fs.alphabet):
+        return fail("letters", (tuple(fs.alphabet), orders.pi0))
+    j = orders.separation()
+    if j is not None:
+        return fail("separation", (j,))
+    for n in range(max_len + 1):
+        longer = fs.extensions(n + 1)
+        for w, (left, right) in sorted(fs.extensions(n).items()):
+            if not interval(left, orders.pi1.index):
+                return fail("1", (w, "left", tuple(sorted(left))))
+            if not interval(right, orders.pi0.index):
+                return fail("1", (w, "right", tuple(sorted(right))))
+            block = [x for x in orders.pi1 if x in left]
+            rights = {x: longer[x + w][1] for x in block}
+            for x, y in zip(block, block[1:]):
+                common = rights[x] & rights[y]
+                if len(common) != 1:
+                    return fail("3", (w, x, y, tuple(sorted(common))))
+            for i, x in enumerate(block):
+                for y in block[i + 1:]:
+                    for z in sorted(rights[x]):
+                        for t in sorted(rights[y]):
+                            if orders.pi0.index(z) > orders.pi0.index(t):
+                                return fail("2", (w, x, y, z, t))
+    return OrderReport(True, None, None, max_len)
+
+
 def brute_search(fs, max_len):
     """The (k!)^2 loop search_orders ran before, kept as its reference."""
     letters = tuple(fs.alphabet)
@@ -226,7 +267,7 @@ def brute_search(fs, max_len):
     for p0 in permutations(letters):
         for p1 in permutations(letters):
             pair = OrderPair(p0, p1)
-            if check_orders(fs, pair, max_len).passed:
+            if check_orders_reference(fs, pair, max_len).passed:
                 out.append(pair)
     return out
 
@@ -314,7 +355,55 @@ def test_search_orders_matches_brute_force():
     assert 0 < found < len(cases)
 
 
-def test_search_orders_finds_six_letter_pair():
+def test_check_orders_matches_reference_on_every_pair():
+    # every pair of permutations, so each condition's witness is compared
+    # wherever it can occur, not only on the candidates; the short word
+    # breaks condition 1 at a truncated factor
+    seen = Counter()
+    gap = [("bcabbabbbabbba", 8, 4), ("bcabbabbbabbba", 14, 12)]
+    for word, index_len, max_len in search_corpus() + gap:
+        fs = FactorSet(word, index_len)
+        if len(fs.alphabet) > 4:
+            continue
+        for p0 in permutations(fs.alphabet):
+            for p1 in permutations(fs.alphabet):
+                pair = OrderPair(p0, p1)
+                got = check_orders(fs, pair, max_len)
+                assert got == check_orders_reference(fs, pair, max_len), \
+                    (word[:20], max_len, pair)
+                seen[got.condition] += 1
+    assert set(seen) == {None, "separation", "1", "2", "3"}
+
+
+def test_check_orders_matches_reference_on_sampled_pairs():
+    # five and six letters: a seeded sample of all pairs, and of the
+    # candidates, which pass condition 1 and so reach conditions 2 and 3
+    rng = random.Random(20073)
+    words = [w for w, _, _ in search_corpus() if len(set(w)) == 5]
+    six = six_letter_fs().word
+    words += [six, near_miss(six, 4321),
+              "".join(rng.choice("abcdef") for _ in range(400))]
+    seen = Counter()
+    for word in words:
+        for index_len, max_len in ((5, 3), (10, 8)):
+            fs = FactorSet(word, index_len)
+            letters = fs.alphabet
+            pairs = [OrderPair(tuple(rng.sample(letters, len(letters))),
+                               tuple(rng.sample(letters, len(letters))))
+                     for _ in range(60)]
+            pi0s, pi1s = orders.candidate_orders(fs, max_len)
+            if pi0s and pi1s:
+                pairs += [OrderPair(rng.choice(pi0s), rng.choice(pi1s))
+                          for _ in range(60)]
+            for pair in pairs:
+                got = check_orders(fs, pair, max_len)
+                assert got == check_orders_reference(fs, pair, max_len), \
+                    (word[:20], max_len, pair)
+                seen[got.condition] += 1
+    assert set(seen) == {None, "separation", "2", "3"}
+
+
+def six_letter_fs():
     # a random 6-IET with irreducible permutation; 10^4 letters show all
     # 5n + 1 factors of every length up to 10, so extension sets are exact
     third = make_quadratic(6, 23, -1, 23, 2)
@@ -322,7 +411,11 @@ def test_search_orders_finds_six_letter_pair():
                    make_quadratic(19, 69, -2, 69, 2),
                    make_quadratic(1, 69, 2, 69, 2), rational(7, 69)],
                   [5, 6, 1, 4, 2, 3])
-    fs = FactorSet(natural_coding(T, rational(0), 10_000), 10)
+    return FactorSet(natural_coding(T, rational(0), 10_000), 10)
+
+
+def test_search_orders_finds_six_letter_pair():
+    fs = six_letter_fs()
     assert all(len(fs.counts(n)) == 5 * n + 1 for n in range(1, 11))
     true = OrderPair(tuple("123456"), tuple("561423"))
     assert search_orders(fs, 8) == [true, OrderPair(true.pi0[::-1],

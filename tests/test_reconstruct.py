@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from ietword.exact import make_quadratic, rational
 from ietword.iet import build_iet, natural_coding
-from ietword import orders, reconstruct
+from ietword import orders
 from ietword.orders import (
     OrderPair,
-    candidate_pairs,
+    candidate_orders,
     check_orders,
     interval_orders,
     search_orders,
@@ -160,16 +160,45 @@ def test_reconstruct_takes_first_passing_order_pair():
     assert verify_roundtrip(word, T, 500, letters)[0] > 100
 
 
+def count_scans(monkeypatch):
+    """The orders each scan of the order search reads, as they come."""
+    scanned = {"image": [], "domain": []}
+    for side in scanned:
+        plain = getattr(orders, f"_scan_{side}")
+
+        def counting(levels, order, plain=plain, seen=scanned[side]):
+            seen.append(order)
+            return plain(levels, order)
+
+        monkeypatch.setattr(orders, f"_scan_{side}", counting)
+    return scanned
+
+
 def test_order_checks_stop_at_first_passing_pair(monkeypatch):
     word = five_iet_word()
     fs = FactorSet(word, 13)
-    cands = list(candidate_pairs(fs, 11))
+    pi0s, pi1s = candidate_orders(fs, 11)
+    cands = [OrderPair(p0, p1) for p0 in pi0s for p1 in pi1s]
     assert [i for i, p in enumerate(cands) if check_orders(fs, p, 11).passed] == [1, 2]
-    checked = []
-    monkeypatch.setattr(reconstruct, "check_orders",
-                        lambda fs, pair, n: checked.append(pair) or check_orders(fs, pair, n))
-    reconstruct_iet(fs, accepted_report(word), 6)
-    assert checked == cands[:2]
+    assert (len(pi0s), len(pi1s)) == (2, 2)
+    scanned = count_scans(monkeypatch)
+    T, _, letters = reconstruct_iet(fs, accepted_report(word), 6)
+    # candidate 1 is the first passing pair: both image orders are read,
+    # and the second domain order, which only candidates 2 and 3 need, is not
+    assert letters == "".join(cands[1].pi0)
+    assert T.permutation == tuple(cands[1].pi0.index(c) + 1 for c in cands[1].pi1)
+    assert scanned == {"image": pi1s, "domain": pi0s[:1]}
+
+
+def test_search_scans_each_order_once(monkeypatch):
+    # a periodic word constrains no order, so 720 orders a side are
+    # candidates; every image order fails condition 3 at the empty factor,
+    # so no pair is formed, where a check per pair would make 518 400
+    fs = FactorSet("abcdef" * 20, 4)
+    scanned = count_scans(monkeypatch)
+    assert search_orders(fs, 2) == []
+    assert len(scanned["image"]) == 720 and len(set(scanned["image"])) == 720
+    assert len(scanned["domain"]) <= 720
 
 
 def test_fallback_builds_order_lists_once(monkeypatch):
