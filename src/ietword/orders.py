@@ -7,10 +7,12 @@ extensions form a pi1-interval, its right extensions form a
 pi0-interval, and adjacent left extensions hand over exactly one shared
 right extension.  Only special factors, two or more extensions on a
 side, can break a condition, and each condition reads one order at a
-time: an image scan of pi1 finds its first condition-1 (left) or
-condition-3 failure and turns condition 2 into constraints "z before t
-in pi0", and a domain scan of pi0 finds its first condition-1 (right)
-failure.  check_orders merges the two scans of one pair.
+time: an image scan of pi1 finds its first condition-3 failure and
+turns condition 2 into constraints "z before t in pi0", and a domain
+scan of pi0 finds its first condition-1 (right) failure.  Condition 1
+on the left needs no test of its own: the constraints already fail
+there (see _scan_image).  check_orders merges the two scans of one
+pair.
 
 The first condition constrains each order on its own, so
 interval_orders lists the orders keeping every extension set
@@ -101,27 +103,36 @@ def _specials(fs: FactorSet, max_len: int) -> list:
 
 
 # a failure is (position, rank, condition, witness): the earliest factor
-# wins, and at one factor the conditions rank 1 left, 1 right, 3, 2
+# wins, and at one factor the conditions rank 1 (right), 3, 2
 def _scan_image(specials: list, pi1) -> tuple:
-    """The first condition-1 (left) or condition-3 failure under pi1, or
-    None, and the constraints of condition 2 before it.
+    """The first condition-3 failure under pi1, or None, and the
+    constraints of condition 2 before it.
 
     Under pi1 the left extensions x < y of a factor w are fixed, and
     condition 2 asks every z in right(xw) to come before every t in
     right(yw) in pi0.  The constraints map each (z, t), z != t, to the
     failure its first witness would be, in the order the witnesses are
     met: x before y in pi1, then z and t in sorted order.
+
+    Condition 1 on the left never decides a report, so it is not tested.
+    Take the first w = w'y whose left(w) is no pi1-interval: a < x < b in
+    pi1 with a, b in left(w) and x not.  w' comes earlier, and left(w')
+    holds a and b, so it is a pi1-interval holding x; since xw'y is no
+    factor, right(xw') lacks y.  If right(xw') is empty, x and its
+    successor in left(w') share no right extension, and condition 3
+    fails at w'.  Else it holds some r != y, and with y in right(aw') and
+    right(bw') the constraints at w' ask for y before r (from a < x) and
+    r before y (from x < b), so every pi0 breaks condition 2 at w' or
+    earlier.  Either way a failure precedes w.
     """
     rank = {x: i for i, x in enumerate(pi1)}
     constraints = {}
     for pos, (w, left, _, rights) in enumerate(specials):
-        if not _is_interval(left, rank):
-            return (pos, 0, "1", (w, "left", tuple(sorted(left)))), constraints
         block = sorted(left, key=rank.__getitem__)
         for x, y in zip(block, block[1:]):
             common = rights[x] & rights[y]
             if len(common) != 1:
-                return (pos, 2, "3", (w, x, y, tuple(sorted(common)))), constraints
+                return (pos, 1, "3", (w, x, y, tuple(sorted(common)))), constraints
         for i, x in enumerate(block):
             # truncation can empty a right-extension set, so the pairwise
             # constraints are not collapsed to adjacent pairs
@@ -130,7 +141,7 @@ def _scan_image(specials: list, pi1) -> tuple:
                     for t in sorted(rights[y]):
                         if z != t:
                             constraints.setdefault(
-                                (z, t), (pos, 3, "2", (w, x, y, z, t)))
+                                (z, t), (pos, 2, "2", (w, x, y, z, t)))
     return None, constraints
 
 
@@ -140,13 +151,14 @@ def _scan_domain(specials: list, pi0) -> tuple:
     rank = {x: i for i, x in enumerate(pi0)}
     for pos, (w, _, right, _) in enumerate(specials):
         if not _is_interval(right, rank):
-            return (pos, 1, "1", (w, "right", tuple(sorted(right)))), rank
+            return (pos, 0, "1", (w, "right", tuple(sorted(right)))), rank
     return None, rank
 
 
 def check_orders(fs: FactorSet, orders: OrderPair, max_len: int) -> OrderReport:
     """First violated condition wins; factors scanned short-to-long, and
-    at one factor condition 1 (left, then right), 3, then 2."""
+    at one factor condition 1 (right), 3, then 2.  Condition 1 on the
+    left is never the first (see _scan_image)."""
     _check_window(fs, max_len)
     if set(orders.pi0) != set(fs.alphabet):
         return OrderReport(False, "letters",

@@ -1114,6 +1114,152 @@ def test_successor_ranges_hold_every_image():
     assert flipped and wide
 
 
+# ------------------------------ block regularity walk versus the step walk
+
+def _check_regular_step_reference(T, depth):
+    """check_regular one step at a time, as it ran before the block walk."""
+    stepper, left = T.kernel, T.kernel.left
+    targets = {left[j]: j + 1 for j in range(1, T.k)}
+    for i in range(1, T.k + 1):
+        p, t = left[i - 1], i
+        for n in range(1, depth + 1):
+            p, t = stepper.step(p, t)
+            j = targets.get(p)
+            if j is not None:
+                return "collision", (i, n, j)
+    return "no-collision-up-to-depth", None
+
+
+def _check_idoc_seen_reference(T, depth):
+    """check_idoc one step at a time against every point seen before, as
+    it ran before the block walk looked for the ends alone."""
+    stepper, left = T.inverse.kernel, T.kernel.left
+    seen = {left[i - 1]: (i, 0) for i in range(2, T.k + 1)}
+    for i in range(2, T.k + 1):
+        p = left[i - 1]
+        j = stepper.locate(p)
+        for n in range(1, depth + 1):
+            p, j = stepper.step(p, j)
+            prev = seen.get(p)
+            if prev is not None:
+                return "collision", ((i, n), prev)
+            seen[p] = (i, n)
+    return "no-collision-up-to-depth", None
+
+
+def _natural_table(E, m):
+    """E's depth-m cylinder table, as the regularity walk builds it."""
+    k = E.kernel
+    return iet._Cylinders(k, (k.d, k.D, k.left), " " * E.k).table(m)
+
+
+def test_block_regularity_matches_step_walk():
+    rng = random.Random(20231)
+    # 1024 = 2 * 8**3 is the least depth that walks 8 steps a block
+    depths = (1, 2, 5, 8, 40, 300, 1000, 1024)
+    assert {iet._block_size(2, depth) for depth in depths} == {1, 2, 4, 8}
+    late = {"regular": 0, "idoc": 0}
+    flipped = own_start = 0
+    for case in range(126):
+        k = 1 + case % 7
+        d = (0, 2, 5)[case // 7 % 3]
+        flip_p = (0, 0.3, 0.7)[case // 21 % 3]
+        T = _random_exchange(rng, k, d, flip_p)
+        flipped += any(T.flips)
+        steps = set()
+        for depth in depths:
+            # each check's block size, from the steps it covers
+            m = iet._block_size(2 * T.k, T.k * depth)
+            rep = check_regular(T, depth)
+            assert (rep.verdict, rep.witness) == _check_regular_step_reference(T, depth), \
+                (T, depth)
+            if rep.collided:
+                late["regular"] += m > 1 and rep.witness[1] > 2 * m
+                steps.add(rep.witness[1])
+            m = iet._block_size(2 * T.k, (T.k - 1) * depth)
+            rep = check_idoc(T, depth)
+            assert (rep.verdict, rep.witness) == _check_idoc_seen_reference(T, depth), \
+                (T, depth)
+            if rep.collided:
+                (i, n), (j, _) = rep.witness
+                late["idoc"] += m > 1 and n > 2 * m
+                own_start += i == j
+                steps.add(n)
+        # one step short of a collision, where a block must not overshoot
+        for depth in sorted(steps - {1}):
+            for check, reference in ((check_regular, _check_regular_step_reference),
+                                     (check_idoc, _check_idoc_seen_reference)):
+                rep = check(T, depth - 1)
+                assert (rep.verdict, rep.witness) == reference(T, depth - 1), (T, depth)
+    # the corpus reaches flips, collisions met past the first blocks,
+    # and a backward orbit returning to its own start
+    assert flipped and all(late.values()) and own_start, (flipped, late, own_start)
+
+
+def test_row_starts_hold_every_point_near_a_cut():
+    # if one of p, E(p), .., E^(m-1)(p) is a left end of E, p starts a row
+    rng = random.Random(20232)
+    checked = 0
+    for case in range(12):
+        k = 2 + case % 4
+        d = (0, 2, 5)[case % 3]
+        T = _random_exchange(rng, k, d, flip_p=0.5 if case % 2 else 0)
+        for E in (T, T.inverse):
+            kernel, back = E.kernel, E.inverse.kernel
+            ends = set(kernel.left[:-1])
+            for m in (2, 4, 8):
+                starts = set(_natural_table(E, m)[0])
+                points = []
+                # preimages E^-r(c), r < m, of every left end c
+                for c in ends:
+                    p = c
+                    for _ in range(m):
+                        points.append(p)
+                        p = back.step(p, back.locate(p))[0]
+                # and random points of [0,1) over the kernel's denominator
+                while len(points) < len(ends) * m + 20:
+                    p = (rng.randrange(kernel.D), rng.randrange(-kernel.D, kernel.D) if d else 0)
+                    if quadratic_sign(*p, kernel.d) >= 0 and \
+                            quadratic_sign(p[0] - kernel.D, p[1], kernel.d) < 0:
+                        points.append(p)
+                for p in points:
+                    q, near = p, False
+                    for _ in range(m):
+                        near = near or q in ends
+                        q = kernel.step(q, kernel.locate(q))[0]
+                    if near:
+                        assert p in starts, (E, m, p)
+                        checked += 1
+    assert checked
+
+
+def test_regularity_walk_steps_singly_only_near_cuts(monkeypatch):
+    counts = {"step": 0, "table": 0}
+    step, table = iet._IntOrbit.step, iet._Cylinders.table
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(iet._IntOrbit, "step", counted("step", step))
+    monkeypatch.setattr(iet._Cylinders, "table", counted("table", table))
+    T = silver_iet()
+    for check in (check_regular, check_idoc):
+        counts.update(step=0, table=0)
+        assert check(T, 1000).verdict == "no-collision-up-to-depth"
+        # 3 000 and 2 000 steps covered; the table is built once a call
+        assert counts["step"] <= 100 and counts["table"] == 1, (check, counts)
+    # an exchange that collides within m steps never builds a table,
+    # also at depth 1000, where m = 4
+    rotation = build_iet([rational(1, 2), rational(1, 2)], (2, 1))
+    for check in (check_regular, check_idoc):
+        for depth in (10, 1000):
+            counts.update(step=0, table=0)
+            assert check(rotation, depth).collided and counts["table"] == 0
+
+
 def test_codings_and_regularity_reports_are_pinned():
     # taken when every block bisected the whole table and every step
     # searched every interval end: narrowing the searches changes no byte
