@@ -15,7 +15,7 @@ from .exact import ScalarParseError, format_scalar, parse_scalar
 from .iet import DEFAULT_LETTERS, CodingConfig, coding_with_sets, natural_coding
 from .orders import OrderPair, check_orders, search_orders
 from .rauzy import build_k_graph, export_dot, validate_evolution
-from .reconstruct import reconstruct_iet, verify_roundtrip
+from .reconstruct import SYMBOLS_PER_LEVEL, reconstruct_iet, verify_roundtrip
 from .words import FactorSet, bispecial_factors, complexity, special_factors
 
 USAGE_ERROR = 3
@@ -206,7 +206,7 @@ def _cmd_reconstruct(args) -> int:
         return _fail(f"bad window [{args.k_min}, {args.k_max}]")
     if args.depth < 1 or args.roundtrip < 1:
         return _fail("--depth and --roundtrip must be positive")
-    if len(word) < max(args.k_max + 1, 100 * args.depth):
+    if len(word) < max(args.k_max + 1, SYMBOLS_PER_LEVEL * args.depth):
         print(f"inconclusive: word of length {len(word)} too short for "
               f"window [{args.k_min}, {args.k_max}] at depth {args.depth}",
               file=sys.stderr)

@@ -220,14 +220,12 @@ class _IntOrbit:
     def __init__(self, T: IETSpec):
         self.flips = T.flips
         self.d = next((s.d for s in T.lengths if s.d), 0)
-        self.D = math.lcm(*map(_denominator, (*T.left, *T.slot_start, *T.disp, *T.refl)))
+        # every other table is a sum or difference of interval ends, so
+        # their common denominator divides D
+        self.D = math.lcm(*map(_denominator, T.left))
         # tuples: every call on the exchange shares these tables
         self.left, self.disp, self.refl, self.dest_lo = (
             tuple(map(self.encode, table)) for table in (T.left, T.disp, T.refl, T.dest_lo))
-        # ahead[i-1]: the interval indices that X_i's image slot meets
-        starts = tuple(map(self.encode, T.slot_start))
-        self.ahead = tuple(self.span(starts[j - 1], starts[j])
-                           for j in T.slot_of[1:])
 
     def widen(self, d: int, D: int) -> "_IntOrbit":
         """A kernel that also encodes the scalars of field d (0 for Q) over
@@ -240,7 +238,7 @@ class _IntOrbit:
         elif self.d:
             raise MixedRadicalError("points span two quadratic fields")
         wide = object.__new__(_IntOrbit)
-        wide.flips, wide.ahead, wide.d = self.flips, self.ahead, d
+        wide.flips, wide.d = self.flips, d
         wide.D = D = math.lcm(self.D, D)
         f = D // self.D
         wide.left, wide.disp, wide.refl, wide.dest_lo = (
@@ -264,36 +262,16 @@ class _IntOrbit:
                 return i
         raise AssertionError("unreachable: the intervals cover [0,1)")
 
-    def span(self, lo, hi):
-        """(first, last): the 1-based indices of the intervals that the
-        half-open interval [lo, hi) meets."""
-        first = last = self.locate(lo)
-        left, d = self.left, self.d
-        while quadratic_sign(hi[0] - left[last][0], hi[1] - left[last][1], d) > 0:
-            last += 1
-        return first, last
-
-    def step(self, p, i):
-        """The image of p, a point of X_i, under T, and the index of the
-        interval holding it.  That index is searched only among the ones
-        X_i's image slot meets, which is locate's scan over a narrower
-        range, inlined here because the per-step walks spend most of their
-        time in it."""
+    def step(self, p):
+        """The image of p under T."""
+        i = self.locate(p)
         if not self.flips[i - 1]:
             t = self.disp[i - 1]
-            a, b = q = (p[0] + t[0], p[1] + t[1])
-        elif p == self.left[i - 1]:
-            a, b = q = self.dest_lo[i - 1]
-        else:
-            r = self.refl[i - 1]
-            a, b = q = (r[0] - p[0], r[1] - p[1])
-        lo, hi = self.ahead[i - 1]
-        left, d = self.left, self.d
-        for j in range(lo, hi):
-            c = left[j]
-            if quadratic_sign(a - c[0], b - c[1], d) < 0:
-                return q, j
-        return q, hi
+            return (p[0] + t[0], p[1] + t[1])
+        if p == self.left[i - 1]:
+            return self.dest_lo[i - 1]
+        r = self.refl[i - 1]
+        return (r[0] - p[0], r[1] - p[1])
 
 
 def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:
@@ -302,11 +280,10 @@ def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:
     x0 = T._domain(x0)[0]
     stepper = T.kernel.widen(x0.d, _denominator(x0))
     p = stepper.encode(x0)
-    i = stepper.locate(p)
     pts = []
     for _ in range(n):
         pts.append(stepper.decode(p))
-        p, i = stepper.step(p, i)
+        p = stepper.step(p)
     return pts
 
 
@@ -546,7 +523,7 @@ def _first_hit(E: IETSpec, points, targets, depth: int):
     m = _block_size(2 * E.k, len(points) * depth)
     full = 0  # the table's row count, once it is built
     for pos, p in enumerate(points):
-        i, n, lo, hi = kernel.locate(p), 0, 0, full
+        n, lo, hi = 0, 0, full
         while n < depth:
             if n == m > 1 and not full:
                 # the walk reads the rows' maps, not their words, so one
@@ -561,9 +538,9 @@ def _first_hit(E: IETSpec, points, targets, depth: int):
             # a row starts at p closed (row r-1) or open (row r)
             if r and starts[r - 1] != p and (r == full or starts[r] != p):
                 _, s, b, lo, hi = rows[r - 1]
-                p, i, n = (s * (p[0] - b[0]), s * (p[1] - b[1])), 0, n + m
+                p, n = (s * (p[0] - b[0]), s * (p[1] - b[1])), n + m
             else:
-                p, i = kernel.step(p, i or kernel.locate(p))
+                p = kernel.step(p)
                 n, lo, hi = n + 1, 0, full
             j = targets.get(p)
             if j is not None:

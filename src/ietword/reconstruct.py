@@ -32,7 +32,10 @@ from .orders import OrderPair, candidate_orders, passing_pairs
 from .rauzy import EvolutionReport
 from .words import FactorSet
 
-__all__ = ["cylinder_measures", "reconstruct_iet", "verify_roundtrip"]
+__all__ = ["SYMBOLS_PER_LEVEL", "cylinder_measures", "reconstruct_iet", "verify_roundtrip"]
+
+# the word length a reconstruction needs per level of cylinder measures
+SYMBOLS_PER_LEVEL = 100
 
 
 def cylinder_measures(fs: FactorSet, depth: int) -> dict:
@@ -41,9 +44,9 @@ def cylinder_measures(fs: FactorSet, depth: int) -> dict:
     if depth < 1:
         raise ValueError("depth must be positive")
     size = len(fs.word)
-    if size < 100 * depth:
-        raise ValueError(
-            f"need at least {100 * depth} symbols for depth {depth}, got {size}")
+    if size < SYMBOLS_PER_LEVEL * depth:
+        raise ValueError(f"need at least {SYMBOLS_PER_LEVEL * depth} symbols "
+                         f"for depth {depth}, got {size}")
     weights = {}
     for n in range(1, depth + 1):
         windows = size - n + 1

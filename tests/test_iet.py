@@ -625,6 +625,26 @@ def test_point_maps_match_scalar_oracle():
     assert owned and widened and foreign
 
 
+def test_kernel_denominator_comes_from_the_interval_ends():
+    # every table is a sum or difference of interval ends, so the ends'
+    # denominator is the lcm over all of them, and encoding loses nothing
+    rng = random.Random(20241)
+    flipped = 0
+    for case in range(63):
+        k = 1 + case % 7
+        d = (0, 2, 5)[case // 7 % 3]
+        T = _random_exchange(rng, k, d, flip_p=0.5)
+        flipped += any(T.flips)
+        for S in (T, T.inverse):
+            kernel = S.kernel
+            assert kernel.D == math.lcm(*(
+                math.lcm(s.rat.denominator, s.coef.denominator)
+                for s in (*S.left, *S.slot_start, *S.disp, *S.refl)))
+            for s in (*S.left, *S.slot_start, *S.disp, *S.refl, *S.dest_lo):
+                assert kernel.decode(kernel.encode(s)) == s, (S, s)
+    assert flipped
+
+
 def test_point_maps_reject_a_second_field():
     F = build_iet([rational(1, 2), make_quadratic(-1, 2, 1, 2, 2), make_quadratic(2, 2, -1, 2, 2)],
                   (1, 3, 2))
@@ -942,10 +962,8 @@ def _natural_step_reference(T, x0, n, letters="123456789"):
     p = stepper.encode(x0)
     out = []
     for _ in range(n):
-        # a full search each step, apart from the index step() carries
-        i = stepper.locate(p)
-        out.append(letters[i - 1])
-        p = stepper.step(p, i)[0]
+        out.append(letters[stepper.locate(p) - 1])
+        p = stepper.step(p)
     return "".join(out)
 
 
@@ -961,7 +979,7 @@ def _sets_step_reference(T, config, x0, n):
         j = _limit_index(cut_reps, p, 0, stepper.d)
         on_cut += j > 1 and p == cut_reps[j - 1]
         out.append(piece_letters[j - 1])
-        p = stepper.step(p, stepper.locate(p))[0]
+        p = stepper.step(p)
     return "".join(out), on_cut
 
 
@@ -1080,20 +1098,8 @@ def test_successor_ranges_hold_every_image():
         d = (0, 2, 5)[case // 3]
         T = _random_exchange(rng, k, d, flip_p=0.35)
         flipped += any(T.flips)
-        # the kernels of T and of T.inverse, whose intervals are T's image
-        # slots: the cells X_i's image slot meets, exactly
-        for S in (T, T.inverse):
-            kernel = S.kernel
-            cuts, ends = kernel.left, [kernel.encode(s) for s in S.slot_start]
-            image = [(S.slot_of[i] - 1, S.slot_of[i]) for i in range(1, k + 1)]
-            twice = [_doubled(c) for c in cuts]
-            for (lo, hi), (a, b) in zip(kernel.ahead, image):
-                assert lo == _limit_index(cuts, ends[a], 0, kernel.d)
-                assert hi == _limit_index(cuts, ends[b], -1, kernel.d)
-                mid = (ends[a][0] + ends[b][0], ends[a][1] + ends[b][1])
-                assert lo <= _limit_index(twice, mid, 0, kernel.d) <= hi
-        # the block table: wherever the full bisection puts a point of a
-        # row's image, that row lies in the row's range
+        # wherever the full bisection puts a point of a row's image, that
+        # row lies in the row's range
         for cfg in (CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + k % 2], T)):
             walk = iet._Cylinders(T.kernel, cfg.encoded, cfg.piece_letters)
             kd, D = walk.kernel.d, walk.kernel.D
@@ -1121,9 +1127,9 @@ def _check_regular_step_reference(T, depth):
     stepper, left = T.kernel, T.kernel.left
     targets = {left[j]: j + 1 for j in range(1, T.k)}
     for i in range(1, T.k + 1):
-        p, t = left[i - 1], i
+        p = left[i - 1]
         for n in range(1, depth + 1):
-            p, t = stepper.step(p, t)
+            p = stepper.step(p)
             j = targets.get(p)
             if j is not None:
                 return "collision", (i, n, j)
@@ -1137,9 +1143,8 @@ def _check_idoc_seen_reference(T, depth):
     seen = {left[i - 1]: (i, 0) for i in range(2, T.k + 1)}
     for i in range(2, T.k + 1):
         p = left[i - 1]
-        j = stepper.locate(p)
         for n in range(1, depth + 1):
-            p, j = stepper.step(p, j)
+            p = stepper.step(p)
             prev = seen.get(p)
             if prev is not None:
                 return "collision", ((i, n), prev)
@@ -1215,7 +1220,7 @@ def test_row_starts_hold_every_point_near_a_cut():
                     p = c
                     for _ in range(m):
                         points.append(p)
-                        p = back.step(p, back.locate(p))[0]
+                        p = back.step(p)
                 # and random points of [0,1) over the kernel's denominator
                 while len(points) < len(ends) * m + 20:
                     p = (rng.randrange(kernel.D), rng.randrange(-kernel.D, kernel.D) if d else 0)
@@ -1226,7 +1231,7 @@ def test_row_starts_hold_every_point_near_a_cut():
                     q, near = p, False
                     for _ in range(m):
                         near = near or q in ends
-                        q = kernel.step(q, kernel.locate(q))[0]
+                        q = kernel.step(q)
                     if near:
                         assert p in starts, (E, m, p)
                         checked += 1
