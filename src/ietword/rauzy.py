@@ -34,10 +34,12 @@ Label bookkeeping, spelled out once:
   rr) at a minus-marked vertex;
 * a minus mark on a vertex forces marks on all arcs leaving it, seen
   as vertices one level up (marks flow forward only);
-* oriented mode forbids marks entirely.
+* oriented mode forbids marks entirely;
+* in a searched window a vertex's deleted pairs all have mixed labels
+  or all equal ones, whatever the labeling (proved in _walk).
 
-_check_assignment is the one implementation of these rules;
-_screen_masks applies them to many base labelings at once, as bitsets.
+_walk is the one implementation of these rules, on many base labelings
+at once as bitsets, or on the chosen one alone for its report.
 """
 from __future__ import annotations
 
@@ -227,26 +229,13 @@ class _Levels:
             k -= 1
 
     def out_arcs(self, k: int, v: str) -> list[str]:
-        return [v + y for y in sorted(self.ext[k][v][1])]
+        return [v + y for y in self.ext[k][v][1]]
 
 
 def _free_choices(levels: _Levels, K: int):
     """Crotch sides of the base level, each a binary labeling choice."""
     return ([("in", arcs) for arcs in levels.in_crotches[K]]
             + [("out", arcs) for arcs in levels.out_crotches[K]])
-
-
-def _base_labels(K: int, sides, mask: int):
-    """The level-K labeling that bit i of mask picks for side i."""
-    in_l = {K: {}}
-    out_l = {K: {}}
-    for bit, (side, arcs) in enumerate(sides):
-        a, b = arcs
-        if mask >> bit & 1:
-            a, b = b, a
-        (in_l if side == "in" else out_l)[K][a] = "l"
-        (in_l if side == "in" else out_l)[K][b] = "r"
-    return in_l, out_l
 
 
 # masks are screened in blocks of at most 2**_BLOCK_BITS, one bit each
@@ -264,17 +253,10 @@ def _bit_pattern(bit: int, width: int) -> int:
     return pattern
 
 
-def _screen_masks(levels: _Levels, K: int, k_max: int, oriented: bool,
-                  sides, base: int, width: int):
-    """Run _check_assignment on masks base..base + 2**width - 1 at once.
-
-    Every set of masks is an int with bit m standing for mask base + m.
-    A label at level k is inherited from level K (the in-label of an arc
-    from its (K+1)-prefix, the out-label from its (K+1)-suffix), so the
-    comparison of two labels is a parity of two mask bits.  Returns the
-    masks that succeed without marks, those that succeed with marks, and
-    for each level the masks whose first failure is there.
-    """
+def _side_sets(sides, base: int, width: int):
+    """Masks base..base + 2**width - 1 as bits of an int: all of them,
+    and per (side, base arc) those labeling it r.  Bit i of a mask picks
+    side i's labeling: first arc l, second r when clear."""
     full = (1 << (1 << width)) - 1
     side_of = {}
     for i, (side, arcs) in enumerate(sides):
@@ -284,35 +266,95 @@ def _screen_masks(levels: _Levels, K: int, k_max: int, oriented: bool,
             pattern = full if base >> i & 1 else 0
         for flip, a in enumerate(arcs):
             side_of[side, a] = pattern ^ (full if flip else 0)
+    return full, side_of
+
+
+def _walk(levels: _Levels, K: int, k_max: int, oriented: bool,
+          full: int, side_of: dict, marks: dict | None = None):
+    """Apply the label rules to a set of base labelings at once.
+
+    A set of labelings is an int, bit m standing for one: full holds
+    them all, side_of[side, a] those labeling base arc a r (_side_sets).
+    Labels are inherited from level K (an arc's in-label from its
+    (K+1)-prefix, its out-label from its (K+1)-suffix), so whether a
+    deleted pair's labels are equal is a parity of two bits.  A vertex
+    whose pair is equal-labeled is marked, and fails in oriented mode;
+    live labelings' marks go forward to the arcs leaving their vertex,
+    as vertices one level up, and a labeling fails where its mark
+    reaches a vertex whose pair is mixed.  The walk stops once no
+    labeling is alive.
+
+    A vertex is read from its first deleted pair, for its pairs are
+    mixed or equal-labeled together, whatever the labeling.  Say w has
+    deletions at level k < k_max.  The window has no static violation,
+    so w is bispecial and the (k+1)-graph is strongly connected; its
+    vertices include the two in-arcs of w, so each vertex has an arc in
+    and an arc out.  Every arc xw of w thus has a right extension, and
+    as a deleted pair (xw, wy) says xwy is no factor, at most one of its
+    two pairs is deleted; likewise for every arc wy.  So w has one pair,
+    or two sharing no arc, (x1w, wy1) and (x2w, wy2): x1w and x2w differ
+    in in-label, wy1 and wy2 in out-label, so the pairs are of one kind.
+
+    Returns the labelings that succeed, those of them that carry a
+    mark, and the deepest level at which some fail, with those failing
+    there and the least vertex where one does (-1, 0, None if none
+    fails).  A dict passed as marks gets, per level walked, the vertices
+    that live labelings mark.
+    """
     alive = full
     marked_any = 0
     marked = {}
-    failed = {}
+    fail_k, failed, culprit = -1, 0, None
     for k in range(K, k_max + 1):
         fail = 0
+        culprits = []
         level_marked = {}
         for w, pairs in levels.events.get(k, {}).items():
-            any_eq = 0
-            any_ne = 0
-            for a, b in pairs:
-                ne = side_of["in", a[:K + 1]] ^ side_of["out", b[-K - 1:]]
-                any_ne |= ne
-                any_eq |= full ^ ne
-            fail |= any_eq & any_ne
-            if oriented:
-                fail |= any_eq
-            fail |= marked.get(w[:-1], 0) & any_ne
-            marked_any |= any_eq
-            level_marked[w] = any_eq
+            a, b = pairs[0]
+            ne = side_of["in", a[:K + 1]] ^ side_of["out", b[-K - 1:]]
+            eq = full ^ ne
+            bad = eq & alive if oriented else marked.get(w[:-1], 0) & ne
+            if bad:
+                fail |= bad
+                culprits.append(w)
+            marked_any |= eq
+            level_marked[w] = eq
+        if fail:
+            alive &= ~fail
+            fail_k, failed, culprit = k, fail, min(culprits)
+            if not alive:
+                break
         for v, m in marked.items():
             for u in levels.out_arcs(k - 1, v):
                 level_marked[u] = level_marked.get(u, 0) | m
-        failed[k] = alive & fail
-        alive &= ~fail
-        # no later level reads a failed mask, so only live marks go on
+        # no later level reads a failed labeling, so only live marks go on
         marked = {v: live for v, m in level_marked.items()
                   if (live := m & alive)}
-    return alive & ~marked_any, alive & marked_any, failed
+        if marks is not None:
+            marks[k] = frozenset(marked)
+    return alive, alive & marked_any, fail_k, failed, culprit
+
+
+def _labeling(levels: _Levels, K: int, k_max: int, oriented: bool,
+              sides, mask: int):
+    """One base labeling's labels and marks per level, else the witness
+    of its failure; its labels are its mask's bits, inherited."""
+    full, side_of = _side_sets(sides, mask, 0)
+    marks = {}
+    alive, _, k, _, v = _walk(levels, K, k_max, oriented, full, side_of, marks)
+    if not alive:
+        return Witness(
+            "label-contradiction", k, (v,),
+            "equal-label deletion requires a minus mark, oriented mode"
+            if oriented else
+            "mark forced forward onto a vertex with mixed-pair deletions")
+    in_l = {k: {w: "lr"[side_of["in", w[:K + 1]]]
+                for arcs in levels.in_crotches[k] for w in arcs}
+            for k in marks}
+    out_l = {k: {w: "lr"[side_of["out", w[-K - 1:]]]
+                 for arcs in levels.out_crotches[k] for w in arcs}
+             for k in marks}
+    return in_l, out_l, marks
 
 
 def _lowest(bits: int) -> int:
@@ -324,71 +366,26 @@ def _search_labels(levels: _Levels, K: int, k_max: int, oriented: bool):
 
     Among successes, one without minus marks wins: marks are only
     warranted when no orientation-preserving reading exists.  Of equal
-    candidates the lowest mask wins; _screen_masks classifies them and
-    _check_assignment builds the report of the one chosen.
+    candidates the lowest mask wins.  _walk screens the masks a block
+    at a time, and _labeling walks the chosen one alone for its report.
     """
     sides = _free_choices(levels, K)
     width = min(len(sides), _BLOCK_BITS)
     marked_mask = None
     fail_k, fail_mask = -1, None
     for base in range(0, 1 << len(sides), 1 << width):
-        clean, marked, failed = _screen_masks(
-            levels, K, k_max, oriented, sides, base, width)
-        if clean:
-            chosen = base + _lowest(clean)
+        alive, marked, k, failed, _ = _walk(
+            levels, K, k_max, oriented, *_side_sets(sides, base, width))
+        if alive != marked:
+            chosen = base + _lowest(alive & ~marked)
             break
         if marked and marked_mask is None:
             marked_mask = base + _lowest(marked)
-        for k, bits in failed.items():
-            if bits and k > fail_k:
-                fail_k, fail_mask = k, base + _lowest(bits)
+        if k > fail_k:
+            fail_k, fail_mask = k, base + _lowest(failed)
     else:
         chosen = fail_mask if marked_mask is None else marked_mask
-    in_l, out_l = _base_labels(K, sides, chosen)
-    return _check_assignment(levels, K, k_max, oriented, in_l, out_l)
-
-
-def _check_assignment(levels, K, k_max, oriented, in_l, out_l):
-    marks = {}
-    prev_marks = frozenset()
-    for k in range(K, k_max + 1):
-        if k > K:
-            p_in, p_out = in_l[k - 1], out_l[k - 1]
-            in_l[k] = {w: p_in[w[:-1]]
-                       for arcs in levels.in_crotches[k] for w in arcs}
-            out_l[k] = {w: p_out[w[1:]]
-                        for arcs in levels.out_crotches[k] for w in arcs}
-        must_mark = set()
-        must_unmark = set()
-        for w, pairs in levels.events.get(k, {}).items():
-            kinds = set()
-            for a, b in pairs:
-                kinds.add(in_l[k][a] == out_l[k][b])
-            if kinds == {True, False}:
-                return Witness(
-                    "label-contradiction", k, (w,),
-                    "deletions of both mixed and equal label pairs")
-            if True in kinds:
-                must_mark.add(w)
-            else:
-                must_unmark.add(w)
-        if oriented and must_mark:
-            w = sorted(must_mark)[0]
-            return Witness(
-                "label-contradiction", k, (w,),
-                "equal-label deletion requires a minus mark, oriented mode")
-        level_marks = set(must_mark)
-        for v in prev_marks:
-            level_marks.update(levels.out_arcs(k - 1, v))
-        clash = level_marks & must_unmark
-        if clash:
-            w = sorted(clash)[0]
-            return Witness(
-                "label-contradiction", k, (w,),
-                "mark forced forward onto a vertex with mixed-pair deletions")
-        marks[k] = frozenset(level_marks)
-        prev_marks = marks[k]
-    return in_l, out_l, marks
+    return _labeling(levels, K, k_max, oriented, sides, chosen)
 
 
 def validate_evolution(fs: FactorSet, k_min: int, k_max: int,

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -19,6 +20,7 @@ from ietword.words import FactorSet
 
 from wordgen import (
     fibonacci_word,
+    flipped_corpus,
     random_exact_iet,
     thue_morse_word,
     tribonacci_word,
@@ -121,16 +123,21 @@ def test_strongly_connected():
 
 # ---------------------------------------------------------------- labels
 
-def check_fib_labeling(out_labels, oriented=False):
+def fib_labeling(mask, oriented=False):
     # vertex a of the Fibonacci 1-graph is bispecial, and its follower
-    # arc aa -> aa is deleted: aaa is no factor
+    # arc aa -> aa is deleted: aaa is no factor.  Bit 0 of mask labels
+    # its in-arcs, clear for aa l and ba r; bit 1 its out-arcs, clear for
+    # aa l and ab r
     levels = rauzy._Levels(fib_fs(), 1, 3)
-    return rauzy._check_assignment(
-        levels, 1, 3, oriented, {1: {"aa": "l", "ba": "r"}}, {1: out_labels})
+    sides = rauzy._free_choices(levels, 1)
+    assert sides == [("in", ("aa", "ba")), ("out", ("aa", "ab"))]
+    return rauzy._labeling(levels, 1, 3, oriented, sides, mask)
 
 
-def test_check_assignment_inherits_labels():
-    in_l, out_l, marks = check_fib_labeling({"aa": "r", "ab": "l"})
+def test_labeling_inherits_labels():
+    in_l, out_l, marks = fib_labeling(0b10)
+    assert in_l[1] == {"aa": "l", "ba": "r"}
+    assert out_l[1] == {"aa": "r", "ab": "l"}
     # an arc keeps the in-label of its prefix one level down, and the
     # out-label of its suffix; "ab" is the 2-graph's one in-crotch, "ba"
     # its one out-crotch, "aba" the 3-graph's two
@@ -142,13 +149,14 @@ def test_check_assignment_inherits_labels():
     assert marks == {1: frozenset(), 2: frozenset(), 3: frozenset()}
 
 
-def test_check_assignment_marks_flow_forward():
+def test_labeling_marks_flow_forward():
     # equal labels on aa -> aa mark vertex a, and the mark flows to the
     # arcs leaving each marked vertex, one level up
-    _, _, marks = check_fib_labeling({"aa": "l", "ab": "r"})
+    in_l, out_l, marks = fib_labeling(0b00)
+    assert out_l[1] == {"aa": "l", "ab": "r"}
     assert marks == {1: frozenset({"a"}), 2: frozenset({"aa", "ab"}),
                      3: frozenset({"aab", "aba"})}
-    witness = check_fib_labeling({"aa": "l", "ab": "r"}, oriented=True)
+    witness = fib_labeling(0b00, oriented=True)
     assert str(witness) == ("label-contradiction at k=1: a (equal-label "
                             "deletion requires a minus mark, oriented mode)")
 
@@ -317,14 +325,73 @@ LABEL_SEARCH_WORDS = [
 ]
 
 
+# reference: the label rules on one base labeling at a time, with its
+# labels as l/r dicts and its marks as sets, built level by level
+
+def _base_labels(K: int, sides, mask: int):
+    """The level-K labeling that bit i of mask picks for side i."""
+    in_l = {K: {}}
+    out_l = {K: {}}
+    for bit, (side, arcs) in enumerate(sides):
+        a, b = arcs
+        if mask >> bit & 1:
+            a, b = b, a
+        (in_l if side == "in" else out_l)[K][a] = "l"
+        (in_l if side == "in" else out_l)[K][b] = "r"
+    return in_l, out_l
+
+
+def _check_assignment(levels, K, k_max, oriented, in_l, out_l):
+    marks = {}
+    prev_marks = frozenset()
+    for k in range(K, k_max + 1):
+        if k > K:
+            p_in, p_out = in_l[k - 1], out_l[k - 1]
+            in_l[k] = {w: p_in[w[:-1]]
+                       for arcs in levels.in_crotches[k] for w in arcs}
+            out_l[k] = {w: p_out[w[1:]]
+                        for arcs in levels.out_crotches[k] for w in arcs}
+        must_mark = set()
+        must_unmark = set()
+        for w, pairs in levels.events.get(k, {}).items():
+            kinds = set()
+            for a, b in pairs:
+                kinds.add(in_l[k][a] == out_l[k][b])
+            if kinds == {True, False}:
+                return Witness(
+                    "label-contradiction", k, (w,),
+                    "deletions of both mixed and equal label pairs")
+            if True in kinds:
+                must_mark.add(w)
+            else:
+                must_unmark.add(w)
+        if oriented and must_mark:
+            w = sorted(must_mark)[0]
+            return Witness(
+                "label-contradiction", k, (w,),
+                "equal-label deletion requires a minus mark, oriented mode")
+        level_marks = set(must_mark)
+        for v in prev_marks:
+            level_marks.update(levels.out_arcs(k - 1, v))
+        clash = level_marks & must_unmark
+        if clash:
+            w = sorted(clash)[0]
+            return Witness(
+                "label-contradiction", k, (w,),
+                "mark forced forward onto a vertex with mixed-pair deletions")
+        marks[k] = frozenset(level_marks)
+        prev_marks = marks[k]
+    return in_l, out_l, marks
+
+
 def _search_one_by_one(levels, K, k_max, oriented):
     # reference: check every base labeling in mask order, first clean
     # success wins, then the first marked one, then the deepest failure
     sides = rauzy._free_choices(levels, K)
     best_fail, best_k, marked_success = None, -1, None
     for mask in range(1 << len(sides)):
-        in_l, out_l = rauzy._base_labels(K, sides, mask)
-        result = rauzy._check_assignment(levels, K, k_max, oriented, in_l, out_l)
+        in_l, out_l = _base_labels(K, sides, mask)
+        result = _check_assignment(levels, K, k_max, oriented, in_l, out_l)
         if isinstance(result, rauzy.Witness):
             if result.k > best_k:
                 best_k, best_fail = result.k, result
@@ -349,6 +416,73 @@ def test_label_search_matches_one_by_one(word, k_max, block_bits, monkeypatch):
                        for oriented in (False, True)]
     assert got["screened"] == got["reference"]
     assert any(r["K"] not in (None, 1) for r in got["screened"])
+
+
+def mark_clash_word():
+    """Draw 13 of the flipped corpus coded from 0, letter 213 set to 1:
+    unoriented over [1, 12], its label search at K = 2 fails on a mark
+    forced forward onto a vertex with a mixed deleted pair."""
+    T = next(itertools.islice(flipped_corpus(14), 13, None))
+    word = natural_coding(T, rational(0), 3000)
+    return word[:213] + "1" + word[214:]
+
+
+def searched_windows(monkeypatch, corpus, check=None):
+    """The (levels, K, k_max, oriented) of every label search the
+    validator makes over corpus in both modes, window [1, k_max]; check
+    sees each search's arguments and result."""
+    seen = []
+    search = rauzy._search_labels
+
+    def spy(*args):
+        seen.append(args)
+        found = search(*args)
+        if check:
+            check(args, found)
+        return found
+    with monkeypatch.context() as m:
+        m.setattr(rauzy, "_search_labels", spy)
+        for word, k_max in corpus:
+            fs = FactorSet(word, k_max + 1)
+            for oriented in (False, True):
+                validate_evolution(fs, 1, k_max, oriented)
+    return seen
+
+
+def test_label_search_matches_one_by_one_at_every_K(monkeypatch):
+    # every search, not only the one a report keeps, against the
+    # reference; each failure reason is reached, and some chosen
+    # labelings fail at two vertices of one level, so the witness's rank
+    # is compared too
+    reasons = []
+
+    def check(args, found):
+        assert found == _search_one_by_one(*args)
+        if isinstance(found, Witness):
+            reasons.append(found.detail)
+    corpus = _levels_corpus() + [(mark_clash_word(), 12)]
+    searched_windows(monkeypatch, corpus, check)
+    assert set(reasons) == {
+        "equal-label deletion requires a minus mark, oriented mode",
+        "mark forced forward onto a vertex with mixed-pair deletions"}
+
+
+def test_deleted_pairs_share_no_arc(monkeypatch):
+    # the lemma _walk reads each vertex from its first pair by: in a
+    # searched window, no arc is in two deleted pairs at one vertex
+    corpus = _levels_corpus() + [
+        (natural_coding(T, rational(3, 11), 2000), 12)
+        for T in flipped_corpus(12)]
+    vertices = two_pairs = 0
+    for levels, K, k_max, _ in searched_windows(monkeypatch, corpus):
+        for k in range(K, k_max):
+            for pairs in levels.events[k].values():
+                ins, outs = zip(*pairs)
+                assert len(set(ins)) == len(ins)
+                assert len(set(outs)) == len(outs)
+                vertices += 1
+                two_pairs += len(pairs) == 2
+    assert vertices > 500 and two_pairs > 100
 
 
 # --------------------------------------------------------------- levels

@@ -18,7 +18,7 @@ from ietword.rauzy import EvolutionReport, validate_evolution
 from ietword.reconstruct import cylinder_measures, reconstruct_iet, verify_roundtrip
 from ietword.words import FactorSet
 
-from wordgen import fibonacci_word, random_exact_iet
+from wordgen import fibonacci_word, flipped_corpus, random_exact_iet
 
 GOLDEN_ALPHA = make_quadratic(-1, 2, 1, 2, 5)
 
@@ -249,23 +249,6 @@ def eager_special_factor_orders(fs, depth):
     imgs = list(interval_orders(fs.alphabet, img_pairs))
     return dom, next((img for img in imgs if OrderPair(dom, img).separation() is None),
                      imgs[0])
-
-
-def flipped_corpus(draws):
-    """Seeded exchanges on 3..6 letters with random flips."""
-    rng = random.Random(2027)
-    for _ in range(draws):
-        k = rng.randint(3, 6)
-        vals = []
-        while len(vals) < k:
-            v = make_quadratic(rng.randint(1, 20), 1, rng.randint(-3, 3), 1, 2)
-            if v.sign() > 0:
-                vals.append(v)
-        total = sum(vals[1:], vals[0])
-        perm = list(range(1, k + 1))
-        rng.shuffle(perm)
-        flips = [rng.random() < 0.35 for _ in range(k)]
-        yield build_iet([v / total for v in vals], perm, flips)
 
 
 def test_fallback_matches_special_factor_reference():

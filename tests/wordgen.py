@@ -1,6 +1,8 @@
 """Classic substitution words and random exact exchanges used as fixtures
 across the test suite."""
 
+import random
+
 from ietword.exact import ONE, ZERO, Interval, make_quadratic
 from ietword.iet import CodingConfig, build_iet, coding_with_sets
 
@@ -62,3 +64,20 @@ def random_exact_iet(rng, k):
                        for j in range(1, k)):
                     break
             return build_iet(lengths, perm)
+
+
+def flipped_corpus(draws):
+    """Seeded exchanges on 3..6 letters with random flips."""
+    rng = random.Random(2027)
+    for _ in range(draws):
+        k = rng.randint(3, 6)
+        vals = []
+        while len(vals) < k:
+            v = make_quadratic(rng.randint(1, 20), 1, rng.randint(-3, 3), 1, 2)
+            if v.sign() > 0:
+                vals.append(v)
+        total = sum(vals[1:], vals[0])
+        perm = list(range(1, k + 1))
+        rng.shuffle(perm)
+        flips = [rng.random() < 0.35 for _ in range(k)]
+        yield build_iet([v / total for v in vals], perm, flips)
