@@ -12,7 +12,6 @@ __all__ = [
     "FactorSet",
     "bispecial_factors",
     "complexity",
-    "recurrence_window",
     "special_factors",
 ]
 
@@ -185,28 +184,3 @@ def bispecial_factors(fs: FactorSet, n: int) -> list[str]:
     return [w for w, (left, right) in fs.specials(n)
             if len(left) >= 2 and len(right) >= 2]
 
-
-def recurrence_window(word: str, k: int):
-    """Smallest N such that every length-N window contains every
-    length-k factor of the prefix; None when no N <= len(word)/2 works.
-    """
-    L = len(word)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > L // 4:
-        raise ValueError(f"k = {k} too large to observe on a length-{L} prefix")
-    first: dict[str, int] = {}
-    last: dict[str, int] = {}
-    gap: dict[str, int] = {}
-    for i in range(L - k + 1):
-        f = word[i:i + k]
-        if f in last:
-            gap[f] = max(gap[f], i - last[f])
-        else:
-            first[f] = i
-            gap[f] = 0
-        last[f] = i
-    need = k
-    for f in first:
-        need = max(need, first[f] + k, L - last[f], gap[f] + k - 1)
-    return need if need <= L // 2 else None

@@ -31,16 +31,9 @@ from ietword.rauzy import build_k_graph, strongly_connected, \
 from ietword.reconstruct import reconstruct_iet, verify_roundtrip
 from ietword.words import FactorSet, complexity
 
-from wordgen import (
-    mechanical_word,
-    random_exact_iet,
-    substitution_word,
-    thue_morse_word,
-    tribonacci_word,
-)
-from test_words import balance_witness
-
-GOLDEN_ALPHA = make_quadratic(-1, 2, 1, 2, 5)
+from corpus import (GOLDEN_ALPHA, acceptance_corpus, balance_witness, flipped_4iet,
+                    golden_iet, golden_mechanical_word, silver_iet, silver_word,
+                    substitution_word, thue_morse_word, tribonacci_word)
 
 
 def gate(capsys, num: int, ok: bool, detail: str) -> None:
@@ -57,55 +50,17 @@ def as_float(x) -> float:
 
 
 @lru_cache(maxsize=None)
-def mech_word_10k() -> str:
-    return mechanical_word(GOLDEN_ALPHA, ZERO, GOLDEN_ALPHA, 10_000)
-
-
-def silver_iet():
-    s = make_quadratic(-1, 1, 1, 1, 2)
-    return build_iet(
-        [s, s, rational(3) - make_quadratic(0, 1, 2, 1, 2)], [3, 2, 1])
-
-
-@lru_cache(maxsize=None)
-def silver_word_20k() -> str:
-    return natural_coding(silver_iet(), ZERO, 20_000)
-
-
-def flipped_iet():
-    lengths = [
-        make_quadratic(660, 2066, -63, 2066, 2),
-        make_quadratic(404, 2066, -1, 2066, 2),
-        make_quadratic(516, 2066, 101, 2066, 2),
-        make_quadratic(486, 2066, -37, 2066, 2),
-    ]
-    return build_iet(lengths, [3, 4, 2, 1], [False, True, False, False])
-
-
-@lru_cache(maxsize=None)
-def corpus():
-    """Ten regular exact IETs (k cycling 2,3,4) with their codings and
-    oriented validator reports."""
-    rng = random.Random(20260823)
-    out = []
-    tried = 0
-    while len(out) < 10:
-        k = [2, 3, 4][tried % 3]
-        tried += 1
-        T = random_exact_iet(rng, k)
-        if check_regular(T, 2000).collided:
-            continue
-        word = natural_coding(T, ZERO, 20_000)
-        report = validate_evolution(FactorSet(word, 13), 1, 12, oriented=True)
-        out.append((T, word, report))
-    return tuple(out)
+def corpus_reports():
+    """The oriented validator's report on each acceptance_corpus coding."""
+    return tuple(validate_evolution(FactorSet(word, 13), 1, 12, oriented=True)
+                 for _, word in acceptance_corpus())
 
 
 # ---------------------------------------------------------------- gates
 
 def test_criterion_1_sturmian_complexity(capsys):
     t0 = time.perf_counter()
-    word = mech_word_10k()
+    word = golden_mechanical_word(10_000)
     fs = FactorSet(word, 201)
     bad = [n for n in range(1, 201) if complexity(fs, n) != n + 1]
     witness = balance_witness(fs, 100, "a")
@@ -121,7 +76,7 @@ def test_criterion_2_iet_complexity_law(capsys):
     t0 = time.perf_counter()
     T = silver_iet()
     reg = check_regular(T, 2000)
-    word = silver_word_20k()
+    word = silver_word(20_000)
     fs = FactorSet(word, 61)
     bad = [n for n in range(1, 61) if complexity(fs, n) != 2 * n + 1]
     elapsed = time.perf_counter() - t0
@@ -131,21 +86,21 @@ def test_criterion_2_iet_complexity_law(capsys):
 
 
 def test_criterion_3_validator_necessity(capsys):
-    r1 = validate_evolution(FactorSet(mech_word_10k(), 21), 1, 20,
+    r1 = validate_evolution(FactorSet(golden_mechanical_word(10_000), 21), 1, 20,
                             oriented=True)
-    r2 = validate_evolution(FactorSet(silver_word_20k(), 21), 1, 20,
+    r2 = validate_evolution(FactorSet(silver_word(20_000), 21), 1, 20,
                             oriented=True)
     direct = r1.accepted and r1.K <= 3 and r2.accepted and r2.K <= 3
 
-    flipped = natural_coding(flipped_iet(), ZERO, 20_000)
+    flipped = natural_coding(flipped_4iet(), ZERO, 20_000)
     fs = FactorSet(flipped, 13)
     f_free = validate_evolution(fs, 1, 12, oriented=False)
     f_oriented = validate_evolution(fs, 1, 12, oriented=True)
     flip_ok = (f_free.accepted and any(f_free.marks.values())
                and not f_oriented.accepted)
 
-    ks = sorted(report.K for _, _, report in corpus())
-    corpus_ok = all(report.accepted for _, _, report in corpus())
+    ks = sorted(report.K for report in corpus_reports())
+    corpus_ok = all(report.accepted for report in corpus_reports())
     gate(capsys, 3, direct and flip_ok and corpus_ok,
          f"oriented K={r1.K},{r2.K}; flipped non-oriented K={f_free.K} "
          f"with marks, oriented {f_oriented.verdict}; corpus 10/10 "
@@ -187,8 +142,8 @@ def test_criterion_4_rejection_witnesses(capsys):
 def test_criterion_5_graph_invariants(capsys):
     checked = 0
     ok = True
-    for word, t_of in ((mech_word_10k(), lambda n: n + 1),
-                       (silver_word_20k(), lambda n: 2 * n + 1)):
+    for word, t_of in ((golden_mechanical_word(10_000), lambda n: n + 1),
+                       (silver_word(20_000), lambda n: 2 * n + 1)):
         fs = FactorSet(word, 32)
         for k in range(1, 31):
             g = build_k_graph(fs, k)
@@ -212,7 +167,7 @@ def test_criterion_6_order_conditions(capsys):
                           OrderPair(("1", "2"), ("2", "1")), 20)
     tm_found = search_orders(FactorSet(thue_morse_word(4000), 10), 8)
     agree = all(bool(search_orders(FactorSet(word, 8), 6)) == report.accepted
-                for _, word, report in corpus())
+                for (_, word), report in zip(acceptance_corpus(), corpus_reports()))
     gate(capsys, 6, direct.passed and not tm_found and agree,
          f"Fibonacci orders pass to 20, Thue-Morse search empty, "
          f"search/validator agreement on 10 corpus instances")
@@ -228,7 +183,7 @@ def test_criterion_7_reconstruction(capsys):
     match, total, _, _ = verify_roundtrip(fib, T, 500, letters)
     fib_ok = T.k == 2 and lam2_err < 0.01 and match >= 400 and total == 500
 
-    word = silver_word_20k()
+    word = silver_word(20_000)
     rep2 = validate_evolution(FactorSet(word, 13), 1, 12, oriented=True)
     T2, residual2, _ = reconstruct_iet(FactorSet(word, 6), rep2, 6)
     len_errs = [abs(as_float(got - truth))
@@ -242,9 +197,9 @@ def test_criterion_7_reconstruction(capsys):
 
 def test_criterion_8_exactness(capsys):
     rng = random.Random(20260823)
-    golden = build_iet([rational(1) - GOLDEN_ALPHA, GOLDEN_ALPHA], [2, 1])
+    golden = golden_iet()
     points = 0
-    for T in (golden, silver_iet(), flipped_iet()):
+    for T in (golden, silver_iet(), flipped_4iet()):
         d = next((x.d for x in T.lengths if x.d), 0)
         for _ in range(1000):
             if rng.random() < 0.5 or not d:

@@ -10,19 +10,12 @@ import pytest
 import ietword
 from ietword.cli import main
 from ietword.config import parse_iet_config
-from ietword.exact import make_quadratic, parse_scalar, rational
+from ietword.exact import parse_scalar, rational
 from ietword.iet import natural_coding
 from ietword.words import FactorSet
 
-from wordgen import mechanical_word, random_exact_iet, tribonacci_word
-
-GOLDEN_CFG = """\
-k 2
-d 5
-lengths (3-1*sqrt(5))/2 (-1+1*sqrt(5))/2
-perm 2 1
-flips 0 0
-"""
+from corpus import (GOLDEN_CFG, golden_mechanical_word, random_exact_iet,
+                    seven_letter_word, tribonacci_word)
 
 MECH_SETS = (
     "sets a=[0,(-1+1*sqrt(5))/2)\n"
@@ -56,8 +49,7 @@ def test_gen_with_sets(tmp_path, capsys):
     assert main(["gen", str(path), "-n", "40"]) == 0
     word = capsys.readouterr().out.strip()
     assert word == "ababaababaabaababaababaabaababaabaababaa"
-    alpha = make_quadratic(-1, 2, 1, 2, 5)
-    assert word == mechanical_word(alpha, rational(0), alpha, 40)
+    assert word == golden_mechanical_word(40)
 
 
 def test_gen_x0(cfg, capsys):
@@ -300,9 +292,8 @@ def test_fz_search_none(tmp_path, capsys):
 
 
 def test_fz_search_seven_letters(tmp_path, capsys):
-    T = random_exact_iet(random.Random(2026), 7)
     path = tmp_path / "seven.txt"
-    path.write_text(natural_coding(T, rational(1, 7), 10_000) + "\n")
+    path.write_text(seven_letter_word() + "\n")
     assert main(["fz", str(path), "--search"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "pi0=1234567;pi1=6254731", "pi0=7654321;pi1=1374526", "result=found;count=2"]

@@ -1,18 +1,10 @@
 import pytest
 
 from ietword.config import ConfigError, format_iet_config, parse_iet_config
-from ietword.exact import Interval, make_quadratic, parse_scalar, rational
+from ietword.exact import Interval, rational
 from ietword.iet import build_iet
 
-GOLDEN_ALPHA = make_quadratic(-1, 2, 1, 2, 5)
-
-GOLDEN_CFG = """\
-k 2
-d 5
-lengths (3-1*sqrt(5))/2 (-1+1*sqrt(5))/2
-perm 2 1
-flips 0 0
-"""
+from corpus import GOLDEN_ALPHA, GOLDEN_CFG
 
 
 def test_parse_golden():

@@ -17,9 +17,8 @@ from ietword.exact import (
     rational,
 )
 
-from test_iet import contains_limit
+from corpus import GOLDEN_ALPHA, contains_limit
 
-GOLDEN = make_quadratic(-1, 2, 1, 2, 5)      # (sqrt5 - 1)/2
 SILVER = make_quadratic(-1, 1, 1, 1, 2)      # sqrt2 - 1
 
 
@@ -49,9 +48,9 @@ def test_zero_coef_drops_radicand():
 
 
 def test_golden_value_comparisons():
-    assert GOLDEN > rational(1, 2)
-    assert GOLDEN < rational(2, 3)
-    assert GOLDEN * GOLDEN + GOLDEN == rational(1)
+    assert GOLDEN_ALPHA > rational(1, 2)
+    assert GOLDEN_ALPHA < rational(2, 3)
+    assert GOLDEN_ALPHA * GOLDEN_ALPHA + GOLDEN_ALPHA == rational(1)
 
 
 def test_silver_positive():
@@ -63,12 +62,12 @@ def test_silver_positive():
 
 def test_mixed_radicals_rejected():
     with pytest.raises(MixedRadicalError):
-        compare(GOLDEN, SILVER)
+        compare(GOLDEN_ALPHA, SILVER)
     with pytest.raises(MixedRadicalError):
-        GOLDEN + SILVER
+        GOLDEN_ALPHA + SILVER
     # equality is a plain False, not an error
-    assert not (GOLDEN == SILVER)
-    assert GOLDEN != SILVER
+    assert not (GOLDEN_ALPHA == SILVER)
+    assert GOLDEN_ALPHA != SILVER
 
 
 def test_hash_matches_fraction_for_rationals():
@@ -83,10 +82,10 @@ def test_floor_rational():
 
 
 def test_floor_quadratic():
-    assert math.floor(GOLDEN) == 0
-    assert math.floor(GOLDEN + 2) == 2
-    assert math.floor(-GOLDEN) == -1
-    big = GOLDEN * 1000                       # 618.03...
+    assert math.floor(GOLDEN_ALPHA) == 0
+    assert math.floor(GOLDEN_ALPHA + 2) == 2
+    assert math.floor(-GOLDEN_ALPHA) == -1
+    big = GOLDEN_ALPHA * 1000                 # 618.03...
     assert math.floor(big) == 618
     assert math.floor(-big) == -619
 
@@ -98,8 +97,8 @@ def test_parse_int_and_fraction():
 
 
 def test_parse_quadratic():
-    assert parse_scalar("(-1+1*sqrt(5))/2") == GOLDEN
-    assert parse_scalar("( -1 + 1 * sqrt( 5 ) ) / 2") == GOLDEN
+    assert parse_scalar("(-1+1*sqrt(5))/2") == GOLDEN_ALPHA
+    assert parse_scalar("( -1 + 1 * sqrt( 5 ) ) / 2") == GOLDEN_ALPHA
     assert parse_scalar("(0-2*sqrt(2))/1") == rational(-2) * make_quadratic(0, 1, 1, 1, 2)
 
 
@@ -110,7 +109,7 @@ def test_parse_errors():
 
 
 def test_format_round_trip_frozen():
-    assert format_scalar(GOLDEN) == "(-1+1*sqrt(5))/2"
+    assert format_scalar(GOLDEN_ALPHA) == "(-1+1*sqrt(5))/2"
     assert format_scalar(rational(1, 3)) == "1/3"
     assert format_scalar(rational(-4)) == "-4"
     assert format_scalar(rational(3) - 2 * make_quadratic(0, 1, 1, 1, 2)) == "(3-2*sqrt(2))/1"
@@ -181,7 +180,7 @@ def test_compare_matches_difference_sign():
         c = (a - b).sign()
         assert compare(a, b) == c and compare(b, a) == -c
         assert ((a < b), (a <= b), (a > b), (a >= b)) == (c < 0, c <= 0, c > 0, c >= 0)
-    for a, b in ((GOLDEN, SILVER), (SILVER, GOLDEN + 1)):
+    for a, b in ((GOLDEN_ALPHA, SILVER), (SILVER, GOLDEN_ALPHA + 1)):
         for cmp in (compare, lambda x, y: x < y, lambda x, y: x >= y):
             with pytest.raises(MixedRadicalError):
                 cmp(a, b)
@@ -209,6 +208,6 @@ def test_interval_rejects_reversed():
     with pytest.raises(ValueError, match="out of order"):
         Interval(SILVER + 1, SILVER)
     # equal ends are a (possibly empty) interval, not an error
-    assert Interval(GOLDEN, GOLDEN).is_empty
+    assert Interval(GOLDEN_ALPHA, GOLDEN_ALPHA).is_empty
     with pytest.raises(MixedRadicalError, match=r"sqrt\(5\) with sqrt\(2\)"):
-        Interval(SILVER, GOLDEN)
+        Interval(SILVER, GOLDEN_ALPHA)

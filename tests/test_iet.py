@@ -26,18 +26,10 @@ from ietword.iet import (
     orbit,
 )
 
-from wordgen import mechanical_word, random_exact_iet
+from corpus import (GOLDEN_ALPHA, contains_limit, golden_iet, mechanical_word,
+                    random_exact_iet, random_exchange, random_point, silver_iet)
 
-GOLDEN_ALPHA = make_quadratic(-1, 2, 1, 2, 5)
 SQRT2 = make_quadratic(0, 1, 1, 1, 2)
-
-
-def golden_iet():
-    return build_iet([ONE - GOLDEN_ALPHA, GOLDEN_ALPHA], (2, 1))
-
-
-def silver_iet(flips=None):
-    return build_iet([SQRT2 - 1, SQRT2 - 1, rational(3) - 2 * SQRT2], (3, 2, 1), flips)
 
 
 def test_build_rejects_bad_input():
@@ -477,17 +469,6 @@ def _check_idoc_reference(T, depth):
     return "no-collision-up-to-depth", None
 
 
-def contains_limit(iv, x, side):
-    """Membership of the one-sided limit x + side*epsilon in iv.
-
-    Independent of endpoint ownership: x+eps lies in the interval iff
-    lo <= x < hi, and x-eps iff lo < x <= hi.
-    """
-    if side > 0:
-        return compare(x, iv.lo) >= 0 and compare(x, iv.hi) < 0
-    return compare(x, iv.lo) > 0 and compare(x, iv.hi) <= 0
-
-
 def _essential_reference(T, config, x0, n):
     """Signed-limit walk on scalars: (x, s) stands for x + s*epsilon."""
     words = set()
@@ -508,37 +489,15 @@ def _essential_reference(T, config, x0, n):
     return frozenset(words)
 
 
-def _random_point(rng, d):
-    """A point of [0,1) in Q (d = 0) or Q(sqrt d), small denominators."""
-    y = rational(rng.randrange(1, 60), rng.randrange(2, 30))
-    if d:
-        y = y + rational(rng.randrange(-20, 21), rng.randrange(1, 15)) * \
-            make_quadratic(0, 1, 1, 1, d)
-    return y - math.floor(y)
-
-
-def _random_exchange(rng, k, d, flip_p=0.3):
-    cuts = set()
-    while len(cuts) < k - 1:
-        x = _random_point(rng, d)
-        if x != ZERO:
-            cuts.add(x)
-    ends = [ZERO, *sorted(cuts), ONE]
-    perm = list(range(1, k + 1))
-    rng.shuffle(perm)
-    flips = [rng.random() < flip_p for _ in range(k)]
-    return build_iet([b - a for a, b in zip(ends, ends[1:])], perm, flips)
-
-
 def test_kernel_matches_scalar_oracle():
     rng = random.Random(20071)
     collided = split = flipped = 0
     for case in range(48):
         k = 2 + case % 4
         d = (0, 2, 5)[case // 4 % 3]
-        T = _random_exchange(rng, k, d)
+        T = random_exchange(rng, k, d)
         cfg = CodingConfig.natural(T)
-        x = _random_point(rng, d)
+        x = random_point(rng, d)
         assert orbit(T, x, 12) == _orbit_reference(T, x, 12)
         for check, reference in ((check_regular, _check_regular_reference),
                                  (check_idoc, _check_idoc_reference)):
@@ -551,7 +510,7 @@ def test_kernel_matches_scalar_oracle():
         if case % 8 < 2:
             # 200 letters over at most 3 pieces code 4 letters a block;
             # start at the slot starts and at a preimage of a cut
-            u = _random_point(rng, d if rng.random() < 0.5 else 0) or rational(1, 2)
+            u = random_point(rng, d if rng.random() < 0.5 else 0) or rational(1, 2)
             arcs = CodingConfig([("a", (Interval(ZERO, u),)), ("b", (Interval(u, ONE),))])
             for c in (cfg, arcs):
                 y = rng.choice(c.pieces[1:])[0].lo
@@ -570,7 +529,7 @@ def test_kernel_matches_scalar_oracle():
 
 def _far_point(rng, d):
     """A point of [0,1) over the primes 9973 and 9967, which divide no
-    denominator of a _random_exchange."""
+    denominator of a random_exchange."""
     y = rational(rng.randrange(1, 10 ** 5), 9973)
     if d:
         y = y + rational(rng.randrange(-99, 100), 9967) * make_quadratic(0, 1, 1, 1, d)
@@ -583,7 +542,7 @@ def test_point_maps_match_scalar_oracle():
     for case in range(90):
         k = 1 + case % 6
         d = (0, 2, 5)[case // 6 % 3]
-        T = _random_exchange(rng, k, d)
+        T = random_exchange(rng, k, d)
         # T.inverse: T's image slots in order, each sent back onto its
         # source with the same flip, over the same field and denominator
         inv = T.inverse
@@ -601,11 +560,11 @@ def test_point_maps_match_scalar_oracle():
             # which T and T.inverse own in turn
             for x in (T.left[i - 1], T.dest_lo[i - 1]) if T.flips[i - 1] else ():
                 assert apply(inv, apply(T, x)) == x == apply(T, apply(inv, x)), (T, x)
-        pts += [_random_point(rng, d) for _ in range(4)]
+        pts += [random_point(rng, d) for _ in range(4)]
         pts += [_far_point(rng, d) for _ in range(4)]
         if not d:
             # a rational exchange maps the points of any one field
-            other = [_random_point(rng, e) for e in (2, 3, 5)] + [_far_point(rng, 7)]
+            other = [random_point(rng, e) for e in (2, 3, 5)] + [_far_point(rng, 7)]
             foreign += sum(bool(x.d) for x in other)
             pts += other
         for x in pts:
@@ -633,7 +592,7 @@ def test_kernel_denominator_comes_from_the_interval_ends():
     for case in range(63):
         k = 1 + case % 7
         d = (0, 2, 5)[case // 7 % 3]
-        T = _random_exchange(rng, k, d, flip_p=0.5)
+        T = random_exchange(rng, k, d, flip_p=0.5)
         flipped += any(T.flips)
         for S in (T, T.inverse):
             kernel = S.kernel
@@ -677,12 +636,12 @@ def test_scalars_come_back_canonical():
     for case in range(60):
         k = 1 + case % 6
         d = (0, 2, 5)[case // 6 % 3]
-        T = _random_exchange(rng, k, d)
-        pts = [*T.left[:-1], *T.slot_start[:-1], _random_point(rng, d), _far_point(rng, d)]
+        T = random_exchange(rng, k, d)
+        pts = [*T.left[:-1], *T.slot_start[:-1], random_point(rng, d), _far_point(rng, d)]
         # preimages of rational points, whose images drop the sqrt part
         pts += [apply_inverse(T, _far_point(rng, 0)) for _ in range(2)]
         if not d:
-            pts += [_random_point(rng, e) for e in (2, 5)] + [_far_point(rng, 3)]
+            pts += [random_point(rng, e) for e in (2, 5)] + [_far_point(rng, 3)]
         for x in pts:
             owned += x in T.left and T.flips[T.index_of(x) - 1]
             for y in (apply(T, x), apply_inverse(T, x), *orbit(T, x, 6)):
@@ -834,7 +793,7 @@ def _scattered_config(rng, d, letters, T=None):
         if on_exchange and rng.random() < 0.35:
             x = rng.choice(on_exchange)
         else:
-            x = _random_point(rng, d if rng.random() < 0.5 else 0)
+            x = random_point(rng, d if rng.random() < 0.5 else 0)
         if x != ZERO:
             cuts.add(x)
     ends = [ZERO, *sorted(cuts), ONE]
@@ -860,7 +819,7 @@ def test_cylinder_walk_matches_scalar_oracle():
     for case in range(20):
         k = 2 + case % 5
         d = (0, 2, 5)[case // 5 % 3]
-        T = _random_exchange(rng, k, d)
+        T = random_exchange(rng, k, d)
         flipped += any(T.flips)
         scattered = _scattered_config(rng, d, "xyz"[:2 + case % 2], T)
         configs = [CodingConfig.natural(T), scattered]
@@ -891,7 +850,7 @@ def test_cylinder_walk_matches_scalar_oracle():
                 for img, _, _ in part:
                     total = total + img.length
                 assert lengths[w] == total
-            w = list(coding_with_sets(T, cfg, _random_point(rng, d), 6))
+            w = list(coding_with_sets(T, cfg, random_point(rng, d), 6))
             w[rng.randrange(6)] = rng.choice(cfg.letters)
             w = "".join(w)
             assert longest_cylinder(T, cfg, w) == _longest_reference(T, cfg, w)
@@ -1024,7 +983,7 @@ def test_block_coding_matches_step_reference():
                   (False, True, True)),
         silver_iet((False, True, False)),
     ]
-    exchanges += [_random_exchange(rng, 2 + case % 5, (0, 2, 5)[case // 5 % 3])
+    exchanges += [random_exchange(rng, 2 + case % 5, (0, 2, 5)[case // 5 % 3])
                   for case in range(15)]
     # a stream of its own, so these starts leave the draws above alone
     starts_rng = random.Random(20077)
@@ -1032,7 +991,7 @@ def test_block_coding_matches_step_reference():
     for T in exchanges:
         d = next((x.d for x in T.lengths if x.d), 0)
         flipped += any(T.flips)
-        u = _random_point(rng, d if rng.random() < 0.5 else 0)
+        u = random_point(rng, d if rng.random() < 0.5 else 0)
         configs = [CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + T.k % 2], T)]
         if u != ZERO:
             configs.append(CodingConfig([("a", (Interval(ZERO, u),)),
@@ -1041,7 +1000,7 @@ def test_block_coding_matches_step_reference():
             natural = cfg is configs[0]
             pieces = len(cfg.pieces)
             ns = _block_lengths(pieces, 16 if pieces == 2 else 8 if pieces <= 4 else 4)
-            for x0 in (_random_point(rng, d), rng.choice(cfg.pieces)[0].lo):
+            for x0 in (random_point(rng, d), rng.choice(cfg.pieces)[0].lo):
                 # one long reference run; every shorter coding is its prefix
                 word, on_cut = _sets_step_reference(T, cfg, x0, ns[-1])
                 hits += on_cut > 0
@@ -1096,7 +1055,7 @@ def test_successor_ranges_hold_every_image():
     for case in range(9):
         k = 2 + case % 3
         d = (0, 2, 5)[case // 3]
-        T = _random_exchange(rng, k, d, flip_p=0.35)
+        T = random_exchange(rng, k, d, flip_p=0.35)
         flipped += any(T.flips)
         # wherever the full bisection puts a point of a row's image, that
         # row lies in the row's range
@@ -1169,7 +1128,7 @@ def test_block_regularity_matches_step_walk():
         k = 1 + case % 7
         d = (0, 2, 5)[case // 7 % 3]
         flip_p = (0, 0.3, 0.7)[case // 21 % 3]
-        T = _random_exchange(rng, k, d, flip_p)
+        T = random_exchange(rng, k, d, flip_p)
         flipped += any(T.flips)
         steps = set()
         for depth in depths:
@@ -1208,7 +1167,7 @@ def test_row_starts_hold_every_point_near_a_cut():
     for case in range(12):
         k = 2 + case % 4
         d = (0, 2, 5)[case % 3]
-        T = _random_exchange(rng, k, d, flip_p=0.5 if case % 2 else 0)
+        T = random_exchange(rng, k, d, flip_p=0.5 if case % 2 else 0)
         for E in (T, T.inverse):
             kernel, back = E.kernel, E.inverse.kernel
             ends = set(kernel.left[:-1])

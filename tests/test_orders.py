@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ietword import orders
-from ietword.exact import make_quadratic, rational
-from ietword.iet import build_iet, check_regular, natural_coding
 from ietword.orders import (
     OrderPair,
     OrderReport,
@@ -18,30 +16,15 @@ from ietword.orders import (
 from ietword.rauzy import validate_evolution
 from ietword.words import FactorSet
 
-from wordgen import (
-    fibonacci_word,
-    random_exact_iet,
-    thue_morse_word,
-    tribonacci_word,
-)
+from corpus import (fibonacci_word, golden_word, near_miss, search_corpus,
+                    seven_letter_iet, seven_letter_word, silver_word, six_letter_word,
+                    thue_morse_word, tribonacci_word)
 
 GOOD = OrderPair(("a", "b"), ("b", "a"))
 
 
 def fib_fs(max_len=16):
     return FactorSet(fibonacci_word(4000), max_len)
-
-
-def golden_fs(max_len=16):
-    alpha = make_quadratic(-1, 2, 1, 2, 5)
-    T = build_iet([rational(1) - alpha, alpha], [2, 1])
-    return FactorSet(natural_coding(T, rational(0), 4000), max_len)
-
-
-def silver_fs(max_len=14):
-    s = make_quadratic(-1, 1, 1, 1, 2)
-    T = build_iet([s, s, rational(3) - make_quadratic(0, 1, 2, 1, 2)], [3, 2, 1])
-    return FactorSet(natural_coding(T, rational(0), 6000), max_len)
 
 
 def test_extension_sets_fibonacci():
@@ -111,7 +94,7 @@ def test_periodic_word_fails_with_empty_overlap():
 
 
 def test_silver_orders():
-    fs = silver_fs()
+    fs = FactorSet(silver_word(6000), 14)
     assert check_orders(fs, OrderPair(("1", "2", "3"), ("3", "2", "1")), 12).passed
     r = check_orders(fs, OrderPair(("1", "3", "2"), ("3", "2", "1")), 10)
     assert r.condition == "2"
@@ -134,11 +117,11 @@ def test_search_orders_fibonacci():
 
 
 def test_search_orders_golden_and_silver():
-    assert [(p.pi0, p.pi1) for p in search_orders(golden_fs(), 12)] == [
+    assert [(p.pi0, p.pi1) for p in search_orders(FactorSet(golden_word(4000), 16), 12)] == [
         (("1", "2"), ("2", "1")),
         (("2", "1"), ("1", "2")),
     ]
-    assert [(p.pi0, p.pi1) for p in search_orders(silver_fs(), 12)] == [
+    assert [(p.pi0, p.pi1) for p in search_orders(FactorSet(silver_word(6000), 14), 12)] == [
         (("1", "2", "3"), ("3", "2", "1")),
         (("3", "2", "1"), ("1", "2", "3")),
     ]
@@ -163,9 +146,8 @@ def test_search_orders_alphabet_guard():
 def test_search_orders_finds_seven_letter_pair():
     # a genuine 7-letter coding whose extension sets leave 2 domain and
     # 4 image orders: the cap counts orders kept, not letters
-    T = random_exact_iet(random.Random(2026), 7)
-    assert T.permutation == (6, 2, 5, 4, 7, 3, 1)
-    fs = FactorSet(natural_coding(T, rational(1, 7), 10_000), 10)
+    assert seven_letter_iet().permutation == (6, 2, 5, 4, 7, 3, 1)
+    fs = FactorSet(seven_letter_word(), 10)
     true = OrderPair(tuple("1234567"), tuple("6254731"))
     assert search_orders(fs, 8) == [true, OrderPair(true.pi0[::-1], true.pi1[::-1])]
 
@@ -196,8 +178,8 @@ def test_agrees_with_evolution_validator():
     # both sides characterize codings of orientation-preserving exchanges
     for fs, expect in [
         (fib_fs(), True),
-        (golden_fs(), True),
-        (silver_fs(), True),
+        (FactorSet(golden_word(4000), 16), True),
+        (FactorSet(silver_word(6000), 14), True),
         (FactorSet(thue_morse_word(4000), 16), False),
         (FactorSet(tribonacci_word(4000), 16), False),
     ]:
@@ -207,10 +189,7 @@ def test_agrees_with_evolution_validator():
 
 
 def test_slices_of_golden_word_still_pass():
-    w = natural_coding(
-        build_iet([rational(1) - make_quadratic(-1, 2, 1, 2, 5),
-                   make_quadratic(-1, 2, 1, 2, 5)], [2, 1]),
-        rational(0), 3000)
+    w = golden_word(3000)
     pair = OrderPair(("1", "2"), ("2", "1"))
     for start in (0, 137, 991):
         fs = FactorSet(w[start:start + 800], 8)
@@ -305,45 +284,6 @@ def test_interval_orders_edges():
         interval_orders("ab", ["ac"])
 
 
-def near_miss(word, i):
-    """word with letter i replaced by another letter of its alphabet."""
-    other = next(c for c in sorted(set(word)) if c != word[i])
-    return word[:i] + other + word[i + 1:]
-
-
-def search_corpus():
-    """(word, index length, max_len) triples, k <= 5 so the brute force runs."""
-    rng = random.Random(20072)
-    words = [fibonacci_word(3000), thue_morse_word(2000),
-             tribonacci_word(2000), golden_fs(16).word, silver_fs(14).word]
-    exchanges = []
-    for k in (3, 4, 5, 3, 4):
-        T = random_exact_iet(rng, k)
-        while check_regular(T, 500).collided:
-            T = random_exact_iet(rng, k)
-        exchanges.append(T)
-    for T in exchanges:
-        word = natural_coding(T, rational(0), 3000)
-        words += [word, near_miss(word, rng.randrange(100, 3000))]
-    flipped = build_iet([make_quadratic(660, 2066, -63, 2066, 2),
-                         make_quadratic(404, 2066, -1, 2066, 2),
-                         make_quadratic(516, 2066, 101, 2066, 2),
-                         make_quadratic(486, 2066, -37, 2066, 2)],
-                        [3, 4, 2, 1], [False, True, False, False])
-    words.append(natural_coding(flipped, rational(0), 3000))
-    words += ["".join(rng.choice(alpha) for _ in range(rng.randint(30, 150)))
-              for alpha in ("ab", "abc", "abcd") for _ in range(3)]
-    cases = []
-    for word in words:
-        for max_len in (0, 3, 8):
-            cases.append((word, max_len + 2, max_len))
-        # a short prefix indexed to its whole length: the last factors
-        # have empty extension sets
-        cases.append((word[:12], 12, 10))
-        cases.append((word[:7], 6, 4))
-    return cases
-
-
 def test_search_orders_matches_brute_force():
     cases = search_corpus()
     found = 0
@@ -360,7 +300,7 @@ def test_check_orders_matches_reference_on_every_pair():
     # wherever it can occur, not only on the candidates; the short word
     # breaks condition 1 at a truncated factor
     seen = Counter()
-    gap = [("bcabbabbbabbba", 8, 4), ("bcabbabbbabbba", 14, 12)]
+    gap = (("bcabbabbbabbba", 8, 4), ("bcabbabbbabbba", 14, 12))
     for word, index_len, max_len in search_corpus() + gap:
         fs = FactorSet(word, index_len)
         if len(fs.alphabet) > 4:
@@ -380,7 +320,7 @@ def test_check_orders_matches_reference_on_sampled_pairs():
     # candidates, which pass condition 1 and so reach conditions 2 and 3
     rng = random.Random(20073)
     words = [w for w, _, _ in search_corpus() if len(set(w)) == 5]
-    six = six_letter_fs().word
+    six = six_letter_word()
     words += [six, near_miss(six, 4321),
               "".join(rng.choice("abcdef") for _ in range(400))]
     seen = Counter()
@@ -403,19 +343,9 @@ def test_check_orders_matches_reference_on_sampled_pairs():
     assert set(seen) == {None, "separation", "2", "3"}
 
 
-def six_letter_fs():
-    # a random 6-IET with irreducible permutation; 10^4 letters show all
-    # 5n + 1 factors of every length up to 10, so extension sets are exact
-    third = make_quadratic(6, 23, -1, 23, 2)
-    T = build_iet([make_quadratic(16, 69, 3, 69, 2), rational(8, 69), third,
-                   make_quadratic(19, 69, -2, 69, 2),
-                   make_quadratic(1, 69, 2, 69, 2), rational(7, 69)],
-                  [5, 6, 1, 4, 2, 3])
-    return FactorSet(natural_coding(T, rational(0), 10_000), 10)
-
-
 def test_search_orders_finds_six_letter_pair():
-    fs = six_letter_fs()
+    # 10^4 letters show every factor up to length 10, so extension sets are exact
+    fs = FactorSet(six_letter_word(), 10)
     assert all(len(fs.counts(n)) == 5 * n + 1 for n in range(1, 11))
     true = OrderPair(tuple("123456"), tuple("561423"))
     assert search_orders(fs, 8) == [true, OrderPair(true.pi0[::-1],

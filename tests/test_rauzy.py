@@ -1,12 +1,10 @@
-import itertools
-import random
 import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ietword.exact import make_quadratic, rational
-from ietword.iet import build_iet, natural_coding
+from ietword.exact import rational
+from ietword.iet import natural_coding
 from ietword.rauzy import (
     RauzyGraph,
     Witness,
@@ -18,26 +16,9 @@ from ietword.rauzy import (
 from ietword import rauzy
 from ietword.words import FactorSet
 
-from wordgen import (
-    fibonacci_word,
-    flipped_corpus,
-    random_exact_iet,
-    thue_morse_word,
-    tribonacci_word,
-)
-
-
-def golden_word(n=4000):
-    alpha = make_quadratic(-1, 2, 1, 2, 5)
-    T = build_iet([rational(1) - alpha, alpha], [2, 1])
-    return natural_coding(T, rational(0), n)
-
-
-def silver_word(n=6000):
-    s = make_quadratic(-1, 1, 1, 1, 2)
-    third = rational(3) - make_quadratic(0, 1, 2, 1, 2)
-    T = build_iet([s, s, third], [3, 2, 1])
-    return natural_coding(T, rational(0), n)
+from corpus import (fibonacci_word, flipped_4iet, flipped_corpus, golden_word,
+                    label_search_words, levels_corpus, mark_clash_word, silver_word,
+                    thue_morse_word, tribonacci_word)
 
 
 def fib_fs(max_len=21):
@@ -164,7 +145,7 @@ def test_labeling_marks_flow_forward():
 # ------------------------------------------------------------- validator
 
 def test_golden_coding_accepted_oriented():
-    fs = FactorSet(golden_word(), 21)
+    fs = FactorSet(golden_word(4000), 21)
     r = validate_evolution(fs, 1, 20, oriented=True)
     assert r.verdict == "accepted"
     assert r.K == 1
@@ -176,13 +157,13 @@ def test_golden_coding_accepted_oriented():
 
 
 def test_golden_coding_accepted_unoriented_too():
-    fs = FactorSet(golden_word(), 21)
+    fs = FactorSet(golden_word(4000), 21)
     r = validate_evolution(fs, 1, 20, oriented=False)
     assert r.accepted and r.K == 1
 
 
 def test_window_can_start_higher():
-    fs = FactorSet(golden_word(), 21)
+    fs = FactorSet(golden_word(4000), 21)
     r = validate_evolution(fs, 2, 10, oriented=True)
     assert r.verdict == "accepted" and r.K == 2
 
@@ -193,7 +174,7 @@ def test_fibonacci_substitution_accepted():
 
 
 def test_silver_coding_accepted():
-    fs = FactorSet(silver_word(), 17)
+    fs = FactorSet(silver_word(6000), 17)
     r = validate_evolution(fs, 1, 16, oriented=True)
     assert r.verdict == "accepted" and r.K == 1
 
@@ -239,20 +220,8 @@ def test_validator_one_level_window():
     assert list(r.in_labels) == list(r.out_labels) == [4]
 
 
-def flipped_witness_iet():
-    # one flipped interval drives the orbit of 0 onto a periodic cycle
-    # whose growth phase needs minus marks
-    lengths = [
-        make_quadratic(660, 2066, -63, 2066, 2),
-        make_quadratic(404, 2066, -1, 2066, 2),
-        make_quadratic(516, 2066, 101, 2066, 2),
-        make_quadratic(486, 2066, -37, 2066, 2),
-    ]
-    return build_iet(lengths, [3, 4, 2, 1], [False, True, False, False])
-
-
 def test_flipped_iet_needs_unoriented_mode():
-    w = natural_coding(flipped_witness_iet(), rational(0), 20000)
+    w = natural_coding(flipped_4iet(), rational(0), 20000)
     fs = FactorSet(w, 13)
     r_no = validate_evolution(fs, 1, 12, oriented=False)
     assert r_no.verdict == "accepted-from-K"
@@ -304,26 +273,6 @@ def test_export_dot_escapes_backslash_and_quote():
 
 
 # ---------------------------------------------------------- label search
-
-def near_miss_word():
-    """A natural 5-IET coding with one letter changed; from n = 2 on it
-    has more than 4n + 1 factors of length n, so no flip-free 5-IET
-    codes it."""
-    word = natural_coding(random_exact_iet(random.Random(0), 5), rational(0), 400)
-    return word[:250] + ("2" if word[250] == "1" else "1") + word[251:]
-
-
-LABEL_SEARCH_WORDS = [
-    ("ababababbbaaabababbbbaabaaaababa", 6),            # 10 sides
-    ("abbaabbaabbababbbaabbaaabbaabbabbabaabbaa", 6),   # marks / contradiction
-    ("cbaacacbbbcacbbcbbbcbaac", 5),                    # 8 sides, 3 letters
-    ("12222311222223122223112222231222231122222312222311222223122223112222231222231122222", 8),
-    # unoriented: minus marks go forward from level 6 to level 11
-    (natural_coding(flipped_witness_iet(), rational(0), 150), 11),
-    # oriented: masks die at levels 3, 4, 5 and 7
-    (near_miss_word(), 8),
-]
-
 
 # reference: the label rules on one base labeling at a time, with its
 # labels as l/r dicts and its marks as sets, built level by level
@@ -403,7 +352,7 @@ def _search_one_by_one(levels, K, k_max, oriented):
 
 
 @pytest.mark.parametrize("block_bits", [16, 3])
-@pytest.mark.parametrize("word, k_max", LABEL_SEARCH_WORDS)
+@pytest.mark.parametrize("word, k_max", label_search_words())
 def test_label_search_matches_one_by_one(word, k_max, block_bits, monkeypatch):
     fs = FactorSet(word, k_max + 1)
     got = {}
@@ -416,15 +365,6 @@ def test_label_search_matches_one_by_one(word, k_max, block_bits, monkeypatch):
                        for oriented in (False, True)]
     assert got["screened"] == got["reference"]
     assert any(r["K"] not in (None, 1) for r in got["screened"])
-
-
-def mark_clash_word():
-    """Draw 13 of the flipped corpus coded from 0, letter 213 set to 1:
-    unoriented over [1, 12], its label search at K = 2 fails on a mark
-    forced forward onto a vertex with a mixed deleted pair."""
-    T = next(itertools.islice(flipped_corpus(14), 13, None))
-    word = natural_coding(T, rational(0), 3000)
-    return word[:213] + "1" + word[214:]
 
 
 def searched_windows(monkeypatch, corpus, check=None):
@@ -460,7 +400,7 @@ def test_label_search_matches_one_by_one_at_every_K(monkeypatch):
         assert found == _search_one_by_one(*args)
         if isinstance(found, Witness):
             reasons.append(found.detail)
-    corpus = _levels_corpus() + [(mark_clash_word(), 12)]
+    corpus = [*levels_corpus(), (mark_clash_word(), 12)]
     searched_windows(monkeypatch, corpus, check)
     assert set(reasons) == {
         "equal-label deletion requires a minus mark, oriented mode",
@@ -470,9 +410,9 @@ def test_label_search_matches_one_by_one_at_every_K(monkeypatch):
 def test_deleted_pairs_share_no_arc(monkeypatch):
     # the lemma _walk reads each vertex from its first pair by: in a
     # searched window, no arc is in two deleted pairs at one vertex
-    corpus = _levels_corpus() + [
+    corpus = [*levels_corpus(), *(
         (natural_coding(T, rational(3, 11), 2000), 12)
-        for T in flipped_corpus(12)]
+        for T in flipped_corpus(12))]
     vertices = two_pairs = 0
     for levels, K, k_max, _ in searched_windows(monkeypatch, corpus):
         for k in range(K, k_max):
@@ -576,34 +516,9 @@ class _GraphLevels(_levels_reference):
         return self.adjacency[k][1][v]
 
 
-def _levels_corpus():
-    """Seeded words with their k_max: random words over 2-4 letters,
-    periodic words with a few letters of noise, natural codings of random
-    exact exchanges, and the fixed words of the label search tests."""
-    rng = random.Random(10)
-    corpus = []
-    for i in range(60):
-        letters = "abcd"[:2 + i % 3]
-        word = "".join(rng.choice(letters) for _ in range(rng.randint(20, 160)))
-        corpus.append((word, 8))
-    for i in range(30):
-        letters = "abcd"[:2 + i % 3]
-        period = "".join(rng.choice(letters) for _ in range(rng.randint(2, 7)))
-        word = list(period * (300 // len(period)))
-        for _ in range(rng.randint(1, 3)):
-            word[rng.randrange(len(word))] = rng.choice(letters)
-        corpus.append(("".join(word), 10))
-    for i in range(9):
-        T = random_exact_iet(rng, 2 + i % 3)
-        corpus.append((natural_coding(T, rational(0), 1500), 12))
-    corpus += [(word, k_max) for word, k_max in LABEL_SEARCH_WORDS]
-    corpus += [(thue_morse_word(500), 12), (tribonacci_word(500), 12)]
-    return corpus
-
-
 def test_levels_match_graph_reference(monkeypatch):
     kinds, verdicts, mixed, last_window = set(), set(), 0, 0
-    for word, k_max in _levels_corpus():
+    for word, k_max in levels_corpus():
         fs = FactorSet(word, k_max + 1)
         for k_min in (1, 3):
             got = rauzy._Levels(fs, k_min, k_max)

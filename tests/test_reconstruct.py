@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ietword.exact import make_quadratic, rational
+from ietword.exact import rational
 from ietword.iet import build_iet, natural_coding
 from ietword import orders
 from ietword.orders import (
@@ -18,42 +18,9 @@ from ietword.rauzy import EvolutionReport, validate_evolution
 from ietword.reconstruct import cylinder_measures, reconstruct_iet, verify_roundtrip
 from ietword.words import FactorSet
 
-from wordgen import fibonacci_word, flipped_corpus, random_exact_iet
-
-GOLDEN_ALPHA = make_quadratic(-1, 2, 1, 2, 5)
-
-
-def golden_iet():
-    return build_iet([rational(1) - GOLDEN_ALPHA, GOLDEN_ALPHA], [2, 1])
-
-
-def silver_iet():
-    s = make_quadratic(-1, 1, 1, 1, 2)
-    return build_iet(
-        [s, s, rational(3) - make_quadratic(0, 1, 2, 1, 2)], [3, 2, 1])
-
-
-def five_iet_word():
-    # several image orders keep this 5-IET's left-special pairs adjacent;
-    # only the true one and its mirror pass every order condition
-    lengths = [
-        make_quadratic(41, 233, 5, 233, 2),
-        make_quadratic(1256, 3961, -23, 3961, 2),
-        make_quadratic(311, 3961, -53, 3961, 2),
-        make_quadratic(575, 3961, 144, 3961, 2),
-        make_quadratic(66, 233, -9, 233, 2),
-    ]
-    return natural_coding(build_iet(lengths, [4, 1, 2, 5, 3]), rational(0), 10000)
-
-
-def flipped_4iet():
-    lengths = [
-        make_quadratic(660, 2066, -63, 2066, 2),
-        make_quadratic(404, 2066, -1, 2066, 2),
-        make_quadratic(516, 2066, 101, 2066, 2),
-        make_quadratic(486, 2066, -37, 2066, 2),
-    ]
-    return build_iet(lengths, [3, 4, 2, 1], [False, True, False, False])
+from corpus import (GOLDEN_ALPHA, fibonacci_word, five_letter_word, flipped_4iet,
+                    flipped_corpus, golden_iet, golden_word, random_exact_iet, silver_iet,
+                    silver_word)
 
 
 def accepted_report(word, k_max=12):
@@ -119,7 +86,7 @@ def test_reconstruct_fibonacci():
 
 
 def test_reconstruct_golden_coding():
-    word = natural_coding(golden_iet(), rational(0), 10000)
+    word = golden_word(10_000)
     T, residual, letters = reconstruct_iet(FactorSet(word, 6), accepted_report(word), 6)
     assert [x.rat for x in T.lengths] == [Fraction(191, 500), Fraction(309, 500)]
     assert T.permutation == (2, 1)
@@ -129,7 +96,7 @@ def test_reconstruct_golden_coding():
 
 
 def test_reconstruct_silver_coding():
-    word = natural_coding(silver_iet(), rational(0), 20000)
+    word = silver_word(20_000)
     T, residual, letters = reconstruct_iet(FactorSet(word, 6), accepted_report(word), 6)
     assert T.permutation == (3, 2, 1)
     for got, truth in zip(T.lengths, silver_iet().lengths):
@@ -152,7 +119,7 @@ def test_roundtrip_follows_relabeled_letters(letters):
 
 
 def test_reconstruct_takes_first_passing_order_pair():
-    word = five_iet_word()
+    word = five_letter_word()
     fs = FactorSet(word, 13)
     T, residual, letters = reconstruct_iet(fs, accepted_report(word), 6)
     assert (T.permutation, letters) == ((4, 1, 2, 5, 3), "12345")
@@ -175,7 +142,7 @@ def count_scans(monkeypatch):
 
 
 def test_order_checks_stop_at_first_passing_pair(monkeypatch):
-    word = five_iet_word()
+    word = five_letter_word()
     fs = FactorSet(word, 13)
     pi0s, pi1s = candidate_orders(fs, 11)
     cands = [OrderPair(p0, p1) for p0 in pi0s for p1 in pi1s]

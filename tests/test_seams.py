@@ -5,7 +5,9 @@ was not meant as an interface, so either the name should be public or
 the work belongs on the other side of the seam.  The other guards keep
 dead names out: every import is read, every private and every public
 name is read somewhere else, the benchmark's tracer names only code
-that exists, and nothing outside the standard library is imported.
+that exists, and nothing outside the standard library is imported. In
+the tests, no module imports a test module: what two of them share lives
+in tests/corpus.py.
 """
 import ast
 import importlib
@@ -16,6 +18,20 @@ from pathlib import Path
 import ietword
 
 PACKAGE = Path(ietword.__file__).parent
+TESTS = Path(__file__).resolve().parent
+
+
+def sources(directory: Path) -> dict[str, str]:
+    """The source of each module of directory, by file name."""
+    modules = sorted(directory.glob("*.py"))
+    assert len(modules) >= 8
+    return {path.name: path.read_text() for path in modules}
+
+
+def findings(directory: Path, check) -> dict[str, list[str]]:
+    """What check finds in each module of directory, where it finds anything."""
+    found = {name: check(source) for name, source in sources(directory).items()}
+    return {name: got for name, got in found.items() if got}
 
 
 def private_imports(source: str) -> list[str]:
@@ -55,11 +71,7 @@ def test_guard_sees_private_imports():
 
 
 def test_no_module_imports_private_names():
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert len(modules) >= 8
-    crossings = {path.name: private_imports(path.read_text())
-                 for path in modules}
-    assert {name: got for name, got in crossings.items() if got} == {}
+    assert findings(PACKAGE, private_imports) == {}
 
 
 def unused_names(source: str) -> list[str]:
@@ -107,10 +119,7 @@ def test_guard_sees_unused_names():
 
 
 def test_no_module_has_unused_names():
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert len(modules) >= 8
-    found = {path.name: unused_names(path.read_text()) for path in modules}
-    assert {name: got for name, got in found.items() if got} == {}
+    assert findings(PACKAGE, unused_names) == {}
 
 
 def unreferenced_privates(sources: dict[str, str]) -> list[str]:
@@ -148,9 +157,7 @@ def test_guard_sees_unreferenced_privates():
 
 
 def test_no_module_has_unreferenced_privates():
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert len(modules) >= 8
-    assert unreferenced_privates({path.name: path.read_text() for path in modules}) == []
+    assert unreferenced_privates(sources(PACKAGE)) == []
 
 
 def names_read(tree: ast.AST) -> Counter:
@@ -224,18 +231,14 @@ def test_guard_sees_unread_public_names():
 DOCUMENTED_ENTRY_POINTS = {
     "iet.py:orbit",
     "iet.py:IETSpec.index_of",
-    # kept until the validator decides whether it gates on recurrence
-    "words.py:recurrence_window",
 }
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def test_every_public_name_is_read():
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert len(modules) >= 8
     readers = {path.name: path.read_text() for path in sorted(PERFBENCH.glob("*.py"))}
     assert "tracer.py" in readers
-    unread = unread_public_names({path.name: path.read_text() for path in modules}, readers)
+    unread = unread_public_names(sources(PACKAGE), readers)
     assert sorted(unread) == sorted(DOCUMENTED_ENTRY_POINTS)
 
 
@@ -290,16 +293,21 @@ def test_benchmark_spans_name_library_functions():
     assert missing == []
 
 
-def foreign_imports(source: str) -> list[str]:
-    """Modules a source imports that are neither relative nor part of the
-    standard library."""
+def imported_modules(source: str) -> list[str]:
+    """Modules a source imports, relative imports aside."""
     imported = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.append(node.module)
-    return [name for name in imported
+    return imported
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Modules a source imports that are neither relative nor part of the
+    standard library."""
+    return [name for name in imported_modules(source)
             if name.split(".")[0] not in sys.stdlib_module_names]
 
 
@@ -316,7 +324,24 @@ def test_guard_sees_foreign_imports():
 
 
 def test_package_imports_only_the_standard_library():
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert len(modules) >= 8
-    found = {path.name: foreign_imports(path.read_text()) for path in modules}
-    assert {name: got for name, got in found.items() if got} == {}
+    assert findings(PACKAGE, foreign_imports) == {}
+
+
+def imported_test_modules(source: str) -> list[str]:
+    """`test_*` modules a source imports."""
+    return [name for name in imported_modules(source)
+            if name.split(".")[-1].startswith("test_")]
+
+
+def test_guard_sees_test_module_imports():
+    source = ("from test_iet import contains_limit\n"
+              "import test_words as tw, pytest\n"
+              "from corpus import near_miss, test_like\n"
+              "from tests.test_cli import main\n"
+              "from hypothesis import strategies\n")
+    assert imported_test_modules(source) == ["test_iet", "test_words", "tests.test_cli"]
+
+
+def test_no_test_module_imports_another():
+    # what two test modules share lives in tests/corpus.py
+    assert findings(TESTS, imported_test_modules) == {}

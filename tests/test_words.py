@@ -4,32 +4,18 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ietword.exact import make_quadratic, rational
-from ietword.iet import build_iet, natural_coding
 from ietword.words import (
     FactorSet,
     bispecial_factors,
     complexity,
-    recurrence_window,
     special_factors,
 )
-from wordgen import fibonacci_word, thue_morse_word, tribonacci_word
+from corpus import (balance_witness, fibonacci_word, golden_word, random_word,
+                    silver_word, thue_morse_word, tribonacci_word)
 
 FIB = fibonacci_word(2000)
 TM = thue_morse_word(1024)
 TRI = tribonacci_word(2000)
-
-
-def silver_word(n):
-    s = make_quadratic(-1, 1, 1, 1, 2)
-    T = build_iet([s, s, rational(3) - make_quadratic(0, 1, 2, 1, 2)], [3, 2, 1])
-    return natural_coding(T, rational(0), n)
-
-
-def golden_word(n):
-    T = build_iet([make_quadratic(3, 2, -1, 2, 5), make_quadratic(-1, 2, 1, 2, 5)],
-                  [2, 1])
-    return natural_coding(T, rational(0), n)
 
 
 def window_counts(word, n):
@@ -56,11 +42,6 @@ def assert_index_matches_slicing(word, max_len):
     fs = FactorSet(word, max_len)
     assert_counts_match(fs, range(max_len, -1, -1))
     assert fs.alphabet == tuple(sorted(set(word)))
-
-
-def random_word(seed, letters, n):
-    rng = random.Random(seed)
-    return "".join(rng.choice(letters) for _ in range(n))
 
 
 def probed_extensions(fs, n):
@@ -241,18 +222,6 @@ def test_bispecial_thue_morse_pair():
     assert bispecial_factors(fs, 2) == ["ab", "ba"]
 
 
-def balance_witness(fs: FactorSet, up_to: int, letter: str):
-    """Two factors of one length n <= up_to whose counts of letter differ
-    by more than 1, the heavier first; None when the factors are balanced."""
-    for n in range(1, up_to + 1):
-        level = fs.counts(n)
-        heavy = max(level, key=lambda f: f.count(letter))
-        light = min(level, key=lambda f: f.count(letter))
-        if heavy.count(letter) - light.count(letter) > 1:
-            return heavy, light
-    return None
-
-
 def test_balanced_fibonacci():
     fs = FactorSet(FIB, 30)
     assert balance_witness(fs, 30, "a") is None
@@ -282,36 +251,6 @@ def test_sturmian_check_thue_morse():
 def test_sturmian_check_periodic():
     fs = FactorSet("ab" * 100, 10)
     assert any(complexity(fs, n) != n + 1 for n in range(1, 11))
-
-
-def test_recurrence_periodic():
-    assert recurrence_window("ab" * 20, 2) == 3
-
-
-def test_recurrence_fibonacci():
-    w = fibonacci_word(10**4)
-    assert recurrence_window(w, 1) == 3
-    assert recurrence_window(w, 2) == 6
-    assert recurrence_window(w, 3) == 10
-
-
-def test_recurrence_random_absent():
-    rng = random.Random(1)
-    w = "".join(rng.choice("ab") for _ in range(2000))
-    assert recurrence_window(w, 8) is None
-
-
-def test_recurrence_precondition():
-    with pytest.raises(ValueError):
-        recurrence_window("abab", 2)
-
-
-def test_recurrence_window_bounds():
-    # on 8 letters k may reach 8 // 4 = 2, and a window of 8 // 2 = 4
-    # letters is still returned: ba first ends at 4, ab last starts at 4
-    assert recurrence_window("aabaabaa", 2) == 4
-    with pytest.raises(ValueError):
-        recurrence_window("aabaabaa", 3)
 
 
 def test_fibonacci_vs_mechanical_balance_consistency():
@@ -346,18 +285,3 @@ def test_subfactor_closure(w):
         for f in fs.counts(n):
             assert f[:-1] in shorter
             assert f[1:] in shorter
-
-
-@settings(max_examples=30)
-@given(words_strategy, st.integers(min_value=1, max_value=6))
-def test_recurrence_window_sound(w, k):
-    if k > len(w) // 4:
-        return
-    n = recurrence_window(w, k)
-    if n is None:
-        return
-    all_factors = {w[i:i + k] for i in range(len(w) - k + 1)}
-    for i in range(len(w) - n + 1):
-        window = w[i:i + n]
-        present = {window[j:j + k] for j in range(len(window) - k + 1)}
-        assert present == all_factors
