@@ -154,10 +154,10 @@ def parse_iet_config(text: str):
 
 
 def format_iet_config(T: IETSpec, sets=None) -> str:
-    d = 0
-    for x in T.lengths:
-        if x.d:
-            d = x.d
+    # a rational exchange may be coded by quadratic sets, so their ends
+    # name the field too
+    ends = (x for ivs in (sets or {}).values() for iv in ivs for x in (iv.lo, iv.hi))
+    d = next((x.d for x in (*T.lengths, *ends) if x.d), 0)
     lines = [
         f"k {T.k}",
         f"d {d}",

@@ -15,6 +15,8 @@ Conventions, fixed once for the whole package:
   with the same flip, so its permutation is T's slot_of.  Built once per
   exchange, on first use; ``T.inverse.inverse is T``.  Every backward
   map or walk is a forward one of T.inverse.
+* Every step runs on the exchange's integer kernel, _IntOrbit: the
+  point maps, the orbits, the cylinder walks and the regularity checks.
 """
 from __future__ import annotations
 
@@ -124,7 +126,8 @@ class IETSpec:
 
     def index_of(self, x) -> int:
         """1-based i with x in X_i."""
-        return self._place(x)[1]
+        kernel, p, E = self._point(x)
+        return kernel.locate(p, E)
 
     def _domain(self, x):
         """x checked to lie in [0,1), and (u, v, E) with x = (u + v*sqrt(d))/E."""
@@ -137,38 +140,19 @@ class IETSpec:
             raise DomainError(f"point {x} outside [0,1)")
         return x, u, v, E
 
-    def _place(self, x):
-        """x checked to lie in [0,1), the 1-based i with x in X_i, and the
-        field d that x and the exchange share.
-
-        x stays over its own denominator E: against a cut (A + B*sqrt(d))/D
-        it has the sign of (u*D - A*E) + (v*D - B*E)*sqrt(d), so no table
-        is widened.
-        """
+    def _point(self, x):
+        """x checked to lie in [0,1), the kernel that reads its field, and
+        x as (u*D, v*D) over E*D, for the kernel's D and x's own E."""
         x, u, v, E = self._domain(x)
-        k = self.kernel
-        d = k.d
-        if x.d and x.d != d:
-            if d:
-                raise MixedRadicalError("points span two quadratic fields")
-            d = x.d
-        u, v = u * k.D, v * k.D
-        # the last end is 1, which x lies below
-        for i in range(1, self.k):
-            A, B = k.left[i]
-            if quadratic_sign(u - A * E, v - B * E, d) < 0:
-                return x, i, d
-        return x, self.k, d
+        # a quadratic point of a rational exchange: the same tables, read in its field
+        kernel = self.kernel.widen(x.d, 1)
+        return kernel, (u * kernel.D, v * kernel.D), E
 
     def apply(self, x) -> ExactScalar:
-        x, i, d = self._place(x)
-        if not self.flips[i - 1]:
-            t = self.disp[i - 1]
-            return ExactScalar._canonical(x.rat + t.rat, x.coef + t.coef, d)
-        if x == self.left[i - 1]:
-            return self.dest_lo[i - 1]
-        t = self.refl[i - 1]
-        return ExactScalar._canonical(t.rat - x.rat, t.coef - x.coef, d)
+        kernel, p, E = self._point(x)
+        a, b = kernel.step(p, E)
+        ED = E * kernel.D
+        return ExactScalar._canonical(Fraction(a, ED), Fraction(b, ED), kernel.d)
 
     @cached_property
     def inverse(self) -> "IETSpec":
@@ -213,8 +197,10 @@ class _IntOrbit:
     point is (A + B*sqrt(d))/D over a common denominator D.  Steps and
     comparisons are then pure integer arithmetic, and equal points are
     equal pairs.  Each exchange builds its kernel once, over its own D.
-    The point maps read its tables as they are; widen() takes in the
-    field and denominator of the points and cuts of a walk.
+    A point map keeps its point over the point's own denominator E, as
+    a pair over E*D, and locate and step scale each table entry they
+    read by E, so no table is copied.  widen() takes in the field and
+    denominator of the points and cuts of a walk.
     """
 
     def __init__(self, T: IETSpec):
@@ -252,26 +238,29 @@ class _IntOrbit:
     def decode(self, p) -> ExactScalar:
         return ExactScalar._canonical(Fraction(p[0], self.D), Fraction(p[1], self.D), self.d)
 
-    def locate(self, p) -> int:
-        """1-based i with p in X_i."""
+    def locate(self, p, E: int = 1) -> int:
+        """1-based i with p in X_i, for p over E*D: each interval end is
+        scaled by E as it is read."""
         a, b = p
         left, d = self.left, self.d
         for i in range(1, len(left)):
             c = left[i]
-            if quadratic_sign(a - c[0], b - c[1], d) < 0:
+            if quadratic_sign(a - c[0] * E, b - c[1] * E, d) < 0:
                 return i
         raise AssertionError("unreachable: the intervals cover [0,1)")
 
-    def step(self, p):
-        """The image of p under T."""
-        i = self.locate(p)
+    def step(self, p, E: int = 1):
+        """The image of p under T, both over E*D."""
+        i = self.locate(p, E)
         if not self.flips[i - 1]:
             t = self.disp[i - 1]
-            return (p[0] + t[0], p[1] + t[1])
-        if p == self.left[i - 1]:
-            return self.dest_lo[i - 1]
+            return (p[0] + t[0] * E, p[1] + t[1] * E)
+        c = self.left[i - 1]
+        if p == (c[0] * E, c[1] * E):
+            t = self.dest_lo[i - 1]
+            return (t[0] * E, t[1] * E)
         r = self.refl[i - 1]
-        return (r[0] - p[0], r[1] - p[1])
+        return (r[0] * E - p[0], r[1] * E - p[1])
 
 
 def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:

@@ -39,7 +39,8 @@ Label bookkeeping, spelled out once:
   or all equal ones, whatever the labeling (proved in _walk).
 
 _walk is the one implementation of these rules, on many base labelings
-at once as bitsets, or on the chosen one alone for its report.
+at once as bitsets; the report of the chosen one is read off the same
+walk, one bit of its bitsets.
 """
 from __future__ import annotations
 
@@ -270,7 +271,7 @@ def _side_sets(sides, base: int, width: int):
 
 
 def _walk(levels: _Levels, K: int, k_max: int, oriented: bool,
-          full: int, side_of: dict, marks: dict | None = None):
+          full: int, side_of: dict):
     """Apply the label rules to a set of base labelings at once.
 
     A set of labelings is an int, bit m standing for one: full holds
@@ -296,18 +297,18 @@ def _walk(levels: _Levels, K: int, k_max: int, oriented: bool,
     in in-label, wy1 and wy2 in out-label, so the pairs are of one kind.
 
     Returns the labelings that succeed, those of them that carry a
-    mark, and the deepest level at which some fail, with those failing
-    there and the least vertex where one does (-1, 0, None if none
-    fails).  A dict passed as marks gets, per level walked, the vertices
-    that live labelings mark.
+    mark, the deepest level at which some fail with those failing there
+    (-1, 0 if none fails), {vertex: the labelings failing there} at that
+    level, and per level walked {vertex: the live labelings marking it}.
     """
     alive = full
     marked_any = 0
     marked = {}
-    fail_k, failed, culprit = -1, 0, None
+    marks = {}
+    fail_k, failed, failing = -1, 0, {}
     for k in range(K, k_max + 1):
         fail = 0
-        culprits = []
+        bad_at = {}
         level_marked = {}
         for w, pairs in levels.events.get(k, {}).items():
             a, b = pairs[0]
@@ -316,45 +317,42 @@ def _walk(levels: _Levels, K: int, k_max: int, oriented: bool,
             bad = eq & alive if oriented else marked.get(w[:-1], 0) & ne
             if bad:
                 fail |= bad
-                culprits.append(w)
+                bad_at[w] = bad
             marked_any |= eq
             level_marked[w] = eq
         if fail:
             alive &= ~fail
-            fail_k, failed, culprit = k, fail, min(culprits)
+            fail_k, failed, failing = k, fail, bad_at
             if not alive:
                 break
         for v, m in marked.items():
             for u in levels.out_arcs(k - 1, v):
                 level_marked[u] = level_marked.get(u, 0) | m
         # no later level reads a failed labeling, so only live marks go on
-        marked = {v: live for v, m in level_marked.items()
-                  if (live := m & alive)}
-        if marks is not None:
-            marks[k] = frozenset(marked)
-    return alive, alive & marked_any, fail_k, failed, culprit
+        marks[k] = marked = {v: live for v, m in level_marked.items()
+                             if (live := m & alive)}
+    return alive, alive & marked_any, fail_k, failed, failing, marks
 
 
-def _labeling(levels: _Levels, K: int, k_max: int, oriented: bool,
-              sides, mask: int):
-    """One base labeling's labels and marks per level, else the witness
-    of its failure; its labels are its mask's bits, inherited."""
-    full, side_of = _side_sets(sides, mask, 0)
-    marks = {}
-    alive, _, k, _, v = _walk(levels, K, k_max, oriented, full, side_of, marks)
-    if not alive:
+def _report(levels: _Levels, K: int, oriented: bool, side_of: dict, walk, bit: int):
+    """Labeling `bit` of a block's walk: its labels and marks per level,
+    else the witness of its failure; its labels are its own bits."""
+    alive, _, k, _, failing, marks = walk
+    if not alive >> bit & 1:
         return Witness(
-            "label-contradiction", k, (v,),
+            "label-contradiction", k,
+            (min(w for w, bad in failing.items() if bad >> bit & 1),),
             "equal-label deletion requires a minus mark, oriented mode"
             if oriented else
             "mark forced forward onto a vertex with mixed-pair deletions")
-    in_l = {k: {w: "lr"[side_of["in", w[:K + 1]]]
+    in_l = {k: {w: "lr"[side_of["in", w[:K + 1]] >> bit & 1]
                 for arcs in levels.in_crotches[k] for w in arcs}
             for k in marks}
-    out_l = {k: {w: "lr"[side_of["out", w[-K - 1:]]]
+    out_l = {k: {w: "lr"[side_of["out", w[-K - 1:]] >> bit & 1]
                  for arcs in levels.out_crotches[k] for w in arcs}
              for k in marks}
-    return in_l, out_l, marks
+    return in_l, out_l, {k: frozenset(v for v, m in level.items() if m >> bit & 1)
+                         for k, level in marks.items()}
 
 
 def _lowest(bits: int) -> int:
@@ -367,25 +365,27 @@ def _search_labels(levels: _Levels, K: int, k_max: int, oriented: bool):
     Among successes, one without minus marks wins: marks are only
     warranted when no orientation-preserving reading exists.  Of equal
     candidates the lowest mask wins.  _walk screens the masks a block
-    at a time, and _labeling walks the chosen one alone for its report.
+    at a time, each block once; the walks a candidate was picked from
+    are kept, and the report is read off the chosen one's.
     """
     sides = _free_choices(levels, K)
     width = min(len(sides), _BLOCK_BITS)
-    marked_mask = None
-    fail_k, fail_mask = -1, None
+    marked_at = fail_at = None
+    fail_k = -1
     for base in range(0, 1 << len(sides), 1 << width):
-        alive, marked, k, failed, _ = _walk(
-            levels, K, k_max, oriented, *_side_sets(sides, base, width))
+        full, side_of = _side_sets(sides, base, width)
+        walk = _walk(levels, K, k_max, oriented, full, side_of)
+        alive, marked, k, failed = walk[:4]
         if alive != marked:
-            chosen = base + _lowest(alive & ~marked)
+            chosen = side_of, walk, _lowest(alive & ~marked)
             break
-        if marked and marked_mask is None:
-            marked_mask = base + _lowest(marked)
+        if marked and marked_at is None:
+            marked_at = side_of, walk, _lowest(marked)
         if k > fail_k:
-            fail_k, fail_mask = k, base + _lowest(failed)
+            fail_k, fail_at = k, (side_of, walk, _lowest(failed))
     else:
-        chosen = fail_mask if marked_mask is None else marked_mask
-    return _labeling(levels, K, k_max, oriented, sides, chosen)
+        chosen = fail_at if marked_at is None else marked_at
+    return _report(levels, K, oriented, *chosen)
 
 
 def validate_evolution(fs: FactorSet, k_min: int, k_max: int,

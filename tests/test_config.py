@@ -95,6 +95,18 @@ def test_format_sets_round_trip():
     assert sets2 == sets
 
 
+def test_format_rational_exchange_with_quadratic_sets_round_trip():
+    # the lengths are rational, the set ends name the field: d comes
+    # from both, or the written file would not parse
+    text = ("k 2\nd 2\nlengths 1/2 1/2\nperm 2 1\nflips 0 0\n"
+            "sets a=[0,(0+1*sqrt(2))/2)\n"
+            "sets b=[(0+1*sqrt(2))/2,1)\n")
+    T, sets = parse_iet_config(text)
+    assert format_iet_config(T, sets) == text
+    T2, sets2 = parse_iet_config(format_iet_config(T, sets))
+    assert (T2.lengths, sets2) == (T.lengths, sets)
+
+
 # --------------------------------------------------------------- errors
 
 def err(text):

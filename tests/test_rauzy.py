@@ -112,7 +112,10 @@ def fib_labeling(mask, oriented=False):
     levels = rauzy._Levels(fib_fs(), 1, 3)
     sides = rauzy._free_choices(levels, 1)
     assert sides == [("in", ("aa", "ba")), ("out", ("aa", "ab"))]
-    return rauzy._labeling(levels, 1, 3, oriented, sides, mask)
+    # a one-mask block: the walk's bitsets are bit 0 alone
+    full, side_of = rauzy._side_sets(sides, mask, 0)
+    walk = rauzy._walk(levels, 1, 3, oriented, full, side_of)
+    return rauzy._report(levels, 1, oriented, side_of, walk, 0)
 
 
 def test_labeling_inherits_labels():
@@ -405,6 +408,36 @@ def test_label_search_matches_one_by_one_at_every_K(monkeypatch):
     assert set(reasons) == {
         "equal-label deletion requires a minus mark, oriented mode",
         "mark forced forward onto a vertex with mixed-pair deletions"}
+
+
+@pytest.mark.parametrize("block_bits", [16, 3])
+def test_label_search_walks_each_block_once(block_bits, monkeypatch):
+    # a search walks each block of masks it screens once, and its report
+    # walks nothing more: every block, or when some base labeling
+    # succeeds unmarked, the blocks up to the first that holds one
+    walks = []
+    walk = rauzy._walk
+
+    def spy(*args):
+        walks.append(args)
+        return walk(*args)
+
+    def clean(levels, K, k_max, oriented, sides, mask):
+        result = _check_assignment(levels, K, k_max, oriented,
+                                   *_base_labels(K, sides, mask))
+        return not isinstance(result, Witness) and not any(result[2].values())
+
+    def check(args, found):
+        sides = rauzy._free_choices(*args[:2])
+        size = 1 << min(len(sides), block_bits)
+        first = next((mask for mask in range(1 << len(sides))
+                      if clean(*args, sides, mask)), None)
+        blocks = -(-(1 << len(sides)) // size) if first is None else first // size + 1
+        assert len(walks) == blocks
+        walks.clear()
+    monkeypatch.setattr(rauzy, "_BLOCK_BITS", block_bits)
+    monkeypatch.setattr(rauzy, "_walk", spy)
+    searched_windows(monkeypatch, label_search_words(), check)
 
 
 def test_deleted_pairs_share_no_arc(monkeypatch):

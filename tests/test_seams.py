@@ -122,6 +122,10 @@ def test_no_module_has_unused_names():
     assert findings(PACKAGE, unused_names) == {}
 
 
+def test_no_test_module_has_unused_names():
+    assert findings(TESTS, unused_names) == {}
+
+
 def unreferenced_privates(sources: dict[str, str]) -> list[str]:
     """`_`-prefixed functions, classes and methods, dunders aside, whose
     name no module of the package reads, as module:name."""
