@@ -30,7 +30,12 @@ from worker import build     # noqa: E402
 
 
 def canonical(x) -> str:
-    """A text form of a returned value that does not depend on hashing."""
+    """A text form of a returned value that does not depend on hashing.
+
+    A value class renders as its type name, then its sorted
+    {field: value}, whether it names its fields in a `_fields` class
+    attribute (a plain class) or is a dataclass (older checkouts), so
+    one copy of this tool hashes both kinds of checkout alike."""
     if isinstance(x, (set, frozenset)):
         return "{" + ",".join(sorted(canonical(v) for v in x)) + "}"
     if isinstance(x, dict):
@@ -38,9 +43,11 @@ def canonical(x) -> str:
                                      for k, v in x.items())) + "}"
     if isinstance(x, (list, tuple)):
         return "[" + ",".join(canonical(v) for v in x) + "]"
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return type(x).__name__ + canonical(
-            {f.name: getattr(x, f.name) for f in dataclasses.fields(x)})
+    fields = getattr(type(x), "_fields", None)
+    if fields is None and dataclasses.is_dataclass(x) and not isinstance(x, type):
+        fields = [f.name for f in dataclasses.fields(x)]
+    if fields is not None:
+        return type(x).__name__ + canonical({f: getattr(x, f) for f in fields})
     return repr(x)
 
 
