@@ -4,19 +4,19 @@ Exit codes: 0 success/accepted, 1 rejected or check failed,
 2 inconclusive (input too short for the requested window), 3 usage or
 input errors.  All subcommands are deterministic: same inputs, same
 bytes out.
+
+Each command is its own process, and start-up is most of a short
+command's time, so each handler imports the layers it runs and nothing
+else: `--help` loads only this module and `exact` (which the package
+loads anyway), `validate` adds `words` and `rauzy`, `fz` adds `words`
+and `orders`.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .config import ConfigError, format_iet_config, parse_iet_config
 from .exact import ScalarParseError, format_scalar, parse_scalar
-from .iet import DEFAULT_LETTERS, CodingConfig, coding_with_sets, natural_coding
-from .orders import OrderPair, check_orders, search_orders
-from .rauzy import build_k_graph, export_dot, validate_evolution
-from .reconstruct import SYMBOLS_PER_LEVEL, reconstruct_iet, verify_roundtrip
-from .words import FactorSet, bispecial_factors, complexity, special_factors
 
 USAGE_ERROR = 3
 INCONCLUSIVE = 2
@@ -65,6 +65,8 @@ def _write(path, text: str) -> None:
 # ----------------------------------------------------------- subcommands
 
 def _cmd_gen(args) -> int:
+    from .config import ConfigError, parse_iet_config
+    from .iet import CodingConfig, coding_with_sets, natural_coding
     try:
         T, sets = parse_iet_config(_read_text(args.config))
     except ConfigError as e:
@@ -87,6 +89,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .words import FactorSet, bispecial_factors, complexity, special_factors
     word = _read_word(args.word)
     if args.max_len < 1:
         return _fail("--max-len must be positive")
@@ -106,6 +109,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_rauzy(args) -> int:
+    from .rauzy import build_k_graph, export_dot
+    from .words import FactorSet
     word = _read_word(args.word)
     if args.k_min < 1 or args.k_max < args.k_min:
         return _fail(f"bad window [{args.k_min}, {args.k_max}]")
@@ -126,6 +131,8 @@ def _witness_text(w) -> str:
 
 
 def _cmd_validate(args) -> int:
+    from .rauzy import validate_evolution
+    from .words import FactorSet
     word = _read_word(args.word)
     if args.k_min < 1 or args.k_max < args.k_min:
         return _fail(f"bad window [{args.k_min}, {args.k_max}]")
@@ -162,6 +169,8 @@ def _parse_order(text: str):
 
 
 def _cmd_fz(args) -> int:
+    from .orders import OrderPair, check_orders, search_orders
+    from .words import FactorSet
     word = _read_word(args.word)
     if args.max_len < 0:
         return _fail("--max-len must not be negative")
@@ -201,6 +210,11 @@ def _cmd_fz(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from .config import format_iet_config
+    from .iet import DEFAULT_LETTERS, CodingConfig
+    from .rauzy import validate_evolution
+    from .reconstruct import SYMBOLS_PER_LEVEL, reconstruct_iet, verify_roundtrip
+    from .words import FactorSet
     word = _read_word(args.word)
     if args.k_min < 1 or args.k_max < args.k_min:
         return _fail(f"bad window [{args.k_min}, {args.k_max}]")

@@ -4,12 +4,15 @@ Every interval endpoint, length and orbit point in this package is an
 ExactScalar, so each boundary decision reduces to integer sign tests;
 no floating point enters any decision path.  Values are immutable and
 hashable (pure value semantics).
+
+Record, the base of ExactScalar, Interval and the package's report
+classes, gives them value semantics as plain classes: `dataclasses`
+imports `inspect`, which would dominate the start-up of every command.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
@@ -17,6 +20,7 @@ __all__ = [
     "ExactScalar",
     "Interval",
     "MixedRadicalError",
+    "Record",
     "ScalarParseError",
     "ZERO",
     "ONE",
@@ -36,6 +40,53 @@ class MixedRadicalError(ValueError):
 
 class ScalarParseError(ValueError):
     """Text does not match the scalar literal grammar."""
+
+
+class Record:
+    """A frozen value with named fields.
+
+    A subclass names its fields in `_fields`, in constructor order, and
+    holds them in `__slots__`.  Records of one class are equal when
+    their fields are, hash as the tuple of their fields, and show as
+    Name(field=value, ...).  Assigning or deleting a field raises
+    AttributeError, so constructors set fields through object.__setattr__
+    (Record.__init__ does) or through the slot's own setter.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} "
+                            f"values, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        # rebuilt through __init__, since assignment is closed to pickle too
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
@@ -72,8 +123,7 @@ def quadratic_sign(u, v, d: int) -> int:
 
 
 @total_ordering
-@dataclass(frozen=True, eq=False)
-class ExactScalar:
+class ExactScalar(Record):
     """rat + coef * sqrt(d), exactly.
 
     Canonical form: d is square-free and >= 2, and d == 0 iff coef == 0
@@ -81,14 +131,13 @@ class ExactScalar:
     equal values have equal field tuples.
     """
 
-    rat: Fraction = Fraction(0)
-    coef: Fraction = Fraction(0)
-    d: int = 0
+    __slots__ = _fields = ("rat", "coef", "d")
 
-    def __post_init__(self) -> None:
-        rat = self.rat if isinstance(self.rat, Fraction) else Fraction(self.rat)
-        coef = self.coef if isinstance(self.coef, Fraction) else Fraction(self.coef)
-        d = self.d
+    def __init__(self, rat=Fraction(0), coef=Fraction(0), d: int = 0) -> None:
+        if not isinstance(rat, Fraction):
+            rat = Fraction(rat)
+        if not isinstance(coef, Fraction):
+            coef = Fraction(coef)
         if not isinstance(d, int) or d < 0:
             raise ValueError(f"radicand must be a non-negative integer, got {d!r}")
         if d == 0:
@@ -103,17 +152,19 @@ class ExactScalar:
                 rat += coef
                 coef = Fraction(0)
                 d = 0
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "d", d)
+        _set_rat(self, rat)
+        _set_coef(self, coef)
+        _set_d(self, d)
 
     @classmethod
     def _canonical(cls, rat: Fraction, coef: Fraction, d: int) -> "ExactScalar":
         """rat + coef*sqrt(d) from parts already in canonical form, so
-        __post_init__ is skipped: Fractions rat and coef, and d square-free
+        normalizing is skipped: Fractions rat and coef, and d square-free
         and >= 2, or 0 with coef == 0.  d is set to 0 when coef == 0."""
         x = object.__new__(cls)
-        x.__dict__.update(rat=rat, coef=coef, d=d if coef else 0)
+        _set_rat(x, rat)
+        _set_coef(x, coef)
+        _set_d(x, d if coef else 0)
         return x
 
     def _join_d(self, other: "ExactScalar") -> int:
@@ -232,6 +283,10 @@ class ExactScalar:
         return f"ExactScalar({format_scalar(self)!r})"
 
 
+# the slots' own setters: faster than object.__setattr__ on the hot path
+_set_rat, _set_coef, _set_d = (getattr(ExactScalar, name).__set__
+                               for name in ExactScalar._fields)
+
 ZERO = ExactScalar(Fraction(0))
 ONE = ExactScalar(Fraction(1))
 
@@ -318,18 +373,16 @@ def format_scalar(a: ExactScalar) -> str:
     return f"({p}{sgn}{abs(r)}*sqrt({a.d}))/{den}"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Subinterval of the line with explicit endpoint ownership."""
 
-    lo: ExactScalar
-    hi: ExactScalar
-    lo_closed: bool = True
-    hi_closed: bool = False
+    __slots__ = _fields = ("lo", "hi", "lo_closed", "hi_closed")
 
-    def __post_init__(self) -> None:
+    def __init__(self, lo: ExactScalar, hi: ExactScalar,
+                 lo_closed: bool = True, hi_closed: bool = False) -> None:
+        super().__init__(lo, hi, lo_closed, hi_closed)
         # hi against lo, so that a mixed-field error names hi's field first
-        if compare(self.hi, self.lo) < 0:
+        if compare(hi, lo) < 0:
             raise ValueError(f"interval endpoints out of order: {self}")
 
     @property

@@ -21,12 +21,11 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
-from .exact import (ExactScalar, Interval, MixedRadicalError, ONE, ZERO, as_scalar,
-                    compare, quadratic_sign)
+from .exact import (ExactScalar, Interval, MixedRadicalError, ONE, Record, ZERO,
+                    as_scalar, compare, quadratic_sign)
 
 __all__ = [
     "CodingConfig",
@@ -421,11 +420,12 @@ def essential_codings(T: IETSpec, config: CodingConfig, x0, n: int) -> frozenset
                                    sides=sides))
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    depth: int
-    verdict: str  # "no-collision-up-to-depth" | "collision"
-    witness: object = None
+class RegularityReport(Record):
+    __slots__ = _fields = ("depth", "verdict", "witness")
+
+    def __init__(self, depth: int, verdict: str, witness: object = None) -> None:
+        # verdict: "no-collision-up-to-depth" | "collision"
+        super().__init__(depth, verdict, witness)
 
     @property
     def collided(self) -> bool:

@@ -27,26 +27,26 @@ inspected, so the verdict reads "consistent up to N".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
+from .exact import Record
 from .words import FactorSet
 
 __all__ = ["OrderPair", "OrderReport", "candidate_orders", "check_orders",
            "interval_orders", "passing_pairs", "search_orders"]
 
 
-@dataclass(frozen=True)
-class OrderPair:
-    pi0: tuple  # letters in domain order
-    pi1: tuple  # letters in image order
+class OrderPair(Record):
+    __slots__ = _fields = ("pi0", "pi1")
 
-    def __post_init__(self):
-        for name, pi in (("pi0", self.pi0), ("pi1", self.pi1)):
+    def __init__(self, pi0: tuple, pi1: tuple) -> None:
+        # pi0: letters in domain order; pi1: letters in image order
+        for name, pi in (("pi0", pi0), ("pi1", pi1)):
             if len(set(pi)) != len(pi):
                 raise ValueError(f"{name} repeats a letter")
-        if set(self.pi0) != set(self.pi1):
+        if set(pi0) != set(pi1):
             raise ValueError("orders are over different letter sets")
+        super().__init__(pi0, pi1)
 
     @property
     def k(self) -> int:
@@ -61,12 +61,9 @@ class OrderPair:
         return None
 
 
-@dataclass(frozen=True)
-class OrderReport:
-    passed: bool
-    condition: str | None  # "1" | "2" | "3" | "letters" | "separation"
-    witness: tuple | None
-    max_len: int
+class OrderReport(Record):
+    # condition: "1" | "2" | "3" | "letters" | "separation", or None
+    __slots__ = _fields = ("passed", "condition", "witness", "max_len")
 
     def __str__(self) -> str:
         if self.passed:

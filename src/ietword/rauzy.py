@@ -44,8 +44,7 @@ walk, one bit of its bitsets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .exact import Record
 from .words import FactorSet
 
 __all__ = [
@@ -109,13 +108,13 @@ def strongly_connected(fs: FactorSet, k: int) -> bool:
             and len(_bfs(start, lambda v: [x + v[:-1] for x in ext[v][0]])) == n)
 
 
-@dataclass(frozen=True)
-class Witness:
-    kind: str  # valence | not-strongly-connected | unlicensed-deletion |
-               # strong-bispecial | label-contradiction
-    k: int
-    factors: tuple
-    detail: str = ""
+class Witness(Record):
+    # kind: valence | not-strongly-connected | unlicensed-deletion |
+    #       strong-bispecial | label-contradiction
+    __slots__ = _fields = ("kind", "k", "factors", "detail")
+
+    def __init__(self, kind: str, k: int, factors: tuple, detail: str = "") -> None:
+        super().__init__(kind, k, factors, detail)
 
     def __str__(self) -> str:
         body = ",".join(str(f) for f in self.factors)
@@ -123,16 +122,23 @@ class Witness:
         return f"{self.kind} at k={self.k}: {body}{extra}"
 
 
-@dataclass
-class EvolutionReport:
-    window: tuple
-    verdict: str  # accepted | accepted-from-K | rejected
-    K: int | None
-    oriented: bool
-    witness: Witness | None
-    in_labels: dict | None = None   # level -> {arc: l/r}
-    out_labels: dict | None = None
-    marks: dict | None = None       # level -> frozenset of vertices
+class EvolutionReport(Record):
+    """Unlike the other records, its fields can be reassigned, and it
+    keeps them in an instance __dict__ rather than slots."""
+
+    _fields = ("window", "verdict", "K", "oriented", "witness",
+               "in_labels", "out_labels", "marks")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, window: tuple, verdict: str, K: int | None, oriented: bool,
+                 witness: Witness | None, in_labels: dict | None = None,
+                 out_labels: dict | None = None, marks: dict | None = None) -> None:
+        # verdict: accepted | accepted-from-K | rejected; in_labels and
+        # out_labels: level -> {arc: l/r}; marks: level -> frozenset of vertices
+        super().__init__(window, verdict, K, oriented, witness,
+                         in_labels, out_labels, marks)
 
     @property
     def accepted(self) -> bool:

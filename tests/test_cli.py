@@ -563,3 +563,57 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, cwd=src)
     assert proc.returncode == 0
     assert proc.stdout == "121221212212\n"
+
+
+# ------------------------------------------------------ fresh launches
+# -S keeps the host's site-packages and .pth files out of the child, so
+# it sees exactly what the package imports
+
+def _fresh(args, cwd):
+    src = os.path.dirname(os.path.dirname(ietword.__file__))
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_import_loads_no_layer(tmp_path):
+    proc = _fresh(["-c", "import sys, ietword.cli; print(sorted(m for m in sys.modules "
+                         "if m.split('.')[0] in ('ietword', 'dataclasses', 'inspect')))"],
+                  tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == "['ietword', 'ietword.cli', 'ietword.exact']\n"
+
+
+# one small run of each subcommand; a fresh interpreter has only the
+# imports the handler makes, so one it lacks fails here, not in-process
+FRESH_RUNS = {
+    "gen": ["gen", "golden.cfg", "-n", "60", "--x0", "1/3"],
+    "analyze": ["analyze", "word.txt", "--max-len", "6"],
+    "rauzy": ["rauzy", "word.txt", "--k-max", "3"],
+    "validate": ["validate", "word.txt", "--k-max", "6"],
+    "fz": ["fz", "word.txt", "--search", "--max-len", "4"],
+    "reconstruct": ["reconstruct", "word.txt", "--k-max", "6", "--depth", "3",
+                    "--roundtrip", "200"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(FRESH_RUNS))
+def test_subcommand_in_a_fresh_interpreter_matches_main(tmp_path, capsys, monkeypatch, cmd):
+    runs = {}
+    for side in ("main", "fresh"):
+        work = tmp_path / side
+        work.mkdir()
+        (work / "golden.cfg").write_text(GOLDEN_CFG)
+        (work / "word.txt").write_text(natural_coding(
+            parse_iet_config(GOLDEN_CFG)[0], rational(0), 400) + "\n")
+        if side == "main":
+            monkeypatch.chdir(work)
+            rc = main(FRESH_RUNS[cmd])
+            out, err = capsys.readouterr()
+            out, err = out.encode(), err.encode()
+        else:
+            proc = _fresh(["-m", "ietword", *FRESH_RUNS[cmd]], work)
+            rc, out, err = proc.returncode, proc.stdout, proc.stderr
+        files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+        runs[side] = rc, out, err, files
+    assert runs["fresh"] == runs["main"]
+    assert runs["main"][0] == 0      # each run does its work, not a usage error

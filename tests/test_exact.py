@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,12 +11,16 @@ from ietword.exact import (
     Interval,
     MixedRadicalError,
     ScalarParseError,
+    ZERO,
     compare,
     format_scalar,
     make_quadratic,
     parse_scalar,
     rational,
 )
+from ietword.iet import RegularityReport
+from ietword.orders import OrderPair, OrderReport
+from ietword.rauzy import EvolutionReport, Witness
 
 from corpus import GOLDEN_ALPHA, contains_limit
 
@@ -211,3 +216,86 @@ def test_interval_rejects_reversed():
     assert Interval(GOLDEN_ALPHA, GOLDEN_ALPHA).is_empty
     with pytest.raises(MixedRadicalError, match=r"sqrt\(5\) with sqrt\(2\)"):
         Interval(SILVER, GOLDEN_ALPHA)
+
+
+# ---------------------------------------------------------- value classes
+# ExactScalar, Interval and the report classes are plain classes on
+# exact.Record; these pin what their callers read of them.
+
+FROZEN = [
+    make_quadratic(1, 2, 3, 4, 5),
+    Interval(rational(0), rational(1, 2), False, True),
+    RegularityReport(7, "collision", (1, 2, 3)),
+    OrderPair(("a", "b", "c"), ("c", "b", "a")),
+    OrderReport(False, "2", ("", "a", "b"), 6),
+    Witness("valence", 3, ("ab", "ba"), "two"),
+]
+
+
+@pytest.mark.parametrize("record", FROZEN, ids=lambda r: type(r).__name__)
+def test_record_fields_cannot_be_assigned(record):
+    before = repr(record)
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(record) == before
+    # rebuilt through the constructor, so pickling still round-trips
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_equal_records_hash_equal():
+    # a rational scalar hashes as its Fraction: test_hash_matches_fraction_for_rationals
+    assert ExactScalar(1, 2, 8) == ExactScalar(1, 4, 2)      # 2 sqrt8 = 4 sqrt2
+    assert hash(ExactScalar(1, 2, 8)) == hash(ExactScalar(1, 4, 2))
+    pairs = {OrderPair(("a", "b"), ("b", "a")): "flip"}
+    assert pairs[OrderPair(tuple("ab"), tuple("ba"))] == "flip"
+    assert OrderPair(tuple("ab"), tuple("ba")) != OrderPair(tuple("ab"), tuple("ab"))
+    witnesses = {Witness("valence", 2, ("ab",)): 1}
+    assert witnesses[Witness("valence", 2, ("ab",), "")] == 1
+    assert Witness("valence", 2, ("ab",)) != Witness("valence", 3, ("ab",))
+    lower, same = Interval(rational(0), rational(1, 2)), Interval(ZERO, rational(2, 4))
+    assert lower == same and hash(lower) == hash(same)
+    # records of different classes with equal fields are not equal
+    assert RegularityReport(1, "collision") != OrderReport(1, "collision", None, 0)
+
+
+def test_record_validation_still_raises():
+    with pytest.raises(ValueError, match="pi1 repeats a letter"):
+        OrderPair(("a", "b"), ("a", "a"))
+    with pytest.raises(ValueError, match="different letter sets"):
+        OrderPair(("a", "b"), ("a", "c"))
+    # reversed interval ends: test_interval_rejects_reversed
+    for d in (-2, 2.0):
+        with pytest.raises(ValueError, match="radicand must be a non-negative integer"):
+            ExactScalar(1, 1, d)
+    with pytest.raises(TypeError):
+        OrderReport(True, None, 6)
+
+
+def test_record_text():
+    assert str(Witness("valence", 3, ("ab", "ba"), "two")) == "valence at k=3: ab,ba (two)"
+    assert str(Witness("not-strongly-connected", 2, ())) == "not-strongly-connected at k=2: "
+    assert str(OrderReport(True, None, None, 6)) == "consistent up to length 6"
+    assert str(OrderReport(False, "2", ("", "a"), 6)) == "fails condition 2: ('', 'a')"
+    assert str(Interval(rational(0), rational(1, 2), False, True)) == "(0,1/2]"
+    assert repr(OrderPair(("a", "b"), ("b", "a"))) == "OrderPair(pi0=('a', 'b'), pi1=('b', 'a'))"
+    assert repr(Interval(ZERO, rational(1, 2))) == (
+        "Interval(lo=ExactScalar('0'), hi=ExactScalar('1/2'), lo_closed=True, hi_closed=False)")
+    assert repr(RegularityReport(4, "no-collision-up-to-depth")) == (
+        "RegularityReport(depth=4, verdict='no-collision-up-to-depth', witness=None)")
+
+
+def test_evolution_report_keeps_a_dict_and_can_change():
+    report = EvolutionReport((1, 3), "rejected", None, False, None)
+    assert vars(report) == {"window": (1, 3), "verdict": "rejected", "K": None,
+                            "oriented": False, "witness": None, "in_labels": None,
+                            "out_labels": None, "marks": None}
+    assert report == EvolutionReport((1, 3), "rejected", None, False, None)
+    report.verdict = "accepted"
+    assert report.accepted
+    with pytest.raises(TypeError):
+        hash(report)
