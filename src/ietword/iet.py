@@ -351,9 +351,9 @@ def _block_coding(T: IETSpec, encoded, letters, x0, n: int, sides=(0,)) -> list[
     sides (0 codes x0 itself), m letters at a time from one depth-m
     cylinder table.
 
-    m is _block_size(pieces, n), which keeps the table (about
-    pieces * m**2 piece steps) below the walk's n / m blocks.  The first
-    block bisects the whole table; each later
+    m is _block_size(pieces, n), which keeps the table (grown to depth
+    4, then doubled: about pieces * 4*m piece steps) below the walk's
+    n / m blocks.  The first block bisects the whole table; each later
     block bisects only the successor range of the row before it, the
     rows that row's image meets, about 2.
     A limit on a row start takes that row for side +1 and the row before
@@ -381,14 +381,20 @@ def _block_coding(T: IETSpec, encoded, letters, x0, n: int, sides=(0,)) -> list[
 
 
 def _block_size(cost: int, steps: int) -> int:
-    """The largest power of two m up to 64 with m**3 * cost <= steps.
+    """The largest power of two m up to 256 with m**2 * min(m, 4) * cost
+    <= steps.
 
-    A depth-m table costs about cost * m**2 steps to build, and a walk
-    covering steps takes steps / m blocks on it: the rule keeps the
-    first below the second.  The codings pass their piece count, the
-    regularity walk twice its interval count (see _first_hit)."""
+    A walk covering steps takes steps / m blocks on a depth-m table, and
+    the rule keeps the table's cost below that.  The table grows level
+    by level to depth 4, about cost * m**2 steps, and doubles from there
+    (see _Cylinders.table), so a depth-m table costs about m/4 depth-4
+    ones, cost * 4*m.  Up to 4 the rule is the level growth's m**3 *
+    cost <= steps; past 4 it never picks a smaller m than that.  The
+    codings pass their piece count, the regularity walk twice its
+    interval count (see _first_hit).  256 is what the rule picks for
+    10^6 letters of 3 pieces, and was faster there than 128 or 512."""
     m = 1
-    while m < 64 and (2 * m) ** 3 * cost <= steps:
+    while m < 256 and (2 * m) ** 2 * min(2 * m, 4) * cost <= steps:
         m *= 2
     return m
 
@@ -502,11 +508,14 @@ def _first_hit(E: IETSpec, points, targets, depth: int):
     The table is built once a call, and only when a walk has taken m
     single steps without a hit, so an exchange whose first orbit
     collides within m steps never builds it.  m is _block_size(2k,
-    steps covered), for E's k intervals: a depth-m table costs 2 to 4
-    k*m**2 single steps and a jump about 1.3.  At depth 100 this gives
+    steps covered), for E's k intervals: a depth-4 table costs 2 to 4
+    k*16 single steps and a jump about 1.3.  At depth 100 this gives
     m = 2; cost k gave m = 4, and the benchmark's twelve depth-100
     checks then took 3.0 ms in place of 2.7 ms (3.2 ms one step at a
-    time; best of 60, Python 3.11, shared 2-vCPU Linux host).
+    time; best of 60, Python 3.11, shared 2-vCPU Linux host).  At depth
+    1000 it gives m = 8 (4 for check_idoc on two intervals), a doubled
+    table: both checks of seven exchanges took 6.1 ms in place of 8.0
+    ms with the level-grown m = 4 (medians of 41, same host).
     """
     kernel, d = E.kernel, E.kernel.d
     m = _block_size(2 * E.k, len(points) * depth)
@@ -675,17 +684,42 @@ class _Cylinders:
         """The depth-m cylinder table, for coding m letters at a time.
 
         Each row (word, s, b, lo, hi) is a piece of source points x coded
-        by word for m steps, on which T^m is y = s*x - s*b.  Its successor
-        range lo..hi holds the _row_count of every point of its image, and
-        of every limit there: lo counts the rows starting strictly before
-        the image's low end, hi those starting at or before its high end.
-        The stepped piece's own ends are the image's, already in order
-        when s = -1.  The rows are sorted by source start, closed start
-        first; starts and closed hold each row's start and 1 if it is
-        closed, else -1.
+        by word for m steps, on which T^m is y = s*x - s*b.  A row of one
+        point takes s = 1: either form maps the point, and a one-sided
+        limit never lands on such a row (a row start takes the row for
+        side +1 and the row before for side -1, both longer than a point).
+        Its successor range lo..hi holds the _row_count of every point of
+        its image, and of every limit there: lo counts the rows starting
+        strictly before the image's low end, hi those starting at or
+        before its high end.  The rows are sorted by source start, closed
+        start first; starts and closed hold each row's start and 1 if it
+        is closed, else -1.
+
+        The piece walk grows the table to depth m / 2**j, halving m while
+        it is even and above 4, then doubles it j times: T^2d is T^d
+        after T^d.  The points of row r whose image J_r meets the source
+        I_q of row q, in r's successor range, are coded by the word of r
+        and then that of q, and on them T^2d is q's map after r's: with
+        x = s_r*y + b_r and y = s_q*z + b_q, x = s_r*s_q*z + s_r*b_q +
+        b_r.  The parts J_r & I_q tile J_r in q's order, so r's new rows
+        come in source order as q runs up when s_r = +1 and down when
+        s_r = -1, and no sort is needed.  The rows partition [0,1), so
+        I_q ends where I_q+1 starts, and the ends of J_r & I_q are read
+        off the row starts with no sign test; a part of one point is
+        kept only when it is closed at both ends.  The new row's image
+        lies in J_q, so its successor range is bisected among the new
+        rows of the rows in q's range.
+
+        Growing the levels steps every cylinder once a level, about
+        pieces * d**2 piece steps to depth d; a doubling emits each of
+        the next table's about (k-1)*2d + pieces rows once, and bisects
+        its range among a few rows.
         """
-        for level in self.levels(m, self.spans):
-            pass  # each level grows from the one before; only depth m is read
+        depth = m
+        while depth > 4 and depth % 2 == 0:
+            depth //= 2
+        for level in self.levels(depth, self.spans):
+            pass  # each level grows from the one before; only the last is read
         key = self.source_order()
         pieces = sorted(((self.source(piece), w, piece)
                          for w, parts in level for piece in self.advance(parts)),
@@ -693,10 +727,69 @@ class _Cylinders:
         starts = [src[0] for src, _, _ in pieces]
         closed = [1 if src[2] else -1 for src, _, _ in pieces]
         d, n = self.kernel.d, len(pieces)
-        rows = [(w, s, b, _row_count(starts, closed, d, lo, -1, 0, n),
-                 _row_count(starts, closed, d, hi, 1, 0, n))
-                for _, w, (lo, hi, _, _, s, b) in pieces]
+        rows, images = [], []
+        for (x, _, _, _), w, (lo, hi, lc, hc, s, b) in pieces:
+            if lo == hi:
+                s, b = 1, (x[0] - lo[0], x[1] - lo[1])
+            rows.append((w, s, b, _row_count(starts, closed, d, lo, -1, 0, n),
+                         _row_count(starts, closed, d, hi, 1, 0, n)))
+            images.append((lo, hi, lc, hc))
+        while depth < m:
+            starts, closed, rows, images = self.square(starts, closed, rows, images)
+            depth *= 2
         return starts, closed, rows
+
+    def square(self, starts, closed, rows, images):
+        """The depth-2d table from the depth-d one, with each row's image
+        (lo, hi, lo_closed, hi_closed); see table."""
+        # via: each new row's q; first[r]: the index of row r's first new row
+        new_starts, new_closed, maps, new_images, via, first = [], [], [], [], [], []
+        for (u, s, b, qlo, qhi), (lo, hi, lc, hc) in zip(rows, images):
+            first.append(len(maps))
+            # row qlo-1 starts before lo; row qhi-1 is the last to start at or before hi
+            qs = range(qlo - (qlo > 0), qhi)
+            for q in qs if s > 0 else reversed(qs):
+                # the part [a, z] of J_r in I_q, which ends where row q+1 starts
+                if q < qlo:
+                    a, ac = lo, lc
+                else:
+                    a = starts[q]
+                    ac = closed[q] > 0 and (lc or a != lo)
+                if q == qhi - 1:
+                    z, zc = hi, hc
+                else:
+                    z = starts[q + 1]
+                    zc = closed[q + 1] < 0 and (hc or z != hi)
+                if a == z and not (ac and zc):
+                    continue
+                # q's map carries the part on; its points come from s*y + b
+                v, t, c, _, _ = rows[q]
+                if t > 0:
+                    image = ((a[0] - c[0], a[1] - c[1]), (z[0] - c[0], z[1] - c[1]), ac, zc)
+                else:
+                    image = ((c[0] - z[0], c[1] - z[1]), (c[0] - a[0], c[1] - a[1]), zc, ac)
+                if s > 0:
+                    x, xc = (a[0] + b[0], a[1] + b[1]), ac
+                else:
+                    x, xc = (b[0] - z[0], b[1] - z[1]), zc
+                new_starts.append(x)
+                new_closed.append(1 if xc else -1)
+                if a == z:
+                    y = image[0]
+                    maps.append((u + v, 1, (x[0] - y[0], x[1] - y[1])))
+                else:
+                    maps.append((u + v, s * t, (s * c[0] + b[0], s * c[1] + b[1])))
+                new_images.append(image)
+                via.append(q)
+        first.append(len(maps))
+        d = self.kernel.d
+        new_rows = []
+        for (w, s, b), (lo, hi, _, _), q in zip(maps, new_images, via):
+            qlo, qhi = rows[q][3:]
+            low, high = first[qlo - (qlo > 0)], first[qhi]
+            new_rows.append((w, s, b, _row_count(new_starts, new_closed, d, lo, -1, low, high),
+                             _row_count(new_starts, new_closed, d, hi, 1, low, high)))
+        return new_starts, new_closed, new_rows, new_images
 
     def prefix(self, w: str):
         """How many leading letters of w have a nonempty cylinder, and its parts."""

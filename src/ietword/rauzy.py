@@ -83,29 +83,32 @@ def build_k_graph(fs: FactorSet, k: int) -> RauzyGraph:
     return RauzyGraph(k, fs.counts(k).keys(), fs.counts(k + 1).keys())
 
 
-def _bfs(start, neighbors) -> set:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for u in neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return seen
-
-
 def strongly_connected(fs: FactorSet, k: int) -> bool:
     """True when every vertex of the k-graph reaches every other; a lone
     vertex passes.  The graph is read off the extension sets: a k-factor
-    v has successors v[1:] + y for y in right(v) and predecessors
-    x + v[:-1] for x in left(v)."""
+    v has successors v[1:] + y for y in right(v).
+
+    The word walks its own graph: every vertex is one of its k-windows,
+    and consecutive windows w[i:i+k], w[i+1:i+k+1] are joined by the arc
+    w[i:i+k+1].  So every vertex is reached from the first window w[:k]
+    and reaches the last, w[-k:].  If w[-k:] reaches w[:k], any u then
+    reaches any v through w[-k:] and w[:k]; so one forward search from
+    w[-k:] that stops at w[:k] decides the graph."""
     _check_level(fs, k)
     ext = fs.extensions(k)
-    start = next(iter(ext))
-    n = len(ext)
-    return (len(_bfs(start, lambda v: [v[1:] + y for y in ext[v][1]])) == n
-            and len(_bfs(start, lambda v: [x + v[:-1] for x in ext[v][0]])) == n)
+    w = fs.word
+    first, last = w[:k], w[len(w) - k:]
+    seen, frontier = {last}, [last]
+    while frontier:
+        v = frontier.pop()
+        if v == first:
+            return True
+        for y in ext[v][1]:
+            u = v[1:] + y
+            if u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    return False
 
 
 class Witness(Record):

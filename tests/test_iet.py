@@ -26,7 +26,7 @@ from ietword.iet import (
     orbit,
 )
 
-from corpus import (GOLDEN_ALPHA, contains_limit, golden_iet, mechanical_word,
+from corpus import (GOLDEN_ALPHA, contains_limit, flipped_4iet, golden_iet, mechanical_word,
                     random_exact_iet, random_exchange, random_point, silver_iet)
 
 SQRT2 = make_quadratic(0, 1, 1, 1, 2)
@@ -963,13 +963,19 @@ def _essential_step_reference(T, config, x0, n):
     return frozenset(words)
 
 
+def _least_steps(m, cost):
+    """The smallest n at which a walk of the given cost takes m steps a
+    block: m**2 * min(m, 4) * cost <= n."""
+    return m * m * min(m, 4) * cost
+
+
 def _block_lengths(pieces, m_max):
     """n at 0, 1, m-1, m, m+1 and 3m+1 past the smallest n at which the
-    walk codes m letters a block (m**3 * pieces <= n), for m = 1..m_max."""
+    walk codes m letters a block, for m = 1..m_max."""
     ns = {0, 1, 2}
     m = 1
     while m <= m_max:
-        ns.update(m ** 3 * pieces + r for r in (0, 1, m - 1, m, m + 1, 3 * m + 1))
+        ns.update(_least_steps(m, pieces) + r for r in (0, 1, m - 1, m, m + 1, 3 * m + 1))
         m *= 2
     return sorted(ns)
 
@@ -1013,7 +1019,7 @@ def test_block_coding_matches_step_reference():
             # the one-sided codings from a row start of the table they walk
             # and from a preimage of a cut, where the tie rules decide
             for m in (8, 16) if pieces == 2 else (8,):
-                n = m ** 3 * pieces
+                n = _least_steps(m, pieces)
                 walk = iet._Cylinders(T.kernel, cfg.encoded, cfg.piece_letters)
                 starts = walk.table(m)[0]
                 y = starts_rng.choice(cfg.cuts[1:-1])
@@ -1062,7 +1068,7 @@ def test_successor_ranges_hold_every_image():
         for cfg in (CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + k % 2], T)):
             walk = iet._Cylinders(T.kernel, cfg.encoded, cfg.piece_letters)
             kd, D = walk.kernel.d, walk.kernel.D
-            for m in (1, 2, 4, 8, 16, 32, 64):
+            for m in (1, 2, 4, 8, 16, 32, 64, 128, 256):
                 starts, closed, rows = walk.table(m)
                 twice = [_doubled(u) for u in starts]
                 ends = [*starts[1:], (D, 0)]
@@ -1077,6 +1083,149 @@ def test_successor_ranges_hold_every_image():
                     wide += hi - lo > 1
     # the corpus reaches flips and rows whose image meets several rows
     assert flipped and wide
+
+
+def _table_reference(walk, m):
+    """walk's depth-m cylinder table grown one level at a time, every
+    level from the one before, as table built it before doubling."""
+    for level in walk.levels(m, walk.spans):
+        pass
+    key = walk.source_order()
+    pieces = sorted(((walk.source(piece), w, piece)
+                     for w, parts in level for piece in walk.advance(parts)),
+                    key=lambda row: key(row[0]))
+    starts = [src[0] for src, _, _ in pieces]
+    closed = [1 if src[2] else -1 for src, _, _ in pieces]
+    d, n = walk.kernel.d, len(pieces)
+    rows = [(w, s, b, iet._row_count(starts, closed, d, lo, -1, 0, n),
+             iet._row_count(starts, closed, d, hi, 1, 0, n))
+            for _, w, (lo, hi, _, _, s, b) in pieces]
+    return starts, closed, rows
+
+
+def _lone_rows(starts):
+    """The rows of one point: a row [p, p] is followed by the row (p, ..)."""
+    return [i for i in range(len(starts) - 1) if starts[i] == starts[i + 1]]
+
+
+def _in_s1_form(table):
+    """The table with each row of one point x written as y = x - (x - y)."""
+    starts, closed, rows = table
+    rows = list(rows)
+    for i in _lone_rows(starts):
+        w, s, b, lo, hi = rows[i]
+        x = starts[i]
+        y = (s * (x[0] - b[0]), s * (x[1] - b[1]))
+        rows[i] = (w, 1, (x[0] - y[0], x[1] - y[1]), lo, hi)
+    return starts, closed, rows
+
+
+def test_doubled_table_matches_level_growth():
+    rng = random.Random(20078)
+    named = [golden_iet(), silver_iet(), silver_iet((False, True, False)), flipped_4iet()]
+    # each random exchange's tables to depth 32 and every named exchange's
+    # to the largest block, 256; depths 6 and 12 double from 3, 20 from 5,
+    # and 5 is grown
+    cases = [(T, CodingConfig.natural(T), (1, 2, 4, 8, 16, 64, 256)) for T in named]
+    for case in range(21):
+        k = 1 + case % 7
+        d = (0, 2, 5)[case // 7]
+        T = random_exchange(rng, k, d, flip_p=0.5)
+        for cfg in (CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + k % 2], T)):
+            cases.append((T, cfg, (1, 2, 3, 4, 5, 6, 8, 12, 16, 20, 32)))
+    flipped = path_signs = 0
+    for T, cfg, ms in cases:
+        flipped += any(T.flips)
+        walk = iet._Cylinders(T.kernel, cfg.encoded, cfg.piece_letters)
+        for m in ms:
+            grown = _table_reference(walk, m)
+            assert walk.table(m) == _in_s1_form(grown), (T, cfg, m)
+            # the grown s of a point is the parity of its flips since its
+            # peel, which no composition of the rows' maps reproduces
+            path_signs += any(grown[2][i][1] < 0 for i in _lone_rows(grown[0]))
+    assert flipped and path_signs
+
+
+def test_limits_never_land_on_a_lone_point():
+    # a row start takes the row for side +1 and the row before for side
+    # -1, so the s of a row of one point never reaches a one-sided walk
+    rng = random.Random(20079)
+    lone = walked = 0
+    for case in range(12):
+        k = 2 + case % 6
+        d = (0, 2, 5)[case % 3]
+        T = random_exchange(rng, k, d, flip_p=0.5)
+        for cfg in (CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + k % 2], T)):
+            walk = iet._Cylinders(T.kernel, cfg.encoded, cfg.piece_letters)
+            for m in (1, 4, 16, 64):
+                starts, closed, rows = walk.table(m)
+                points = _lone_rows(starts)
+                for i in points:
+                    # no limit comes from below 0
+                    for side in (1, -1) if i else (1,):
+                        r = iet._row_count(starts, closed, walk.kernel.d, starts[i], side,
+                                           0, len(rows)) - 1
+                        assert r == i + side and r not in points, (T, cfg, m, i, side)
+                lone += len(points)
+                if points and m == 16:
+                    # and the one-sided codings from such a point are the step walk's
+                    x0 = walk.kernel.decode(starts[rng.choice(points)])
+                    n = _least_steps(m, len(cfg.pieces))
+                    assert essential_codings(T, cfg, x0, n) == \
+                        _essential_step_reference(T, cfg, x0, n), (T, cfg, x0)
+                    walked += 1
+    assert lone and walked, (lone, walked)
+
+
+def test_codings_at_the_largest_block_match_step_reference(monkeypatch):
+    # a flipped and a scattered coding walked 256 letters a block, where
+    # the rule would need 10^6 letters to choose that block
+    assert iet._block_size(1, 10 ** 12) == 256
+    monkeypatch.setattr(iet, "_block_size", lambda cost, steps: 256)
+    rng = random.Random(20080)
+    flipped = build_iet([rational(1, 4), rational(1, 2), rational(1, 4)], (2, 3, 1),
+                        (False, True, True))
+    cases = [(flipped, CodingConfig.natural(flipped)),
+             (silver_iet(), _scattered_config(rng, 2, "xyz", silver_iet()))]
+    for T, cfg in cases:
+        for x0 in (rational(2202, 9973), cfg.cuts[1]):
+            n = 3 * 256 + 17
+            word, _ = _sets_step_reference(T, cfg, x0, n)
+            assert coding_with_sets(T, cfg, x0, n) == word, (T, cfg, x0)
+            assert essential_codings(T, cfg, x0, n) == \
+                _essential_step_reference(T, cfg, x0, n), (T, cfg, x0)
+
+
+def _block_size_reference(cost, steps):
+    """The block size of the level-grown table: the largest power of two
+    m up to 64 with m**3 * cost <= steps."""
+    m = 1
+    while m < 64 and (2 * m) ** 3 * cost <= steps:
+        m *= 2
+    return m
+
+
+def test_block_size_thresholds():
+    for cost in (1, 2, 3, 4, 6, 14):
+        m = 2
+        while m <= 256:
+            least = _least_steps(m, cost)
+            assert iet._block_size(cost, least - 1) == m // 2, (cost, m)
+            assert iet._block_size(cost, least) == m, (cost, m)
+            m *= 2
+        assert iet._block_size(cost, 10 ** 9) == 256
+        # both rules are steps, so checking at and below every threshold
+        # of each covers every steps
+        ends = {0, 1}
+        for r in range(1, 10):
+            m = 2 ** r
+            ends.update((_least_steps(m, cost), m ** 3 * cost))
+        for steps in ends:
+            for n in (steps - 1, steps):
+                assert iet._block_size(cost, n) >= _block_size_reference(cost, n), (cost, n)
+        # the rule is the level growth's up to 4 letters a block
+        assert all(iet._block_size(cost, n) == _block_size_reference(cost, n)
+                   for n in range(64 * cost + 1))
 
 
 # ------------------------------ block regularity walk versus the step walk
@@ -1119,8 +1268,8 @@ def _natural_table(E, m):
 
 def test_block_regularity_matches_step_walk():
     rng = random.Random(20231)
-    # 1024 = 2 * 8**3 is the least depth that walks 8 steps a block
-    depths = (1, 2, 5, 8, 40, 300, 1000, 1024)
+    # 512 = 8**2 * 4 * 2 is the least depth that walks 8 steps a block
+    depths = (1, 2, 5, 8, 40, 300, 511, 512, 1000)
     assert {iet._block_size(2, depth) for depth in depths} == {1, 2, 4, 8}
     late = {"regular": 0, "idoc": 0}
     flipped = own_start = 0
@@ -1216,7 +1365,7 @@ def test_regularity_walk_steps_singly_only_near_cuts(monkeypatch):
         # 3 000 and 2 000 steps covered; the table is built once a call
         assert counts["step"] <= 100 and counts["table"] == 1, (check, counts)
     # an exchange that collides within m steps never builds a table,
-    # also at depth 1000, where m = 4
+    # also at depth 1000, where m = 8 (check_regular) and 4 (check_idoc)
     rotation = build_iet([rational(1, 2), rational(1, 2)], (2, 1))
     for check in (check_regular, check_idoc):
         for depth in (10, 1000):
@@ -1231,7 +1380,7 @@ def test_codings_and_regularity_reports_are_pinned():
         return hashlib.sha256(word.encode()).hexdigest()
 
     x0 = rational(2202, 9973)
-    # 10^6 letters of 3 pieces run at m = 64, 10^5 at m = 32
+    # 10^6 letters of 3 pieces run at m = 256, 10^5 at m = 64
     assert digest(natural_coding(silver_iet(), x0, 10 ** 6)) == \
         "76fdb29c29c5d6f8ccf013c559a3eec3ca32c8e834ace3789a25533f2f16467f"
     assert digest(natural_coding(silver_iet((False, True, False)), x0, 10 ** 5)) == \

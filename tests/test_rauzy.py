@@ -17,8 +17,8 @@ from ietword import rauzy
 from ietword.words import FactorSet
 
 from corpus import (fibonacci_word, flipped_4iet, flipped_corpus, golden_word,
-                    label_search_words, levels_corpus, mark_clash_word, silver_word,
-                    thue_morse_word, tribonacci_word)
+                    label_search_words, levels_corpus, mark_clash_word, near_miss,
+                    random_word, silver_word, thue_morse_word, tribonacci_word)
 
 
 def fib_fs(max_len=21):
@@ -100,6 +100,32 @@ def test_strongly_connected():
     for k in (0, 2):
         with pytest.raises(ValueError):
             strongly_connected(FactorSet("aab", 2), k)
+
+
+def _strongly_connected_reference(fs, k):
+    """strongly_connected by two full searches from one vertex, forward
+    and backward, as it ran before the one-search proof."""
+    ext = fs.extensions(k)
+    start = next(iter(ext))
+    n = len(ext)
+    return (len(_bfs(start, lambda v: [v[1:] + y for y in ext[v][1]])) == n
+            and len(_bfs(start, lambda v: [x + v[:-1] for x in ext[v][0]])) == n)
+
+
+def test_strongly_connected_matches_two_searches():
+    # one search from the last window to the first decides every level
+    # of genuine, substitutive, near-miss and random words
+    words = [fibonacci_word(400), thue_morse_word(400), tribonacci_word(400),
+             golden_word(400), silver_word(400), near_miss(silver_word(400), 200),
+             *(random_word(seed, "abcd"[:2 + seed % 3], 5 + 9 * seed) for seed in range(30))]
+    verdicts = {True: 0, False: 0}
+    for word in words:
+        fs = FactorSet(word, min(len(word), 24))
+        for k in range(1, fs.max_len):
+            got = strongly_connected(fs, k)
+            assert got == _strongly_connected_reference(fs, k), (word, k)
+            verdicts[got] += 1
+    assert min(verdicts.values()) > 100, verdicts
 
 
 # ---------------------------------------------------------------- labels
