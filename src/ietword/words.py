@@ -33,8 +33,8 @@ class FactorSet:
 
     @property
     def alphabet(self) -> tuple[str, ...]:
-        """The word's letters, sorted; read off the blocks of the top
-        level's count."""
+        """The word's letters, sorted; read off the distinct blocks of the
+        last level the top-level count cut."""
         if self._alphabet is None:
             self.counts(self.max_len)
         return self._alphabet
@@ -43,21 +43,23 @@ class FactorSet:
         """Length-n factors with their window counts, in order of first
         occurrence.
 
-        The max_len level is counted once, on first use, a block at a
-        time.  The word is cut into overlapping blocks that hold the
-        windows starting at 0..B-1, B..2B-1, ...; the blocks are counted,
-        and each distinct block adds its own windows, weighted by how
-        often the block occurs.  Every window start lies in exactly one
-        block, so the counts are exact.  A word of low complexity repeats
-        its blocks, so this slices a few windows per distinct block
-        instead of every window of the word.  B is derived from the
-        window count W, the least B with 4 B^3 >= W (63 at 10^6 windows):
-        it balances the W/B block slices against the roughly B^2 windows
-        of the distinct blocks of a word of complexity (k-1)n+1.
-
-        The keys keep their first-occurrence order: the first occurrence
-        of a window lies in the first occurrence of its block, and the
-        distinct blocks are walked in first-occurrence order.
+        The max_len level is counted once, on first use, by halving
+        blocks (`_halvings`): the word's stride-B blocks are counted,
+        then each distinct block is cut into its two half-stride blocks,
+        weighted by its count, down to stride 1, where the blocks are the
+        windows.  A word of complexity (k-1)n+1 has about (k-1)(s+max_len)
+        distinct stride-s blocks, so each level cuts a few hundred blocks
+        instead of slicing every window.  B, the least power of two with
+        16 B^2 >= W, the window count (256 at 10^6 windows), balances the
+        W/B block slices against the roughly 4(k-1)B slices of the
+        halvings.  A word of high complexity repeats no blocks, and their
+        halves outnumber them: once a halving leaves more than 1.5 times
+        as many distinct blocks as it cut, the windows of those blocks
+        are counted directly, weighted by each block's count.  Every
+        window start lies in exactly one block of each level, so the
+        counts are exact, and the keys keep their first-occurrence order,
+        since a block first occurs inside the first occurrence of the
+        block it was cut from.
 
         Every lower level is rolled down from the level above it: a
         length-n factor occurs once for each occurrence of its one-letter
@@ -84,23 +86,25 @@ class FactorSet:
         return got
 
     def _count_top(self) -> None:
-        w, top = self.word, self.max_len
-        windows = len(w) - top + 1
-        step = 1
-        while 4 * step ** 3 < windows:
-            step += 1
-        blocks = Counter(w[i:i + step + top - 1] for i in range(0, windows, step))
-        counted = Counter()
-        for block, c in blocks.items():
-            own = (block[o:o + top] for o in range(len(block) - top + 1))
-            if c == 1:
-                # Counter.update counts in C; it keeps a word of high
-                # complexity, whose blocks are nearly all distinct, as fast
-                # as counting every window
-                counted.update(own)
-            else:
-                for f in own:
-                    counted[f] = counted.get(f, 0) + c
+        top = self.max_len
+        before = float("inf")
+        for stride, blocks in _halvings(self.word, top):
+            if 2 * len(blocks) > 3 * before:
+                break
+            before = len(blocks)
+        counted = blocks
+        if stride > 1:
+            counted = Counter()
+            for block, c in blocks.items():
+                own = (block[o:o + top] for o in range(len(block) - top + 1))
+                if c == 1:
+                    # Counter.update counts in C; it keeps a word of high
+                    # complexity, whose blocks are nearly all distinct, as
+                    # fast as counting every window
+                    counted.update(own)
+                else:
+                    for f in own:
+                        counted[f] = counted.get(f, 0) + c
         self._counts[top] = counted
         self._alphabet = tuple(sorted(set().union(*blocks)))
 
@@ -156,6 +160,37 @@ class FactorSet:
         if len(factor) > self.max_len:
             raise ValueError(f"factor longer than the index ({self.max_len})")
         return factor in self.counts(len(factor))
+
+
+def _halvings(word: str, top: int):
+    """Yield (stride, blocks) from the top stride down to stride 1.
+
+    A stride-s block is the slice word[i:i+s+top-1] at a multiple i of
+    s: it holds the length-top windows that start at i..i+s-1.  The top
+    stride is the least power of two B with 16 B^2 >= W, the window
+    count, and its blocks are counted off the word.  Each lower level
+    cuts every distinct block of the level above into its two halves,
+    each weighted by the block's count; a half too short for a window
+    (of the word's last block) is dropped.  Each level's keys are in
+    order of first occurrence."""
+    windows = len(word) - top + 1
+    stride = 1
+    while 16 * stride * stride < windows:
+        stride *= 2
+    blocks = Counter(word[i:i + stride + top - 1]
+                     for i in range(0, windows, stride))
+    yield stride, blocks
+    while stride > 1:
+        stride //= 2
+        keep = stride + top - 1
+        halves = Counter()
+        for block, c in blocks.items():
+            head, tail = block[:keep], block[stride:]
+            halves[head] = halves.get(head, 0) + c
+            if len(tail) >= top:
+                halves[tail] = halves.get(tail, 0) + c
+        blocks = halves
+        yield stride, blocks
 
 
 def complexity(fs: FactorSet, n: int) -> int:

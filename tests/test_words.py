@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ietword.words import (
     FactorSet,
+    _halvings,
     bispecial_factors,
     complexity,
     special_factors,
@@ -30,12 +31,24 @@ def assert_counts_match(fs, levels):
 
 
 def block_size(windows):
-    """The block length the top-level count documents: the least B with
-    4 B^3 >= the window count."""
+    """The top stride the top-level count documents: the least power of
+    two B with 16 B^2 >= the window count."""
     b = 1
-    while 4 * b ** 3 < windows:
-        b += 1
+    while 16 * b * b < windows:
+        b *= 2
     return b
+
+
+def handover(word, top):
+    """The stride at which the documented rule stops halving and counts
+    windows directly: the first level with more than 1.5 times as many
+    distinct blocks as the level it was cut from, or 1 if none has."""
+    before = None
+    for stride, blocks in _halvings(word, top):
+        if before is not None and 2 * len(blocks) > 3 * before:
+            return stride
+        before = len(blocks)
+    return 1
 
 
 def assert_index_matches_slicing(word, max_len):
@@ -97,17 +110,74 @@ def test_counts_match_window_slicing(word, max_len):
 
 @pytest.mark.parametrize("source", ["silver", "random2", "random3"])
 def test_block_count_every_last_block_length(source):
-    # window counts 1000..1012 run through every residue mod B = 7, so the
-    # last block holds B, 1 or B - 1 windows among others
-    top = 9
-    counts = range(1000, 1013)
+    # window counts 1000..1015 all take the top stride B = 8 and run
+    # through every residue mod 8, so the word's last block holds 1 to 8
+    # windows: fewer than a half of 4 (its second half holds none and is
+    # dropped), exactly a half, or a half and a second half of 1 to 3.
+    # At top 10 every block has odd length.  The silver source halves
+    # down to the windows; the random ones hand over to the direct count
+    # at stride 4
+    counts = range(1000, 1016)
     b = block_size(1000)
-    assert all(block_size(n) == b for n in counts)
-    assert {0, 1, b - 1} <= {n % b for n in counts}
+    assert b == 8 and all(block_size(n) == b for n in counts)
+    assert {n % b for n in counts} == set(range(b))
     long = {"silver": silver_word(1100), "random2": random_word(14, "ab", 1100),
             "random3": random_word(15, "abc", 1100)}[source]
-    for n in counts:
-        assert_index_matches_slicing(long[:n + top - 1], top)
+    for top in (9, 10):
+        for n in counts:
+            word = long[:n + top - 1]
+            assert next(_halvings(word, top))[0] == b
+            assert handover(word, top) == (1 if source == "silver" else 4)
+            assert_index_matches_slicing(word, top)
+
+
+def mixed_word(n, silver_share, first, tail_letters):
+    """A silver prefix then a random tail, or the random part first."""
+    silver = silver_word(n)[:round(n * silver_share)]
+    rest = random_word(n, tail_letters, n - len(silver))
+    return silver + rest if first == "silver" else rest + silver
+
+
+# silver with a random part of 50, 10, 3, 1 and 0.5 % of its letters: the
+# halving keeps its sharing for some levels, then hands over to counting
+# windows directly where the random blocks take over
+MIXED = [(n, share, first, letters)
+         for n, share in [(10_000, 0.5), (10_000, 0.9), (10_000, 0.97),
+                          (10_000, 0.99), (100_000, 0.5), (100_000, 0.9),
+                          (100_000, 0.97), (100_000, 0.995)]
+         for first in ("silver", "random")
+         for letters in ("123", "1234")]
+
+
+@pytest.mark.parametrize("n,share,first,letters", MIXED)
+def test_counts_match_slicing_across_handover(n, share, first, letters):
+    word = mixed_word(n, share, first, letters)
+    fs = FactorSet(word, 21)
+    assert_counts_match(fs, [21, 20])
+    assert fs.alphabet == tuple(sorted(set(word)))
+
+
+def test_mixed_words_hand_over_at_many_levels():
+    # the corpus above hands over to the direct count at five different
+    # strides, and some of its words halve all the way down to the windows
+    strides = {handover(mixed_word(*case), 21) for case in MIXED}
+    assert {64, 16, 8, 4, 2, 1} <= strides
+
+
+def test_halvings_share_blocks_of_silver():
+    # a word of complexity (k - 1)n + 1 has at most (k - 1)(s + top - 1) + 1
+    # distinct stride-s blocks of full length, and the word's last block
+    # may add one, within (k - 1)(s + top) + 1: every level of the silver
+    # 3-IET's coding stays under that bound, down to the windows, so no
+    # level hands over
+    word, top, k = silver_word(100000), 21, 3
+    levels = list(_halvings(word, top))
+    assert [s for s, _ in levels] == [128, 64, 32, 16, 8, 4, 2, 1]
+    assert handover(word, top) == 1
+    for stride, blocks in levels:
+        assert len(blocks) <= (k - 1) * (stride + top) + 1
+        assert sum(blocks.values()) == -(-(len(word) - top + 1) // stride)
+    assert list(levels[-1][1].items()) == list(window_counts(word, top).items())
 
 
 @pytest.mark.parametrize("letters", ["ab", "abc", "abcd"])
