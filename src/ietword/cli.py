@@ -6,17 +6,16 @@ input errors.  All subcommands are deterministic: same inputs, same
 bytes out.
 
 Each command is its own process, and start-up is most of a short
-command's time, so each handler imports the layers it runs and nothing
-else: `--help` loads only this module and `exact` (which the package
-loads anyway), `validate` adds `words` and `rauzy`, `fz` adds `words`
-and `orders`.
+command's time, so a launch builds and loads only what it runs: the parser
+of the subcommand it names first (`--help`, no command or an unknown one
+builds every row of `_COMMANDS`), and the layers its handler imports.
+`--help` loads only `ietword` and this module; `validate` adds `words`,
+`rauzy` and `exact`, `fz` adds `words`, `orders` and `exact`.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-
-from .exact import ScalarParseError, format_scalar, parse_scalar
 
 USAGE_ERROR = 3
 INCONCLUSIVE = 2
@@ -45,7 +44,10 @@ def _read_text(path: str) -> str:
 
 
 def _read_word(path: str):
-    word = "".join(_read_text(path).split())
+    word = _read_text(path).strip()
+    # the ASCII spaces str.split() splits on; a one-line word is not copied
+    if any(c in word for c in " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"):
+        word = "".join(word.split())
     if not word:
         raise _UsageError(f"{path} holds no symbols")
     return word
@@ -66,6 +68,7 @@ def _write(path, text: str) -> None:
 
 def _cmd_gen(args) -> int:
     from .config import ConfigError, parse_iet_config
+    from .exact import ScalarParseError, parse_scalar
     from .iet import CodingConfig, coding_with_sets, natural_coding
     try:
         T, sets = parse_iet_config(_read_text(args.config))
@@ -211,6 +214,7 @@ def _cmd_fz(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     from .config import format_iet_config
+    from .exact import format_scalar
     from .iet import DEFAULT_LETTERS, CodingConfig
     from .rauzy import validate_evolution
     from .reconstruct import SYMBOLS_PER_LEVEL, reconstruct_iet, verify_roundtrip
@@ -257,61 +261,71 @@ def _cmd_reconstruct(args) -> int:
     return OK
 
 
-def main(argv=None) -> int:
+# one row per subcommand: name, help, handler, then each argument as the
+# positional and keyword arguments of its add_argument call
+_COMMANDS = (
+    ("gen", "code an orbit of a configured exchange", _cmd_gen, (
+        (("config",), {}),
+        (("-n", "--length"), {"type": int, "required": True}),
+        (("--x0",), {"default": "0", "help": "starting point (scalar literal)"}),
+        (("-o", "--output"), {}))),
+    ("analyze", "complexity and special-factor counts", _cmd_analyze, (
+        (("word",), {}),
+        (("--max-len",), {"type": int, "default": 30}),
+        (("-o", "--output"), {}))),
+    ("rauzy", "write factor graphs as DOT files", _cmd_rauzy, (
+        (("word",), {}),
+        (("--k-min",), {"type": int, "default": 1}),
+        (("--k-max",), {"type": int, "default": 8}),
+        (("--out-dir",), {"default": "."}))),
+    ("validate", "run the evolution validator", _cmd_validate, (
+        (("word",), {}),
+        (("--k-min",), {"type": int, "default": 1}),
+        (("--k-max",), {"type": int, "default": 20}),
+        (("--oriented",), {"action": "store_true"}),
+        (("-o", "--output"), {}))),
+    ("fz", "extension-set interval conditions", _cmd_fz, (
+        (("word",), {}),
+        (("--orders",), {"nargs": 2, "metavar": ("PI0", "PI1")}),
+        (("--search",), {"action": "store_true"}),
+        (("--max-len",), {"type": int, "default": 12}),
+        (("-o", "--output"), {}))),
+    ("reconstruct", "rebuild a candidate exchange", _cmd_reconstruct, (
+        (("word",), {}),
+        (("--k-min",), {"type": int, "default": 1}),
+        (("--k-max",), {"type": int, "default": 12}),
+        (("--oriented",), {"action": "store_true"}),
+        (("--depth",), {"type": int, "default": 6}),
+        (("--roundtrip",), {"type": int, "default": 500}),
+        (("--out-config",), {"default": "candidate.cfg"}),
+        (("--out-report",), {"default": "candidate.csv"}))),
+)
+
+
+def _parser(commands):
+    """The parser of the given rows of `_COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="ietword",
         description="interval exchange codings: generate, analyze, validate")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # fewer rows still name every command in the usage line the top level
+    # prints with "unrecognized arguments"; all rows keep argparse's own
+    # metavar, which the "required" and "invalid choice" errors print
+    every = "{" + ",".join(row[0] for row in _COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=every if len(commands) < len(_COMMANDS) else None)
+    for name, text, func, arguments in commands:
+        p = sub.add_parser(name, help=text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
+    return parser
 
-    p = sub.add_parser("gen", help="code an orbit of a configured exchange")
-    p.add_argument("config")
-    p.add_argument("-n", "--length", type=int, required=True)
-    p.add_argument("--x0", default="0", help="starting point (scalar literal)")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("analyze", help="complexity and special-factor counts")
-    p.add_argument("word")
-    p.add_argument("--max-len", type=int, default=30)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("rauzy", help="write factor graphs as DOT files")
-    p.add_argument("word")
-    p.add_argument("--k-min", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=_cmd_rauzy)
-
-    p = sub.add_parser("validate", help="run the evolution validator")
-    p.add_argument("word")
-    p.add_argument("--k-min", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=20)
-    p.add_argument("--oriented", action="store_true")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("fz", help="extension-set interval conditions")
-    p.add_argument("word")
-    p.add_argument("--orders", nargs=2, metavar=("PI0", "PI1"))
-    p.add_argument("--search", action="store_true")
-    p.add_argument("--max-len", type=int, default=12)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_fz)
-
-    p = sub.add_parser("reconstruct", help="rebuild a candidate exchange")
-    p.add_argument("word")
-    p.add_argument("--k-min", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=12)
-    p.add_argument("--oriented", action="store_true")
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--roundtrip", type=int, default=500)
-    p.add_argument("--out-config", default="candidate.cfg")
-    p.add_argument("--out-report", default="candidate.csv")
-    p.set_defaults(func=_cmd_reconstruct)
-
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    rows = [row for row in _COMMANDS if row[0] in argv[:1]]
     try:
-        args = parser.parse_args(argv)
+        args = _parser(rows or _COMMANDS).parse_args(argv)
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:

@@ -1,13 +1,17 @@
 """End-to-end checks of the command line, run in-process via main(argv)."""
+import argparse
+import gc
 import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import ietword
+from ietword import cli
 from ietword.cli import main
 from ietword.config import parse_iet_config
 from ietword.exact import parse_scalar, rational
@@ -544,12 +548,80 @@ def test_long_silver_outputs_are_pinned(tmp_path, capsys, monkeypatch):
 
 def test_usage_errors(capsys):
     assert main([]) == 3
-    capsys.readouterr()
+    assert "required: command\n" in capsys.readouterr().err
     assert main(["frobnicate"]) == 3
-    capsys.readouterr()
+    assert "argument command: invalid choice: " in capsys.readouterr().err
     with_help = main(["--help"])
     capsys.readouterr()
     assert with_help == 0
+
+
+def test_read_word_drops_what_split_drops(tmp_path):
+    # each ASCII character inside, before and after a word is dropped
+    # exactly when "".join(text.split()) drops it
+    path = tmp_path / "word.txt"
+    for char in map(chr, range(128)):
+        text = f"{char}12{char}21{char}\n"
+        path.write_text(text, newline="")
+        assert cli._read_word(str(path)) == "".join(text.split()), repr(char)
+
+
+def _parse(parser, argv, capsys):
+    """The Namespace, or the exit code, then stdout and stderr of a parse."""
+    try:
+        got = parser.parse_args(argv)
+    except SystemExit as e:
+        got = e.code
+    return (got, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("row", cli._COMMANDS, ids=lambda row: row[0])
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, columns, row):
+    monkeypatch.setenv("COLUMNS", columns)
+    name, arguments = row[0], row[3]
+    ints = [flags[-1] for flags, options in arguments if options.get("type") is int]
+    valued = [flags[-1] for flags, options in arguments
+              if flags[0].startswith("-") and "action" not in options]
+    valid = [name, "w", ints[0], "5"]
+    cases = [[name, "--help"], [name], [*valid, "--bogus"],
+             [name, "w", ints[0], "many"], [name, "w", valued[0]], valid]
+    got = [_parse(cli._parser([row]), argv, capsys) for argv in cases]
+    assert got == [_parse(cli._parser(cli._COMMANDS), argv, capsys) for argv in cases]
+    assert [g[0] for g in got[:-1]] == [0, 2, 2, 2, 2]
+    assert got[-1][0].func is row[2]
+
+
+def test_a_launch_builds_only_its_command(tmp_path, cfg, monkeypatch, capsys):
+    word = gen_word(tmp_path, cfg, 200)
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    assert main(["fz", word, "--search", "--max-len", "4"]) == 0
+    assert built == ["fz"]
+    assert main(["--help"]) == 0
+    assert built == ["fz", "gen", "analyze", "rauzy", "validate", "fz", "reconstruct"]
+
+
+def test_no_parser_outlives_main(tmp_path, cfg, capsys):
+    word = gen_word(tmp_path, cfg, 200)
+    assert main(["fz", word, "--search", "--max-len", "4"]) == 0
+    assert main(["--help"]) == 0
+    # everything cli's own globals reach, modules and classes aside
+    todo = [v for k, v in vars(cli).items() if not k.startswith("__")]
+    seen = set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, argparse.ArgumentParser)
+        todo += gc.get_referents(obj)
+    assert len(seen) > 100
 
 
 def test_module_entry_point(tmp_path):
@@ -580,7 +652,16 @@ def test_cli_import_loads_no_layer(tmp_path):
                          "if m.split('.')[0] in ('ietword', 'dataclasses', 'inspect')))"],
                   tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode() == "['ietword', 'ietword.cli', 'ietword.exact']\n"
+    assert proc.stdout.decode() == "['ietword', 'ietword.cli']\n"
+
+
+def test_help_loads_no_scalar_layer(tmp_path):
+    proc = _fresh(["-X", "importtime", "-m", "ietword", "--help"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.decode().splitlines()
+              if line.startswith("import time:")}
+    assert {"ietword", "ietword.cli", "argparse"} <= loaded
+    assert not loaded & {"ietword.exact", "fractions", "decimal"}
 
 
 # one small run of each subcommand; a fresh interpreter has only the

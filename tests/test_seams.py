@@ -76,7 +76,9 @@ def test_no_module_imports_private_names():
 
 def unused_names(source: str) -> list[str]:
     """Names a module imports but never reads, then names its `__all__`
-    lists but the module does not bind at its top level."""
+    lists but the module neither binds at its top level nor serves from
+    a top-level `__getattr__` (the strings of the tuple, list or set
+    literals that function holds)."""
     tree = ast.parse(source)
     imported = []
     for node in ast.walk(tree):
@@ -90,6 +92,10 @@ def unused_names(source: str) -> list[str]:
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             bound.add(node.name)
+            if node.name == "__getattr__":
+                bound.update(elt.value for sub in ast.walk(node)
+                             if isinstance(sub, (ast.Tuple, ast.List, ast.Set))
+                             for elt in sub.elts if isinstance(elt, ast.Constant))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             bound.update(alias.asname or alias.name.split(".")[0]
                          for alias in node.names)
@@ -116,6 +122,13 @@ def test_guard_sees_unused_names():
               "class Graph:\n"
               "    fs: FS\n")
     assert unused_names(source) == ["os", "field", "gone"]
+    # a name __getattr__ serves counts as bound; one it does not still fails
+    served = (source.replace("'gone'", "'gone', 'lazy', 'late'")
+              + "def __getattr__(name):\n"
+              "    if name in ('lazy', 'other'):\n"
+              "        return name\n"
+              "    raise AttributeError(f'no {name}')\n")
+    assert unused_names(served) == ["os", "field", "gone", "late"]
 
 
 def test_no_module_has_unused_names():
