@@ -10,7 +10,8 @@ command's time, so a launch builds and loads only what it runs: the parser
 of the subcommand it names first (`--help`, no command or an unknown one
 builds every row of `_COMMANDS`), and the layers its handler imports.
 `--help` loads only `ietword` and this module; `validate` adds `words`,
-`rauzy` and `exact`, `fz` adds `words`, `orders` and `exact`.
+`rauzy` and `record`, `fz` adds `words`, `orders` and `record`, and
+neither loads the scalar layer `exact`.
 """
 from __future__ import annotations
 

@@ -17,6 +17,11 @@ Conventions, fixed once for the whole package:
   map or walk is a forward one of T.inverse.
 * Every step runs on the exchange's integer kernel, _IntOrbit: the
   point maps, the orbits, the cylinder walks and the regularity checks.
+* An exchange builds the cylinder walk of a coding partition once, on
+  first use, with the cylinders of its single letters; ``cylinder``,
+  ``longest_cylinder`` and ``cylinder_lengths`` on any equal config then
+  share it.  A partition whose walk cannot be built (MixedRadicalError)
+  is not kept.
 """
 from __future__ import annotations
 
@@ -24,8 +29,9 @@ import math
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
-from .exact import (ExactScalar, Interval, MixedRadicalError, ONE, Record, ZERO,
-                    as_scalar, compare, quadratic_sign)
+from .exact import (ExactScalar, Interval, MixedRadicalError, ONE, ZERO, as_scalar, compare,
+                    quadratic_sign)
+from .record import Record
 
 __all__ = [
     "CodingConfig",
@@ -106,6 +112,7 @@ class IETSpec:
         # reflection point: flipped branch sends interior x to refl - x
         self.refl = tuple(self.dest_lo[i - 1] + self.left[i] for i in range(1, k + 1))
         self.kernel = _IntOrbit(self)
+        self._walks = {}
 
     @staticmethod
     def _coerce(x) -> ExactScalar:
@@ -152,6 +159,16 @@ class IETSpec:
         a, b = kernel.step(p, E)
         ED = E * kernel.D
         return ExactScalar._canonical(Fraction(a, ED), Fraction(b, ED), kernel.d)
+
+    def _walk(self, config: "CodingConfig") -> "_Cylinders":
+        """The cylinder walk of config's partition, built on first use and
+        shared by every later call with an equal config."""
+        key = (config.encoded, config.piece_letters)
+        walk = self._walks.get(key)
+        if walk is None:
+            # a build that raises (MixedRadicalError) caches nothing
+            walk = self._walks[key] = _Cylinders(self.kernel, *key)
+        return walk
 
     @cached_property
     def inverse(self) -> "IETSpec":
@@ -561,6 +578,11 @@ class _Cylinders:
     letter span_letters[j-1] and in exchange interval exchange[j-1].  A
     part is a piece inside one span, tagged (j, piece), so a step reads
     its branch off the tag.
+
+    An exchange keeps one walk per coding partition (IETSpec._walk), and
+    every cylinder call on that partition shares it.  That is safe:
+    advance and clip return new lists, the one-letter cylinders are
+    tuples, and the callers only read the parts (intervals, length).
     """
 
     def __init__(self, kernel: _IntOrbit, encoded, letters):
@@ -589,7 +611,11 @@ class _Cylinders:
         self.spans = {}
         for j, letter in enumerate(span_letters, start=1):
             self.spans.setdefault(letter, []).append((j, bounds[j - 1], bounds[j]))
-        self.root = ((0, 0), (k.D, 0), True, False, 1, (0, 0))
+        # first[letter]: the parts of the letter's one-letter cylinder,
+        # [0,1) clipped to each of its spans: the span itself, unmapped
+        self.first = {letter: tuple((j, (lo, hi, True, False, 1, (0, 0)))
+                                    for j, lo, hi in spans)
+                      for letter, spans in self.spans.items()}
 
     def split(self, pieces):
         """(j, part) for every part of a piece inside span j."""
@@ -672,7 +698,7 @@ class _Cylinders:
         for n in range(depth):
             grown = []
             for w, hit in frontier:
-                parts = self.by_letter(self.advance(hit) if n else [self.root])
+                parts = self.by_letter(self.advance(hit)) if n else self.first
                 for letter in alphabet:
                     part = parts.get(letter)
                     if part:
@@ -793,12 +819,12 @@ class _Cylinders:
 
     def prefix(self, w: str):
         """How many leading letters of w have a nonempty cylinder, and its parts."""
-        depth, hit = 0, []
+        depth, hit = 0, ()
         for letter in w:
             spans = self.spans.get(letter)
             if spans is None:
                 raise ValueError(f"letter {letter!r} not in the coding config")
-            part = self.clip(self.advance(hit) if depth else [self.root], spans)
+            part = self.clip(self.advance(hit), spans) if depth else self.first[letter]
             if not part:
                 break
             depth, hit = depth + 1, part
@@ -846,7 +872,7 @@ def longest_cylinder(T: IETSpec, config: CodingConfig, w: str):
 
     (0, ()) when the cylinder of w's first letter is already empty.
     """
-    walk = _Cylinders(T.kernel, config.encoded, config.piece_letters)
+    walk = T._walk(config)
     depth, parts = walk.prefix(w)
     return depth, walk.intervals(parts)
 
@@ -855,7 +881,7 @@ def cylinder(T: IETSpec, config: CodingConfig, w: str) -> tuple[Interval, ...]:
     """Maximal intervals of points whose coding starts with w (exact)."""
     if not w:
         raise ValueError("cylinder word must be nonempty")
-    walk = _Cylinders(T.kernel, config.encoded, config.piece_letters)
+    walk = T._walk(config)
     depth, parts = walk.prefix(w)
     if depth < len(w):
         return ()
@@ -867,6 +893,6 @@ def cylinder_lengths(T: IETSpec, config: CodingConfig, depth: int) -> dict[str, 
     whose cylinder is nonempty."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    walk = _Cylinders(T.kernel, config.encoded, config.piece_letters)
+    walk = T._walk(config)
     return {w: walk.length(part)
             for level in walk.levels(depth, config.letters) for w, part in level}

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .exact import Record
+from .record import Record
 from .words import FactorSet
 
 __all__ = ["OrderPair", "OrderReport", "candidate_orders", "check_orders",

@@ -44,7 +44,7 @@ walk, one bit of its bitsets.
 """
 from __future__ import annotations
 
-from .exact import Record
+from .record import Record
 from .words import FactorSet
 
 __all__ = [

@@ -655,11 +655,16 @@ def test_cli_import_loads_no_layer(tmp_path):
     assert proc.stdout.decode() == "['ietword', 'ietword.cli']\n"
 
 
-def test_help_loads_no_scalar_layer(tmp_path):
-    proc = _fresh(["-X", "importtime", "-m", "ietword", "--help"], tmp_path)
+def _loaded(argv, cwd):
+    """The modules a fresh `python -S -m ietword` launch of argv imports."""
+    proc = _fresh(["-X", "importtime", "-m", "ietword", *argv], cwd)
     assert proc.returncode == 0, proc.stderr
-    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.decode().splitlines()
-              if line.startswith("import time:")}
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.decode().splitlines()
+            if line.startswith("import time:")}
+
+
+def test_help_loads_no_scalar_layer(tmp_path):
+    loaded = _loaded(["--help"], tmp_path)
     assert {"ietword", "ietword.cli", "argparse"} <= loaded
     assert not loaded & {"ietword.exact", "fractions", "decimal"}
 
@@ -675,6 +680,15 @@ FRESH_RUNS = {
     "reconstruct": ["reconstruct", "word.txt", "--k-max", "6", "--depth", "3",
                     "--roundtrip", "200"],
 }
+
+
+@pytest.mark.parametrize("cmd", ["validate", "fz", "rauzy"])
+def test_word_commands_load_no_scalar_layer(tmp_path, cmd):
+    # their reports are plain records; the scalars are not theirs to load
+    (tmp_path / "word.txt").write_text(golden_mechanical_word(400) + "\n")
+    loaded = _loaded(FRESH_RUNS[cmd], tmp_path)
+    assert {"ietword.words", "ietword.record"} <= loaded
+    assert not loaded & {"ietword.exact", "fractions", "decimal"}
 
 
 @pytest.mark.parametrize("cmd", sorted(FRESH_RUNS))

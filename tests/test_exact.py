@@ -220,7 +220,7 @@ def test_interval_rejects_reversed():
 
 # ---------------------------------------------------------- value classes
 # ExactScalar, Interval and the report classes are plain classes on
-# exact.Record; these pin what their callers read of them.
+# record.Record; these pin what their callers read of them.
 
 FROZEN = [
     make_quadratic(1, 2, 3, 4, 5),

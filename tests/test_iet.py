@@ -887,20 +887,29 @@ def test_natural_walk_runs_on_the_kernel_itself(monkeypatch):
         walks.append(self)
 
     monkeypatch.setattr(iet._Cylinders, "__init__", spy)
-    exchanges = [golden_iet(), silver_iet((False, True, False)),
-                 build_iet([rational(1, 4), rational(1, 2), rational(1, 4)], (2, 3, 1),
-                           (False, True, True))]
+    # fresh exchanges, so no earlier test has filled their walk dicts
+    exchanges = [build_iet(S.lengths, S.permutation, S.flips)
+                 for S in (golden_iet(), silver_iet((False, True, False)))]
+    exchanges.append(build_iet([rational(1, 4), rational(1, 2), rational(1, 4)], (2, 3, 1),
+                               (False, True, True)))
     for T in exchanges:
         cfg = CodingConfig.natural(T, "abc")
         x0 = T.left[1]
         natural_coding(T, x0, 40)
         coding_with_sets(T, cfg, x0, 40)
         essential_codings(T, cfg, x0, 40)
+        # the three cylinder functions share one walk of the partition
         cylinder(T, cfg, "ab")
         longest_cylinder(T, cfg, "abab")
         cylinder_lengths(T, cfg, 2)
+        assert len(walks) == 4
+        # an equal config built on its own finds that walk and builds none
+        again = CodingConfig.natural(T, "abc")
+        cylinder(T, again, "ba")
+        longest_cylinder(T, again, "baba")
+        cylinder_lengths(T, again, 3)
+        assert len(walks) == 4 and T._walk(again) is walks[3]
         # the natural config's bounds are the kernel's own table, not a copy
-        assert len(walks) == 6
         for walk in walks:
             assert walk.kernel is T.kernel and walk.bounds is T.kernel.left
         walks.clear()
@@ -911,6 +920,63 @@ def test_natural_walk_runs_on_the_kernel_itself(monkeypatch):
         assert walks[0].kernel is not T.kernel and walks[0].bounds is walks[0].kernel.left
         assert walks[1].bounds != walks[1].kernel.left
         walks.clear()
+
+
+def test_shared_walk_answers_as_a_fresh_walk_per_word():
+    """Each exchange keeps one walk per partition for its cylinder calls;
+    their answers must not depend on the calls made before them."""
+    rng = random.Random(20074)
+    plain = random_exchange(rng, 3, 2, flip_p=0)
+    flipped = random_exchange(rng, 3, 5, flip_p=0.5)
+    assert any(flipped.flips) and not any(plain.flips)
+    # a config over sqrt 2 against an exchange over sqrt 5
+    u = SQRT2 - 1
+    other = CodingConfig([("x", (Interval(ZERO, u),)), ("y", (Interval(u, ONE),))])
+    bad = [lambda: cylinder(flipped, other, "xy"), lambda: longest_cylinder(flipped, other, "x"),
+           lambda: cylinder_lengths(flipped, other, 2)]
+    for call in bad * 2:
+        with pytest.raises(MixedRadicalError):
+            call()
+    assert flipped._walks == {}
+    calls, keys = [], {}
+    for T, d in ((plain, 2), (flipped, 5)):
+        # equal letters, and the two scattered configs equal piece letters,
+        # so a walk keyed by either would mix them up
+        configs = [CodingConfig.natural(T, "xyz"), _scattered_config(rng, d, "xyz", T),
+                   _scattered_config(rng, d, "xyz", T)]
+        keys[T] = {(cfg.encoded, cfg.piece_letters) for cfg in configs}
+        assert len(keys[T]) == 3 and configs[1].piece_letters == configs[2].piece_letters
+        for cfg in configs:
+            words = [""]
+            for _ in range(5):
+                words = [w + c for w in words for c in cfg.letters]
+                calls += [(T, cfg, w) for w in words]
+            calls += [(T, cfg, depth) for depth in (1, 3)]
+    calls += [(flipped, other, "xy")] * 3
+    rng.shuffle(calls)
+    empty = 0
+    for T, cfg, w in calls:
+        if cfg is other:
+            with pytest.raises(MixedRadicalError):
+                cylinder(T, cfg, w)
+            continue
+        fresh = iet._Cylinders(T.kernel, cfg.encoded, cfg.piece_letters)
+        if isinstance(w, int):
+            assert cylinder_lengths(T, cfg, w) == {
+                word: fresh.length(part)
+                for level in fresh.levels(w, cfg.letters) for word, part in level}
+            continue
+        depth, parts = fresh.prefix(w)
+        expect = fresh.intervals(parts)
+        assert longest_cylinder(T, cfg, w) == (depth, expect)
+        # the scalar reference is slow: every short word, one in 20 of the rest
+        if len(w) <= 2 or rng.random() < 0.05:
+            assert (depth, expect) == _longest_reference(T, cfg, w)
+        assert cylinder(T, cfg, w) == (expect if depth == len(w) else ())
+        empty += depth < len(w)
+    assert empty
+    for T in (plain, flipped):
+        assert set(T._walks) == keys[T]
 
 
 # ----------------------------------- block coding versus the step walk
