@@ -5,6 +5,10 @@ ExactScalar, so each boundary decision reduces to integer sign tests;
 no floating point enters any decision path.  Values are immutable and
 hashable (pure value semantics).
 
+A scalar holds the integers of its literal, (num + irr*sqrt(d))/den, so
+arithmetic, comparison, formatting and the orbit kernel's boundary run
+on ints; its Fraction fields rat and coef are built only when read.
+
 ExactScalar and Interval are plain classes on record.Record.
 """
 from __future__ import annotations
@@ -41,16 +45,18 @@ class ScalarParseError(ValueError):
     """Text does not match the scalar literal grammar."""
 
 
-def _square_free_split(n: int) -> tuple[int, int]:
-    # n = m*m * n0 with n0 square-free
-    m, n0, f = 1, n, 2
-    while f * f <= n0:
-        ff = f * f
-        while n0 % ff == 0:
-            n0 //= ff
-            m *= f
+def _square_free(num: int, irr: int, den: int, d: int) -> tuple[int, int, int, int]:
+    """(num + irr*sqrt(d))/den with d made square-free: each square factor
+    f*f of d moves into irr as f, and sqrt(1) into num.  d == 0 drops irr."""
+    f = 2
+    while irr and f * f <= d:
+        while d % (f * f) == 0:
+            d //= f * f
+            irr *= f
         f += 1
-    return m, n0
+    if d <= 1:
+        return num + irr * d, 0, den, 0
+    return num, irr, den, d
 
 
 def quadratic_sign(u, v, d: int) -> int:
@@ -76,48 +82,51 @@ def quadratic_sign(u, v, d: int) -> int:
 
 @total_ordering
 class ExactScalar(Record):
-    """rat + coef * sqrt(d), exactly.
+    """(num + irr*sqrt(d))/den, exactly, for ints num, irr and den.
 
-    Canonical form: d is square-free and >= 2, and d == 0 iff coef == 0
-    (pure rationals always carry d == 0).  Construction normalizes, so
-    equal values have equal field tuples.
+    Canonical form: den > 0, gcd(num, irr, den) == 1, d is square-free
+    and >= 2, and d == 0 iff irr == 0 (pure rationals always carry
+    d == 0): the (p+-r*sqrt(d))/q of the literal grammar.  Construction
+    normalizes, so equal values have equal integer triples.  The record's
+    fields are rat, coef and d, the value as rat + coef*sqrt(d) with rat
+    and coef Fractions built when read, so pickling goes through the
+    public constructor ExactScalar(rat, coef, d).
     """
 
-    __slots__ = _fields = ("rat", "coef", "d")
+    __slots__ = ("num", "irr", "den", "d")
+    _fields = ("rat", "coef", "d")
 
-    def __init__(self, rat=Fraction(0), coef=Fraction(0), d: int = 0) -> None:
-        if not isinstance(rat, Fraction):
-            rat = Fraction(rat)
-        if not isinstance(coef, Fraction):
-            coef = Fraction(coef)
+    def __new__(cls, rat=0, coef=0, d: int = 0) -> "ExactScalar":
         if not isinstance(d, int) or d < 0:
             raise ValueError(f"radicand must be a non-negative integer, got {d!r}")
-        if d == 0:
-            coef = Fraction(0)
-        elif coef == 0:
-            d = 0
-        else:
-            m, d = _square_free_split(d)
-            if m != 1:
-                coef *= m
-            if d == 1:
-                rat += coef
-                coef = Fraction(0)
-                d = 0
-        _set_rat(self, rat)
-        _set_coef(self, coef)
-        _set_d(self, d)
+        rat, coef = Fraction(rat), Fraction(coef)
+        q, s = rat.denominator, coef.denominator
+        return cls._canonical(*_square_free(rat.numerator * s, coef.numerator * q, q * s, d))
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Nothing to do: __new__ built the value."""
 
     @classmethod
-    def _canonical(cls, rat: Fraction, coef: Fraction, d: int) -> "ExactScalar":
-        """rat + coef*sqrt(d) from parts already in canonical form, so
-        normalizing is skipped: Fractions rat and coef, and d square-free
-        and >= 2, or 0 with coef == 0.  d is set to 0 when coef == 0."""
+    def _canonical(cls, num: int, irr: int, den: int, d: int) -> "ExactScalar":
+        """(num + irr*sqrt(d))/den from ints, with den != 0 and d already
+        square-free and >= 2, or 0 with irr == 0: only the sign and the
+        common factor are normalized, with one gcd, and d is set to 0
+        when irr == 0."""
+        if den < 0:
+            num, irr, den = -num, -irr, -den
+        g = math.gcd(num, irr, den)
+        if g != 1:
+            num, irr, den = num // g, irr // g, den // g
         x = object.__new__(cls)
-        _set_rat(x, rat)
-        _set_coef(x, coef)
-        _set_d(x, d if coef else 0)
+        _set_num(x, num)
+        _set_irr(x, irr)
+        _set_den(x, den)
+        _set_d(x, d if irr else 0)
         return x
+
+    # the value as rat + coef*sqrt(d), in Fractions
+    rat = property(lambda self: Fraction(self.num, self.den))
+    coef = property(lambda self: Fraction(self.irr, self.den))
 
     def _join_d(self, other: "ExactScalar") -> int:
         if self.d == 0:
@@ -130,20 +139,22 @@ class ExactScalar(Record):
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1} via integer comparisons only."""
-        return quadratic_sign(self.rat, self.coef, self.d)
+        return quadratic_sign(self.num, self.irr, self.d)
 
     def __bool__(self) -> bool:
-        return self.rat != 0 or self.coef != 0
+        return self.num != 0 or self.irr != 0
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.rat, -self.coef, self.d)
+        return ExactScalar._canonical(-self.num, -self.irr, self.den, self.d)
 
     def __add__(self, other: object) -> "ExactScalar":
         o = as_scalar(other)
         if o is None:
             return NotImplemented
         d = self._join_d(o)
-        return ExactScalar(self.rat + o.rat, self.coef + o.coef, d)
+        p, q = self.den, o.den
+        return ExactScalar._canonical(self.num * q + o.num * p, self.irr * q + o.irr * p,
+                                      p * q, d)
 
     __radd__ = __add__
 
@@ -164,21 +175,19 @@ class ExactScalar(Record):
         if o is None:
             return NotImplemented
         d = self._join_d(o)
-        return ExactScalar(
-            self.rat * o.rat + self.coef * o.coef * d,
-            self.rat * o.coef + self.coef * o.rat,
-            d,
-        )
+        return ExactScalar._canonical(self.num * o.num + self.irr * o.irr * d,
+                                      self.num * o.irr + self.irr * o.num,
+                                      self.den * o.den, d)
 
     __rmul__ = __mul__
 
     def _invert(self) -> "ExactScalar":
         if not self:
             raise ZeroDivisionError("division by zero scalar")
-        # 1/(u + v sqrt d) = (u - v sqrt d)/(u^2 - v^2 d); the norm is a
-        # non-zero rational because sqrt(d) is irrational in canonical form.
-        norm = self.rat * self.rat - self.coef * self.coef * self.d
-        return ExactScalar(self.rat / norm, -self.coef / norm, self.d)
+        # den/(u + v sqrt d) = den (u - v sqrt d)/(u^2 - v^2 d); the norm is
+        # a non-zero integer because sqrt(d) is irrational in canonical form.
+        u, v, d = self.num, self.irr, self.d
+        return ExactScalar._canonical(self.den * u, -self.den * v, u * u - v * v * d, d)
 
     def __truediv__(self, other: object) -> "ExactScalar":
         o = as_scalar(other)
@@ -200,7 +209,7 @@ class ExactScalar(Record):
         o = as_scalar(other)
         if o is None:
             return NotImplemented
-        return self.rat == o.rat and self.coef == o.coef and self.d == o.d
+        return (self.num, self.irr, self.den, self.d) == (o.num, o.irr, o.den, o.d)
 
     def __lt__(self, other: object) -> bool:
         o = as_scalar(other)
@@ -210,23 +219,16 @@ class ExactScalar(Record):
 
     def __hash__(self) -> int:
         if self.d == 0:
-            return hash(self.rat)
-        return hash((self.rat, self.coef, self.d))
+            return hash(Fraction(self.num, self.den))
+        return hash((self.num, self.irr, self.den, self.d))
 
     def __floor__(self) -> int:
-        u, v = self.rat, self.coef
-        base = math.floor(u)
-        if v == 0:
-            return base
-        # floor(|v| sqrt d) = isqrt(num*den) // den for v^2 d = num/den;
-        # the value is irrational, so the negative case is -fl - 1.
-        num = v.numerator * v.numerator * self.d
-        den = v.denominator * v.denominator
-        fl = math.isqrt(num * den) // den
-        base += fl if v > 0 else -fl - 1
-        if (self - (base + 1)).sign() >= 0:
-            base += 1
-        return base
+        # floor(x/den) = floor(floor(x)/den) for x = num + irr sqrt d, and
+        # isqrt(irr^2 d) is floor(|irr| sqrt d); the root is irrational
+        # when irr != 0, so a negative irr floors to -isqrt - 1.
+        v = self.irr
+        fl = math.isqrt(v * v * self.d)
+        return (self.num + (fl if v >= 0 else -fl - 1)) // self.den
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -236,11 +238,11 @@ class ExactScalar(Record):
 
 
 # the slots' own setters: faster than object.__setattr__ on the hot path
-_set_rat, _set_coef, _set_d = (getattr(ExactScalar, name).__set__
-                               for name in ExactScalar._fields)
+_set_num, _set_irr, _set_den, _set_d = (getattr(ExactScalar, name).__set__
+                                        for name in ExactScalar.__slots__)
 
-ZERO = ExactScalar(Fraction(0))
-ONE = ExactScalar(Fraction(1))
+ZERO = ExactScalar(0)
+ONE = ExactScalar(1)
 
 
 def as_scalar(x: object) -> ExactScalar | None:
@@ -248,12 +250,14 @@ def as_scalar(x: object) -> ExactScalar | None:
     if isinstance(x, ExactScalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return ExactScalar(Fraction(x))
+        return ExactScalar._canonical(x.numerator, 0, x.denominator, 0)
     return None
 
 
 def rational(p: int, q: int = 1) -> ExactScalar:
-    return ExactScalar(Fraction(p, q))
+    if q == 0:
+        raise ZeroDivisionError(f"rational({p}, 0)")
+    return ExactScalar._canonical(p, 0, q, 0)
 
 
 def make_quadratic(p: int, q: int, r: int, s: int, d: int) -> ExactScalar:
@@ -262,13 +266,14 @@ def make_quadratic(p: int, q: int, r: int, s: int, d: int) -> ExactScalar:
         raise ValueError("zero denominator")
     if d < 0:
         raise ValueError("negative radicand")
-    return ExactScalar(Fraction(p, q), Fraction(r, s), d)
+    return ExactScalar._canonical(*_square_free(p * s, r * q, q * s, d))
 
 
 def compare(a: ExactScalar, b: ExactScalar) -> int:
     """-1, 0 or 1; raises MixedRadicalError across distinct quadratic fields."""
-    # the sign of a - b, without building (and normalizing) the difference
-    return quadratic_sign(a.rat - b.rat, a.coef - b.coef, a._join_d(b))
+    # the sign of (a - b)*a.den*b.den, without building the difference
+    p, q = a.den, b.den
+    return quadratic_sign(a.num * q - b.num * p, a.irr * q - b.irr * p, a._join_d(b))
 
 
 _WS = re.compile(r"\s+")
@@ -293,13 +298,13 @@ def parse_scalar(text: str) -> ExactScalar:
     ignored), with the radicand at most MAX_RADICAND."""
     s = _WS.sub("", text)
     if _INT.match(s):
-        return ExactScalar(Fraction(_int(s)))
+        return ExactScalar._canonical(_int(s), 0, 1, 0)
     m = _FRAC.match(s)
     if m:
         den = _int(m.group(2))
         if den == 0:
             raise ScalarParseError(f"zero denominator in {text!r}")
-        return ExactScalar(Fraction(_int(m.group(1)), den))
+        return ExactScalar._canonical(_int(m.group(1)), 0, den, 0)
     m = _QUAD.match(s)
     if m:
         p, sgn, r, d, q = m.groups()
@@ -308,21 +313,18 @@ def parse_scalar(text: str) -> ExactScalar:
             raise ScalarParseError(f"zero denominator in {text!r}")
         if d > MAX_RADICAND:
             raise ScalarParseError(f"radicand above {MAX_RADICAND} in {text!r}")
-        return make_quadratic(p, q, r, q, d)
+        return ExactScalar._canonical(*_square_free(p, r, q, d))
     raise ScalarParseError(f"not a scalar literal: {text!r}")
 
 
 def format_scalar(a: ExactScalar) -> str:
     """Emit the literal grammar; parse_scalar(format_scalar(a)) == a."""
-    if a.coef == 0:
-        if a.rat.denominator == 1:
-            return str(a.rat.numerator)
-        return f"{a.rat.numerator}/{a.rat.denominator}"
-    den = math.lcm(a.rat.denominator, a.coef.denominator)
-    p = a.rat.numerator * (den // a.rat.denominator)
-    r = a.coef.numerator * (den // a.coef.denominator)
-    sgn = "+" if r >= 0 else "-"
-    return f"({p}{sgn}{abs(r)}*sqrt({a.d}))/{den}"
+    if a.irr == 0:
+        if a.den == 1:
+            return str(a.num)
+        return f"{a.num}/{a.den}"
+    sgn = "+" if a.irr >= 0 else "-"
+    return f"({a.num}{sgn}{abs(a.irr)}*sqrt({a.d}))/{a.den}"
 
 
 class Interval(Record):

@@ -26,7 +26,6 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
 from .exact import (ExactScalar, Interval, MixedRadicalError, ONE, ZERO, as_scalar, compare,
@@ -138,10 +137,8 @@ class IETSpec:
     def _domain(self, x):
         """x checked to lie in [0,1), and (u, v, E) with x = (u + v*sqrt(d))/E."""
         x = self._coerce(x)
-        # the signs of x = p/q + (r/s)sqrt(d) and of x - 1, times E = q*s > 0
-        q, s = x.rat.denominator, x.coef.denominator
-        E = q * s
-        u, v = x.rat.numerator * s, x.coef.numerator * q
+        # the signs of x and of x - 1, times E > 0
+        u, v, E = x.num, x.irr, x.den
         if quadratic_sign(u, v, x.d) < 0 or quadratic_sign(u - E, v, x.d) >= 0:
             raise DomainError(f"point {x} outside [0,1)")
         return x, u, v, E
@@ -157,13 +154,12 @@ class IETSpec:
     def apply(self, x) -> ExactScalar:
         kernel, p, E = self._point(x)
         a, b = kernel.step(p, E)
-        ED = E * kernel.D
-        return ExactScalar._canonical(Fraction(a, ED), Fraction(b, ED), kernel.d)
+        return ExactScalar._canonical(a, b, E * kernel.D, kernel.d)
 
     def _walk(self, config: "CodingConfig") -> "_Cylinders":
         """The cylinder walk of config's partition, built on first use and
         shared by every later call with an equal config."""
-        key = (config.encoded, config.piece_letters)
+        key = config._walk_key
         walk = self._walks.get(key)
         if walk is None:
             # a build that raises (MixedRadicalError) caches nothing
@@ -196,14 +192,10 @@ def apply_inverse(T: IETSpec, y) -> ExactScalar:
     return T.inverse.apply(y)
 
 
-def _denominator(s: ExactScalar) -> int:
-    return math.lcm(s.rat.denominator, s.coef.denominator)
-
-
 def _encode(s: ExactScalar, D: int):
-    """(A, B) with s = (A + B*sqrt(d))/D, for D a multiple of s's denominators."""
-    return (s.rat.numerator * (D // s.rat.denominator),
-            s.coef.numerator * (D // s.coef.denominator))
+    """(A, B) with s = (A + B*sqrt(d))/D, for D a multiple of s.den."""
+    f = D // s.den
+    return s.num * f, s.irr * f
 
 
 class _IntOrbit:
@@ -224,7 +216,7 @@ class _IntOrbit:
         self.d = next((s.d for s in T.lengths if s.d), 0)
         # every other table is a sum or difference of interval ends, so
         # their common denominator divides D
-        self.D = math.lcm(*map(_denominator, T.left))
+        self.D = math.lcm(*(s.den for s in T.left))
         # tuples: every call on the exchange shares these tables
         self.left, self.disp, self.refl, self.dest_lo = (
             tuple(map(self.encode, table)) for table in (T.left, T.disp, T.refl, T.dest_lo))
@@ -252,7 +244,7 @@ class _IntOrbit:
         return _encode(s, self.D)
 
     def decode(self, p) -> ExactScalar:
-        return ExactScalar._canonical(Fraction(p[0], self.D), Fraction(p[1], self.D), self.d)
+        return ExactScalar._canonical(p[0], p[1], self.D, self.d)
 
     def locate(self, p, E: int = 1) -> int:
         """1-based i with p in X_i, for p over E*D: each interval end is
@@ -283,7 +275,7 @@ def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:
     if n < 0:
         raise ValueError("orbit length must be >= 0")
     x0 = T._domain(x0)[0]
-    stepper = T.kernel.widen(x0.d, _denominator(x0))
+    stepper = T.kernel.widen(x0.d, x0.den)
     p = stepper.encode(x0)
     pts = []
     for _ in range(n):
@@ -301,6 +293,16 @@ def natural_coding(T: IETSpec, x0, n: int, letters: str | None = None) -> str:
     return _block_coding(T, (k.d, k.D, k.left), list(letters[:T.k]), x0, n)[0]
 
 
+class _HashedKey(tuple):
+    """A tuple hashed once, when built: CPython caches no tuple hash."""
+
+    def __init__(self, items):
+        self.hash = tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+
 class CodingConfig:
     """Partition of [0,1) into labeled unions of half-open intervals.
 
@@ -308,6 +310,8 @@ class CodingConfig:
     then 1; piece_letters, each piece's letter; and encoded, the triple
     (d, D, pairs) with cut j equal to (A + B*sqrt(d))/D for pairs[j] =
     (A, B), over the config's own field d and common denominator D.
+    Exchanges keep the partition's walk under (encoded, piece_letters),
+    hashed once.
     """
 
     def __init__(self, sets):
@@ -346,8 +350,9 @@ class CodingConfig:
                 if d:
                     raise MixedRadicalError("points span two quadratic fields")
                 d = c.d
-        D = math.lcm(*map(_denominator, self.cuts))
+        D = math.lcm(*(c.den for c in self.cuts))
         self.encoded = (d, D, tuple(_encode(c, D) for c in self.cuts))
+        self._walk_key = _HashedKey((self.encoded, self.piece_letters))
 
     @classmethod
     def natural(cls, T: IETSpec, letters: str | None = None) -> "CodingConfig":
@@ -380,7 +385,7 @@ def _block_coding(T: IETSpec, encoded, letters, x0, n: int, sides=(0,)) -> list[
     if n < 0:
         raise ValueError("orbit length must be >= 0")
     x0 = T._domain(x0)[0]
-    walk = _Cylinders(T.kernel.widen(x0.d, _denominator(x0)), encoded, letters)
+    walk = _Cylinders(T.kernel.widen(x0.d, x0.den), encoded, letters)
     m = _block_size(len(letters), n)
     starts, closed, rows = walk.table(m)
     d = walk.kernel.d

@@ -120,6 +120,32 @@ def test_format_round_trip_frozen():
     assert format_scalar(rational(3) - 2 * make_quadratic(0, 1, 1, 1, 2)) == "(3-2*sqrt(2))/1"
 
 
+# format_scalar's bytes, pinned: each literal as the Fraction-pair layout
+# printed it, and parsed back to the same integer triple
+PINNED_LITERALS = [
+    ("integer", rational(7), "7"),
+    ("negative-rational", rational(-3, 8), "-3/8"),
+    ("negative-irr", make_quadratic(1, 2, -3, 4, 5), "(2-3*sqrt(5))/4"),
+    ("den-1", make_quadratic(-1, 1, 1, 1, 2), "(-1+1*sqrt(2))/1"),
+    ("square-factor", make_quadratic(0, 1, -2, 1, 12), "(0-4*sqrt(3))/1"),
+    ("two-denominators", ExactScalar(Fraction(-5, 6), Fraction(-7, 15), 2), "(-25-14*sqrt(2))/30"),
+    ("large-rational", rational(10 ** 30 + 1, 3 ** 60),
+     "1000000000000000000000000000001/42391158275216203514294433201"),
+    ("large-quadratic", make_quadratic(2 ** 70 + 1, 3 ** 45, -(5 ** 30), 7 ** 20, 10 ** 9 - 1),
+     "(94202080989013028159836144602332403425"
+     "-24762763044757305912475101649761199951171875*sqrt(12345679))"
+     "/235731306207522981180205520309374214643"),
+]
+
+
+@pytest.mark.parametrize("x, text", [case[1:] for case in PINNED_LITERALS],
+                         ids=[case[0] for case in PINNED_LITERALS])
+def test_format_scalar_bytes_pinned(x, text):
+    assert format_scalar(x) == str(x) == text
+    y = parse_scalar(text)
+    assert (y.num, y.irr, y.den, y.d) == (x.num, x.irr, x.den, x.d)
+
+
 small_fracs = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
 
@@ -191,6 +217,101 @@ def test_compare_matches_difference_sign():
                 cmp(a, b)
 
 
+# ------------------------------------------- the integer triple, differentially
+# ExactScalar holds (num + irr*sqrt(d))/den; the reference below holds the
+# same value as a pair of Fractions (rat, coef) with rat + coef*sqrt(d).
+
+def _ref_sign(r: Fraction, c: Fraction, d: int) -> int:
+    if c == 0 or d == 0:
+        return (r > 0) - (r < 0)
+    if r * c >= 0:
+        return 1 if r + c > 0 else -1
+    # r and c of opposite signs: |r| against |c| sqrt(d)
+    return (1 if r > 0 else -1) * ((r * r > c * c * d) - (r * r < c * c * d))
+
+
+def _ref_floor(r: Fraction, c: Fraction, d: int) -> int:
+    n = math.floor(float(r) + float(c) * math.sqrt(d))
+    while _ref_sign(r - n, c, d) < 0:
+        n -= 1
+    while _ref_sign(r - n - 1, c, d) >= 0:
+        n += 1
+    return n
+
+
+def _ref_ops(a, b, d):
+    """Every checked operation on the pairs a and b, by name."""
+    (r, c), (s, e) = a, b
+    sa, sb = _ref_sign(r, c, d), _ref_sign(r - s, c - e, d)
+    ops = {"+": (r + s, c + e), "-": (r - s, c - e),
+           "*": (r * s + c * e * d, r * e + c * s), "neg": (-r, -c),
+           "abs": (-r, -c) if sa < 0 else (r, c),
+           "floor": _ref_floor(r, c, d), "sign": sa, "compare": sb,
+           "<": sb < 0, "==": (r, c) == (s, e)}
+    if (s, e) != (0, 0):
+        norm = s * s - e * e * d
+        ops["/"] = ((r * s - c * e * d) / norm, (c * s - r * e) / norm)
+    return ops
+
+
+def _got_ops(x, y):
+    ops = {"+": x + y, "-": x - y, "*": x * y, "neg": -x, "abs": abs(x),
+           "floor": math.floor(x), "sign": x.sign(), "compare": compare(x, y),
+           "<": x < y, "==": x == y}
+    if y:
+        ops["/"] = x / y
+    return ops
+
+
+def _assert_triple(x: ExactScalar) -> None:
+    assert x.den > 0 and math.gcd(x.num, x.irr, x.den) == 1, repr(x)
+    assert (x.irr == 0) == (x.d == 0), repr(x)
+    assert all(type(n) is int for n in (x.num, x.irr, x.den, x.d)), repr(x)
+
+
+def _random_pair(rng: random.Random, d: int) -> tuple[Fraction, Fraction]:
+    def part(scale):
+        if rng.random() < 0.2:
+            return Fraction(0)
+        den = rng.choice([1, rng.randrange(1, 50), rng.randrange(1, 10 ** 25)])
+        return Fraction(rng.randrange(-scale * den, scale * den + 1), den)
+    return part(20), part(5) if d else Fraction(0)
+
+
+def test_scalar_ops_match_fraction_pairs():
+    rng = random.Random(20076)
+    seen = set()
+    for case in range(1500):
+        d = (0, 2, 5)[case % 3]
+        a = _random_pair(rng, d)
+        # ties, negations, a rational against the field, and zero
+        b = rng.choice([_random_pair(rng, d), a, (-a[0], -a[1]), (a[0], Fraction(0)),
+                        (Fraction(0), Fraction(0))])
+        x, y = ExactScalar(*a, d), ExactScalar(*b, d)
+        want, got = _ref_ops(a, b, d), _got_ops(x, y)
+        assert got.keys() == want.keys()
+        for op, value in got.items():
+            if isinstance(value, ExactScalar):
+                _assert_triple(value)
+                pair = want[op]
+                assert (value.rat, value.coef, value.d) == (*pair, d if pair[1] else 0), op
+                seen.add(op)
+            else:
+                assert value == want[op], (op, a, b, d)
+        seen.add(("tie", want["=="]))
+    assert {"+", "-", "*", "/", "neg", "abs", ("tie", True), ("tie", False)} <= seen
+
+
+def test_rational_scalars_stand_for_their_fractions():
+    keyed = {Fraction(1, 2): "half", 3: "three", Fraction(-7, 4): "neg"}
+    assert keyed[rational(1, 2)] == "half" and keyed[rational(6, 2)] == "three"
+    assert keyed[parse_scalar("-14/8")] == "neg"
+    for x, q in ((rational(1, 2), Fraction(1, 2)), (rational(-9, 3), -3),
+                 (parse_scalar("(4+0*sqrt(2))/6"), Fraction(2, 3))):
+        assert x == q and hash(x) == hash(q) and x.d == 0
+        assert not x < q and x <= q and x < q + 1
+
+
 def test_interval_singleton_and_empty():
     s = Interval(rational(1, 2), rational(1, 2), True, True)
     assert not s.is_empty
@@ -235,7 +356,8 @@ FROZEN = [
 @pytest.mark.parametrize("record", FROZEN, ids=lambda r: type(r).__name__)
 def test_record_fields_cannot_be_assigned(record):
     before = repr(record)
-    for name in record._fields:
+    # ExactScalar's slots are its integer triple and d, not its fields
+    for name in {*record._fields, *type(record).__slots__}:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
         with pytest.raises(AttributeError):

@@ -628,6 +628,13 @@ def _assert_canonical(x):
     y = ExactScalar(x.rat, x.coef, x.d)
     assert type(x.rat) is Fraction and type(x.coef) is Fraction, repr(x)
     assert (x.rat, x.coef, x.d) == (y.rat, y.coef, y.d) and hash(x) == hash(y), repr(x)
+    # the integer triple itself: (num + irr*sqrt(d))/den in lowest terms
+    assert (x.num, x.irr, x.den) == (y.num, y.irr, y.den), repr(x)
+    assert x.den > 0 and math.gcd(x.num, x.irr, x.den) == 1, repr(x)
+    assert (x.irr == 0) == (x.d == 0), repr(x)
+    if not x.d:
+        # a rational hashes and compares as its Fraction (or int)
+        assert x == x.rat and {x.rat: x}[x] is x, repr(x)
 
 
 def test_scalars_come_back_canonical():
