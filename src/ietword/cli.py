@@ -2,21 +2,24 @@
 
 Exit codes: 0 success/accepted, 1 rejected or check failed,
 2 inconclusive (input too short for the requested window), 3 usage or
-input errors.  All subcommands are deterministic: same inputs, same
+input errors, parse errors among them, each reported on one stderr line
+`error: ...`.  All subcommands are deterministic: same inputs, same
 bytes out.
 
 Each command is its own process, and start-up is most of a short
-command's time, so a launch builds and loads only what it runs: the parser
-of the subcommand it names first (`--help`, no command or an unknown one
-builds every row of `_COMMANDS`), and the layers its handler imports.
-`--help` loads only `ietword` and this module; `validate` adds `words`,
-`rauzy` and `record`, `fz` adds `words`, `orders` and `record`, and
-neither loads the scalar layer `exact`.
+command's time, so a launch loads only what it runs.  No parser object
+is built and argparse is not imported: `_parse` reads argv straight off
+the named command's row of `_COMMANDS` (rows keep the form of argparse
+add_argument calls, and give the attribute names and defaults argparse
+would), and `--help` text is made from the same rows.  `--help` loads
+only `ietword` and this module; `validate` adds `words`, `rauzy` and
+`record`, `fz` adds `words`, `orders` and `record`, and neither loads
+the scalar layer `exact`.
 """
 from __future__ import annotations
 
-import argparse
 import sys
+import types
 
 USAGE_ERROR = 3
 INCONCLUSIVE = 2
@@ -182,6 +185,8 @@ def _cmd_fz(args) -> int:
         print(f"inconclusive: word too short to check to length {args.max_len}",
               file=sys.stderr)
         return INCONCLUSIVE
+    if args.search == (args.orders is not None):
+        return _fail("need exactly one of --orders PI0 PI1 and --search")
     fs = FactorSet(word, args.max_len + 2)
     if args.search:
         try:
@@ -192,8 +197,6 @@ def _cmd_fz(args) -> int:
         out.append(f"result={'found' if pairs else 'none'};count={len(pairs)}")
         _write(args.output, "\n".join(out) + "\n")
         return OK if pairs else REJECTED
-    if not args.orders:
-        return _fail("need --orders PI0 PI1 or --search")
     try:
         pair = OrderPair(_parse_order(args.orders[0]),
                          _parse_order(args.orders[1]))
@@ -263,74 +266,169 @@ def _cmd_reconstruct(args) -> int:
 
 
 # one row per subcommand: name, help, handler, then each argument as the
-# positional and keyword arguments of its add_argument call
+# positional and keyword arguments an argparse add_argument call would take
 _COMMANDS = (
     ("gen", "code an orbit of a configured exchange", _cmd_gen, (
-        (("config",), {}),
-        (("-n", "--length"), {"type": int, "required": True}),
-        (("--x0",), {"default": "0", "help": "starting point (scalar literal)"}),
-        (("-o", "--output"), {}))),
+        (("config",), {"help": "config file of the exchange"}),
+        (("-n", "--length"), {"type": int, "required": True, "metavar": "N",
+                              "help": "number of letters"}),
+        (("--x0",), {"default": "0", "metavar": "SCALAR",
+                     "help": "starting point (scalar literal)"}),
+        (("-o", "--output"), {"metavar": "FILE", "help": "output file, not stdout"}))),
     ("analyze", "complexity and special-factor counts", _cmd_analyze, (
-        (("word",), {}),
-        (("--max-len",), {"type": int, "default": 30}),
-        (("-o", "--output"), {}))),
+        (("word",), {"help": "word file"}),
+        (("--max-len",), {"type": int, "default": 30, "metavar": "N",
+                          "help": "longest factor length counted"}),
+        (("-o", "--output"), {"metavar": "FILE", "help": "output file, not stdout"}))),
     ("rauzy", "write factor graphs as DOT files", _cmd_rauzy, (
-        (("word",), {}),
-        (("--k-min",), {"type": int, "default": 1}),
-        (("--k-max",), {"type": int, "default": 8}),
-        (("--out-dir",), {"default": "."}))),
+        (("word",), {"help": "word file"}),
+        (("--k-min",), {"type": int, "default": 1, "metavar": "N",
+                        "help": "first graph level"}),
+        (("--k-max",), {"type": int, "default": 8, "metavar": "N",
+                        "help": "last graph level"}),
+        (("--out-dir",), {"default": ".", "metavar": "DIR",
+                          "help": "directory of the rauzy_kN.dot files"}))),
     ("validate", "run the evolution validator", _cmd_validate, (
-        (("word",), {}),
-        (("--k-min",), {"type": int, "default": 1}),
-        (("--k-max",), {"type": int, "default": 20}),
-        (("--oriented",), {"action": "store_true"}),
-        (("-o", "--output"), {}))),
+        (("word",), {"help": "word file"}),
+        (("--k-min",), {"type": int, "default": 1, "metavar": "N",
+                        "help": "first level checked"}),
+        (("--k-max",), {"type": int, "default": 20, "metavar": "N",
+                        "help": "last level checked"}),
+        (("--oriented",), {"action": "store_true", "help": "flip-free test: no vertex marks"}),
+        (("-o", "--output"), {"metavar": "FILE", "help": "output file, not stdout"}))),
     ("fz", "extension-set interval conditions", _cmd_fz, (
-        (("word",), {}),
-        (("--orders",), {"nargs": 2, "metavar": ("PI0", "PI1")}),
-        (("--search",), {"action": "store_true"}),
-        (("--max-len",), {"type": int, "default": 12}),
-        (("-o", "--output"), {}))),
+        (("word",), {"help": "word file"}),
+        (("--orders",), {"nargs": 2, "metavar": ("PI0", "PI1"),
+                         "help": "check this pair of letter orders"}),
+        (("--search",), {"action": "store_true",
+                         "help": "list every pair that passes, not --orders"}),
+        (("--max-len",), {"type": int, "default": 12, "metavar": "N",
+                          "help": "longest factor length checked"}),
+        (("-o", "--output"), {"metavar": "FILE", "help": "output file, not stdout"}))),
     ("reconstruct", "rebuild a candidate exchange", _cmd_reconstruct, (
-        (("word",), {}),
-        (("--k-min",), {"type": int, "default": 1}),
-        (("--k-max",), {"type": int, "default": 12}),
-        (("--oriented",), {"action": "store_true"}),
-        (("--depth",), {"type": int, "default": 6}),
-        (("--roundtrip",), {"type": int, "default": 500}),
-        (("--out-config",), {"default": "candidate.cfg"}),
-        (("--out-report",), {"default": "candidate.csv"}))),
+        (("word",), {"help": "word file"}),
+        (("--k-min",), {"type": int, "default": 1, "metavar": "N",
+                        "help": "first level checked"}),
+        (("--k-max",), {"type": int, "default": 12, "metavar": "N",
+                        "help": "last level checked"}),
+        (("--oriented",), {"action": "store_true", "help": "flip-free test: no vertex marks"}),
+        (("--depth",), {"type": int, "default": 6, "metavar": "D",
+                        "help": "longest factor length fitted"}),
+        (("--roundtrip",), {"type": int, "default": 500, "metavar": "N",
+                            "help": "letters regenerated as a check"}),
+        (("--out-config",), {"default": "candidate.cfg", "metavar": "FILE",
+                             "help": "candidate config file"}),
+        (("--out-report",), {"default": "candidate.csv", "metavar": "FILE",
+                             "help": "CSV report file"}))),
 )
 
+_HELP = (("-h", "--help"), {"action": "store_true", "help": "print this help and exit"})
 
-def _parser(commands):
-    """The parser of the given rows of `_COMMANDS`."""
-    parser = argparse.ArgumentParser(
-        prog="ietword",
-        description="interval exchange codings: generate, analyze, validate")
-    # fewer rows still name every command in the usage line the top level
-    # prints with "unrecognized arguments"; all rows keep argparse's own
-    # metavar, which the "required" and "invalid choice" errors print
-    every = "{" + ",".join(row[0] for row in _COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=every if len(commands) < len(_COMMANDS) else None)
-    for name, text, func, arguments in commands:
-        p = sub.add_parser(name, help=text)
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-        p.set_defaults(func=func)
-    return parser
+
+def _dest(flags) -> str:
+    """The attribute argparse would name an argument's value by."""
+    name = next((f for f in flags if f.startswith("--")), flags[0])
+    return name.lstrip("-").replace("-", "_")
+
+
+def _cell(flags, options) -> str:
+    """The given spellings of an argument, then its values: `-o, --output FILE`."""
+    meta = "" if "action" in options else options.get("metavar", _dest(flags).upper())
+    names = ", ".join(f for f in flags if f.startswith("-"))
+    return f"{names} {meta if isinstance(meta, str) else ' '.join(meta)}".strip()
+
+
+def _usage(lead, name, arguments) -> str:
+    """`LEADietword NAME ARGUMENTS`, wrapped at 72 columns whatever the terminal."""
+    lines = [f"{lead}ietword {name}"]
+    for flags, options in arguments:
+        text = _cell(flags[:1], options)
+        if flags[0].startswith("-") and not options.get("required"):
+            text = f"[{text}]"
+        if len(lines[-1]) + len(text) >= 72:
+            lines.append("       ")
+        lines[-1] += " " + text
+    return "\n".join(lines)
+
+
+def _help(row=None) -> str:
+    """The --help text of one row of `_COMMANDS`, or of all of them."""
+    if row is None:
+        return "\n".join([
+            "usage: ietword COMMAND ARGUMENTS, or ietword [COMMAND] --help", "",
+            "interval exchange codings: generate, analyze, validate", "",
+            *(f"{_usage('', name, arguments)}\n    {text}"
+              for name, text, _, arguments in _COMMANDS)])
+    name, text, _, arguments = row
+    cells = [(_cell(*arg), arg[1]) for arg in (*arguments, _HELP)]
+    width = max(len(cell) for cell, _ in cells) + 2
+    lines = [_usage("usage: ", name, arguments), "", text, ""]
+    for cell, options in cells:
+        default = f" (default {options['default']})" if "default" in options else ""
+        lines.append(f"  {cell:{width}}{options['help']}{default}")
+    return "\n".join(lines)
+
+
+def _parse(argv):
+    """The values argparse would give argv, read off its command's row of
+    `_COMMANDS`, or None when argv asks for help and it is printed.  A bad
+    argv raises _UsageError."""
+    row = next((row for row in _COMMANDS if row[0] == argv[0]), None) if argv else None
+    if row is None:
+        if argv[:1] in (["-h"], ["--help"]):
+            print(_help())
+            return None
+        what = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise _UsageError(f"{what}; one of {', '.join(r[0] for r in _COMMANDS)}")
+    name, _, func, arguments = row
+    values = {"command": name, "func": func}
+    for flags, options in arguments:
+        values[_dest(flags)] = options.get("default", False if "action" in options else None)
+    spelled = {f: arg for arg in (*arguments, _HELP) for f in arg[0]}
+    word = next(_dest(flags) for flags, _ in arguments if flags[0][0] != "-")
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token[:1] != "-" or token == "-":
+            if values[word] is not None:
+                raise _UsageError(f"{name}: unexpected argument {token!r}")
+            values[word] = token
+            continue
+        flag, eq, value = token.partition("=")
+        found = [flag] if flag in spelled else [
+            f for f in spelled if len(flag) > 2 and flag[:2] == "--" and f.startswith(flag)]
+        if len(found) != 1:
+            raise _UsageError(f"{name}: unknown option {flag}" if not found else
+                              f"{name}: ambiguous option {flag}: {', '.join(found)}")
+        flags, options = spelled[found[0]]
+        n = 0 if "action" in options else options.get("nargs", 1)
+        got = [value] if eq else argv[i:i + n]
+        i += 0 if eq else len(got)
+        if len(got) != n:
+            raise _UsageError(f"{name}: {found[0]} takes {n} value{'s'[:n != 1]}, not {len(got)}")
+        if flags is _HELP[0]:
+            print(_help(row))
+            return None
+        convert = options.get("type", str)
+        try:
+            got = [convert(v) for v in got]
+        except ValueError:
+            raise _UsageError(f"{name}: {found[0]}: invalid {convert.__name__} value "
+                              f"{' '.join(got)!r}") from None
+        values[_dest(flags)] = True if not n else got if "nargs" in options else got[0]
+    missing = [_cell(flags[:1], options) for flags, options in arguments
+               if (flags[0][0] != "-" or options.get("required"))
+               and values[_dest(flags)] is None]
+    if missing:
+        raise _UsageError(f"{name}: missing {' and '.join(missing)}")
+    return types.SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    rows = [row for row in _COMMANDS if row[0] in argv[:1]]
     try:
-        args = _parser(rows or _COMMANDS).parse_args(argv)
-    except SystemExit as e:
-        return USAGE_ERROR if e.code not in (0, None) else 0
-    try:
-        return args.func(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        return OK if args is None else args.func(args)
     except _UsageError as e:
         return _fail(str(e))
 

@@ -391,6 +391,8 @@ def test_reconstruct_indexes_word_once(tmp_path, cfg, monkeypatch):
 @pytest.mark.parametrize("cmd", [
     ["fz", "--search", "--max-len", "-1"],
     ["fz", "--max-len", "-2"],
+    ["fz", "--orders", "12", "21", "--search"],
+    ["fz", "--search", "--orders", "12", "21"],
     ["reconstruct", "--roundtrip", "0"],
     ["reconstruct", "--roundtrip", "-5"],
     ["reconstruct", "--depth", "0"],
@@ -431,6 +433,30 @@ def test_unwritable_output_is_usage_error(tmp_path, cfg, capsys, cmd):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"error: cannot write {bad}: ")
+
+
+@pytest.mark.parametrize("cmd", [
+    ["validate", "WORD", "--bogus"],
+    ["validate", "WORD", "--k-max"],
+    ["validate", "WORD", "--k-max", "many"],
+    ["validate", "WORD", "--oriented=yes"],
+    ["fz", "WORD", "--orders", "ab"],
+    ["fz", "WORD", "--o", "ab"],
+    ["fz", "--search"],
+    ["fz", "WORD", "WORD", "--search"],
+    ["gen", "CFG"],
+    ["gen", "CFG", "-n12"],
+    ["frobnicate", "WORD"],
+    [],
+], ids=lambda cmd: " ".join(cmd) or "no command")
+def test_parse_errors_are_usage_errors(tmp_path, cfg, capsys, cmd):
+    word = gen_word(tmp_path, cfg, 100)
+    capsys.readouterr()
+    assert main([{"CFG": cfg, "WORD": word}.get(a, a) for a in cmd]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
 
 
 def test_pipeline_closure(tmp_path, cfg, capsys):
@@ -547,13 +573,17 @@ def test_long_silver_outputs_are_pinned(tmp_path, capsys, monkeypatch):
 # ---------------------------------------------------------------- plumbing
 
 def test_usage_errors(capsys):
-    assert main([]) == 3
-    assert "required: command\n" in capsys.readouterr().err
-    assert main(["frobnicate"]) == 3
-    assert "argument command: invalid choice: " in capsys.readouterr().err
-    with_help = main(["--help"])
-    capsys.readouterr()
-    assert with_help == 0
+    # each is one `error:` line and exit 3, not argparse's usage block
+    for argv, err in [
+            ([], "error: no command; one of gen, analyze, rauzy, validate, fz, reconstruct\n"),
+            (["frobnicate"], "error: unknown command 'frobnicate'; one of gen, analyze, "
+                             "rauzy, validate, fz, reconstruct\n"),
+            (["fz", "w", "--max-len", "many"], "error: fz: --max-len: invalid int value 'many'\n")]:
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", err)
+    assert main(["--help"]) == 0
+    assert main(["-h"]) == 0
+    assert capsys.readouterr() == (2 * (cli._help() + "\n"), "")
 
 
 def test_read_word_drops_what_split_drops(tmp_path):
@@ -566,52 +596,149 @@ def test_read_word_drops_what_split_drops(tmp_path):
         assert cli._read_word(str(path)) == "".join(text.split()), repr(char)
 
 
-def _parse(parser, argv, capsys):
-    """The Namespace, or the exit code, then stdout and stderr of a parse."""
+def _argparse_parser():
+    """An argparse parser of every row of `cli._COMMANDS`, built as the
+    command line once built its own: the reference `cli._parse` is held to."""
+    parser = argparse.ArgumentParser(prog="ietword")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, text, func, arguments in cli._COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
+    return parser
+
+
+def _both(argv, capsys):
+    """What argparse and then cli._parse make of argv: each the dict of
+    values or the exit code."""
     try:
-        got = parser.parse_args(argv)
+        ref = vars(_argparse_parser().parse_args(argv))
     except SystemExit as e:
-        got = e.code
-    return (got, *capsys.readouterr())
+        ref = e.code
+    try:
+        args = cli._parse(argv)
+        got = 0 if args is None else vars(args)
+    except cli._UsageError:
+        got = cli.USAGE_ERROR
+    capsys.readouterr()
+    return ref, got
+
+
+def _unique_prefix(flag, flags):
+    """The shortest prefix of a long flag that no other of flags starts with."""
+    return next(flag[:n] for n in range(3, len(flag) + 1)
+                if not any(f.startswith(flag[:n]) for f in flags if f != flag))
+
+
+def _parse_corpus(row):
+    """Valid and invalid argv of one command: every flag spelled as a
+    separate value, after `=` and as its shortest unique prefix, then
+    the positional before, between and after the flags, repeats and
+    negative ints; unknown flags, missing and short values, bad ints, a
+    missing or second positional."""
+    name, _, _, arguments = row
+    longs = [f for flags, _ in arguments for f in flags if f.startswith("--")] + ["--help"]
+    need = ["-n", "5"] if name == "gen" else []
+    valid, invalid = [[name, "w", *need], [name, *need, "w"]], [
+        [name, "w", *need, "--bogus"], [name, "w", "x", *need], [name, *need],
+        [name, "w", *need, "-x"]]
+    for flags, options in arguments:
+        if not flags[0].startswith("-"):
+            continue
+        values = ([] if "action" in options else ["ab", "ba"] if "nargs" in options
+                  else ["-7"] if options.get("type") is int else ["v"])
+        for flag in (*flags, _unique_prefix(flags[-1], longs)):
+            valid += [[name, "w", *need, flag, *values], [name, flag, *values, "w", *need],
+                      [name, *need, flag, *values, "w", flag, *values]]
+            if len(values) == 1:
+                valid.append([name, f"{flag}={values[0]}", *need, "w"])
+            invalid.append([name, "w", *need, flag, *values[1:]] if values else
+                           [name, "w", *need, f"{flag}=1"])
+            if options.get("type") is int:
+                invalid += [[name, "w", *need, flag, "many"], [name, "w", *need, flag, "1.5"]]
+        if values and "required" not in options:
+            valid.append([name, "w", *need, flags[-1], *values, flags[-1], *values[::-1]])
+    return valid, invalid
+
+
+@pytest.mark.parametrize("row", cli._COMMANDS, ids=lambda row: row[0])
+def test_parse_matches_argparse(capsys, row):
+    valid, invalid = _parse_corpus(row)
+    for argv in valid:
+        ref, got = _both(argv, capsys)
+        assert isinstance(ref, dict) and got == ref, argv
+    for argv in invalid:
+        assert _both(argv, capsys) == (2, 3), argv
+    assert len(valid) > 15 and len(invalid) > 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "c.cfg", "--x0", "1/2", "--len", "-3", "--output", "a", "-o", "b"],
+    ["gen", "-n=4", "c.cfg"],
+    ["fz", "--orders", "1,2", "2,1", "w", "--max=0"],
+    ["fz", "--sea", "--max-len", "+4", "w"],
+    ["validate", "--k-max", "-1", "--ori", "w", "--k-min=-2"],
+    ["reconstruct", "w", "--out-c", "x.cfg", "--out-r=y.csv", "--dep", "3", "--ro", "-5"],
+    ["rauzy", "w", "--out-dir", "d", "--k-m=2"],
+    ["fz", "w", "--o", "x"], ["validate", "w", "--k", "3"], ["reconstruct", "w", "--out", "x"],
+    ["gen", "c.cfg"], ["gen", "-n", "3"], ["fz", "w", "--orders", "ab"],
+    ["fz", "w", "--search=1"], ["frobnicate"], [], ["-x"], ["--bogus", "fz"],
+], ids=lambda argv: " ".join(argv) or "no command")
+def test_parse_matches_argparse_by_hand(capsys, argv):
+    ref, got = _both(argv, capsys)
+    assert got == (ref if isinstance(ref, dict) else 3)
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 @pytest.mark.parametrize("row", cli._COMMANDS, ids=lambda row: row[0])
 def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, columns, row):
+    # the parse that reads only its command's row agrees with argparse's
+    # parser of every row, and its help does not follow the terminal width
     monkeypatch.setenv("COLUMNS", columns)
     name, arguments = row[0], row[3]
     ints = [flags[-1] for flags, options in arguments if options.get("type") is int]
     valued = [flags[-1] for flags, options in arguments
               if flags[0].startswith("-") and "action" not in options]
     valid = [name, "w", ints[0], "5"]
-    cases = [[name, "--help"], [name], [*valid, "--bogus"],
-             [name, "w", ints[0], "many"], [name, "w", valued[0]], valid]
-    got = [_parse(cli._parser([row]), argv, capsys) for argv in cases]
-    assert got == [_parse(cli._parser(cli._COMMANDS), argv, capsys) for argv in cases]
-    assert [g[0] for g in got[:-1]] == [0, 2, 2, 2, 2]
-    assert got[-1][0].func is row[2]
+    cases = [[name], [*valid, "--bogus"], [name, "w", ints[0], "many"],
+             [name, "w", valued[0]], valid]
+    got = [_both(argv, capsys) for argv in cases]
+    assert got[:-1] == [(2, 3)] * 4
+    assert got[-1][1] == got[-1][0] and got[-1][1]["func"] is row[2]
+    assert main([name, "--help"]) == 0
+    shown = capsys.readouterr()
+    monkeypatch.delenv("COLUMNS")
+    assert main([name, "-h"]) == 0
+    assert capsys.readouterr() == shown == (cli._help(row) + "\n", "")
+
+
+class _Untouchable(tuple):
+    """A row's arguments that fail the parse if it reads them."""
+    def __iter__(self):
+        raise AssertionError("a launch read another command's row")
 
 
 def test_a_launch_builds_only_its_command(tmp_path, cfg, monkeypatch, capsys):
+    # no launch builds a parser, and one reads only its own command's row
     word = gen_word(tmp_path, cfg, 200)
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
 
-    def counting_add_parser(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    def refuse(*args, **kwargs):
+        raise AssertionError("an argparse parser was built")
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    monkeypatch.setattr(cli, "_COMMANDS", tuple(
+        row if row[0] == "fz" else (*row[:3], _Untouchable(row[3])) for row in cli._COMMANDS))
     assert main(["fz", word, "--search", "--max-len", "4"]) == 0
-    assert built == ["fz"]
-    assert main(["--help"]) == 0
-    assert built == ["fz", "gen", "analyze", "rauzy", "validate", "fz", "reconstruct"]
+    assert main(["fz", "--help"]) == 0
+    assert main(["frobnicate"]) == 3
 
 
 def test_no_parser_outlives_main(tmp_path, cfg, capsys):
     word = gen_word(tmp_path, cfg, 200)
     assert main(["fz", word, "--search", "--max-len", "4"]) == 0
     assert main(["--help"]) == 0
-    # everything cli's own globals reach, modules and classes aside
+    # everything cli's own globals reach, modules and classes aside, holds
+    # no parse of an earlier call: each call parses afresh
     todo = [v for k, v in vars(cli).items() if not k.startswith("__")]
     seen = set()
     while todo:
@@ -619,7 +746,7 @@ def test_no_parser_outlives_main(tmp_path, cfg, capsys):
         if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
             continue
         seen.add(id(obj))
-        assert not isinstance(obj, argparse.ArgumentParser)
+        assert not isinstance(obj, (argparse.ArgumentParser, types.SimpleNamespace))
         todo += gc.get_referents(obj)
     assert len(seen) > 100
 
@@ -665,8 +792,8 @@ def _loaded(argv, cwd):
 
 def test_help_loads_no_scalar_layer(tmp_path):
     loaded = _loaded(["--help"], tmp_path)
-    assert {"ietword", "ietword.cli", "argparse"} <= loaded
-    assert not loaded & {"ietword.exact", "fractions", "decimal"}
+    assert {"ietword", "ietword.cli"} <= loaded
+    assert not loaded & {"ietword.exact", "fractions", "decimal", "argparse", "gettext"}
 
 
 # one small run of each subcommand; a fresh interpreter has only the
@@ -689,6 +816,15 @@ def test_word_commands_load_no_scalar_layer(tmp_path, cmd):
     loaded = _loaded(FRESH_RUNS[cmd], tmp_path)
     assert {"ietword.words", "ietword.record"} <= loaded
     assert not loaded & {"ietword.exact", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize("cmd", sorted(FRESH_RUNS))
+def test_fresh_launch_loads_no_argparse(tmp_path, cmd):
+    (tmp_path / "golden.cfg").write_text(GOLDEN_CFG)
+    (tmp_path / "word.txt").write_text(golden_mechanical_word(400) + "\n")
+    loaded = _loaded(FRESH_RUNS[cmd], tmp_path)
+    assert "ietword.cli" in loaded
+    assert not loaded & {"argparse", "gettext"}
 
 
 @pytest.mark.parametrize("cmd", sorted(FRESH_RUNS))
