@@ -178,6 +178,8 @@ def _parse_order(text: str):
 def _cmd_fz(args) -> int:
     from .orders import OrderPair, check_orders, search_orders
     from .words import FactorSet
+    if args.search == (args.orders is not None):
+        return _fail("need exactly one of --orders PI0 PI1 and --search")
     word = _read_word(args.word)
     if args.max_len < 0:
         return _fail("--max-len must not be negative")
@@ -185,8 +187,6 @@ def _cmd_fz(args) -> int:
         print(f"inconclusive: word too short to check to length {args.max_len}",
               file=sys.stderr)
         return INCONCLUSIVE
-    if args.search == (args.orders is not None):
-        return _fail("need exactly one of --orders PI0 PI1 and --search")
     fs = FactorSet(word, args.max_len + 2)
     if args.search:
         try:

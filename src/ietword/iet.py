@@ -20,8 +20,11 @@ Conventions, fixed once for the whole package:
 * An exchange builds the cylinder walk of a coding partition once, on
   first use, with the cylinders of its single letters; ``cylinder``,
   ``longest_cylinder`` and ``cylinder_lengths`` on any equal config then
-  share it.  A partition whose walk cannot be built (MixedRadicalError)
-  is not kept.
+  share it.  The codings and regularity checks keep walks of their own,
+  and each of those builds its depth-m table once per m: every coding
+  of a point over the exchange's field and denominator, and every
+  regularity check, reuses it.  A partition whose walk cannot be built
+  (MixedRadicalError) is not kept.
 """
 from __future__ import annotations
 
@@ -111,7 +114,7 @@ class IETSpec:
         # reflection point: flipped branch sends interior x to refl - x
         self.refl = tuple(self.dest_lo[i - 1] + self.left[i] for i in range(1, k + 1))
         self.kernel = _IntOrbit(self)
-        self._walks = {}
+        self._walks, self._table_walks = {}, {}
 
     @staticmethod
     def _coerce(x) -> ExactScalar:
@@ -156,14 +159,18 @@ class IETSpec:
         a, b = kernel.step(p, E)
         return ExactScalar._canonical(a, b, E * kernel.D, kernel.d)
 
-    def _walk(self, config: "CodingConfig") -> "_Cylinders":
-        """The cylinder walk of config's partition, built on first use and
-        shared by every later call with an equal config."""
-        key = config._walk_key
-        walk = self._walks.get(key)
+    def _walk(self, key, walks: dict) -> "_Cylinders":
+        """The walk of the partition key = (encoded cuts, piece letters),
+        built on first use and shared by every later call with an equal
+        key.  walks is _walks for the cylinder calls and _table_walks for
+        the codings and regularity checks, which read the walk's tables.
+        Kept apart, a cylinder call's lookup finds the key its own config
+        stored, by identity, not an equal one a coding stored first,
+        which the lookup would compare element by element."""
+        walk = walks.get(key)
         if walk is None:
             # a build that raises (MixedRadicalError) caches nothing
-            walk = self._walks[key] = _Cylinders(self.kernel, *key)
+            walk = walks[key] = _Cylinders(self.kernel, *key)
         return walk
 
     @cached_property
@@ -290,7 +297,8 @@ def natural_coding(T: IETSpec, x0, n: int, letters: str | None = None) -> str:
     if len(letters) < T.k:
         raise ValueError(f"need {T.k} letters, got {len(letters)}")
     k = T.kernel
-    return _block_coding(T, (k.d, k.D, k.left), list(letters[:T.k]), x0, n)[0]
+    # the key of CodingConfig.natural(T, letters): both share one walk
+    return _block_coding(T, _HashedKey(((k.d, k.D, k.left), tuple(letters[:T.k]))), x0, n)[0]
 
 
 class _HashedKey(tuple):
@@ -310,8 +318,8 @@ class CodingConfig:
     then 1; piece_letters, each piece's letter; and encoded, the triple
     (d, D, pairs) with cut j equal to (A + B*sqrt(d))/D for pairs[j] =
     (A, B), over the config's own field d and common denominator D.
-    Exchanges keep the partition's walk under (encoded, piece_letters),
-    hashed once.
+    Exchanges keep the partition's walks under _walk_key, (encoded,
+    piece_letters) hashed once.
     """
 
     def __init__(self, sets):
@@ -364,14 +372,20 @@ class CodingConfig:
 
 
 def coding_with_sets(T: IETSpec, config: CodingConfig, x0, n: int) -> str:
-    return _block_coding(T, config.encoded, config.piece_letters, x0, n)[0]
+    return _block_coding(T, config._walk_key, x0, n)[0]
 
 
-def _block_coding(T: IETSpec, encoded, letters, x0, n: int, sides=(0,)) -> list[str]:
-    """The first n letters of the coding by the pieces between the
-    encoded cuts (d, D, pairs) of x0 + side*epsilon, for each side in
-    sides (0 codes x0 itself), m letters at a time from one depth-m
-    cylinder table.
+def _block_coding(T: IETSpec, key, x0, n: int, sides=(0,)) -> list[str]:
+    """The first n letters of the coding by the partition key = (encoded
+    cuts (d, D, pairs), piece letters) of x0 + side*epsilon, for each
+    side in sides (0 codes x0 itself), m letters at a time from one
+    depth-m cylinder table.
+
+    A point over T's own field and denominator reads the table off T's
+    walk of the partition (T._walk), built once per m and shared by
+    every later coding of the partition.  Any other point widens the
+    kernel, and its walk and table are built for this call alone: one
+    kept per denominator would grow without bound.
 
     m is _block_size(pieces, n), which keeps the table (grown to depth
     4, then doubled: about pieces * 4*m piece steps) below the walk's
@@ -385,8 +399,9 @@ def _block_coding(T: IETSpec, encoded, letters, x0, n: int, sides=(0,)) -> list[
     if n < 0:
         raise ValueError("orbit length must be >= 0")
     x0 = T._domain(x0)[0]
-    walk = _Cylinders(T.kernel.widen(x0.d, x0.den), encoded, letters)
-    m = _block_size(len(letters), n)
+    kernel = T.kernel.widen(x0.d, x0.den)
+    walk = T._walk(key, T._table_walks) if kernel is T.kernel else _Cylinders(kernel, *key)
+    m = _block_size(len(key[1]), n)
     starts, closed, rows = walk.table(m)
     d = walk.kernel.d
     p0 = walk.kernel.encode(x0)
@@ -444,8 +459,7 @@ def essential_codings(T: IETSpec, config: CodingConfig, x0, n: int) -> frozenset
     boundary hits resolve deterministically.
     """
     sides = (1,) if T._coerce(x0) == ZERO else (1, -1)
-    return frozenset(_block_coding(T, config.encoded, config.piece_letters, x0, n,
-                                   sides=sides))
+    return frozenset(_block_coding(T, config._walk_key, x0, n, sides=sides))
 
 
 class RegularityReport(Record):
@@ -527,11 +541,12 @@ def _first_hit(E: IETSpec, points, targets, depth: int):
     sides of c, into different intervals: p bounds two depth-m
     cylinders, so a row starts at p.
 
-    The table is built once a call, and only when a walk has taken m
-    single steps without a hit, so an exchange whose first orbit
-    collides within m steps never builds it.  m is _block_size(2k,
-    steps covered), for E's k intervals: a depth-4 table costs 2 to 4
-    k*16 single steps and a jump about 1.3.  At depth 100 this gives
+    The table is fetched only when a walk has taken m single steps
+    without a hit, so an exchange whose first orbit collides within m
+    steps never builds it.  It is E's own (E._walk), built by the first
+    check that needs it and read by every later one at the same m.
+    m is _block_size(2k, steps covered), for E's k intervals: a depth-4
+    table costs 2 to 4 k*16 single steps and a jump about 1.3.  At depth 100 this gives
     m = 2; cost k gave m = 4, and the benchmark's twelve depth-100
     checks then took 3.0 ms in place of 2.7 ms (3.2 ms one step at a
     time; best of 60, Python 3.11, shared 2-vCPU Linux host).  At depth
@@ -548,8 +563,8 @@ def _first_hit(E: IETSpec, points, targets, depth: int):
             if n == m > 1 and not full:
                 # the walk reads the rows' maps, not their words, so one
                 # letter stands for every interval
-                starts, closed, rows = _Cylinders(
-                    kernel, (d, kernel.D, kernel.left), " " * E.k).table(m)
+                key = _HashedKey(((d, kernel.D, kernel.left), " " * E.k))
+                starts, closed, rows = E._walk(key, E._table_walks).table(m)
                 full = hi = len(rows)
             r = 0
             if full and n + m <= depth:
@@ -584,10 +599,12 @@ class _Cylinders:
     part is a piece inside one span, tagged (j, piece), so a step reads
     its branch off the tag.
 
-    An exchange keeps one walk per coding partition (IETSpec._walk), and
-    every cylinder call on that partition shares it.  That is safe:
-    advance and clip return new lists, the one-letter cylinders are
-    tuples, and the callers only read the parts (intervals, length).
+    An exchange keeps one walk per coding partition for its cylinder
+    calls and one for its codings and regularity checks (IETSpec._walk),
+    and every call on that partition shares it.  That is safe: advance
+    and clip return new lists, the one-letter cylinders and the tables
+    are tuples, and the callers only read the parts (intervals, length)
+    and the rows.
     """
 
     def __init__(self, kernel: _IntOrbit, encoded, letters):
@@ -621,6 +638,8 @@ class _Cylinders:
         self.first = {letter: tuple((j, (lo, hi, True, False, 1, (0, 0)))
                                     for j, lo, hi in spans)
                       for letter, spans in self.spans.items()}
+        # tables[m]: the depth-m table, built on first use
+        self.tables = {}
 
     def split(self, pieces):
         """(j, part) for every part of a piece inside span j."""
@@ -744,8 +763,13 @@ class _Cylinders:
         Growing the levels steps every cylinder once a level, about
         pieces * d**2 piece steps to depth d; a doubling emits each of
         the next table's about (k-1)*2d + pieces rows once, and bisects
-        its range among a few rows.
+        its range among a few rows.  The table is built once per m and
+        kept, as tuples: it depends on the partition and m alone, and
+        every later coding or walk on the same walk reads it.
         """
+        table = self.tables.get(m)
+        if table is not None:
+            return table
         depth = m
         while depth > 4 and depth % 2 == 0:
             depth //= 2
@@ -768,7 +792,8 @@ class _Cylinders:
         while depth < m:
             starts, closed, rows, images = self.square(starts, closed, rows, images)
             depth *= 2
-        return starts, closed, rows
+        table = self.tables[m] = tuple(starts), tuple(closed), tuple(rows)
+        return table
 
     def square(self, starts, closed, rows, images):
         """The depth-2d table from the depth-d one, with each row's image
@@ -877,7 +902,7 @@ def longest_cylinder(T: IETSpec, config: CodingConfig, w: str):
 
     (0, ()) when the cylinder of w's first letter is already empty.
     """
-    walk = T._walk(config)
+    walk = T._walk(config._walk_key, T._walks)
     depth, parts = walk.prefix(w)
     return depth, walk.intervals(parts)
 
@@ -886,7 +911,7 @@ def cylinder(T: IETSpec, config: CodingConfig, w: str) -> tuple[Interval, ...]:
     """Maximal intervals of points whose coding starts with w (exact)."""
     if not w:
         raise ValueError("cylinder word must be nonempty")
-    walk = T._walk(config)
+    walk = T._walk(config._walk_key, T._walks)
     depth, parts = walk.prefix(w)
     if depth < len(w):
         return ()
@@ -898,6 +923,6 @@ def cylinder_lengths(T: IETSpec, config: CodingConfig, depth: int) -> dict[str, 
     whose cylinder is nonempty."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    walk = T._walk(config)
+    walk = T._walk(config._walk_key, T._walks)
     return {w: walk.length(part)
             for level in walk.levels(depth, config.letters) for w, part in level}

@@ -331,7 +331,11 @@ def test_fz_needs_mode(tmp_path, cfg, capsys):
     word = gen_word(tmp_path, cfg, 100)
     assert main(["fz", word]) == 3
     capsys.readouterr()
-    assert main(["fz", word, "--max-len", "99"]) == 2
+    # the mode is checked before the word's length
+    assert main(["fz", word, "--max-len", "99"]) == 3
+    assert capsys.readouterr().err.startswith("error: need exactly one of")
+    # a word too short for a well-formed call is inconclusive
+    assert main(["fz", word, "--search", "--max-len", "99"]) == 2
 
 
 # ------------------------------------------------------------ reconstruct

@@ -905,17 +905,23 @@ def test_natural_walk_runs_on_the_kernel_itself(monkeypatch):
         natural_coding(T, x0, 40)
         coding_with_sets(T, cfg, x0, 40)
         essential_codings(T, cfg, x0, 40)
-        # the three cylinder functions share one walk of the partition
+        # the codings share one walk of each partition and its letters:
+        # natural_coding under cfg's letters takes cfg's
+        natural_coding(T, x0, 40, "abc")
+        assert len(walks) == 2 and T._walk(cfg._walk_key, T._table_walks) is walks[1]
+        # the three cylinder functions share one walk of the partition,
+        # kept apart from the codings'
         cylinder(T, cfg, "ab")
         longest_cylinder(T, cfg, "abab")
         cylinder_lengths(T, cfg, 2)
-        assert len(walks) == 4
+        assert len(walks) == 3
         # an equal config built on its own finds that walk and builds none
         again = CodingConfig.natural(T, "abc")
         cylinder(T, again, "ba")
         longest_cylinder(T, again, "baba")
         cylinder_lengths(T, again, 3)
-        assert len(walks) == 4 and T._walk(again) is walks[3]
+        coding_with_sets(T, again, x0, 40)
+        assert len(walks) == 3 and T._walk(again._walk_key, T._walks) is walks[2]
         # the natural config's bounds are the kernel's own table, not a copy
         for walk in walks:
             assert walk.kernel is T.kernel and walk.bounds is T.kernel.left
@@ -984,6 +990,94 @@ def test_shared_walk_answers_as_a_fresh_walk_per_word():
     assert empty
     for T in (plain, flipped):
         assert set(T._walks) == keys[T]
+
+
+def _fresh(T):
+    """T built again, with no walk or table kept."""
+    return build_iet(T.lengths, T.permutation, T.flips)
+
+
+def _table_walk_state(T):
+    """The walks T keeps for its codings and regularity checks, and the
+    tables each holds, by identity."""
+    return {key: (id(walk), {m: id(table) for m, table in walk.tables.items()})
+            for key, walk in T._table_walks.items()}
+
+
+def test_shared_tables_answer_as_a_fresh_table_per_call():
+    """Each exchange keeps one depth-m table per partition and m for its
+    codings and regularity checks; no answer may depend on the calls
+    made before it, at any mix of partitions, letters and block sizes."""
+    rng = random.Random(20081)
+    exchanges = [_fresh(S) for S in (golden_iet(), silver_iet(),
+                                     silver_iet((False, True, False)), flipped_4iet())]
+    exchanges += [build_iet([rational(1, 3), rational(2, 3)], (2, 1)),
+                  build_iet([rational(1, 4), rational(1, 2), rational(1, 4)], (2, 3, 1),
+                            (False, True, True)),
+                  random_exchange(rng, 5, 5, flip_p=0.5)]
+    assert sum(any(T.flips) for T in exchanges) >= 3
+    # m runs from 1 to 16 on two pieces, and to 8 on the seven of a scattered config
+    ns = (0, 3, 17, 130, 600, 2100)
+    calls = []
+    for T in exchanges:
+        # every point of these orbits is over T's field and denominator
+        points = [x for i in range(T.k) for x in orbit(T, T.left[i], 4)]
+        abc = CodingConfig.natural(T, "abcdefg")
+        configs = (abc, _scattered_config(rng, T.kernel.d, "xyz", T))
+        for n in ns:
+            for _ in range(2):
+                calls += [("natural", T, None, rng.choice(points), n),
+                          ("natural", T, "abcdefg", rng.choice(points), n)]
+                calls += [(kind, T, cfg, rng.choice(points), n)
+                          for kind in ("sets", "essential") for cfg in configs]
+        calls += [(check, T, None, None, depth)
+                  for check in ("regular", "idoc") for depth in (5, 60, 300, 1000)]
+    rng.shuffle(calls)
+
+    def run(kind, T, cfg, x0, n):
+        if kind == "natural":
+            # cfg: the letters, or None for the default
+            return natural_coding(T, x0, n, cfg)
+        if kind == "sets":
+            return coding_with_sets(T, cfg, x0, n)
+        if kind == "essential":
+            return essential_codings(T, cfg, x0, n)
+        rep = (check_regular if kind == "regular" else check_idoc)(T, n)
+        return rep.verdict, rep.witness
+
+    collided = two_sided = 0
+    for call in calls:
+        kind, T, cfg, x0, n = call
+        got = run(*call)
+        assert got == run(kind, _fresh(T), cfg, x0, n), call
+        collided += kind in ("regular", "idoc") and got[0] == "collision"
+        two_sided += kind == "essential" and len(got) == 2
+    assert collided and two_sided
+    ms, regularity = set(), 0
+    for T in exchanges:
+        # four partitions: natural_coding's default letters, abc's, which
+        # natural_coding under abc's letters shares, the scattered one, and
+        # the regularity walk's one letter for every interval, which only a
+        # walk past m single steps builds
+        assert len(T._table_walks) in (3, 4), T
+        for E in (T, T.inverse):
+            for key, walk in E._table_walks.items():
+                regularity += key[1] == " " * E.k
+                fresh = iet._Cylinders(E.kernel, *key)
+                for m, table in walk.tables.items():
+                    # a shared table is immutable and as a fresh walk builds it
+                    assert all(type(part) is tuple for part in (table, *table)), (E, key, m)
+                    assert table == fresh.table(m), (E, key, m)
+                    ms.add(m)
+        # a point off T's denominator walks a table of its own and keeps none
+        x0 = rational(1, 9973)
+        assert T.kernel.widen(0, 9973) is not T.kernel
+        before = _table_walk_state(T)
+        assert natural_coding(T, x0, 600) == natural_coding(_fresh(T), x0, 600)
+        cfg = CodingConfig.natural(T, "abcdefg")
+        assert essential_codings(T, cfg, x0, 600) == essential_codings(_fresh(T), cfg, x0, 600)
+        assert _table_walk_state(T) == before
+    assert ms >= {1, 2, 4, 8, 16} and regularity >= 4, (ms, regularity)
 
 
 # ----------------------------------- block coding versus the step walk
@@ -1190,7 +1284,7 @@ def _in_s1_form(table):
         x = starts[i]
         y = (s * (x[0] - b[0]), s * (x[1] - b[1]))
         rows[i] = (w, 1, (x[0] - y[0], x[1] - y[1]), lo, hi)
-    return starts, closed, rows
+    return tuple(starts), tuple(closed), tuple(rows)
 
 
 def test_doubled_table_matches_level_growth():
@@ -1435,7 +1529,7 @@ def test_regularity_walk_steps_singly_only_near_cuts(monkeypatch):
     for check in (check_regular, check_idoc):
         counts.update(step=0, table=0)
         assert check(T, 1000).verdict == "no-collision-up-to-depth"
-        # 3 000 and 2 000 steps covered; the table is built once a call
+        # 3 000 and 2 000 steps covered; the table is fetched once a call
         assert counts["step"] <= 100 and counts["table"] == 1, (check, counts)
     # an exchange that collides within m steps never builds a table,
     # also at depth 1000, where m = 8 (check_regular) and 4 (check_idoc)
