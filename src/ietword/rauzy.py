@@ -113,7 +113,9 @@ def strongly_connected(fs: FactorSet, k: int) -> bool:
 
 class Witness(Record):
     # kind: valence | not-strongly-connected | unlicensed-deletion |
-    #       strong-bispecial | label-contradiction
+    #       strong-bispecial | label-contradiction | complexity (oriented
+    #       mode only: p(n) > (k-1)n + 1 for the word's k letters, a bound
+    #       every flip-free k-IET coding keeps, Keane 1975)
     __slots__ = _fields = ("kind", "k", "factors", "detail")
 
     def __init__(self, kind: str, k: int, factors: tuple, detail: str = "") -> None:
@@ -121,8 +123,9 @@ class Witness(Record):
 
     def __str__(self) -> str:
         body = ",".join(str(f) for f in self.factors)
-        extra = f" ({self.detail})" if self.detail else ""
-        return f"{self.kind} at k={self.k}: {body}{extra}"
+        if self.detail:
+            body = f"{body} ({self.detail})" if body else self.detail
+        return f"{self.kind} at k={self.k}: {body}"
 
 
 class EvolutionReport(Record):
@@ -397,6 +400,22 @@ def _search_labels(levels: _Levels, K: int, k_max: int, oriented: bool):
     return _report(levels, K, oriented, *chosen)
 
 
+def _complexity_excess(fs: FactorSet, top: int) -> Witness | None:
+    """The first n in 1..top where p(n), the number of length-n factors,
+    exceeds (k-1)n + 1 for the word's k letters, as a witness; None if
+    none does.  The n-letter codings of a flip-free k-IET are cut out by
+    at most (k-1)n preimages of its k-1 cuts, so no such coding exceeds
+    the bound (Keane 1975).  p(n) is read off the extension sets below
+    the index's top level and off its counts at the top, so no level of
+    counts is rolled down."""
+    k = len(fs.alphabet)
+    for n in range(1, top + 1):
+        p = len(fs.extensions(n) if n < fs.max_len else fs.counts(n))
+        if p > (k - 1) * n + 1:
+            return Witness("complexity", n, (), f"p({n}) = {p} > {(k - 1) * n + 1}")
+    return None
+
+
 def validate_evolution(fs: FactorSet, k_min: int, k_max: int,
                        oriented: bool = False) -> EvolutionReport:
     if k_min < 1 or k_max < k_min:
@@ -418,6 +437,10 @@ def validate_evolution(fs: FactorSet, k_min: int, k_max: int,
             continue
         found = _search_labels(levels, K, k_max, oriented)
         if not isinstance(found, Witness):
+            if oriented:
+                excess = _complexity_excess(fs, k_max + 1)
+                if excess is not None:
+                    return EvolutionReport(window, "rejected", None, oriented, excess)
             in_l, out_l, marks = found
             verdict = "accepted" if K == k_min else "accepted-from-K"
             return EvolutionReport(window, verdict, K, oriented, None,

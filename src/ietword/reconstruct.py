@@ -16,6 +16,7 @@ regenerated coding tracks the input (verify_roundtrip).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import takewhile
 
@@ -41,18 +42,23 @@ SYMBOLS_PER_LEVEL = 100
 def cylinder_measures(fs: FactorSet, depth: int) -> dict:
     """Sliding-window factor frequencies, exact over the indexed word:
     {factor: Fraction} for every factor of length 1..depth."""
-    if depth < 1:
-        raise ValueError("depth must be positive")
+    _check_depth(fs, depth)
     size = len(fs.word)
-    if size < SYMBOLS_PER_LEVEL * depth:
-        raise ValueError(f"need at least {SYMBOLS_PER_LEVEL * depth} symbols "
-                         f"for depth {depth}, got {size}")
     weights = {}
     for n in range(1, depth + 1):
         windows = size - n + 1
         for w, c in fs.counts(n).items():
             weights[w] = Fraction(c, windows)
     return weights
+
+
+def _check_depth(fs: FactorSet, depth: int) -> None:
+    if depth < 1:
+        raise ValueError("depth must be positive")
+    size = len(fs.word)
+    if size < SYMBOLS_PER_LEVEL * depth:
+        raise ValueError(f"need at least {SYMBOLS_PER_LEVEL * depth} symbols "
+                         f"for depth {depth}, got {size}")
 
 
 def reconstruct_iet(fs: FactorSet, report: EvolutionReport, depth: int):
@@ -63,7 +69,7 @@ def reconstruct_iet(fs: FactorSet, report: EvolutionReport, depth: int):
     """
     if not report.accepted:
         raise ValueError("reconstruction needs an accepted validator report")
-    weights = cylinder_measures(fs, depth)
+    _check_depth(fs, depth)
     max_len = fs.max_len - 2
     pi0s, pi1s = candidate_orders(fs, max_len)
     pair = next(passing_pairs(fs, max_len, pi0s, pi1s), None)
@@ -79,23 +85,36 @@ def reconstruct_iet(fs: FactorSet, report: EvolutionReport, depth: int):
     perm = [dom.index(c) + 1 for c in img]
     marked_letters = {w[0] for ms in (report.marks or {}).values() for w in ms}
     flips = [c in marked_letters for c in dom]
-    lengths = [rational(weights[c].numerator, weights[c].denominator)
-               for c in dom]
+    letter_counts = fs.counts(1)
+    lengths = [rational(letter_counts[c], len(fs.word)) for c in dom]
     T = build_iet(lengths, perm, flips)
-    residual = _measure_residual(T, weights, depth, dom)
-    return T, residual, "".join(dom)
+    letters = "".join(dom)
+    return T, _measure_residual(T, fs, depth, letters), letters
 
 
-def _measure_residual(T: IETSpec, weights: dict, depth: int, dom) -> Fraction:
+def _measure_residual(T: IETSpec, fs: FactorSet, depth: int, letters: str) -> Fraction:
     """The largest total-variation distance, over lengths 1..depth,
     between the empirical measures and the candidate's cylinder lengths,
-    which are rational because its interval lengths are."""
-    cand = cylinder_lengths(T, CodingConfig.natural(T, "".join(dom)), depth)
-    diff = [Fraction(0)] * depth
-    for w in weights.keys() | cand.keys():
-        got = cand[w].rat if w in cand else 0
-        diff[len(w) - 1] += abs(weights.get(w, 0) - got)
-    return max(diff) / 2
+    which are rational because its interval lengths are.
+
+    A length-n factor w with c_w of the W_n = len(word) - n + 1 windows
+    has measure c_w / W_n.  Over one denominator D, a multiple of
+    len(word) and of every cylinder length's den, a cylinder length is
+    s_w / D, and level n's distance is sum |c_w*D - s_w*W_n| / (W_n*D)
+    over its factors and nonempty cylinders: integer sums, and one
+    Fraction per level."""
+    cand = cylinder_lengths(T, CodingConfig.natural(T, letters), depth)
+    size = len(fs.word)
+    D = math.lcm(size, *{x.den for x in cand.values()})
+    counts = [None, *(fs.counts(n) for n in range(1, depth + 1))]
+    diff = [0] * (depth + 1)
+    for w, x in cand.items():
+        n = len(w)
+        diff[n] += abs(counts[n].get(w, 0) * D - x.num * (D // x.den) * (size - n + 1))
+    for n in range(1, depth + 1):
+        diff[n] += D * sum(c for w, c in counts[n].items() if w not in cand)
+    return max(Fraction(diff[n], (size - n + 1) * D)
+               for n in range(1, depth + 1)) / 2
 
 
 def verify_roundtrip(word: str, candidate: IETSpec, n: int, letters: str):

@@ -370,6 +370,35 @@ def test_reconstruct_rejects_tribonacci(tmp_path, capsys):
     assert not (tmp_path / "c.cfg").exists()
 
 
+def test_reconstruct_rejects_word_over_complexity_bound(tmp_path, capsys):
+    # p(2) = 6 > 2*2 + 1: no flip-free 3-IET codes it, so the oriented
+    # validator rejects it and reconstruct exits 1, writing nothing
+    path = tmp_path / "cbbaac.txt"
+    path.write_text("cbbaac" * 600)
+    assert main(["reconstruct", str(path), "--oriented", "--k-max", "12",
+                 "--out-config", str(tmp_path / "c.cfg"),
+                 "--out-report", str(tmp_path / "c.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ("verdict=rejected;K=none;"
+                            "witness=complexity at k=2: p(2) = 6 > 5\n")
+    assert not captured.err
+    assert not (tmp_path / "c.cfg").exists()
+
+
+@pytest.mark.xfail(strict=True, reason="validate accepts the word without flips, "
+                   "but no letter order keeps every extension set contiguous")
+def test_reconstruct_does_not_refuse_an_accepted_word(tmp_path, capsys):
+    # a word validate accepts must get a candidate (exit 0) or a verdict
+    # (exit 1), never exit 3, which is kept for usage and input errors
+    path = tmp_path / "babcac.txt"
+    path.write_text("babcac" * 600)
+    assert main(["validate", str(path), "--k-max", "12",
+                 "-o", str(tmp_path / "v.txt")]) == 0
+    assert main(["reconstruct", str(path), "--k-max", "12",
+                 "--out-config", str(tmp_path / "c.cfg"),
+                 "--out-report", str(tmp_path / "c.csv")]) in (0, 1)
+
+
 def test_reconstruct_too_short(tmp_path, cfg, capsys):
     word = gen_word(tmp_path, cfg, 150)
     assert main(["reconstruct", word, "--depth", "6"]) == 2

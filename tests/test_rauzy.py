@@ -613,7 +613,7 @@ def test_levels_match_graph_reference(monkeypatch):
     assert kinds == {"valence", "unlicensed-deletion", "strong-bispecial",
                      "not-strongly-connected"}
     assert verdicts == kinds | {"label-contradiction", "accepted",
-                                "accepted-from-K"}
+                                "accepted-from-K", "complexity"}
     assert mixed > 10
     assert last_window > 10
 
@@ -625,6 +625,61 @@ def test_validator_counts_the_top_level_only():
     assert [k for k, ws in levels.static.items()
             if any(w.kind == "not-strongly-connected" for w in ws)] == [4, 5, 6]
     assert list(fs._counts) == [7]
+    # an oriented acceptance reads p(n) for the complexity bound off the
+    # extension sets and the top counts
+    fs = FactorSet(golden_word(3000), 13)
+    assert validate_evolution(fs, 1, 12, oriented=True).verdict == "accepted"
+    assert list(fs._counts) == [13]
+
+
+@pytest.mark.parametrize("word, k_max, detail", [
+    ("aabb" * 750, 12, "complexity at k=2: p(2) = 4 > 3"),
+    ("cbbaac" * 600, 12, "complexity at k=2: p(2) = 6 > 5"),
+    # the bound is checked one level past the window, at the index's top
+    ("aabb" * 750, 1, "complexity at k=2: p(2) = 4 > 3"),
+], ids=["aabb", "cbbaac", "aabb-top-level"])
+def test_complexity_bound_vetoes_oriented_acceptance(word, k_max, detail):
+    fs = FactorSet(word, k_max + 1)
+    report = validate_evolution(fs, 1, k_max, oriented=True)
+    assert (report.verdict, report.K, str(report.witness)) == ("rejected", None, detail)
+    # flips change the complexity law, so the non-oriented verdict stands
+    assert validate_evolution(fs, 1, k_max, oriented=False).verdict == "accepted"
+
+
+def bound_excess(fs, top):
+    """Reference: the first n <= top with more than (k-1)n + 1 factors of
+    length n, counted off the word's windows."""
+    k = len(set(fs.word))
+    for n in range(1, top + 1):
+        p = len({fs.word[i:i + n] for i in range(len(fs.word) - n + 1)})
+        if p > (k - 1) * n + 1:
+            return n, p
+    return None
+
+
+def test_complexity_veto_matches_reference(monkeypatch):
+    # with the veto off, the oriented verdict is the label search's own;
+    # the veto turns exactly the acceptances that break the bound, at
+    # the first n that breaks it, and non-oriented verdicts never change
+    vetoed = 0
+    for word, k_max in levels_corpus():
+        fs = FactorSet(word, k_max + 1)
+        got = {o: vars(validate_evolution(fs, 1, k_max, o)) for o in (False, True)}
+        with monkeypatch.context() as m:
+            m.setattr(rauzy, "_complexity_excess", lambda fs, top: None)
+            plain = {o: vars(validate_evolution(fs, 1, k_max, o)) for o in (False, True)}
+        assert got[False] == plain[False]
+        excess = bound_excess(fs, k_max + 1)
+        if plain[True]["verdict"] != "rejected" and excess is not None:
+            vetoed += 1
+            n, p = excess
+            assert got[True]["verdict"] == "rejected" and got[True]["K"] is None
+            witness = got[True]["witness"]
+            assert (witness.kind, witness.k, witness.factors) == ("complexity", n, ())
+            assert witness.detail == f"p({n}) = {p} > {(len(fs.alphabet) - 1) * n + 1}"
+        else:
+            assert got[True] == plain[True]
+    assert vetoed > 10
 
 
 def test_last_window_deletes_at_a_one_arc_vertex():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ietword.exact import rational
-from ietword.iet import build_iet, natural_coding
+from ietword.iet import CodingConfig, build_iet, cylinder_lengths, natural_coding
 from ietword import orders
 from ietword.orders import (
     OrderPair,
@@ -18,9 +18,9 @@ from ietword.rauzy import EvolutionReport, validate_evolution
 from ietword.reconstruct import cylinder_measures, reconstruct_iet, verify_roundtrip
 from ietword.words import FactorSet
 
-from corpus import (GOLDEN_ALPHA, fibonacci_word, five_letter_word, flipped_4iet,
-                    flipped_corpus, golden_iet, golden_word, random_exact_iet, silver_iet,
-                    silver_word)
+from corpus import (GOLDEN_ALPHA, acceptance_corpus, fibonacci_word, five_letter_word,
+                    flipped_4iet, flipped_corpus, golden_iet, golden_word, random_exact_iet,
+                    silver_iet, silver_word)
 
 
 def accepted_report(word, k_max=12):
@@ -278,6 +278,59 @@ def test_flip_marks_carry_into_candidate():
     assert residual > Fraction(1, 2)
     match = verify_roundtrip(word, cand, 300, letters)[0]
     assert match < 50
+
+
+def fraction_residual(fs, T, letters, depth):
+    """Reference: the residual in Fractions, each empirical measure from
+    cylinder_measures against the candidate's cylinder lengths."""
+    weights = cylinder_measures(fs, depth)
+    cand = cylinder_lengths(T, CodingConfig.natural(T, letters), depth)
+    diff = [Fraction(0)] * depth
+    for w in weights.keys() | cand.keys():
+        got = cand[w].rat if w in cand else 0
+        diff[len(w) - 1] += abs(weights.get(w, 0) - got)
+    return max(diff) / 2
+
+
+def residual_cases():
+    """(word, oriented, depth) triples: genuine codings, flipped ones and
+    periodic words."""
+    for _, word in acceptance_corpus():
+        yield word, True, 6
+    for T in flipped_corpus(40):
+        yield natural_coding(T, rational(1, 7), 10_000), False, 6
+    yield "aabb" * 750, False, 6
+    yield "ab" * 300, True, 4
+    yield "abc" * 3000, True, 6
+    yield "a" * 200, True, 2
+
+
+def test_residual_matches_fraction_reference():
+    residuals = []
+    for word, oriented, depth in residual_cases():
+        fs = FactorSet(word, max(13, depth))
+        rep = validate_evolution(fs, 1, 12, oriented)
+        if not rep.accepted:
+            continue
+        T, residual, letters = reconstruct_iet(fs, rep, depth)
+        assert residual == fraction_residual(fs, T, letters, depth), word[:40]
+        letter_measures = cylinder_measures(fs, 1)
+        assert [x.rat for x in T.lengths] == [letter_measures[c] for c in letters]
+        residuals.append(residual)
+    assert len(residuals) == 50
+    # "aabb" repeated is rebuilt as the rotation by 1/2, whose cylinders
+    # of length 3 are aba and bab: no factor of the word
+    assert residuals[-4] == 1
+    assert residuals[-1] == 0
+    assert len(set(residuals)) > 25
+
+
+def test_reconstruct_keeps_depth_preconditions():
+    report = accepted_report(fibonacci_word(2000))
+    with pytest.raises(ValueError, match="depth must be positive"):
+        reconstruct_iet(FactorSet(fibonacci_word(2000), 13), report, 0)
+    with pytest.raises(ValueError, match="need at least 600 symbols for depth 6, got 599"):
+        reconstruct_iet(FactorSet(fibonacci_word(599), 13), report, 6)
 
 
 def test_residual_shrinks_with_longer_prefixes():
