@@ -18,13 +18,12 @@ Conventions, fixed once for the whole package:
 * Every step runs on the exchange's integer kernel, _IntOrbit: the
   point maps, the orbits, the cylinder walks and the regularity checks.
 * An exchange builds the cylinder walk of a coding partition once, on
-  first use, with the cylinders of its single letters; ``cylinder``,
-  ``longest_cylinder`` and ``cylinder_lengths`` on any equal config then
-  share it.  The codings and regularity checks keep walks of their own,
-  and each of those builds its depth-m table once per m: every coding
-  of a point over the exchange's field and denominator, and every
-  regularity check, reuses it.  A partition whose walk cannot be built
-  (MixedRadicalError) is not kept.
+  first use, and keeps its tree of nonempty cylinders as it grows it.
+  ``cylinder``, ``longest_cylinder`` and ``cylinder_lengths`` on any
+  equal config, the codings and the regularity checks all share that
+  one walk: the cylinder calls read the tree, and the depth-m table of
+  the codings and checks, built once per m, grows from it.  A partition
+  whose walk cannot be built (MixedRadicalError) is not kept.
 """
 from __future__ import annotations
 
@@ -55,6 +54,9 @@ __all__ = [
 ]
 
 DEFAULT_LETTERS = "123456789"
+# the depth a walk grows its cylinder tree to for a depth-m table (see
+# _Cylinders.table) and for a cylinder query; a query steps past it alone
+_TREE_DEPTH = 4
 
 
 class DomainError(ValueError):
@@ -114,7 +116,7 @@ class IETSpec:
         # reflection point: flipped branch sends interior x to refl - x
         self.refl = tuple(self.dest_lo[i - 1] + self.left[i] for i in range(1, k + 1))
         self.kernel = _IntOrbit(self)
-        self._walks, self._table_walks = {}, {}
+        self._walks = {}
 
     @staticmethod
     def _coerce(x) -> ExactScalar:
@@ -159,18 +161,15 @@ class IETSpec:
         a, b = kernel.step(p, E)
         return ExactScalar._canonical(a, b, E * kernel.D, kernel.d)
 
-    def _walk(self, key, walks: dict) -> "_Cylinders":
+    def _walk(self, key) -> "_Cylinders":
         """The walk of the partition key = (encoded cuts, piece letters),
         built on first use and shared by every later call with an equal
-        key.  walks is _walks for the cylinder calls and _table_walks for
-        the codings and regularity checks, which read the walk's tables.
-        Kept apart, a cylinder call's lookup finds the key its own config
-        stored, by identity, not an equal one a coding stored first,
-        which the lookup would compare element by element."""
-        walk = walks.get(key)
+        key: the cylinder calls read its tree, the codings and regularity
+        checks its tables."""
+        walk = self._walks.get(key)
         if walk is None:
             # a build that raises (MixedRadicalError) caches nothing
-            walk = walks[key] = _Cylinders(self.kernel, *key)
+            walk = self._walks[key] = _Cylinders(self.kernel, *key)
         return walk
 
     @cached_property
@@ -368,7 +367,14 @@ class CodingConfig:
             letters = DEFAULT_LETTERS
         if len(letters) < T.k:
             raise ValueError(f"need {T.k} letters, got {len(letters)}")
-        return cls((letters[i - 1], (T.interval(i),)) for i in range(1, T.k + 1))
+        config = cls((letters[i - 1], (T.interval(i),)) for i in range(1, T.k + 1))
+        # its cuts are T's interval ends, so it encodes them as the kernel's
+        # own table: a walk lookup under an equal key, another natural
+        # config's or natural_coding's, then compares them by identity
+        k = T.kernel
+        config.encoded = (k.d, k.D, k.left)
+        config._walk_key = _HashedKey((config.encoded, config.piece_letters))
+        return config
 
 
 def coding_with_sets(T: IETSpec, config: CodingConfig, x0, n: int) -> str:
@@ -383,13 +389,14 @@ def _block_coding(T: IETSpec, key, x0, n: int, sides=(0,)) -> list[str]:
 
     A point over T's own field and denominator reads the table off T's
     walk of the partition (T._walk), built once per m and shared by
-    every later coding of the partition.  Any other point widens the
-    kernel, and its walk and table are built for this call alone: one
-    kept per denominator would grow without bound.
+    every later coding of the partition; the table's levels are the
+    walk's kept tree, which the cylinder calls read too.  Any other
+    point widens the kernel, and its walk and table are built for this
+    call alone: one kept per denominator would grow without bound.
 
     m is _block_size(pieces, n), which keeps the table (grown to depth
-    4, then doubled: about pieces * 4*m piece steps) below the walk's
-    n / m blocks.  The first block bisects the whole table; each later
+    _TREE_DEPTH = 4, then doubled: about pieces * 4*m piece steps) below
+    the walk's n / m blocks.  The first block bisects the whole table; each later
     block bisects only the successor range of the row before it, the
     rows that row's image meets, about 2.
     A limit on a row start takes that row for side +1 and the row before
@@ -400,7 +407,7 @@ def _block_coding(T: IETSpec, key, x0, n: int, sides=(0,)) -> list[str]:
         raise ValueError("orbit length must be >= 0")
     x0 = T._domain(x0)[0]
     kernel = T.kernel.widen(x0.d, x0.den)
-    walk = T._walk(key, T._table_walks) if kernel is T.kernel else _Cylinders(kernel, *key)
+    walk = T._walk(key) if kernel is T.kernel else _Cylinders(kernel, *key)
     m = _block_size(len(key[1]), n)
     starts, closed, rows = walk.table(m)
     d = walk.kernel.d
@@ -431,7 +438,7 @@ def _block_size(cost: int, steps: int) -> int:
     interval count (see _first_hit).  256 is what the rule picks for
     10^6 letters of 3 pieces, and was faster there than 128 or 512."""
     m = 1
-    while m < 256 and (2 * m) ** 2 * min(2 * m, 4) * cost <= steps:
+    while m < 256 and (2 * m) ** 2 * min(2 * m, _TREE_DEPTH) * cost <= steps:
         m *= 2
     return m
 
@@ -564,7 +571,7 @@ def _first_hit(E: IETSpec, points, targets, depth: int):
                 # the walk reads the rows' maps, not their words, so one
                 # letter stands for every interval
                 key = _HashedKey(((d, kernel.D, kernel.left), " " * E.k))
-                starts, closed, rows = E._walk(key, E._table_walks).table(m)
+                starts, closed, rows = E._walk(key).table(m)
                 full = hi = len(rows)
             r = 0
             if full and n + m <= depth:
@@ -599,12 +606,14 @@ class _Cylinders:
     part is a piece inside one span, tagged (j, piece), so a step reads
     its branch off the tag.
 
-    An exchange keeps one walk per coding partition for its cylinder
-    calls and one for its codings and regularity checks (IETSpec._walk),
-    and every call on that partition shares it.  That is safe: advance
-    and clip return new lists, the one-letter cylinders and the tables
-    are tuples, and the callers only read the parts (intervals, length)
-    and the rows.
+    An exchange keeps one walk per coding partition (IETSpec._walk), and
+    every call on that partition shares it: the cylinder calls, the
+    codings and the regularity checks.  The walk keeps its cylinder tree,
+    tree[n-1] mapping each word of length n with a nonempty cylinder to
+    its parts, as far as a call has grown it (levels), and its depth-m
+    tables.  Sharing is safe: advance and clip return new lists, the
+    tree's parts and the tables are tuples, and the callers only read
+    the parts (intervals, length) and the rows.
     """
 
     def __init__(self, kernel: _IntOrbit, encoded, letters):
@@ -633,11 +642,11 @@ class _Cylinders:
         self.spans = {}
         for j, letter in enumerate(span_letters, start=1):
             self.spans.setdefault(letter, []).append((j, bounds[j - 1], bounds[j]))
-        # first[letter]: the parts of the letter's one-letter cylinder,
+        # tree[0][letter]: the parts of the letter's one-letter cylinder,
         # [0,1) clipped to each of its spans: the span itself, unmapped
-        self.first = {letter: tuple((j, (lo, hi, True, False, 1, (0, 0)))
+        self.tree = [{letter: tuple((j, (lo, hi, True, False, 1, (0, 0)))
                                     for j, lo, hi in spans)
-                      for letter, spans in self.spans.items()}
+                      for letter, spans in self.spans.items()}]
         # tables[m]: the depth-m table, built on first use
         self.tables = {}
 
@@ -715,20 +724,18 @@ class _Cylinders:
             parts.setdefault(letters[part[0] - 1], []).append(part)
         return parts
 
-    def levels(self, depth: int, alphabet):
-        """For n = 1..depth, the nonempty cylinders of the words of length
-        n as a list of (word, parts), words listed in alphabet order."""
-        frontier = [("", [])]
-        for n in range(depth):
-            grown = []
-            for w, hit in frontier:
-                parts = self.by_letter(self.advance(hit)) if n else self.first
-                for letter in alphabet:
-                    part = parts.get(letter)
-                    if part:
-                        grown.append((w + letter, part))
-            yield grown
-            frontier = grown
+    def levels(self, depth: int) -> list:
+        """The tree, grown to at least depth levels and kept: level n-1
+        maps each word of length n with a nonempty cylinder to its parts,
+        each level grown from the one before."""
+        tree = self.tree
+        while len(tree) < depth:
+            level = {}
+            for w, hit in tree[-1].items():
+                for letter, parts in self.by_letter(self.advance(hit)).items():
+                    level[w + letter] = tuple(parts)
+            tree.append(level)
+        return tree
 
     def table(self, m: int):
         """The depth-m cylinder table, for coding m letters at a time.
@@ -745,8 +752,8 @@ class _Cylinders:
         start first; starts and closed hold each row's start and 1 if it
         is closed, else -1.
 
-        The piece walk grows the table to depth m / 2**j, halving m while
-        it is even and above 4, then doubles it j times: T^2d is T^d
+        The table reads the tree's level m / 2**j, halving m while it is
+        even and above _TREE_DEPTH = 4, then doubles it j times: T^2d is T^d
         after T^d.  The points of row r whose image J_r meets the source
         I_q of row q, in r's successor range, are coded by the word of r
         and then that of q, and on them T^2d is q's map after r's: with
@@ -760,24 +767,24 @@ class _Cylinders:
         lies in J_q, so its successor range is bisected among the new
         rows of the rows in q's range.
 
-        Growing the levels steps every cylinder once a level, about
-        pieces * d**2 piece steps to depth d; a doubling emits each of
-        the next table's about (k-1)*2d + pieces rows once, and bisects
-        its range among a few rows.  The table is built once per m and
-        kept, as tuples: it depends on the partition and m alone, and
-        every later coding or walk on the same walk reads it.
+        Growing the tree steps every cylinder once a level, about
+        pieces * d**2 piece steps to depth d, and a level grown once
+        serves every table and cylinder call after it; a doubling emits
+        each of the next table's about (k-1)*2d + pieces rows once, and
+        bisects its range among a few rows.  The table is built once per
+        m and kept, as tuples: it depends on the partition and m alone,
+        and every later coding or orbit walk on the same walk reads it.
         """
         table = self.tables.get(m)
         if table is not None:
             return table
         depth = m
-        while depth > 4 and depth % 2 == 0:
+        while depth > _TREE_DEPTH and depth % 2 == 0:
             depth //= 2
-        for level in self.levels(depth, self.spans):
-            pass  # each level grows from the one before; only the last is read
+        level = self.levels(depth)[depth - 1]
         key = self.source_order()
         pieces = sorted(((self.source(piece), w, piece)
-                         for w, parts in level for piece in self.advance(parts)),
+                         for w, parts in level.items() for piece in self.advance(parts)),
                         key=lambda row: key(row[0]))
         starts = [src[0] for src, _, _ in pieces]
         closed = [1 if src[2] else -1 for src, _, _ in pieces]
@@ -848,14 +855,23 @@ class _Cylinders:
         return new_starts, new_closed, new_rows, new_images
 
     def prefix(self, w: str):
-        """How many leading letters of w have a nonempty cylinder, and its parts."""
+        """How many leading letters of w have a nonempty cylinder, and its
+        parts.  The tree, grown to at least min(len(w), _TREE_DEPTH)
+        levels, gives each prefix it holds by one lookup; past its depth
+        the walk clips the stepped parts to each next letter's spans."""
+        tree, spans = self.tree, self.spans
+        if len(tree) < min(len(w), _TREE_DEPTH):
+            self.levels(min(len(w), _TREE_DEPTH))
+        kept = len(tree)
         depth, hit = 0, ()
         for letter in w:
-            spans = self.spans.get(letter)
-            if spans is None:
-                raise ValueError(f"letter {letter!r} not in the coding config")
-            part = self.clip(self.advance(hit), spans) if depth else self.first[letter]
+            # a letter outside the config has no spans and is in no word
+            # of the tree, so its cylinder is empty
+            part = tree[depth].get(w[:depth + 1]) if depth < kept else \
+                self.clip(self.advance(hit), spans.get(letter, ()))
             if not part:
+                if letter not in spans:
+                    raise ValueError(f"letter {letter!r} not in the coding config")
                 break
             depth, hit = depth + 1, part
         return depth, hit
@@ -902,7 +918,7 @@ def longest_cylinder(T: IETSpec, config: CodingConfig, w: str):
 
     (0, ()) when the cylinder of w's first letter is already empty.
     """
-    walk = T._walk(config._walk_key, T._walks)
+    walk = T._walk(config._walk_key)
     depth, parts = walk.prefix(w)
     return depth, walk.intervals(parts)
 
@@ -911,7 +927,7 @@ def cylinder(T: IETSpec, config: CodingConfig, w: str) -> tuple[Interval, ...]:
     """Maximal intervals of points whose coding starts with w (exact)."""
     if not w:
         raise ValueError("cylinder word must be nonempty")
-    walk = T._walk(config._walk_key, T._walks)
+    walk = T._walk(config._walk_key)
     depth, parts = walk.prefix(w)
     if depth < len(w):
         return ()
@@ -923,6 +939,12 @@ def cylinder_lengths(T: IETSpec, config: CodingConfig, depth: int) -> dict[str, 
     whose cylinder is nonempty."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    walk = T._walk(config._walk_key, T._walks)
-    return {w: walk.length(part)
-            for level in walk.levels(depth, config.letters) for w, part in level}
+    walk = T._walk(config._walk_key)
+    # level by level, each word's extensions in config.letters order:
+    # the tree lists a level's words in the order it grew them
+    lengths, words = {}, [""]
+    for level in walk.levels(depth)[:depth]:
+        words = [v for w in words for c in config.letters if (v := w + c) in level]
+        for w in words:
+            lengths[w] = walk.length(level[w])
+    return lengths

@@ -26,8 +26,9 @@ from ietword.iet import (
     orbit,
 )
 
-from corpus import (GOLDEN_ALPHA, contains_limit, flipped_4iet, golden_iet, mechanical_word,
-                    random_exact_iet, random_exchange, random_point, silver_iet)
+from corpus import (GOLDEN_ALPHA, contains_limit, flipped_4iet, flipped_corpus, golden_iet,
+                    mechanical_word, random_exact_iet, random_exchange, random_point,
+                    seven_letter_iet, silver_iet)
 
 SQRT2 = make_quadratic(0, 1, 1, 1, 2)
 
@@ -908,21 +909,26 @@ def test_natural_walk_runs_on_the_kernel_itself(monkeypatch):
         # the codings share one walk of each partition and its letters:
         # natural_coding under cfg's letters takes cfg's
         natural_coding(T, x0, 40, "abc")
-        assert len(walks) == 2 and T._walk(cfg._walk_key, T._table_walks) is walks[1]
-        # the three cylinder functions share one walk of the partition,
-        # kept apart from the codings'
+        assert len(walks) == 2 and T._walk(cfg._walk_key) is walks[1]
+        # the three cylinder functions read that same walk's tree, which
+        # the codings' depth-2 table grew to two levels
+        assert len(walks[1].tree) == 2
         cylinder(T, cfg, "ab")
         longest_cylinder(T, cfg, "abab")
         cylinder_lengths(T, cfg, 2)
-        assert len(walks) == 3
+        assert len(walks) == 2 and len(walks[1].tree) == 4
         # an equal config built on its own finds that walk and builds none
         again = CodingConfig.natural(T, "abc")
         cylinder(T, again, "ba")
         longest_cylinder(T, again, "baba")
-        cylinder_lengths(T, again, 3)
+        cylinder_lengths(T, again, 5)
         coding_with_sets(T, again, x0, 40)
-        assert len(walks) == 3 and T._walk(again._walk_key, T._walks) is walks[2]
-        # the natural config's bounds are the kernel's own table, not a copy
+        assert len(walks) == 2 and T._walk(again._walk_key) is walks[1]
+        assert len(walks[1].tree) == 5
+        assert set(T._walks) == {CodingConfig.natural(T)._walk_key, cfg._walk_key}
+        # the natural config's cuts and bounds are the kernel's own table,
+        # not a copy, so an equal key compares them by identity
+        assert cfg.encoded[2] is again.encoded[2] is T.kernel.left
         for walk in walks:
             assert walk.kernel is T.kernel and walk.bounds is T.kernel.left
         walks.clear()
@@ -936,8 +942,9 @@ def test_natural_walk_runs_on_the_kernel_itself(monkeypatch):
 
 
 def test_shared_walk_answers_as_a_fresh_walk_per_word():
-    """Each exchange keeps one walk per partition for its cylinder calls;
-    their answers must not depend on the calls made before them."""
+    """Each exchange keeps one walk per partition, and its cylinder tree,
+    for its cylinder calls; their answers must not depend on the calls
+    made before them."""
     rng = random.Random(20074)
     plain = random_exchange(rng, 3, 2, flip_p=0)
     flipped = random_exchange(rng, 3, 5, flip_p=0.5)
@@ -977,7 +984,7 @@ def test_shared_walk_answers_as_a_fresh_walk_per_word():
         if isinstance(w, int):
             assert cylinder_lengths(T, cfg, w) == {
                 word: fresh.length(part)
-                for level in fresh.levels(w, cfg.letters) for word, part in level}
+                for level in fresh.levels(w)[:w] for word, part in level.items()}
             continue
         depth, parts = fresh.prefix(w)
         expect = fresh.intervals(parts)
@@ -997,11 +1004,103 @@ def _fresh(T):
     return build_iet(T.lengths, T.permutation, T.flips)
 
 
+def _listed_out_of_span_order():
+    """Sets whose letters are listed in another order than their spans
+    run: x owns two pieces, and the rational cuts are no quadratic
+    exchange's ends."""
+    a, b, c = rational(1, 5), rational(2, 5), rational(3, 5)
+    return CodingConfig([("y", (Interval(b, c),)), ("z", (Interval(a, b),)),
+                         ("x", (Interval(ZERO, a), Interval(c, ONE)))])
+
+
+def test_cylinder_queries_read_the_kept_tree():
+    """cylinder, longest_cylinder and cylinder_lengths against the scalar
+    references to depth 6, past the tree's kept depth 4, on a fresh
+    exchange, after a coding built a table from the tree, and after
+    cylinder_lengths grew the tree to depth 6.  A letter outside the
+    config raises exactly where the reference reaches it."""
+    depth = 6
+    exchanges = [golden_iet(), silver_iet(), silver_iet((False, True, False)), flipped_4iet(),
+                 seven_letter_iet(), *flipped_corpus(3)]
+    assert sum(any(T.flips) for T in exchanges) >= 3
+    scattered = _listed_out_of_span_order()
+    spans = iet._Cylinders(golden_iet().kernel, scattered.encoded, scattered.piece_letters).spans
+    assert list(spans) == ["x", "z", "y"] and scattered.letters == ("y", "z", "x")
+    raised = past_kept = 0
+    for S in exchanges:
+        for cfg in (CodingConfig.natural(S, "abcdefg"), scattered):
+            tree = _cylinder_tree_reference(S, cfg, depth)
+            # every word whose proper prefixes all have nonempty cylinders
+            words = [*cfg.letters, *(w + c for w in tree if len(w) < depth for c in cfg.letters)]
+            longer = [w + w[:4] for w in tree if len(w) == depth]
+            for order in ("fresh", "table", "lengths"):
+                T = _fresh(S)
+                walk = T._walk(cfg._walk_key)
+                if order == "table":
+                    # a point over T's own denominator reads T's walk
+                    coding_with_sets(T, cfg, ZERO, 2000)
+                    assert walk.tables and len(walk.tree) == 4, (S, cfg)
+                elif order == "lengths":
+                    cylinder_lengths(T, cfg, depth)
+                    assert len(walk.tree) == depth
+                for w in words:
+                    expect = _merge_reference(tree[w]) if w in tree else ()
+                    assert cylinder(T, cfg, w) == expect, (S, cfg, order, w)
+                    n = len(w) if w in tree else len(w) - 1
+                    assert longest_cylinder(T, cfg, w) == (
+                        n, _merge_reference(tree[w[:n]]) if n else ()), (S, cfg, order, w)
+                    # w's prefixes reach the stray letter only when w's cylinder is nonempty
+                    stray = w + "?" + w
+                    if w in tree:
+                        for call in (cylinder, longest_cylinder):
+                            with pytest.raises(ValueError, match="not in the coding config"):
+                                call(T, cfg, stray)
+                        raised += 1
+                        past_kept += len(w) >= 4
+                    else:
+                        assert cylinder(T, cfg, stray) == ()
+                        assert longest_cylinder(T, cfg, stray) == longest_cylinder(T, cfg, w)
+                for w in longer[:3]:
+                    assert longest_cylinder(T, cfg, w) == _longest_reference(T, cfg, w)
+                lengths = cylinder_lengths(T, cfg, depth)
+                assert list(lengths) == list(tree), (S, cfg, order)
+                for w, part in tree.items():
+                    total = ZERO
+                    for img, _, _ in part:
+                        total = total + img.length
+                    assert lengths[w] == total
+    with pytest.raises(KeyError):
+        _longest_reference(golden_iet(), scattered, "x?")
+    assert raised and past_kept
+
+
+def test_cylinder_query_keeps_four_levels_of_tuples():
+    """A cylinder query of any length grows the kept tree to four levels
+    and no further, and every kept level holds its parts as tuples, so
+    no caller can change what the others read."""
+    for S in (silver_iet((False, True, False)), flipped_4iet()):
+        T = _fresh(S)
+        cfg = CodingConfig.natural(T)
+        # coded on a copy of T, so that T keeps no walk yet
+        w = natural_coding(_fresh(S), S.left[1], 40)
+        walk = T._walk(cfg._walk_key)
+        assert cylinder(T, cfg, w[:2]) and len(walk.tree) == 2
+        assert cylinder(T, cfg, w) == _longest_reference(T, cfg, w)[1] != ()
+        assert len(walk.tree) == 4 and set(T._walks) == {cfg._walk_key}
+        with pytest.raises(ValueError, match="not in the coding config"):
+            longest_cylinder(T, cfg, w[:39] + "?")
+        assert len(walk.tree) == 4
+        for level in walk.tree:
+            for parts in level.values():
+                assert type(parts) is tuple and parts
+                assert all(type(part) is tuple and type(part[1]) is tuple for part in parts)
+
+
 def _table_walk_state(T):
-    """The walks T keeps for its codings and regularity checks, and the
-    tables each holds, by identity."""
+    """The walks T keeps, one per partition, and the tables each holds,
+    by identity."""
     return {key: (id(walk), {m: id(table) for m, table in walk.tables.items()})
-            for key, walk in T._table_walks.items()}
+            for key, walk in T._walks.items()}
 
 
 def test_shared_tables_answer_as_a_fresh_table_per_call():
@@ -1059,9 +1158,9 @@ def test_shared_tables_answer_as_a_fresh_table_per_call():
         # natural_coding under abc's letters shares, the scattered one, and
         # the regularity walk's one letter for every interval, which only a
         # walk past m single steps builds
-        assert len(T._table_walks) in (3, 4), T
+        assert len(T._walks) in (3, 4), T
         for E in (T, T.inverse):
-            for key, walk in E._table_walks.items():
+            for key, walk in E._walks.items():
                 regularity += key[1] == " " * E.k
                 fresh = iet._Cylinders(E.kernel, *key)
                 for m, table in walk.tables.items():
@@ -1254,12 +1353,15 @@ def test_successor_ranges_hold_every_image():
 
 def _table_reference(walk, m):
     """walk's depth-m cylinder table grown one level at a time, every
-    level from the one before, as table built it before doubling."""
-    for level in walk.levels(m, walk.spans):
-        pass
+    level from the one before, as table built it before doubling.  The
+    levels are grown here and dropped, so walk's tree stays as it was."""
+    level = walk.tree[0]
+    for _ in range(m - 1):
+        level = {w + letter: parts for w, hit in level.items()
+                 for letter, parts in walk.by_letter(walk.advance(hit)).items()}
     key = walk.source_order()
     pieces = sorted(((walk.source(piece), w, piece)
-                     for w, parts in level for piece in walk.advance(parts)),
+                     for w, parts in level.items() for piece in walk.advance(parts)),
                     key=lambda row: key(row[0]))
     starts = [src[0] for src, _, _ in pieces]
     closed = [1 if src[2] else -1 for src, _, _ in pieces]
