@@ -18,12 +18,12 @@ Conventions, fixed once for the whole package:
 * Every step runs on the exchange's integer kernel, _IntOrbit: the
   point maps, the orbits, the cylinder walks and the regularity checks.
 * An exchange builds the cylinder walk of a coding partition once, on
-  first use, and keeps its tree of nonempty cylinders as it grows it.
-  ``cylinder``, ``longest_cylinder`` and ``cylinder_lengths`` on any
-  equal config, the codings and the regularity checks all share that
-  one walk: the cylinder calls read the tree, and the depth-m table of
-  the codings and checks, built once per m, grows from it.  A partition
-  whose walk cannot be built (MixedRadicalError) is not kept.
+  first use.  ``cylinder``, ``longest_cylinder`` and ``cylinder_lengths``
+  on any equal config, the codings and the regularity checks all share
+  that one walk.  The cylinder calls grow and read its tree of nonempty
+  cylinders; the codings and checks read its depth-m tables, each built
+  once per m by doubling the depth-1 rows.  A partition whose walk
+  cannot be built (MixedRadicalError) is not kept.
 """
 from __future__ import annotations
 
@@ -54,8 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_LETTERS = "123456789"
-# the depth a walk grows its cylinder tree to for a depth-m table (see
-# _Cylinders.table) and for a cylinder query; a query steps past it alone
+# the depth a cylinder query grows its walk's tree to; it steps past it alone
 _TREE_DEPTH = 4
 
 
@@ -389,14 +388,13 @@ def _block_coding(T: IETSpec, key, x0, n: int, sides=(0,)) -> list[str]:
 
     A point over T's own field and denominator reads the table off T's
     walk of the partition (T._walk), built once per m and shared by
-    every later coding of the partition; the table's levels are the
-    walk's kept tree, which the cylinder calls read too.  Any other
-    point widens the kernel, and its walk and table are built for this
-    call alone: one kept per denominator would grow without bound.
+    every later coding of the partition.  Any other point widens the
+    kernel, and its walk and table are built for this call alone: one
+    kept per denominator would grow without bound.
 
-    m is _block_size(pieces, n), which keeps the table (grown to depth
-    _TREE_DEPTH = 4, then doubled: about pieces * 4*m piece steps) below
-    the walk's n / m blocks.  The first block bisects the whole table; each later
+    m is _block_size(pieces, n), which keeps the table (doubled from the
+    depth-1 rows, see _Cylinders.table) below the walk's n / m blocks.
+    The first block bisects the whole table; each later
     block bisects only the successor range of the row before it, the
     rows that row's image meets, about 2.
     A limit on a row start takes that row for side +1 and the row before
@@ -428,17 +426,16 @@ def _block_size(cost: int, steps: int) -> int:
     """The largest power of two m up to 256 with m**2 * min(m, 4) * cost
     <= steps.
 
-    A walk covering steps takes steps / m blocks on a depth-m table, and
-    the rule keeps the table's cost below that.  The table grows level
-    by level to depth 4, about cost * m**2 steps, and doubles from there
-    (see _Cylinders.table), so a depth-m table costs about m/4 depth-4
-    ones, cost * 4*m.  Up to 4 the rule is the level growth's m**3 *
-    cost <= steps; past 4 it never picks a smaller m than that.  The
-    codings pass their piece count, the regularity walk twice its
-    interval count (see _first_hit).  256 is what the rule picks for
-    10^6 letters of 3 pieces, and was faster there than 128 or 512."""
+    A walk covering steps takes steps / m blocks on a depth-m table.
+    The table's log2(m) doublings emit about cost * 2*m rows in all (see
+    _Cylinders.table), far fewer than that, and the rule's extra
+    factors keep small walks on small tables: m**3 * cost <= steps up
+    to m = 4, 4 * m**2 * cost <= steps past it.  The codings pass their
+    piece count, the regularity walk twice its interval count (see
+    _first_hit).  256 is what the rule picks for 10^6 letters of 3
+    pieces, and was faster there than 128 or 512."""
     m = 1
-    while m < 256 and (2 * m) ** 2 * min(2 * m, _TREE_DEPTH) * cost <= steps:
+    while m < 256 and (2 * m) ** 2 * min(2 * m, 4) * cost <= steps:
         m *= 2
     return m
 
@@ -552,14 +549,16 @@ def _first_hit(E: IETSpec, points, targets, depth: int):
     without a hit, so an exchange whose first orbit collides within m
     steps never builds it.  It is E's own (E._walk), built by the first
     check that needs it and read by every later one at the same m.
-    m is _block_size(2k, steps covered), for E's k intervals: a depth-4
-    table costs 2 to 4 k*16 single steps and a jump about 1.3.  At depth 100 this gives
-    m = 2; cost k gave m = 4, and the benchmark's twelve depth-100
-    checks then took 3.0 ms in place of 2.7 ms (3.2 ms one step at a
-    time; best of 60, Python 3.11, shared 2-vCPU Linux host).  At depth
-    1000 it gives m = 8 (4 for check_idoc on two intervals), a doubled
-    table: both checks of seven exchanges took 6.1 ms in place of 8.0
-    ms with the level-grown m = 4 (medians of 41, same host).
+    m is _block_size(2k, steps covered), for E's k intervals: the table
+    emits about 2(k-1)*m rows (see _Cylinders.table) and a jump costs
+    about 1.3 single steps.  At depth 100 this gives m = 2; cost k gave
+    m = 4, and the benchmark's twelve depth-100 checks then took 3.0 ms
+    in place of 2.7 ms (3.2 ms one step at a time; best of 60, Python
+    3.11, shared 2-vCPU Linux host).  At depth 1000 it gives m = 8 (4
+    for check_idoc on two intervals): both checks of the benchmark's
+    seven exact-dynamics exchanges took 13.6 ms on fresh exchanges and
+    8.5 ms after them, against 18.5 and 15.3 ms with m held to 4
+    (medians of 41, same host).
     """
     kernel, d = E.kernel, E.kernel.d
     m = _block_size(2 * E.k, len(points) * depth)
@@ -610,10 +609,11 @@ class _Cylinders:
     every call on that partition shares it: the cylinder calls, the
     codings and the regularity checks.  The walk keeps its cylinder tree,
     tree[n-1] mapping each word of length n with a nonempty cylinder to
-    its parts, as far as a call has grown it (levels), and its depth-m
-    tables.  Sharing is safe: advance and clip return new lists, the
-    tree's parts and the tables are tuples, and the callers only read
-    the parts (intervals, length) and the rows.
+    its parts, as far as a cylinder call has grown it (levels), and the
+    depth-m tables of the codings and checks, which start from the spans
+    and leave the tree at tree[0].  Sharing is safe: advance and clip
+    return new lists, the tree's parts and the tables are tuples, and
+    the callers only read the parts (intervals, length) and the rows.
     """
 
     def __init__(self, kernel: _IntOrbit, encoded, letters):
@@ -738,7 +738,8 @@ class _Cylinders:
         return tree
 
     def table(self, m: int):
-        """The depth-m cylinder table, for coding m letters at a time.
+        """The depth-m cylinder table, for coding m letters at a time; m
+        must be a power of two.
 
         Each row (word, s, b, lo, hi) is a piece of source points x coded
         by word for m steps, on which T^m is y = s*x - s*b.  A row of one
@@ -752,53 +753,48 @@ class _Cylinders:
         start first; starts and closed hold each row's start and 1 if it
         is closed, else -1.
 
-        The table reads the tree's level m / 2**j, halving m while it is
-        even and above _TREE_DEPTH = 4, then doubles it j times: T^2d is T^d
-        after T^d.  The points of row r whose image J_r meets the source
-        I_q of row q, in r's successor range, are coded by the word of r
-        and then that of q, and on them T^2d is q's map after r's: with
-        x = s_r*y + b_r and y = s_q*z + b_q, x = s_r*s_q*z + s_r*b_q +
-        b_r.  The parts J_r & I_q tile J_r in q's order, so r's new rows
-        come in source order as q runs up when s_r = +1 and down when
-        s_r = -1, and no sort is needed.  The rows partition [0,1), so
-        I_q ends where I_q+1 starts, and the ends of J_r & I_q are read
-        off the row starts with no sign test; a part of one point is
-        kept only when it is closed at both ends.  The new row's image
-        lies in J_q, so its successor range is bisected among the new
-        rows of the rows in q's range.
+        The depth-1 rows are the spans, each stepped once in span order,
+        which is source order: a flipped span at its interval's left end
+        steps to its peeled point, of s = 1, and then to its open rest.
+        The table is then doubled log2(m) times: T^2d is T^d after T^d.
+        The points of row r whose image J_r meets the source I_q of row
+        q, in r's successor range, are coded by the word of r and then
+        that of q, and on them T^2d is q's map after r's: with x = s_r*y
+        + b_r and y = s_q*z + b_q, x = s_r*s_q*z + s_r*b_q + b_r.  The
+        parts J_r & I_q tile J_r in q's order, so r's new rows come in
+        source order as q runs up when s_r = +1 and down when s_r = -1,
+        and no sort is needed.  The rows partition [0,1), so I_q ends
+        where I_q+1 starts, and the ends of J_r & I_q are read off the
+        row starts with no sign test; a part of one point is kept only
+        when it is closed at both ends.  The new row's image lies in J_q,
+        so its successor range is bisected among the new rows of the rows
+        in q's range.
 
-        Growing the tree steps every cylinder once a level, about
-        pieces * d**2 piece steps to depth d, and a level grown once
-        serves every table and cylinder call after it; a doubling emits
-        each of the next table's about (k-1)*2d + pieces rows once, and
-        bisects its range among a few rows.  The table is built once per
-        m and kept, as tuples: it depends on the partition and m alone,
-        and every later coding or orbit walk on the same walk reads it.
+        A doubling emits each of the next table's about (k-1)*2d + pieces
+        rows once, and bisects its range among a few rows.  The table is
+        built once per m and kept, as tuples: it depends on the partition
+        and m alone, and every later coding or orbit walk on the same walk
+        reads it.
         """
         table = self.tables.get(m)
         if table is not None:
             return table
-        depth = m
-        while depth > _TREE_DEPTH and depth % 2 == 0:
-            depth //= 2
-        level = self.levels(depth)[depth - 1]
-        key = self.source_order()
-        pieces = sorted(((self.source(piece), w, piece)
-                         for w, parts in level.items() for piece in self.advance(parts)),
-                        key=lambda row: key(row[0]))
-        starts = [src[0] for src, _, _ in pieces]
-        closed = [1 if src[2] else -1 for src, _, _ in pieces]
+        if m < 1 or m & (m - 1):
+            raise ValueError(f"table depth {m} is not a power of two")
+        bounds, pieces = self.bounds, []
+        for j, w in enumerate(self.span_letters, start=1):
+            span = (bounds[j - 1], bounds[j], True, False, 1, (0, 0))
+            pieces += ((w, piece) for piece in self.advance([(j, span)]))
+        sources = [self.source(piece) for _, piece in pieces]
+        starts = [x for x, _, _, _ in sources]
+        closed = [1 if xc else -1 for _, _, xc, _ in sources]
         d, n = self.kernel.d, len(pieces)
-        rows, images = [], []
-        for (x, _, _, _), w, (lo, hi, lc, hc, s, b) in pieces:
-            if lo == hi:
-                s, b = 1, (x[0] - lo[0], x[1] - lo[1])
-            rows.append((w, s, b, _row_count(starts, closed, d, lo, -1, 0, n),
-                         _row_count(starts, closed, d, hi, 1, 0, n)))
-            images.append((lo, hi, lc, hc))
-        while depth < m:
+        rows = [(w, s, b, _row_count(starts, closed, d, lo, -1, 0, n),
+                 _row_count(starts, closed, d, hi, 1, 0, n))
+                for w, (lo, hi, _, _, s, b) in pieces]
+        images = [piece[:4] for _, piece in pieces]
+        for _ in range(m.bit_length() - 1):
             starts, closed, rows, images = self.square(starts, closed, rows, images)
-            depth *= 2
         table = self.tables[m] = tuple(starts), tuple(closed), tuple(rows)
         return table
 

@@ -911,8 +911,8 @@ def test_natural_walk_runs_on_the_kernel_itself(monkeypatch):
         natural_coding(T, x0, 40, "abc")
         assert len(walks) == 2 and T._walk(cfg._walk_key) is walks[1]
         # the three cylinder functions read that same walk's tree, which
-        # the codings' depth-2 table grew to two levels
-        assert len(walks[1].tree) == 2
+        # the codings' depth-2 table left at its first level
+        assert len(walks[1].tree) == 1
         cylinder(T, cfg, "ab")
         longest_cylinder(T, cfg, "abab")
         cylinder_lengths(T, cfg, 2)
@@ -1016,9 +1016,9 @@ def _listed_out_of_span_order():
 def test_cylinder_queries_read_the_kept_tree():
     """cylinder, longest_cylinder and cylinder_lengths against the scalar
     references to depth 6, past the tree's kept depth 4, on a fresh
-    exchange, after a coding built a table from the tree, and after
-    cylinder_lengths grew the tree to depth 6.  A letter outside the
-    config raises exactly where the reference reaches it."""
+    exchange, after a coding built a table (which grows no tree level),
+    and after cylinder_lengths grew the tree to depth 6.  A letter
+    outside the config raises exactly where the reference reaches it."""
     depth = 6
     exchanges = [golden_iet(), silver_iet(), silver_iet((False, True, False)), flipped_4iet(),
                  seven_letter_iet(), *flipped_corpus(3)]
@@ -1039,7 +1039,7 @@ def test_cylinder_queries_read_the_kept_tree():
                 if order == "table":
                     # a point over T's own denominator reads T's walk
                     coding_with_sets(T, cfg, ZERO, 2000)
-                    assert walk.tables and len(walk.tree) == 4, (S, cfg)
+                    assert walk.tables and len(walk.tree) == 1, (S, cfg)
                 elif order == "lengths":
                     cylinder_lengths(T, cfg, depth)
                     assert len(walk.tree) == depth
@@ -1353,8 +1353,9 @@ def test_successor_ranges_hold_every_image():
 
 def _table_reference(walk, m):
     """walk's depth-m cylinder table grown one level at a time, every
-    level from the one before, as table built it before doubling.  The
-    levels are grown here and dropped, so walk's tree stays as it was."""
+    level from the one before, and sorted by source: the level-growth
+    reference of the doubled table.  The levels are grown here and
+    dropped, so walk's tree stays as it was."""
     level = walk.tree[0]
     for _ in range(m - 1):
         level = {w + letter: parts for w, hit in level.items()
@@ -1393,15 +1394,14 @@ def test_doubled_table_matches_level_growth():
     rng = random.Random(20078)
     named = [golden_iet(), silver_iet(), silver_iet((False, True, False)), flipped_4iet()]
     # each random exchange's tables to depth 32 and every named exchange's
-    # to the largest block, 256; depths 6 and 12 double from 3, 20 from 5,
-    # and 5 is grown
+    # to the largest block, 256; a depth that is no power of two is refused
     cases = [(T, CodingConfig.natural(T), (1, 2, 4, 8, 16, 64, 256)) for T in named]
     for case in range(21):
         k = 1 + case % 7
         d = (0, 2, 5)[case // 7]
         T = random_exchange(rng, k, d, flip_p=0.5)
         for cfg in (CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + k % 2], T)):
-            cases.append((T, cfg, (1, 2, 3, 4, 5, 6, 8, 12, 16, 20, 32)))
+            cases.append((T, cfg, (1, 2, 4, 8, 16, 32)))
     flipped = path_signs = 0
     for T, cfg, ms in cases:
         flipped += any(T.flips)
@@ -1412,6 +1412,10 @@ def test_doubled_table_matches_level_growth():
             # the grown s of a point is the parity of its flips since its
             # peel, which no composition of the rows' maps reproduces
             path_signs += any(grown[2][i][1] < 0 for i in _lone_rows(grown[0]))
+        for m in (0, 3, 5, 6, 12, 20):
+            with pytest.raises(ValueError, match="not a power of two"):
+                walk.table(m)
+        assert len(walk.tree) == 1 and set(walk.tables) == set(ms), (T, cfg)
     assert flipped and path_signs
 
 
@@ -1466,8 +1470,8 @@ def test_codings_at_the_largest_block_match_step_reference(monkeypatch):
 
 
 def _block_size_reference(cost, steps):
-    """The block size of the level-grown table: the largest power of two
-    m up to 64 with m**3 * cost <= steps."""
+    """The m**3 rule, which _block_size keeps up to m = 4: the largest
+    power of two m up to 64 with m**3 * cost <= steps."""
     m = 1
     while m < 64 and (2 * m) ** 3 * cost <= steps:
         m *= 2
@@ -1492,7 +1496,7 @@ def test_block_size_thresholds():
         for steps in ends:
             for n in (steps - 1, steps):
                 assert iet._block_size(cost, n) >= _block_size_reference(cost, n), (cost, n)
-        # the rule is the level growth's up to 4 letters a block
+        # the rule is the m**3 rule up to 4 letters a block
         assert all(iet._block_size(cost, n) == _block_size_reference(cost, n)
                    for n in range(64 * cost + 1))
 
@@ -1640,6 +1644,24 @@ def test_regularity_walk_steps_singly_only_near_cuts(monkeypatch):
         for depth in (10, 1000):
             counts.update(step=0, table=0)
             assert check(rotation, depth).collided and counts["table"] == 0
+
+
+def test_regularity_walks_keep_one_tree_level():
+    """The regularity checks read only their walks' tables, so every walk
+    they leave on T and on T.inverse holds the first tree level alone,
+    and tables equal to a fresh walk's."""
+    built = 0
+    for S in (golden_iet(), silver_iet(), flipped_4iet()):
+        T = _fresh(S)
+        check_regular(T, 1000)
+        check_idoc(T, 1000)
+        for E in (T, T.inverse):
+            for key, walk in E._walks.items():
+                fresh = iet._Cylinders(E.kernel, *key)
+                assert len(walk.tree) == 1, (S, E is T, key)
+                assert walk.tables == {m: fresh.table(m) for m in walk.tables}, (S, E is T)
+                built += len(walk.tables)
+    assert built >= 6, built
 
 
 def test_codings_and_regularity_reports_are_pinned():
