@@ -62,6 +62,11 @@ class DomainError(ValueError):
     """Point outside [0,1)."""
 
 
+def _outside(x) -> DomainError:
+    """The error every domain check raises: it names the point."""
+    return DomainError(f"point {x} outside [0,1)")
+
+
 class IETSpec:
     """Immutable exchange of k intervals, all derived data precomputed,
     its integer orbit kernel included: every point map runs on it."""
@@ -134,25 +139,43 @@ class IETSpec:
             raise IndexError(f"interval index {i} out of 1..{self.k}")
 
     def index_of(self, x) -> int:
-        """1-based i with x in X_i."""
+        """1-based i with x in X_i; the locate scan refuses x >= 1."""
         kernel, p, E = self._point(x)
         return kernel.locate(p, E)
 
     def _domain(self, x):
-        """x checked to lie in [0,1), and (u, v, E) with x = (u + v*sqrt(d))/E."""
+        """x checked to lie in [0,1) by both sign tests, and (u, v, E) with
+        x = (u + v*sqrt(d))/E.  The walks (orbit, the codings) check their
+        start with it once per call: a coding reads its start off its
+        table, on no locate scan."""
         x = self._coerce(x)
         # the signs of x and of x - 1, times E > 0
         u, v, E = x.num, x.irr, x.den
         if quadratic_sign(u, v, x.d) < 0 or quadratic_sign(u - E, v, x.d) >= 0:
-            raise DomainError(f"point {x} outside [0,1)")
+            raise _outside(x)
         return x, u, v, E
 
     def _point(self, x):
-        """x checked to lie in [0,1), the kernel that reads its field, and
-        x as (u*D, v*D) over E*D, for the kernel's D and x's own E."""
-        x, u, v, E = self._domain(x)
-        # a quadratic point of a rational exchange: the same tables, read in its field
-        kernel = self.kernel.widen(x.d, 1)
+        """The kernel that reads x's field, and x as (u*D, v*D) over E*D,
+        for the kernel's D and x's own E = x.den.
+
+        Only x >= 0 is checked here.  Every point map then locates x,
+        and the locate scan, which ends at the last interval end 1,
+        refuses x >= 1 with the same DomainError.  A point of a field
+        other than the kernel's is checked against 1 first, so that it
+        is refused as outside [0,1) before widen can refuse its field.
+        """
+        if not isinstance(x, ExactScalar):
+            x = self._coerce(x)
+        u, v, E, d = x.num, x.irr, x.den, x.d
+        if quadratic_sign(u, v, d) < 0:
+            raise _outside(x)
+        kernel = self.kernel
+        if d and d != kernel.d:
+            if quadratic_sign(u - E, v, d) >= 0:
+                raise _outside(x)
+            # a quadratic point of a rational exchange: the same tables, read in its field
+            kernel = kernel.widen(d, 1)
         return kernel, (u * kernel.D, v * kernel.D), E
 
     def apply(self, x) -> ExactScalar:
@@ -252,15 +275,16 @@ class _IntOrbit:
         return ExactScalar._canonical(p[0], p[1], self.D, self.d)
 
     def locate(self, p, E: int = 1) -> int:
-        """1-based i with p in X_i, for p over E*D: each interval end is
-        scaled by E as it is read."""
+        """1-based i with p in X_i, for p >= 0 over E*D: each interval end
+        is scaled by E as it is read.  The scan ends at the last end, 1,
+        so a p >= 1 passes every end and is refused with DomainError."""
         a, b = p
         left, d = self.left, self.d
         for i in range(1, len(left)):
             c = left[i]
             if quadratic_sign(a - c[0] * E, b - c[1] * E, d) < 0:
                 return i
-        raise AssertionError("unreachable: the intervals cover [0,1)")
+        raise _outside(ExactScalar._canonical(a, b, E * self.D, d))
 
     def step(self, p, E: int = 1):
         """The image of p under T, both over E*D."""

@@ -625,6 +625,39 @@ def test_point_maps_reject_a_second_field():
     assert swap.index_of(y) == 2
 
 
+def test_point_maps_leave_one_to_the_locate_scan():
+    # a point map tests x >= 0 alone; x >= 1 passes every interval end of
+    # the locate scan, the last of which is 1, and is refused there
+    rng = random.Random(20262)
+    exchanges = (build_iet([rational(1, 3), rational(1, 6), rational(1, 2)], (3, 1, 2)),
+                 silver_iet(), silver_iet((True, False, True)))
+    for T in exchanges:
+        for S in (T, T.inverse):
+            # the rational exchange reads a point of Q(sqrt 3) on a widened kernel
+            e = S.kernel.d or 3
+            root = make_quadratic(0, 1, 1, 9973, e)
+            maps = (lambda x: apply(S, x), lambda x: apply_inverse(S, x), S.index_of)
+            for x in (ONE, rational(3, 2), ONE + rational(1, 9973), ONE + root,
+                      rational(-1, 9973)):
+                for point_map in maps:
+                    with pytest.raises(DomainError) as err:
+                        point_map(x)
+                    assert str(err.value) == f"point {x} outside [0,1)", (S, x)
+            last = [ONE - rational(1, 9973), ONE - root]
+            for f in (0, e):
+                x = _far_point(rng, f)
+                while compare(x, S.left[-2]) < 0:
+                    x = _far_point(rng, f)
+                last.append(x)
+            for x in last:
+                assert S.index_of(x) == index_of_oracle(S, x) == S.k, (S, x)
+                assert apply(S, x) == apply_oracle(S, x), (S, x)
+                assert apply_inverse(S, x) == apply_inverse_oracle(S, x), (S, x)
+            # the kernel's own scan refuses the pair of 1, naming the point
+            with pytest.raises(DomainError, match=r"^point 1 outside \[0,1\)$"):
+                S.kernel.locate(S.kernel.encode(ONE))
+
+
 def _assert_canonical(x):
     y = ExactScalar(x.rat, x.coef, x.d)
     assert type(x.rat) is Fraction and type(x.coef) is Fraction, repr(x)
