@@ -1,6 +1,6 @@
 """Test inputs: the named exchanges, their codings at the lengths the
 tests read, the builders that draw random exchanges, points and words,
-the named seeded corpora of the differential tests, and two predicates
+the named seeded corpora of the differential tests, and a predicate
 that more than one test module reads.
 
 Each family is a plain function with its seed inside it, built once per
@@ -16,7 +16,7 @@ import math
 import random
 from functools import lru_cache
 
-from ietword.exact import ONE, ZERO, Interval, compare, make_quadratic, rational
+from ietword.exact import ONE, ZERO, Interval, make_quadratic, rational
 from ietword.iet import CodingConfig, build_iet, check_regular, coding_with_sets, natural_coding
 
 GOLDEN_ALPHA = make_quadratic(-1, 2, 1, 2, 5)      # (sqrt5 - 1)/2
@@ -192,6 +192,15 @@ def random_point(rng, d):
     return y - math.floor(y)
 
 
+def far_point(rng, d):
+    """A point of [0,1) over the primes 9973 and 9967, which divide no
+    denominator of a random_exchange."""
+    y = rational(rng.randrange(1, 10 ** 5), 9973)
+    if d:
+        y = y + rational(rng.randrange(-99, 100), 9967) * make_quadratic(0, 1, 1, 1, d)
+    return y - math.floor(y)
+
+
 def random_exchange(rng, k, d, flip_p=0.3):
     """k intervals cut at random_points over Q(sqrt d), in random order,
     each flipped with probability flip_p."""
@@ -205,6 +214,27 @@ def random_exchange(rng, k, d, flip_p=0.3):
     rng.shuffle(perm)
     flips = [rng.random() < flip_p for _ in range(k)]
     return build_iet([b - a for a, b in zip(ends, ends[1:])], perm, flips)
+
+
+def scattered_config(rng, d, letters, T=None):
+    """Letters cycling over the pieces between random cuts, so that each
+    letter owns several pieces and no cut need be an exchange endpoint.
+    Given the exchange T, about one cut in three is one of its interval
+    ends or image slot starts."""
+    on_exchange = [*T.left[1:-1], *T.slot_start[1:-1]] if T else []
+    cuts = set()
+    while len(cuts) < 2 * len(letters):
+        if on_exchange and rng.random() < 0.35:
+            x = rng.choice(on_exchange)
+        else:
+            x = random_point(rng, d if rng.random() < 0.5 else 0)
+        if x != ZERO:
+            cuts.add(x)
+    ends = [ZERO, *sorted(cuts), ONE]
+    sets = {c: [] for c in letters}
+    for j, (a, b) in enumerate(zip(ends, ends[1:])):
+        sets[letters[j % len(letters)]].append(Interval(a, b))
+    return CodingConfig(sets.items())
 
 
 @lru_cache(maxsize=None)
@@ -322,17 +352,6 @@ def mark_clash_word():
     forced forward onto a vertex with a mixed deleted pair."""
     word = natural_coding(flipped_corpus(14)[13], ZERO, 3000)
     return word[:213] + "1" + word[214:]
-
-
-def contains_limit(iv, x, side):
-    """Membership of the one-sided limit x + side*epsilon in iv.
-
-    Independent of endpoint ownership: x+eps lies in the interval iff
-    lo <= x < hi, and x-eps iff lo < x <= hi.
-    """
-    if side > 0:
-        return compare(x, iv.lo) >= 0 and compare(x, iv.hi) < 0
-    return compare(x, iv.lo) > 0 and compare(x, iv.hi) <= 0
 
 
 def balance_witness(fs, up_to: int, letter: str):

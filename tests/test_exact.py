@@ -22,7 +22,8 @@ from ietword.iet import RegularityReport
 from ietword.orders import OrderPair, OrderReport
 from ietword.rauzy import EvolutionReport, Witness
 
-from corpus import GOLDEN_ALPHA, contains_limit
+import reference as ref
+from corpus import GOLDEN_ALPHA
 
 SILVER = make_quadratic(-1, 1, 1, 1, 2)      # sqrt2 - 1
 
@@ -221,20 +222,11 @@ def test_compare_matches_difference_sign():
 # ExactScalar holds (num + irr*sqrt(d))/den; the reference below holds the
 # same value as a pair of Fractions (rat, coef) with rat + coef*sqrt(d).
 
-def _ref_sign(r: Fraction, c: Fraction, d: int) -> int:
-    if c == 0 or d == 0:
-        return (r > 0) - (r < 0)
-    if r * c >= 0:
-        return 1 if r + c > 0 else -1
-    # r and c of opposite signs: |r| against |c| sqrt(d)
-    return (1 if r > 0 else -1) * ((r * r > c * c * d) - (r * r < c * c * d))
-
-
 def _ref_floor(r: Fraction, c: Fraction, d: int) -> int:
     n = math.floor(float(r) + float(c) * math.sqrt(d))
-    while _ref_sign(r - n, c, d) < 0:
+    while ref.sign(r - n, c, d) < 0:
         n -= 1
-    while _ref_sign(r - n - 1, c, d) >= 0:
+    while ref.sign(r - n - 1, c, d) >= 0:
         n += 1
     return n
 
@@ -242,7 +234,7 @@ def _ref_floor(r: Fraction, c: Fraction, d: int) -> int:
 def _ref_ops(a, b, d):
     """Every checked operation on the pairs a and b, by name."""
     (r, c), (s, e) = a, b
-    sa, sb = _ref_sign(r, c, d), _ref_sign(r - s, c - e, d)
+    sa, sb = ref.sign(r, c, d), ref.sign(r - s, c - e, d)
     ops = {"+": (r + s, c + e), "-": (r - s, c - e),
            "*": (r * s + c * e * d, r * e + c * s), "neg": (-r, -c),
            "abs": (-r, -c) if sa < 0 else (r, c),
@@ -318,14 +310,6 @@ def test_interval_singleton_and_empty():
     assert s.length == 0
     e = Interval(rational(1, 2), rational(1, 2), True, False)
     assert e.is_empty
-
-
-def test_interval_contains_limit():
-    iv = Interval(rational(0), rational(1))
-    assert contains_limit(iv, rational(0), +1)
-    assert not contains_limit(iv, rational(0), -1)
-    assert contains_limit(iv, rational(1), -1)
-    assert not contains_limit(iv, rational(1), +1)
 
 
 def test_interval_rejects_reversed():

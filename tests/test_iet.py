@@ -26,9 +26,10 @@ from ietword.iet import (
     orbit,
 )
 
-from corpus import (GOLDEN_ALPHA, contains_limit, flipped_4iet, flipped_corpus, golden_iet,
+import reference as ref
+from corpus import (GOLDEN_ALPHA, far_point, flipped_4iet, flipped_corpus, golden_iet,
                     mechanical_word, random_exact_iet, random_exchange, random_point,
-                    seven_letter_iet, silver_iet)
+                    scattered_config, seven_letter_iet, silver_iet)
 
 SQRT2 = make_quadratic(0, 1, 1, 1, 2)
 
@@ -133,8 +134,8 @@ def test_natural_coding_silver_first_letter():
 def test_natural_coding_matches_pointwise_apply():
     T = silver_iet((False, False, True))
     x0 = rational(2, 11)
-    pts = _orbit_reference(T, x0, 150)
-    slow = "".join("123"[index_of_oracle(T, x) - 1] for x in pts)
+    pts = ref.orbit(T, x0, 150)
+    slow = "".join("123"[ref.index_of(T, x) - 1] for x in pts)
     assert natural_coding(T, x0, 150) == slow
 
 
@@ -376,119 +377,7 @@ def test_orbit_reversibility(x, n):
     assert y == x
 
 
-# ------------------------------------------------ scalar point-map oracle
-# Single-step maps that locate by ExactScalar compares, apart from the
-# integer kernel.  Every reference below steps with these, so no test
-# compares the kernel with itself.
-
-def _domain_oracle(T, x):
-    x = T._coerce(x)
-    if x.sign() < 0 or compare(x, ONE) >= 0:
-        raise DomainError(f"point {x} outside [0,1)")
-    return x
-
-
-def _index_oracle(T, x):
-    # x is already coerced and known to lie in [0,1)
-    for i in range(1, T.k + 1):
-        if compare(x, T.left[i]) < 0:
-            return i
-    raise AssertionError("unreachable: partition covers [0,1)")
-
-
-def index_of_oracle(T, x):
-    return _index_oracle(T, _domain_oracle(T, x))
-
-
-def apply_oracle(T, x):
-    x = _domain_oracle(T, x)
-    i = _index_oracle(T, x)
-    if not T.flips[i - 1]:
-        return x + T.disp[i - 1]
-    if x == T.left[i - 1]:
-        return T.dest_lo[i - 1]
-    return T.refl[i - 1] - x
-
-
-def apply_inverse_oracle(T, y):
-    y = _domain_oracle(T, y)
-    j = 1
-    while compare(y, T.slot_start[j]) >= 0:
-        j += 1
-    i = T.permutation[j - 1]
-    if not T.flips[i - 1]:
-        return y - T.disp[i - 1]
-    if y == T.dest_lo[i - 1]:
-        return T.left[i - 1]
-    return T.refl[i - 1] - y
-
-
-# ------------------------------------------- kernel versus scalar oracle
-
-def _widened(T, scalars):
-    """T's kernel, widened to encode each of the scalars."""
-    kernel = T.kernel
-    for s in scalars:
-        kernel = kernel.widen(s.d, math.lcm(s.rat.denominator, s.coef.denominator))
-    return kernel
-
-
-def _orbit_reference(T, x0, n):
-    pts = []
-    x = x0
-    for _ in range(n):
-        pts.append(x)
-        x = apply_oracle(T, x)
-    return pts
-
-
-def _check_regular_reference(T, depth):
-    targets = {T.left[j]: j + 1 for j in range(1, T.k)}
-    for i in range(1, T.k + 1):
-        x = T.left[i - 1]
-        for n in range(1, depth + 1):
-            x = apply_oracle(T, x)
-            if x in targets:
-                return "collision", (i, n, targets[x])
-    return "no-collision-up-to-depth", None
-
-
-def _check_idoc_reference(T, depth):
-    seen = {}
-    for i in range(2, T.k + 1):
-        if T.left[i - 1] in seen:
-            return "collision", ((i, 0), seen[T.left[i - 1]])
-        seen[T.left[i - 1]] = (i, 0)
-    for i in range(2, T.k + 1):
-        x = T.left[i - 1]
-        for n in range(1, depth + 1):
-            x = apply_inverse_oracle(T, x)
-            prev = seen.get(x)
-            if prev is not None and prev != (i, n):
-                return "collision", ((i, n), prev)
-            seen[x] = (i, n)
-    return "no-collision-up-to-depth", None
-
-
-def _essential_reference(T, config, x0, n):
-    """Signed-limit walk on scalars: (x, s) stands for x + s*epsilon."""
-    words = set()
-    intervals = [T.interval(i) for i in range(1, T.k + 1)]
-    for s0 in ([1] if x0 == ZERO else [1, -1]):
-        x, s = x0, s0
-        out = []
-        for _ in range(n):
-            out.append(next(letter for iv, letter in config.pieces
-                            if contains_limit(iv, x, s)))
-            i = next(i for i, iv in enumerate(intervals, start=1)
-                     if contains_limit(iv, x, s))
-            if T.flips[i - 1]:
-                x, s = T.refl[i - 1] - x, -s
-            else:
-                x = x + T.disp[i - 1]
-        words.add("".join(out))
-    return frozenset(words)
-
+# ------------------------------------------ kernel versus the reference
 
 def test_kernel_matches_scalar_oracle():
     rng = random.Random(20071)
@@ -499,15 +388,14 @@ def test_kernel_matches_scalar_oracle():
         T = random_exchange(rng, k, d)
         cfg = CodingConfig.natural(T)
         x = random_point(rng, d)
-        assert orbit(T, x, 12) == _orbit_reference(T, x, 12)
-        for check, reference in ((check_regular, _check_regular_reference),
-                                 (check_idoc, _check_idoc_reference)):
+        assert orbit(T, x, 12) == ref.orbit(T, x, 12)
+        for check, reference in ((check_regular, ref.check_regular),
+                                 (check_idoc, ref.check_idoc)):
             rep = check(T, 8)
             assert (rep.verdict, rep.witness) == reference(T, 8)
             collided += rep.collided
         for x0 in (*T.left[:-1], x):
-            assert essential_codings(T, cfg, x0, 10) == \
-                _essential_reference(T, cfg, x0, 10)
+            assert essential_codings(T, cfg, x0, 10) == ref.essential_codings(T, cfg, x0, 10)
         if case % 8 < 2:
             # 200 letters over at most 3 pieces code 4 letters a block;
             # start at the slot starts and at a preimage of a cut
@@ -516,25 +404,15 @@ def test_kernel_matches_scalar_oracle():
             for c in (cfg, arcs):
                 y = rng.choice(c.pieces[1:])[0].lo
                 for _ in range(rng.randint(1, 3)):
-                    y = apply_inverse_oracle(T, y)
+                    y = ref.apply_inverse(T, y)
                 for x0 in (*T.slot_start[1:-1], y):
                     words = essential_codings(T, c, x0, 200)
-                    assert words == _essential_reference(T, c, x0, 200), (T, c, x0)
-                    assert words == _essential_step_reference(T, c, x0, 200), (T, c, x0)
+                    assert words == ref.essential_codings(T, c, x0, 200), (T, c, x0)
                     split += len(words) == 2
                     flipped += any(T.flips)
     # the corpus exercises both verdicts, codings that split and flips
     assert 0 < collided < 96
     assert split and flipped
-
-
-def _far_point(rng, d):
-    """A point of [0,1) over the primes 9973 and 9967, which divide no
-    denominator of a random_exchange."""
-    y = rational(rng.randrange(1, 10 ** 5), 9973)
-    if d:
-        y = y + rational(rng.randrange(-99, 100), 9967) * make_quadratic(0, 1, 1, 1, d)
-    return y - math.floor(y)
 
 
 def test_point_maps_match_scalar_oracle():
@@ -562,19 +440,19 @@ def test_point_maps_match_scalar_oracle():
             for x in (T.left[i - 1], T.dest_lo[i - 1]) if T.flips[i - 1] else ():
                 assert apply(inv, apply(T, x)) == x == apply(T, apply(inv, x)), (T, x)
         pts += [random_point(rng, d) for _ in range(4)]
-        pts += [_far_point(rng, d) for _ in range(4)]
+        pts += [far_point(rng, d) for _ in range(4)]
         if not d:
             # a rational exchange maps the points of any one field
-            other = [random_point(rng, e) for e in (2, 3, 5)] + [_far_point(rng, 7)]
+            other = [random_point(rng, e) for e in (2, 3, 5)] + [far_point(rng, 7)]
             foreign += sum(bool(x.d) for x in other)
             pts += other
         for x in pts:
-            widened += _widened(T, (x,)) is not T.kernel
-            assert apply(T, x) == apply_oracle(T, x), (T, x)
-            assert apply_inverse(T, x) == apply_inverse_oracle(T, x), (T, x)
-            assert T.index_of(x) == index_of_oracle(T, x), (T, x)
+            widened += T.kernel.widen(x.d, x.den) is not T.kernel
+            assert apply(T, x) == ref.apply(T, x), (T, x)
+            assert apply_inverse(T, x) == ref.apply_inverse(T, x), (T, x)
+            assert T.index_of(x) == ref.index_of(T, x), (T, x)
         for point_map in (lambda x: apply(T, x), lambda x: apply_inverse(T, x), T.index_of):
-            for x in (ONE, rational(-1, 3), _far_point(rng, d) - 1, _far_point(rng, d) + 1):
+            for x in (ONE, rational(-1, 3), far_point(rng, d) - 1, far_point(rng, d) + 1):
                 with pytest.raises(DomainError):
                     point_map(x)
             for x in (0.5, "1/2", None):
@@ -645,14 +523,14 @@ def test_point_maps_leave_one_to_the_locate_scan():
                     assert str(err.value) == f"point {x} outside [0,1)", (S, x)
             last = [ONE - rational(1, 9973), ONE - root]
             for f in (0, e):
-                x = _far_point(rng, f)
+                x = far_point(rng, f)
                 while compare(x, S.left[-2]) < 0:
-                    x = _far_point(rng, f)
+                    x = far_point(rng, f)
                 last.append(x)
             for x in last:
-                assert S.index_of(x) == index_of_oracle(S, x) == S.k, (S, x)
-                assert apply(S, x) == apply_oracle(S, x), (S, x)
-                assert apply_inverse(S, x) == apply_inverse_oracle(S, x), (S, x)
+                assert S.index_of(x) == ref.index_of(S, x) == S.k, (S, x)
+                assert apply(S, x) == ref.apply(S, x), (S, x)
+                assert apply_inverse(S, x) == ref.apply_inverse(S, x), (S, x)
             # the kernel's own scan refuses the pair of 1, naming the point
             with pytest.raises(DomainError, match=r"^point 1 outside \[0,1\)$"):
                 S.kernel.locate(S.kernel.encode(ONE))
@@ -678,11 +556,11 @@ def test_scalars_come_back_canonical():
         k = 1 + case % 6
         d = (0, 2, 5)[case // 6 % 3]
         T = random_exchange(rng, k, d)
-        pts = [*T.left[:-1], *T.slot_start[:-1], random_point(rng, d), _far_point(rng, d)]
+        pts = [*T.left[:-1], *T.slot_start[:-1], random_point(rng, d), far_point(rng, d)]
         # preimages of rational points, whose images drop the sqrt part
-        pts += [apply_inverse(T, _far_point(rng, 0)) for _ in range(2)]
+        pts += [apply_inverse(T, far_point(rng, 0)) for _ in range(2)]
         if not d:
-            pts += [random_point(rng, e) for e in (2, 5)] + [_far_point(rng, 3)]
+            pts += [random_point(rng, e) for e in (2, 5)] + [far_point(rng, 3)]
         for x in pts:
             owned += x in T.left and T.flips[T.index_of(x) - 1]
             for y in (apply(T, x), apply_inverse(T, x), *orbit(T, x, 6)):
@@ -690,7 +568,7 @@ def test_scalars_come_back_canonical():
                 cancelled += bool(d and x.d and not y.d)
                 foreign += bool(not d and y.d)
         natural = CodingConfig.natural(T)
-        for cfg in (natural, _scattered_config(rng, d or 2, "xy")):
+        for cfg in (natural, scattered_config(rng, d or 2, "xy")):
             # the cuts of a scattered config on a rational exchange lie in Q(sqrt 2)
             codings = {coding_with_sets(T, cfg, x, 3)
                        for x in pts if x.d in (0, d or 2)}
@@ -730,129 +608,7 @@ def test_longest_cylinder_prefix():
     assert longest_cylinder(T, cfg, "") == (0, ())
 
 
-# ------------------------------------ cylinder walk versus scalar oracle
-
-def _intersect(a, b):
-    """The points of interval a that lie in interval b, or None if none do."""
-    lo, lo_open = max((a.lo, not a.lo_closed), (b.lo, not b.lo_closed))
-    hi, hi_closed = min((a.hi, a.hi_closed), (b.hi, b.hi_closed))
-    if lo > hi or (lo == hi and (lo_open or not hi_closed)):
-        return None
-    return Interval(lo, hi, not lo_open, hi_closed)
-
-
-def _advance_reference(T, pieces):
-    """Scalar piece walk: (image interval, sign, offset) through one step,
-    with source = sign * y + offset for y in the image interval."""
-    out = []
-    for img, s, b in pieces:
-        for i in range(1, T.k + 1):
-            part = _intersect(img, T.interval(i))
-            if part is None:
-                continue
-            if not T.flips[i - 1]:
-                d = T.disp[i - 1]
-                moved = Interval(part.lo + d, part.hi + d, part.lo_closed, part.hi_closed)
-                out.append((moved, s, b - s * d))
-                continue
-            keep = part
-            if part.lo == T.left[i - 1] and part.lo_closed:
-                out.append((Interval(T.dest_lo[i - 1], T.dest_lo[i - 1], True, True), 1,
-                            s * T.left[i - 1] + b - T.dest_lo[i - 1]))
-                if part.lo == part.hi:
-                    continue
-                keep = Interval(part.lo, part.hi, False, part.hi_closed)
-            refl = T.refl[i - 1]
-            moved = Interval(refl - keep.hi, refl - keep.lo, keep.hi_closed, keep.lo_closed)
-            out.append((moved, -s, b + s * refl))
-    return out
-
-
-def _restrict_reference(config, letter, pieces):
-    return [(part, s, b) for img, s, b in pieces for u in config.sets[letter]
-            if (part := _intersect(img, u)) is not None]
-
-
-def _merge_reference(pieces):
-    ivs = []
-    for img, s, b in pieces:
-        if s == 1:
-            ivs.append(Interval(img.lo + b, img.hi + b, img.lo_closed, img.hi_closed))
-        else:
-            ivs.append(Interval(b - img.hi, b - img.lo, img.hi_closed, img.lo_closed))
-    ivs.sort(key=lambda iv: (iv.lo, not iv.lo_closed))
-    merged = []
-    for iv in ivs:
-        if merged:
-            prev = merged[-1]
-            if prev.hi > iv.lo or (prev.hi == iv.lo and (prev.hi_closed or iv.lo_closed)):
-                if iv.hi > prev.hi:
-                    merged[-1] = Interval(prev.lo, iv.hi, prev.lo_closed, iv.hi_closed)
-                elif iv.hi == prev.hi and iv.hi_closed and not prev.hi_closed:
-                    merged[-1] = Interval(prev.lo, prev.hi, prev.lo_closed, True)
-                continue
-        merged.append(iv)
-    return tuple(merged)
-
-
-def _cylinder_tree_reference(T, config, depth):
-    """Pieces of every nonempty cylinder of length 1..depth, in walk order."""
-    tree = {}
-    frontier = [("", [(Interval(ZERO, ONE), 1, ZERO)])]
-    for n in range(depth):
-        grown = []
-        for w, hit in frontier:
-            pieces = _advance_reference(T, hit) if n else hit
-            for letter in config.letters:
-                part = _restrict_reference(config, letter, pieces)
-                if part:
-                    tree[w + letter] = part
-                    grown.append((w + letter, part))
-        frontier = grown
-    return tree
-
-
-def _longest_reference(T, config, w):
-    depth, hit = 0, [(Interval(ZERO, ONE), 1, ZERO)]
-    for letter in w:
-        part = _restrict_reference(config, letter,
-                                   _advance_reference(T, hit) if depth else hit)
-        if not part:
-            break
-        depth, hit = depth + 1, part
-    return depth, _merge_reference(hit if depth else [])
-
-
-def _scattered_config(rng, d, letters, T=None):
-    """Letters cycling over the pieces between random cuts, so that each
-    letter owns several pieces and no cut need be an exchange endpoint.
-    Given the exchange T, about one cut in three is one of its interval
-    ends or image slot starts."""
-    on_exchange = [*T.left[1:-1], *T.slot_start[1:-1]] if T else []
-    cuts = set()
-    while len(cuts) < 2 * len(letters):
-        if on_exchange and rng.random() < 0.35:
-            x = rng.choice(on_exchange)
-        else:
-            x = random_point(rng, d if rng.random() < 0.5 else 0)
-        if x != ZERO:
-            cuts.add(x)
-    ends = [ZERO, *sorted(cuts), ONE]
-    sets = {c: [] for c in letters}
-    for j, (a, b) in enumerate(zip(ends, ends[1:])):
-        sets[letters[j % len(letters)]].append(Interval(a, b))
-    return CodingConfig(sets.items())
-
-
-def _shared_and_crossing(T, config):
-    """Whether a cut of the config is an interval end of T, and whether
-    a piece of the config has an interval end of T inside it."""
-    ends = T.left[1:-1]
-    shared = any(c in ends for c in config.cuts[1:-1])
-    crossing = any(compare(iv.lo, e) < 0 < compare(iv.hi, e)
-                   for iv, _ in config.pieces for e in ends)
-    return shared, crossing
-
+# ----------------------------------- cylinder walk versus the reference
 
 def test_cylinder_walk_matches_scalar_oracle():
     rng = random.Random(20072)
@@ -862,12 +618,14 @@ def test_cylinder_walk_matches_scalar_oracle():
         d = (0, 2, 5)[case // 5 % 3]
         T = random_exchange(rng, k, d)
         flipped += any(T.flips)
-        scattered = _scattered_config(rng, d, "xyz"[:2 + case % 2], T)
+        scattered = scattered_config(rng, d, "xyz"[:2 + case % 2], T)
         configs = [CodingConfig.natural(T), scattered]
-        # the walk's bounds merge both partitions; here they differ from each
-        has_shared, has_crossing = _shared_and_crossing(T, scattered)
-        shared += has_shared
-        crossing += has_crossing
+        # the walk's bounds merge both partitions; here they differ from
+        # each: a cut on an interval end of T, a piece with one inside it
+        ends = T.left[1:-1]
+        shared += any(c in ends for c in scattered.cuts[1:-1])
+        crossing += any(compare(iv.lo, e) < 0 < compare(iv.hi, e)
+                        for iv, _ in scattered.pieces for e in ends)
         if k == 2:
             # mechanical arc sets, cut at a point of another denominator
             u = rational(rng.randrange(1, 13), 13)
@@ -875,26 +633,22 @@ def test_cylinder_walk_matches_scalar_oracle():
                                          ("b", (Interval(u, ONE),))]))
         for cfg in configs:
             depth = 4 if len(cfg.letters) <= 3 else 3
-            tree = _cylinder_tree_reference(T, cfg, depth)
+            tree = ref.cylinders(T, cfg, depth)
             words = [""]
             for _ in range(depth):
                 words = [w + c for w in words for c in cfg.letters]
                 for w in words:
-                    expect = _merge_reference(tree[w]) if w in tree else ()
+                    expect = tree[w][0] if w in tree else ()
                     assert cylinder(T, cfg, w) == expect, (T, w)
                     empty += not expect
                     singletons += any(iv.lo == iv.hi for iv in expect)
-            lengths = cylinder_lengths(T, cfg, depth)
-            assert list(lengths) == list(tree)
-            for w, part in tree.items():
-                total = ZERO
-                for img, _, _ in part:
-                    total = total + img.length
-                assert lengths[w] == total
+            # the same words, in the same order
+            assert list(cylinder_lengths(T, cfg, depth).items()) == \
+                [(w, length) for w, (_, length) in tree.items()]
             w = list(coding_with_sets(T, cfg, random_point(rng, d), 6))
             w[rng.randrange(6)] = rng.choice(cfg.letters)
             w = "".join(w)
-            assert longest_cylinder(T, cfg, w) == _longest_reference(T, cfg, w)
+            assert longest_cylinder(T, cfg, w) == ref.longest(T, cfg, w)
     # the corpus reaches flips, peeled singletons, empty cylinders, a cut
     # on an exchange end and a letter's piece across one
     assert flipped and singletons and empty and shared and crossing
@@ -967,7 +721,7 @@ def test_natural_walk_runs_on_the_kernel_itself(monkeypatch):
         walks.clear()
         # a point off the kernel's denominator widens it, and the bounds follow
         natural_coding(T, rational(1, 9973), 5)
-        scattered = _scattered_config(random.Random(T.k), 0, "xy")
+        scattered = scattered_config(random.Random(T.k), 0, "xy")
         cylinder(T, scattered, "x")
         assert walks[0].kernel is not T.kernel and walks[0].bounds is walks[0].kernel.left
         assert walks[1].bounds != walks[1].kernel.left
@@ -995,8 +749,8 @@ def test_shared_walk_answers_as_a_fresh_walk_per_word():
     for T, d in ((plain, 2), (flipped, 5)):
         # equal letters, and the two scattered configs equal piece letters,
         # so a walk keyed by either would mix them up
-        configs = [CodingConfig.natural(T, "xyz"), _scattered_config(rng, d, "xyz", T),
-                   _scattered_config(rng, d, "xyz", T)]
+        configs = [CodingConfig.natural(T, "xyz"), scattered_config(rng, d, "xyz", T),
+                   scattered_config(rng, d, "xyz", T)]
         keys[T] = {(cfg.encoded, cfg.piece_letters) for cfg in configs}
         assert len(keys[T]) == 3 and configs[1].piece_letters == configs[2].piece_letters
         for cfg in configs:
@@ -1022,9 +776,9 @@ def test_shared_walk_answers_as_a_fresh_walk_per_word():
         depth, parts = fresh.prefix(w)
         expect = fresh.intervals(parts)
         assert longest_cylinder(T, cfg, w) == (depth, expect)
-        # the scalar reference is slow: every short word, one in 20 of the rest
+        # the reference walks each word afresh: every short word, one in 20 of the rest
         if len(w) <= 2 or rng.random() < 0.05:
-            assert (depth, expect) == _longest_reference(T, cfg, w)
+            assert (depth, expect) == ref.longest(T, cfg, w)
         assert cylinder(T, cfg, w) == (expect if depth == len(w) else ())
         empty += depth < len(w)
     assert empty
@@ -1062,7 +816,7 @@ def test_cylinder_queries_read_the_kept_tree():
     raised = past_kept = 0
     for S in exchanges:
         for cfg in (CodingConfig.natural(S, "abcdefg"), scattered):
-            tree = _cylinder_tree_reference(S, cfg, depth)
+            tree = ref.cylinders(S, cfg, depth)
             # every word whose proper prefixes all have nonempty cylinders
             words = [*cfg.letters, *(w + c for w in tree if len(w) < depth for c in cfg.letters)]
             longer = [w + w[:4] for w in tree if len(w) == depth]
@@ -1077,11 +831,11 @@ def test_cylinder_queries_read_the_kept_tree():
                     cylinder_lengths(T, cfg, depth)
                     assert len(walk.tree) == depth
                 for w in words:
-                    expect = _merge_reference(tree[w]) if w in tree else ()
+                    expect = tree[w][0] if w in tree else ()
                     assert cylinder(T, cfg, w) == expect, (S, cfg, order, w)
                     n = len(w) if w in tree else len(w) - 1
                     assert longest_cylinder(T, cfg, w) == (
-                        n, _merge_reference(tree[w[:n]]) if n else ()), (S, cfg, order, w)
+                        n, tree[w[:n]][0] if n else ()), (S, cfg, order, w)
                     # w's prefixes reach the stray letter only when w's cylinder is nonempty
                     stray = w + "?" + w
                     if w in tree:
@@ -1094,16 +848,11 @@ def test_cylinder_queries_read_the_kept_tree():
                         assert cylinder(T, cfg, stray) == ()
                         assert longest_cylinder(T, cfg, stray) == longest_cylinder(T, cfg, w)
                 for w in longer[:3]:
-                    assert longest_cylinder(T, cfg, w) == _longest_reference(T, cfg, w)
-                lengths = cylinder_lengths(T, cfg, depth)
-                assert list(lengths) == list(tree), (S, cfg, order)
-                for w, part in tree.items():
-                    total = ZERO
-                    for img, _, _ in part:
-                        total = total + img.length
-                    assert lengths[w] == total
+                    assert longest_cylinder(T, cfg, w) == ref.longest(T, cfg, w)
+                assert list(cylinder_lengths(T, cfg, depth).items()) == \
+                    [(w, length) for w, (_, length) in tree.items()], (S, cfg, order)
     with pytest.raises(KeyError):
-        _longest_reference(golden_iet(), scattered, "x?")
+        ref.longest(golden_iet(), scattered, "x?")
     assert raised and past_kept
 
 
@@ -1118,7 +867,7 @@ def test_cylinder_query_keeps_four_levels_of_tuples():
         w = natural_coding(_fresh(S), S.left[1], 40)
         walk = T._walk(cfg._walk_key)
         assert cylinder(T, cfg, w[:2]) and len(walk.tree) == 2
-        assert cylinder(T, cfg, w) == _longest_reference(T, cfg, w)[1] != ()
+        assert cylinder(T, cfg, w) == ref.longest(T, cfg, w)[1] != ()
         assert len(walk.tree) == 4 and set(T._walks) == {cfg._walk_key}
         with pytest.raises(ValueError, match="not in the coding config"):
             longest_cylinder(T, cfg, w[:39] + "?")
@@ -1155,7 +904,7 @@ def test_shared_tables_answer_as_a_fresh_table_per_call():
         # every point of these orbits is over T's field and denominator
         points = [x for i in range(T.k) for x in orbit(T, T.left[i], 4)]
         abc = CodingConfig.natural(T, "abcdefg")
-        configs = (abc, _scattered_config(rng, T.kernel.d, "xyz", T))
+        configs = (abc, scattered_config(rng, T.kernel.d, "xyz", T))
         for n in ns:
             for _ in range(2):
                 calls += [("natural", T, None, rng.choice(points), n),
@@ -1212,55 +961,7 @@ def test_shared_tables_answer_as_a_fresh_table_per_call():
     assert ms >= {1, 2, 4, 8, 16} and regularity >= 4, (ms, regularity)
 
 
-# ----------------------------------- block coding versus the step walk
-
-def _natural_step_reference(T, x0, n, letters="123456789"):
-    """natural_coding one letter at a time, as it ran before the block walk."""
-    stepper = _widened(T, (x0,))
-    p = stepper.encode(x0)
-    out = []
-    for _ in range(n):
-        out.append(letters[stepper.locate(p) - 1])
-        p = stepper.step(p)
-    return "".join(out)
-
-
-def _sets_step_reference(T, config, x0, n):
-    """coding_with_sets one letter at a time, as it ran before the block
-    walk, and how many of the orbit points land on a nonzero cut."""
-    cuts, piece_letters = config.cuts, config.piece_letters
-    stepper = _widened(T, (*cuts, x0))
-    p = stepper.encode(x0)
-    cut_reps = [stepper.encode(c) for c in cuts]
-    out, on_cut = [], 0
-    for _ in range(n):
-        j = _limit_index(cut_reps, p, 0, stepper.d)
-        on_cut += j > 1 and p == cut_reps[j - 1]
-        out.append(piece_letters[j - 1])
-        p = stepper.step(p)
-    return "".join(out), on_cut
-
-
-def _essential_step_reference(T, config, x0, n):
-    """essential_codings one letter at a time on encoded pairs: (p, s)
-    stands for p + s*epsilon, located by a linear scan every step."""
-    k = _widened(T, (*config.cuts, x0))
-    cut_reps = [k.encode(c) for c in config.cuts]
-    words = set()
-    for side in ([1] if x0 == ZERO else [1, -1]):
-        p, out = k.encode(x0), []
-        for _ in range(n):
-            out.append(config.piece_letters[_limit_index(cut_reps, p, side, k.d) - 1])
-            i = _limit_index(k.left, p, side, k.d)
-            if T.flips[i - 1]:
-                r = k.refl[i - 1]
-                p, side = (r[0] - p[0], r[1] - p[1]), -side
-            else:
-                t = k.disp[i - 1]
-                p = (p[0] + t[0], p[1] + t[1])
-        words.add("".join(out))
-    return frozenset(words)
-
+# ------------------------------ block coding versus the reference walk
 
 def _least_steps(m, cost):
     """The smallest n at which a walk of the given cost takes m steps a
@@ -1297,7 +998,7 @@ def test_block_coding_matches_step_reference():
         d = next((x.d for x in T.lengths if x.d), 0)
         flipped += any(T.flips)
         u = random_point(rng, d if rng.random() < 0.5 else 0)
-        configs = [CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + T.k % 2], T)]
+        configs = [CodingConfig.natural(T), scattered_config(rng, d, "xyz"[:2 + T.k % 2], T)]
         if u != ZERO:
             configs.append(CodingConfig([("a", (Interval(ZERO, u),)),
                                          ("b", (Interval(u, ONE),))]))
@@ -1307,10 +1008,10 @@ def test_block_coding_matches_step_reference():
             ns = _block_lengths(pieces, 16 if pieces == 2 else 8 if pieces <= 4 else 4)
             for x0 in (random_point(rng, d), rng.choice(cfg.pieces)[0].lo):
                 # one long reference run; every shorter coding is its prefix
-                word, on_cut = _sets_step_reference(T, cfg, x0, ns[-1])
-                hits += on_cut > 0
+                word = ref.coding(T, cfg, x0, ns[-1])
+                hits = hits or any(x in cfg.cuts[1:-1] for x in ref.orbit(T, x0, ns[-1]))
                 if natural:
-                    assert word == _natural_step_reference(T, x0, ns[-1])
+                    assert word == ref.coding(T, None, x0, ns[-1])
                 for n in ns:
                     if natural:
                         assert natural_coding(T, x0, n) == word[:n], (T, x0, n)
@@ -1323,24 +1024,14 @@ def test_block_coding_matches_step_reference():
                 starts = walk.table(m)[0]
                 y = starts_rng.choice(cfg.cuts[1:-1])
                 for _ in range(starts_rng.randint(1, 3)):
-                    y = apply_inverse_oracle(T, y)
+                    y = ref.apply_inverse(T, y)
                 for x0 in (walk.kernel.decode(starts_rng.choice(starts[1:])), y):
                     words = essential_codings(T, cfg, x0, n)
-                    assert words == _essential_step_reference(T, cfg, x0, n), (T, cfg, x0, n)
+                    assert words == ref.essential_codings(T, cfg, x0, n), (T, cfg, x0, n)
                     split += len(words) == 2
     # the corpus reaches flips, orbits through set boundaries and
     # one-sided codings that differ
     assert flipped and hits and split
-
-
-def _limit_index(cuts, p, side, d):
-    """By a linear scan, the 1-based j with cuts[j-1] <= p + side*epsilon
-    < cuts[j], for encoded p and cuts."""
-    j = 1
-    while j < len(cuts) - 1 and \
-            (quadratic_sign(p[0] - cuts[j][0], p[1] - cuts[j][1], d) or side) >= 0:
-        j += 1
-    return j
 
 
 def _doubled(p):
@@ -1364,7 +1055,7 @@ def test_successor_ranges_hold_every_image():
         flipped += any(T.flips)
         # wherever the full bisection puts a point of a row's image, that
         # row lies in the row's range
-        for cfg in (CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + k % 2], T)):
+        for cfg in (CodingConfig.natural(T), scattered_config(rng, d, "xyz"[:2 + k % 2], T)):
             walk = iet._Cylinders(T.kernel, cfg.encoded, cfg.piece_letters)
             kd, D = walk.kernel.d, walk.kernel.D
             for m in (1, 2, 4, 8, 16, 32, 64, 128, 256):
@@ -1433,7 +1124,7 @@ def test_doubled_table_matches_level_growth():
         k = 1 + case % 7
         d = (0, 2, 5)[case // 7]
         T = random_exchange(rng, k, d, flip_p=0.5)
-        for cfg in (CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + k % 2], T)):
+        for cfg in (CodingConfig.natural(T), scattered_config(rng, d, "xyz"[:2 + k % 2], T)):
             cases.append((T, cfg, (1, 2, 4, 8, 16, 32)))
     flipped = path_signs = 0
     for T, cfg, ms in cases:
@@ -1461,7 +1152,7 @@ def test_limits_never_land_on_a_lone_point():
         k = 2 + case % 6
         d = (0, 2, 5)[case % 3]
         T = random_exchange(rng, k, d, flip_p=0.5)
-        for cfg in (CodingConfig.natural(T), _scattered_config(rng, d, "xyz"[:2 + k % 2], T)):
+        for cfg in (CodingConfig.natural(T), scattered_config(rng, d, "xyz"[:2 + k % 2], T)):
             walk = iet._Cylinders(T.kernel, cfg.encoded, cfg.piece_letters)
             for m in (1, 4, 16, 64):
                 starts, closed, rows = walk.table(m)
@@ -1478,7 +1169,7 @@ def test_limits_never_land_on_a_lone_point():
                     x0 = walk.kernel.decode(starts[rng.choice(points)])
                     n = _least_steps(m, len(cfg.pieces))
                     assert essential_codings(T, cfg, x0, n) == \
-                        _essential_step_reference(T, cfg, x0, n), (T, cfg, x0)
+                        ref.essential_codings(T, cfg, x0, n), (T, cfg, x0)
                     walked += 1
     assert lone and walked, (lone, walked)
 
@@ -1492,14 +1183,13 @@ def test_codings_at_the_largest_block_match_step_reference(monkeypatch):
     flipped = build_iet([rational(1, 4), rational(1, 2), rational(1, 4)], (2, 3, 1),
                         (False, True, True))
     cases = [(flipped, CodingConfig.natural(flipped)),
-             (silver_iet(), _scattered_config(rng, 2, "xyz", silver_iet()))]
+             (silver_iet(), scattered_config(rng, 2, "xyz", silver_iet()))]
     for T, cfg in cases:
         for x0 in (rational(2202, 9973), cfg.cuts[1]):
             n = 3 * 256 + 17
-            word, _ = _sets_step_reference(T, cfg, x0, n)
-            assert coding_with_sets(T, cfg, x0, n) == word, (T, cfg, x0)
+            assert coding_with_sets(T, cfg, x0, n) == ref.coding(T, cfg, x0, n), (T, cfg, x0)
             assert essential_codings(T, cfg, x0, n) == \
-                _essential_step_reference(T, cfg, x0, n), (T, cfg, x0)
+                ref.essential_codings(T, cfg, x0, n), (T, cfg, x0)
 
 
 def _block_size_reference(cost, steps):
@@ -1534,37 +1224,7 @@ def test_block_size_thresholds():
                    for n in range(64 * cost + 1))
 
 
-# ------------------------------ block regularity walk versus the step walk
-
-def _check_regular_step_reference(T, depth):
-    """check_regular one step at a time, as it ran before the block walk."""
-    stepper, left = T.kernel, T.kernel.left
-    targets = {left[j]: j + 1 for j in range(1, T.k)}
-    for i in range(1, T.k + 1):
-        p = left[i - 1]
-        for n in range(1, depth + 1):
-            p = stepper.step(p)
-            j = targets.get(p)
-            if j is not None:
-                return "collision", (i, n, j)
-    return "no-collision-up-to-depth", None
-
-
-def _check_idoc_seen_reference(T, depth):
-    """check_idoc one step at a time against every point seen before, as
-    it ran before the block walk looked for the ends alone."""
-    stepper, left = T.inverse.kernel, T.kernel.left
-    seen = {left[i - 1]: (i, 0) for i in range(2, T.k + 1)}
-    for i in range(2, T.k + 1):
-        p = left[i - 1]
-        for n in range(1, depth + 1):
-            p = stepper.step(p)
-            prev = seen.get(p)
-            if prev is not None:
-                return "collision", ((i, n), prev)
-            seen[p] = (i, n)
-    return "no-collision-up-to-depth", None
-
+# ------------------------- block regularity walk versus the reference
 
 def _natural_table(E, m):
     """E's depth-m cylinder table, as the regularity walk builds it."""
@@ -1590,15 +1250,13 @@ def test_block_regularity_matches_step_walk():
             # each check's block size, from the steps it covers
             m = iet._block_size(2 * T.k, T.k * depth)
             rep = check_regular(T, depth)
-            assert (rep.verdict, rep.witness) == _check_regular_step_reference(T, depth), \
-                (T, depth)
+            assert (rep.verdict, rep.witness) == ref.check_regular(T, depth), (T, depth)
             if rep.collided:
                 late["regular"] += m > 1 and rep.witness[1] > 2 * m
                 steps.add(rep.witness[1])
             m = iet._block_size(2 * T.k, (T.k - 1) * depth)
             rep = check_idoc(T, depth)
-            assert (rep.verdict, rep.witness) == _check_idoc_seen_reference(T, depth), \
-                (T, depth)
+            assert (rep.verdict, rep.witness) == ref.check_idoc(T, depth), (T, depth)
             if rep.collided:
                 (i, n), (j, _) = rep.witness
                 late["idoc"] += m > 1 and n > 2 * m
@@ -1606,8 +1264,8 @@ def test_block_regularity_matches_step_walk():
                 steps.add(n)
         # one step short of a collision, where a block must not overshoot
         for depth in sorted(steps - {1}):
-            for check, reference in ((check_regular, _check_regular_step_reference),
-                                     (check_idoc, _check_idoc_seen_reference)):
+            for check, reference in ((check_regular, ref.check_regular),
+                                     (check_idoc, ref.check_idoc)):
                 rep = check(T, depth - 1)
                 assert (rep.verdict, rep.witness) == reference(T, depth - 1), (T, depth)
     # the corpus reaches flips, collisions met past the first blocks,

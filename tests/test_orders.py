@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from ietword import orders
 from ietword.orders import (
     OrderPair,
-    OrderReport,
     check_orders,
     interval_orders,
     search_orders,
@@ -16,6 +15,7 @@ from ietword.orders import (
 from ietword.rauzy import validate_evolution
 from ietword.words import FactorSet
 
+import reference as ref
 from corpus import (fibonacci_word, golden_word, near_miss, search_corpus,
                     seven_letter_iet, seven_letter_word, silver_word, six_letter_word,
                     thue_morse_word, tribonacci_word)
@@ -198,47 +198,6 @@ def test_slices_of_golden_word_still_pass():
 
 # ------------------------------------------- differential: slow references
 
-def check_orders_reference(fs, orders, max_len):
-    """The per-pair loop check_orders ran before its scans: every factor
-    of every length, each order pair on its own.  z and t are taken in
-    sorted order, so the condition-2 witness does not follow hashing."""
-    if max_len + 2 > fs.max_len:
-        raise ValueError("window too long")
-
-    def interval(letters, rank):
-        ranks = sorted(rank(x) for x in letters)
-        return not ranks or ranks[-1] - ranks[0] + 1 == len(ranks)
-
-    def fail(condition, witness):
-        return OrderReport(False, condition, witness, max_len)
-
-    if set(orders.pi0) != set(fs.alphabet):
-        return fail("letters", (tuple(fs.alphabet), orders.pi0))
-    j = orders.separation()
-    if j is not None:
-        return fail("separation", (j,))
-    for n in range(max_len + 1):
-        longer = fs.extensions(n + 1)
-        for w, (left, right) in sorted(fs.extensions(n).items()):
-            if not interval(left, orders.pi1.index):
-                return fail("1", (w, "left", tuple(sorted(left))))
-            if not interval(right, orders.pi0.index):
-                return fail("1", (w, "right", tuple(sorted(right))))
-            block = [x for x in orders.pi1 if x in left]
-            rights = {x: longer[x + w][1] for x in block}
-            for x, y in zip(block, block[1:]):
-                common = rights[x] & rights[y]
-                if len(common) != 1:
-                    return fail("3", (w, x, y, tuple(sorted(common))))
-            for i, x in enumerate(block):
-                for y in block[i + 1:]:
-                    for z in sorted(rights[x]):
-                        for t in sorted(rights[y]):
-                            if orders.pi0.index(z) > orders.pi0.index(t):
-                                return fail("2", (w, x, y, z, t))
-    return OrderReport(True, None, None, max_len)
-
-
 def brute_search(fs, max_len):
     """The (k!)^2 loop search_orders ran before, kept as its reference."""
     letters = tuple(fs.alphabet)
@@ -246,7 +205,7 @@ def brute_search(fs, max_len):
     for p0 in permutations(letters):
         for p1 in permutations(letters):
             pair = OrderPair(p0, p1)
-            if check_orders_reference(fs, pair, max_len).passed:
+            if ref.check_orders(fs, pair, max_len).passed:
                 out.append(pair)
     return out
 
@@ -309,7 +268,7 @@ def test_check_orders_matches_reference_on_every_pair():
             for p1 in permutations(fs.alphabet):
                 pair = OrderPair(p0, p1)
                 got = check_orders(fs, pair, max_len)
-                assert got == check_orders_reference(fs, pair, max_len), \
+                assert got == ref.check_orders(fs, pair, max_len), \
                     (word[:20], max_len, pair)
                 seen[got.condition] += 1
     assert set(seen) == {None, "separation", "1", "2", "3"}
@@ -337,7 +296,7 @@ def test_check_orders_matches_reference_on_sampled_pairs():
                           for _ in range(60)]
             for pair in pairs:
                 got = check_orders(fs, pair, max_len)
-                assert got == check_orders_reference(fs, pair, max_len), \
+                assert got == ref.check_orders(fs, pair, max_len), \
                     (word[:20], max_len, pair)
                 seen[got.condition] += 1
     assert set(seen) == {None, "separation", "2", "3"}

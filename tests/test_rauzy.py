@@ -16,6 +16,7 @@ from ietword.rauzy import (
 from ietword import rauzy
 from ietword.words import FactorSet
 
+import reference as ref
 from corpus import (fibonacci_word, flipped_4iet, flipped_corpus, golden_word,
                     label_search_words, levels_corpus, mark_clash_word, near_miss,
                     random_word, silver_word, thue_morse_word, tribonacci_word)
@@ -27,22 +28,11 @@ def fib_fs(max_len=21):
 
 # ---------------------------------------------------------------- graphs
 
-def adjacency(g: RauzyGraph):
-    """The in-arcs and out-arcs of every vertex of g, in arc order: an arc
-    leaves its k-prefix and enters its k-suffix."""
-    ins = {v: [] for v in g.vertices}
-    outs = {v: [] for v in g.vertices}
-    for a in g.arcs:
-        outs[a[:-1]].append(a)
-        ins[a[1:]].append(a)
-    return ins, outs
-
-
 def test_fibonacci_k1_graph():
     g = build_k_graph(fib_fs(), 1)
     assert g.vertices == ("a", "b")
     assert g.arcs == ("aa", "ab", "ba")
-    ins, outs = adjacency(g)
+    ins, outs = ref.adjacency(g)
     assert ins["a"] == ["aa", "ba"]
     assert outs["a"] == ["aa", "ab"]
     assert len(ins["b"]) == 1 and len(outs["b"]) == 1
@@ -52,7 +42,7 @@ def test_fibonacci_k2_graph():
     g = build_k_graph(fib_fs(), 2)
     assert g.vertices == ("aa", "ab", "ba")
     assert g.arcs == ("aab", "aba", "baa", "bab")
-    ins, outs = adjacency(g)
+    ins, outs = ref.adjacency(g)
     assert outs["aa"] == ["aab"] and ins["ab"] == ["aab", "bab"]
 
 
@@ -102,16 +92,6 @@ def test_strongly_connected():
             strongly_connected(FactorSet("aab", 2), k)
 
 
-def _strongly_connected_reference(fs, k):
-    """strongly_connected by two full searches from one vertex, forward
-    and backward, as it ran before the one-search proof."""
-    ext = fs.extensions(k)
-    start = next(iter(ext))
-    n = len(ext)
-    return (len(_bfs(start, lambda v: [v[1:] + y for y in ext[v][1]])) == n
-            and len(_bfs(start, lambda v: [x + v[:-1] for x in ext[v][0]])) == n)
-
-
 def test_strongly_connected_matches_two_searches():
     # one search from the last window to the first decides every level
     # of genuine, substitutive, near-miss and random words
@@ -123,7 +103,7 @@ def test_strongly_connected_matches_two_searches():
         fs = FactorSet(word, min(len(word), 24))
         for k in range(1, fs.max_len):
             got = strongly_connected(fs, k)
-            assert got == _strongly_connected_reference(fs, k), (word, k)
+            assert got == ref.strongly_connected(build_k_graph(fs, k)), (word, k)
             verdicts[got] += 1
     assert min(verdicts.values()) > 100, verdicts
 
@@ -303,83 +283,6 @@ def test_export_dot_escapes_backslash_and_quote():
 
 # ---------------------------------------------------------- label search
 
-# reference: the label rules on one base labeling at a time, with its
-# labels as l/r dicts and its marks as sets, built level by level
-
-def _base_labels(K: int, sides, mask: int):
-    """The level-K labeling that bit i of mask picks for side i."""
-    in_l = {K: {}}
-    out_l = {K: {}}
-    for bit, (side, arcs) in enumerate(sides):
-        a, b = arcs
-        if mask >> bit & 1:
-            a, b = b, a
-        (in_l if side == "in" else out_l)[K][a] = "l"
-        (in_l if side == "in" else out_l)[K][b] = "r"
-    return in_l, out_l
-
-
-def _check_assignment(levels, K, k_max, oriented, in_l, out_l):
-    marks = {}
-    prev_marks = frozenset()
-    for k in range(K, k_max + 1):
-        if k > K:
-            p_in, p_out = in_l[k - 1], out_l[k - 1]
-            in_l[k] = {w: p_in[w[:-1]]
-                       for arcs in levels.in_crotches[k] for w in arcs}
-            out_l[k] = {w: p_out[w[1:]]
-                        for arcs in levels.out_crotches[k] for w in arcs}
-        must_mark = set()
-        must_unmark = set()
-        for w, pairs in levels.events.get(k, {}).items():
-            kinds = set()
-            for a, b in pairs:
-                kinds.add(in_l[k][a] == out_l[k][b])
-            if kinds == {True, False}:
-                return Witness(
-                    "label-contradiction", k, (w,),
-                    "deletions of both mixed and equal label pairs")
-            if True in kinds:
-                must_mark.add(w)
-            else:
-                must_unmark.add(w)
-        if oriented and must_mark:
-            w = sorted(must_mark)[0]
-            return Witness(
-                "label-contradiction", k, (w,),
-                "equal-label deletion requires a minus mark, oriented mode")
-        level_marks = set(must_mark)
-        for v in prev_marks:
-            level_marks.update(levels.out_arcs(k - 1, v))
-        clash = level_marks & must_unmark
-        if clash:
-            w = sorted(clash)[0]
-            return Witness(
-                "label-contradiction", k, (w,),
-                "mark forced forward onto a vertex with mixed-pair deletions")
-        marks[k] = frozenset(level_marks)
-        prev_marks = marks[k]
-    return in_l, out_l, marks
-
-
-def _search_one_by_one(levels, K, k_max, oriented):
-    # reference: check every base labeling in mask order, first clean
-    # success wins, then the first marked one, then the deepest failure
-    sides = rauzy._free_choices(levels, K)
-    best_fail, best_k, marked_success = None, -1, None
-    for mask in range(1 << len(sides)):
-        in_l, out_l = _base_labels(K, sides, mask)
-        result = _check_assignment(levels, K, k_max, oriented, in_l, out_l)
-        if isinstance(result, rauzy.Witness):
-            if result.k > best_k:
-                best_k, best_fail = result.k, result
-        elif not any(result[2].values()):
-            return result
-        elif marked_success is None:
-            marked_success = result
-    return marked_success if marked_success is not None else best_fail
-
-
 @pytest.mark.parametrize("block_bits", [16, 3])
 @pytest.mark.parametrize("word, k_max", label_search_words())
 def test_label_search_matches_one_by_one(word, k_max, block_bits, monkeypatch):
@@ -387,7 +290,7 @@ def test_label_search_matches_one_by_one(word, k_max, block_bits, monkeypatch):
     got = {}
     for search in ("screened", "reference"):
         if search == "reference":
-            monkeypatch.setattr(rauzy, "_search_labels", _search_one_by_one)
+            monkeypatch.setattr(rauzy, "_search_labels", ref.search_one_by_one)
         else:
             monkeypatch.setattr(rauzy, "_BLOCK_BITS", block_bits)
         got[search] = [vars(validate_evolution(fs, 1, k_max, oriented))
@@ -426,7 +329,7 @@ def test_label_search_matches_one_by_one_at_every_K(monkeypatch):
     reasons = []
 
     def check(args, found):
-        assert found == _search_one_by_one(*args)
+        assert found == ref.search_one_by_one(*args)
         if isinstance(found, Witness):
             reasons.append(found.detail)
     corpus = [*levels_corpus(), (mark_clash_word(), 12)]
@@ -449,8 +352,8 @@ def test_label_search_walks_each_block_once(block_bits, monkeypatch):
         return walk(*args)
 
     def clean(levels, K, k_max, oriented, sides, mask):
-        result = _check_assignment(levels, K, k_max, oriented,
-                                   *_base_labels(K, sides, mask))
+        result = ref.check_assignment(levels, K, k_max, oriented,
+                                      *ref.base_labels(K, sides, mask))
         return not isinstance(result, Witness) and not any(result[2].values())
 
     def check(args, found):
@@ -486,112 +389,23 @@ def test_deleted_pairs_share_no_arc(monkeypatch):
 
 # --------------------------------------------------------------- levels
 
-def _bfs(start, neighbors) -> set:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for u in neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return seen
-
-
-def graph_strongly_connected(g: RauzyGraph) -> bool:
-    """Reference check: two searches on the RauzyGraph itself."""
-    if len(g.vertices) <= 1:
-        return True
-    ins, outs = adjacency(g)
-    start = g.vertices[0]
-    n = len(g.vertices)
-    return (len(_bfs(start, lambda v: [a[1:] for a in outs[v]])) == n
-            and len(_bfs(start, lambda v: [a[:-1] for a in ins[v]])) == n)
-
-
-class _levels_reference:
-    """Precomputed per-level graphs, static violations and deletions."""
-
-    def __init__(self, fs: FactorSet, k_min: int, k_max: int):
-        self.graphs = {}
-        self.adjacency = {}
-        self.static = {}
-        self.events = {}
-        for k in range(k_min, k_max + 1):
-            g = build_k_graph(fs, k)
-            self.graphs[k] = g
-            self.adjacency[k] = ins, outs = adjacency(g)
-            viol = []
-            for v in g.vertices:
-                din, dout = len(ins[v]), len(outs[v])
-                if din > 2 or dout > 2:
-                    viol.append(Witness(
-                        "valence", k, (v,),
-                        f"in-degree {din}, out-degree {dout}"))
-            if k < k_max:
-                deletions = []
-                ext = fs.extensions(k + 1)
-                for a in g.arcs:
-                    right = ext[a][1]
-                    for b in outs[a[1:]]:
-                        if b[-1] not in right:
-                            deletions.append((a, b))
-                by_vertex = {}
-                for a, b in deletions:
-                    w = a[1:]
-                    if len(ins[w]) == 2 and len(outs[w]) == 2:
-                        by_vertex.setdefault(w, []).append((a, b))
-                    else:
-                        viol.append(Witness(
-                            "unlicensed-deletion", k, (a + b[-1],),
-                            f"vertex {w!r} is not bispecial"))
-                deleted_at = set(by_vertex)
-                for v in g.vertices:
-                    if len(ins[v]) == 2 and len(outs[v]) == 2 and v not in deleted_at:
-                        viol.append(Witness(
-                            "strong-bispecial", k, (v,),
-                            "all four follower arcs survive"))
-                self.events[k] = by_vertex
-            if not graph_strongly_connected(g):
-                viol.append(Witness("not-strongly-connected", k, (), ""))
-            self.static[k] = viol
-
-
-class _GraphLevels(_levels_reference):
-    """The reference levels, with crotches and out-arcs read off the
-    adjacency of a RauzyGraph per level, as the label search reads them."""
-
-    def __init__(self, fs, k_min, k_max):
-        super().__init__(fs, k_min, k_max)
-        self.in_crotches, self.out_crotches = {}, {}
-        for k, g in self.graphs.items():
-            ins, outs = self.adjacency[k]
-            self.in_crotches[k] = [tuple(sorted(ins[v]))
-                                   for v in g.vertices if len(ins[v]) == 2]
-            self.out_crotches[k] = [tuple(sorted(outs[v]))
-                                    for v in g.vertices if len(outs[v]) == 2]
-
-    def out_arcs(self, k, v):
-        return self.adjacency[k][1][v]
-
-
 def test_levels_match_graph_reference(monkeypatch):
     kinds, verdicts, mixed, last_window = set(), set(), 0, 0
     for word, k_max in levels_corpus():
         fs = FactorSet(word, k_max + 1)
         for k_min in (1, 3):
             got = rauzy._Levels(fs, k_min, k_max)
-            ref = _GraphLevels(fs, k_min, k_max)
-            assert [strongly_connected(fs, k) for k in ref.graphs] == \
-                [graph_strongly_connected(g) for g in ref.graphs.values()]
+            graphs = ref.LevelGraphs(fs, k_min, k_max)
+            assert [strongly_connected(fs, k) for k in graphs.graphs] == \
+                [ref.strongly_connected(g) for g in graphs.graphs.values()]
             assert all(fs.extensions(k).keys() == fs.counts(k).keys()
-                       for k in ref.graphs)
-            assert got.static == ref.static, word
-            assert got.events == ref.events, word
+                       for k in graphs.graphs)
+            assert got.static == graphs.static, word
+            assert got.events == graphs.events, word
             assert [list(ev) for ev in got.events.values()] == \
-                [list(ev) for ev in ref.events.values()]
-            assert got.in_crotches == ref.in_crotches
-            assert got.out_crotches == ref.out_crotches
+                [list(ev) for ev in graphs.events.values()]
+            assert got.in_crotches == graphs.in_crotches
+            assert got.out_crotches == graphs.out_crotches
             kinds.update(w.kind for ws in got.static.values() for w in ws)
             cut = [k for k, ws in got.static.items()
                    if any(w.kind == "not-strongly-connected" for w in ws)]
@@ -605,7 +419,7 @@ def test_levels_match_graph_reference(monkeypatch):
             for oriented in (False, True):
                 new = vars(validate_evolution(fs, k_min, k_max, oriented))
                 with monkeypatch.context() as m:
-                    m.setattr(rauzy, "_Levels", _GraphLevels)
+                    m.setattr(rauzy, "_Levels", ref.LevelGraphs)
                     old = vars(validate_evolution(fs, k_min, k_max, oriented))
                 assert new == old, (word, k_min, oriented)
                 verdicts.add(new["witness"].kind if new["witness"]
@@ -651,7 +465,7 @@ def bound_excess(fs, top):
     length n, counted off the word's windows."""
     k = len(set(fs.word))
     for n in range(1, top + 1):
-        p = len({fs.word[i:i + n] for i in range(len(fs.word) - n + 1)})
+        p = len(ref.window_counts(fs.word, n))
         if p > (k - 1) * n + 1:
             return n, p
     return None
@@ -723,8 +537,7 @@ def test_connected_level_has_connected_level_below(w):
     # and walks down only when that check fails
     fs = FactorSet(w, 10)
     for k in range(1, 10):
-        assert strongly_connected(fs, k) == \
-            graph_strongly_connected(build_k_graph(fs, k))
+        assert strongly_connected(fs, k) == ref.strongly_connected(build_k_graph(fs, k))
     for k in range(1, 9):
         if strongly_connected(fs, k + 1):
             assert strongly_connected(fs, k)

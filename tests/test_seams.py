@@ -7,7 +7,9 @@ dead names out: every import is read, every private and every public
 name is read somewhere else, the benchmark's tracer names only code
 that exists, and nothing outside the standard library is imported. In
 the tests, no module imports a test module: what two of them share lives
-in tests/corpus.py.
+in tests/corpus.py, and the references the differential tests compare
+with live in tests/reference.py, which reads no private name or kernel
+table of ietword.
 """
 import ast
 import importlib
@@ -351,7 +353,7 @@ def imported_test_modules(source: str) -> list[str]:
 
 
 def test_guard_sees_test_module_imports():
-    source = ("from test_iet import contains_limit\n"
+    source = ("from test_iet import enumerate_cylinders\n"
               "import test_words as tw, pytest\n"
               "from corpus import near_miss, test_like\n"
               "from tests.test_cli import main\n"
@@ -362,3 +364,33 @@ def test_guard_sees_test_module_imports():
 def test_no_test_module_imports_another():
     # what two test modules share lives in tests/corpus.py
     assert findings(TESTS, imported_test_modules) == {}
+
+
+# an exchange's derived tables and kernel, and a walk's tree and tables
+DERIVED = {"kernel", "disp", "refl", "dest_lo", "slot_start", "slot_of", "tree", "tables"}
+
+
+def kernel_reads(source: str) -> list[str]:
+    """What a source reads of ietword past its public names: its private
+    imports, then each attribute it reads that is `_`-prefixed (dunders
+    aside) or one of DERIVED, of any object."""
+    return private_imports(source) + [
+        node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)
+        and (node.attr in DERIVED or node.attr.startswith("_") and not node.attr.endswith("__"))]
+
+
+def test_guard_sees_kernel_reads():
+    source = ("from fractions import _gcd\n"
+              "from ietword import iet\n"
+              "from ietword.iet import _IntOrbit, build_iet\n"
+              "p = T.kernel.step(p)\n"
+              "walk = iet._Cylinders(k, cuts, letters)\n"
+              "x = T.lengths[0].coef + walk.tree[0] + T.slot_start[1]\n"
+              "y = x.__class__(x.rat)\n")
+    assert sorted(kernel_reads(source)) == [
+        "_Cylinders", "_IntOrbit", "iet._Cylinders", "kernel", "slot_start", "tree"]
+
+
+def test_reference_reads_only_public_names():
+    # the references share no table or step rule with the kernel they check
+    assert kernel_reads((TESTS / "reference.py").read_text()) == []

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,17 +10,13 @@ from ietword.words import (
     complexity,
     special_factors,
 )
+from reference import probed_extensions, window_counts
 from corpus import (balance_witness, fibonacci_word, golden_word, random_word,
                     silver_word, thue_morse_word, tribonacci_word)
 
 FIB = fibonacci_word(2000)
 TM = thue_morse_word(1024)
 TRI = tribonacci_word(2000)
-
-
-def window_counts(word, n):
-    """Reference: slice every length-n window of the word again."""
-    return Counter(word[i:i + n] for i in range(len(word) - n + 1))
 
 
 def assert_counts_match(fs, levels):
@@ -55,14 +50,6 @@ def assert_index_matches_slicing(word, max_len):
     fs = FactorSet(word, max_len)
     assert_counts_match(fs, range(max_len, -1, -1))
     assert fs.alphabet == tuple(sorted(set(word)))
-
-
-def probed_extensions(fs, n):
-    """Reference: probe every alphabet letter on each side of each factor."""
-    longer = fs.counts(n + 1)
-    return {w: (frozenset(x for x in fs.alphabet if x + w in longer),
-                frozenset(y for y in fs.alphabet if w + y in longer))
-            for w in fs.counts(n)}
 
 
 def assert_extensions_any_order(word, max_len, shuffle):
