@@ -33,16 +33,22 @@ Label bookkeeping, spelled out once:
   mixed labels (lr or rl) at an unmarked vertex, equal labels (ll or
   rr) at a minus-marked vertex;
 * a minus mark on a vertex forces marks on all arcs leaving it, seen
-  as vertices one level up (marks flow forward only);
+  as vertices one level up, and on nothing else; so a vertex is marked
+  by a labeling exactly when one of its prefixes, down to the lowest
+  level, is a vertex with deletions that the labeling marks, and the
+  marks a vertex with deletions must carry are read off its prefixes;
 * oriented mode forbids marks entirely;
 * in a searched window a vertex's deleted pairs all have mixed labels
   or all equal ones, whatever the labeling (proved in _walk).
 
 _walk is the one implementation of these rules, on many base labelings
-at once as bitsets; the report of the chosen one is read off the same
-walk, one bit of its bitsets.
+at once as bitsets, and it visits the vertices with deletions alone; the
+report of the chosen one is read off the same walk, one bit of its
+bitsets, and lists that one labeling's marked vertices.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 from .record import Record
 from .words import FactorSet
@@ -184,6 +190,7 @@ class _Levels:
     """
 
     def __init__(self, fs: FactorSet, k_min: int, k_max: int):
+        self.k_min = k_min
         self.ext = {k: fs.extensions(k) for k in range(k_min, k_max + 1)}
         word = fs.word
         self.in_crotches = {}
@@ -241,6 +248,21 @@ class _Levels:
             self.static[k].append(Witness("not-strongly-connected", k, (), ""))
             k -= 1
 
+    @cached_property
+    def below(self) -> dict:
+        """Each vertex with deletions mapped to its longest proper prefix
+        with deletions, where it has one: the chain _walk ORs marks
+        along.  Built once a window, on first use; only the non-oriented
+        label search reads it."""
+        below = {}
+        for k, by_vertex in self.events.items():
+            for w in by_vertex:
+                for j in range(k - 1, self.k_min - 1, -1):
+                    if w[:j] in self.events[j]:
+                        below[w] = w[:j]
+                        break
+        return below
+
     def out_arcs(self, k: int, v: str) -> list[str]:
         return [v + y for y in self.ext[k][v][1]]
 
@@ -290,12 +312,16 @@ def _walk(levels: _Levels, K: int, k_max: int, oriented: bool,
     them all, side_of[side, a] those labeling base arc a r (_side_sets).
     Labels are inherited from level K (an arc's in-label from its
     (K+1)-prefix, its out-label from its (K+1)-suffix), so whether a
-    deleted pair's labels are equal is a parity of two bits.  A vertex
-    whose pair is equal-labeled is marked, and fails in oriented mode;
-    live labelings' marks go forward to the arcs leaving their vertex,
-    as vertices one level up, and a labeling fails where its mark
-    reaches a vertex whose pair is mixed.  The walk stops once no
-    labeling is alive.
+    deleted pair's labels are equal is a parity of two bits.  A
+    vertex whose pair is equal-labeled is marked, and fails in oriented
+    mode.  A mark goes forward to every arc leaving its vertex, so a
+    vertex of level k is marked by a labeling exactly when one of its
+    prefixes of level K..k is a vertex with deletions that the labeling
+    marks.  So the walk visits the vertices with deletions alone, each
+    once a block: held[w] holds the labelings marking w or a prefix of
+    it, the OR along w's levels.below chain, and a live labeling fails
+    at w when held at w's nearest such prefix holds it and w's pair is
+    mixed.  The walk stops once no labeling is alive.
 
     A vertex is read from its first deleted pair, for its pairs are
     mixed or equal-labeled together, whatever the labeling.  Say w has
@@ -310,46 +336,47 @@ def _walk(levels: _Levels, K: int, k_max: int, oriented: bool,
 
     Returns the labelings that succeed, those of them that carry a
     mark, the deepest level at which some fail with those failing there
-    (-1, 0 if none fails), {vertex: the labelings failing there} at that
-    level, and per level walked {vertex: the live labelings marking it}.
+    (-1, 0 if none fails), and {vertex: the labelings failing there} at
+    that level.
     """
+    below = None if oriented else levels.below
     alive = full
     marked_any = 0
-    marked = {}
-    marks = {}
+    held = {}
     fail_k, failed, failing = -1, 0, {}
-    for k in range(K, k_max + 1):
+    for k in range(K, k_max):
         fail = 0
         bad_at = {}
-        level_marked = {}
-        for w, pairs in levels.events.get(k, {}).items():
+        for w, pairs in levels.events[k].items():
             a, b = pairs[0]
             ne = side_of["in", a[:K + 1]] ^ side_of["out", b[-K - 1:]]
             eq = full ^ ne
-            bad = eq & alive if oriented else marked.get(w[:-1], 0) & ne
+            if oriented:
+                bad = eq & alive
+            else:
+                # a prefix below level K is not in held
+                inherited = held.get(below.get(w), 0)
+                held[w] = inherited | eq
+                bad = inherited & ne & alive
             if bad:
                 fail |= bad
                 bad_at[w] = bad
             marked_any |= eq
-            level_marked[w] = eq
         if fail:
             alive &= ~fail
             fail_k, failed, failing = k, fail, bad_at
             if not alive:
                 break
-        for v, m in marked.items():
-            for u in levels.out_arcs(k - 1, v):
-                level_marked[u] = level_marked.get(u, 0) | m
-        # no later level reads a failed labeling, so only live marks go on
-        marks[k] = marked = {v: live for v, m in level_marked.items()
-                             if (live := m & alive)}
-    return alive, alive & marked_any, fail_k, failed, failing, marks
+    return alive, alive & marked_any, fail_k, failed, failing
 
 
-def _report(levels: _Levels, K: int, oriented: bool, side_of: dict, walk, bit: int):
+def _report(levels: _Levels, K: int, k_max: int, oriented: bool,
+            side_of: dict, walk, bit: int):
     """Labeling `bit` of a block's walk: its labels and marks per level,
-    else the witness of its failure; its labels are its own bits."""
-    alive, _, k, _, failing, marks = walk
+    else the witness of its failure; its labels are its own bits.  Its
+    marks are listed once, carried forward from the deletion vertices it
+    marks."""
+    alive, _, k, _, failing = walk
     if not alive >> bit & 1:
         return Witness(
             "label-contradiction", k,
@@ -357,14 +384,24 @@ def _report(levels: _Levels, K: int, oriented: bool, side_of: dict, walk, bit: i
             "equal-label deletion requires a minus mark, oriented mode"
             if oriented else
             "mark forced forward onto a vertex with mixed-pair deletions")
-    in_l = {k: {w: "lr"[side_of["in", w[:K + 1]] >> bit & 1]
+    label = {arc: "lr"[labelings >> bit & 1] for arc, labelings in side_of.items()}
+    walked = range(K, k_max + 1)
+    in_l = {k: {w: label["in", w[:K + 1]]
                 for arcs in levels.in_crotches[k] for w in arcs}
-            for k in marks}
-    out_l = {k: {w: "lr"[side_of["out", w[-K - 1:]] >> bit & 1]
+            for k in walked}
+    out_l = {k: {w: label["out", w[-K - 1:]]
                  for arcs in levels.out_crotches[k] for w in arcs}
-             for k in marks}
-    return in_l, out_l, {k: frozenset(v for v, m in level.items() if m >> bit & 1)
-                         for k, level in marks.items()}
+             for k in walked}
+    marks = {}
+    level = set()
+    for k in walked:
+        level = {u for v in level for u in levels.out_arcs(k - 1, v)}
+        for w, pairs in levels.events.get(k, {}).items():
+            a, b = pairs[0]
+            if label["in", a[:K + 1]] == label["out", b[-K - 1:]]:
+                level.add(w)
+        marks[k] = frozenset(level)
+    return in_l, out_l, marks
 
 
 def _lowest(bits: int) -> int:
@@ -397,7 +434,7 @@ def _search_labels(levels: _Levels, K: int, k_max: int, oriented: bool):
             fail_k, fail_at = k, (side_of, walk, _lowest(failed))
     else:
         chosen = fail_at if marked_at is None else marked_at
-    return _report(levels, K, oriented, *chosen)
+    return _report(levels, K, k_max, oriented, *chosen)
 
 
 def _complexity_excess(fs: FactorSet, top: int) -> Witness | None:

@@ -371,8 +371,9 @@ def strongly_connected(g) -> bool:
 
 class LevelGraphs:
     """The validator's levels, one RauzyGraph a level: static violations,
-    deletions by vertex, and the crotches and out-arcs the label search
-    reads, off each graph's adjacency."""
+    deletions by vertex, the crotches and out-arcs the label search
+    reads, off each graph's adjacency, and each deletion vertex's
+    nearest prefix with deletions."""
 
     def __init__(self, fs, k_min: int, k_max: int):
         self.graphs, self.adjacency, self.static = {}, {}, {}
@@ -417,6 +418,13 @@ class LevelGraphs:
             if not strongly_connected(g):
                 viol.append(Witness("not-strongly-connected", k, (), ""))
             self.static[k] = viol
+        # the deletion vertices' longest proper prefixes that are ones too
+        self.below = {}
+        for k, by_vertex in self.events.items():
+            for w in by_vertex:
+                prefixes = [w[:j] for j in range(k_min, k) if w[:j] in self.events[j]]
+                if prefixes:
+                    self.below[w] = prefixes[-1]
 
     def out_arcs(self, k, v):
         return self.adjacency[k][1][v]

@@ -379,7 +379,7 @@ def test_orbit_reversibility(x, n):
 
 # ------------------------------------------ kernel versus the reference
 
-def test_kernel_matches_scalar_oracle():
+def test_kernel_matches_integer_pair_reference():
     rng = random.Random(20071)
     collided = split = flipped = 0
     for case in range(48):
@@ -415,7 +415,7 @@ def test_kernel_matches_scalar_oracle():
     assert split and flipped
 
 
-def test_point_maps_match_scalar_oracle():
+def test_point_maps_match_integer_pair_reference():
     rng = random.Random(20074)
     owned = widened = foreign = 0
     for case in range(90):
@@ -610,7 +610,7 @@ def test_longest_cylinder_prefix():
 
 # ----------------------------------- cylinder walk versus the reference
 
-def test_cylinder_walk_matches_scalar_oracle():
+def test_cylinder_walk_matches_integer_pair_reference():
     rng = random.Random(20072)
     flipped = singletons = empty = shared = crossing = 0
     for case in range(20):
@@ -980,7 +980,7 @@ def _block_lengths(pieces, m_max):
     return sorted(ns)
 
 
-def test_block_coding_matches_step_reference():
+def test_block_coding_matches_integer_pair_reference():
     rng = random.Random(20073)
     exchanges = [
         build_iet([rational(1, 3), rational(2, 3)], (2, 1)),

@@ -121,7 +121,7 @@ def fib_labeling(mask, oriented=False):
     # a one-mask block: the walk's bitsets are bit 0 alone
     full, side_of = rauzy._side_sets(sides, mask, 0)
     walk = rauzy._walk(levels, 1, 3, oriented, full, side_of)
-    return rauzy._report(levels, 1, oriented, side_of, walk, 0)
+    return rauzy._report(levels, 1, 3, oriented, side_of, walk, 0)
 
 
 def test_labeling_inherits_labels():
@@ -299,6 +299,13 @@ def test_label_search_matches_one_by_one(word, k_max, block_bits, monkeypatch):
     assert any(r["K"] not in (None, 1) for r in got["screened"])
 
 
+def test_label_search_words_reach_a_marked_acceptance():
+    # the differential above sees a non-oriented acceptance that needs marks
+    reports = [validate_evolution(FactorSet(word, k_max + 1), 1, k_max)
+               for word, k_max in label_search_words()]
+    assert any(r.accepted and any(r.marks.values()) for r in reports)
+
+
 def searched_windows(monkeypatch, corpus, check=None):
     """The (levels, K, k_max, oriented) of every label search the
     validator makes over corpus in both modes, window [1, k_max]; check
@@ -321,22 +328,65 @@ def searched_windows(monkeypatch, corpus, check=None):
     return seen
 
 
+def labeling_outcomes(levels, K, k_max, oriented):
+    """Each base labeling's outcome off the library's block walks, in
+    mask order: its labels and marks when it succeeds, its witness when
+    it fails at the deepest level its block fails at, else that level,
+    which it failed below."""
+    sides = rauzy._free_choices(levels, K)
+    width = min(len(sides), rauzy._BLOCK_BITS)
+    for base in range(0, 1 << len(sides), 1 << width):
+        full, side_of = rauzy._side_sets(sides, base, width)
+        walk = rauzy._walk(levels, K, k_max, oriented, full, side_of)
+        alive, _, fail_k, failed, _ = walk
+        for bit in range(1 << width):
+            if (alive | failed) >> bit & 1:
+                yield rauzy._report(levels, K, k_max, oriented, side_of, walk, bit)
+            else:
+                yield fail_k
+
+
 def test_label_search_matches_one_by_one_at_every_K(monkeypatch):
     # every search, not only the one a report keeps, against the
     # reference; each failure reason is reached, and some chosen
     # labelings fail at two vertices of one level, so the witness's rank
-    # is compared too
+    # is compared too.  Every base labeling of a search with at most
+    # 2**10 of them is also compared with its one-by-one outcome.  The
+    # corpus reaches a marked acceptance, and failures forced by a mark
+    # set two or more levels below the failing vertex, all its nearer
+    # prefixes free of deletions
     reasons = []
+    marked_acceptances = 0
+    gaps = set()
 
     def check(args, found):
+        nonlocal marked_acceptances
         assert found == ref.search_one_by_one(*args)
         if isinstance(found, Witness):
             reasons.append(found.detail)
+        else:
+            marked_acceptances += any(found[2].values())
+        levels, K, k_max, oriented = args
+        sides = rauzy._free_choices(levels, K)
+        if len(sides) > 10:
+            return
+        for mask, got in enumerate(labeling_outcomes(*args)):
+            want = ref.check_assignment(*args, *ref.base_labels(K, sides, mask))
+            if isinstance(got, int):
+                assert isinstance(want, Witness) and want.k < got, (args, mask)
+            else:
+                assert got == want, (args, mask)
+            if isinstance(want, Witness) and want.detail.startswith("mark forced"):
+                (w,) = want.factors
+                gaps.add(want.k - max(j for j in range(K, want.k)
+                                      if w[:j] in levels.events[j]))
     corpus = [*levels_corpus(), (mark_clash_word(), 12)]
     searched_windows(monkeypatch, corpus, check)
     assert set(reasons) == {
         "equal-label deletion requires a minus mark, oriented mode",
         "mark forced forward onto a vertex with mixed-pair deletions"}
+    assert marked_acceptances > 0
+    assert max(gaps) >= 2, gaps
 
 
 @pytest.mark.parametrize("block_bits", [16, 3])
@@ -402,6 +452,7 @@ def test_levels_match_graph_reference(monkeypatch):
                        for k in graphs.graphs)
             assert got.static == graphs.static, word
             assert got.events == graphs.events, word
+            assert got.below == graphs.below, word
             assert [list(ev) for ev in got.events.values()] == \
                 [list(ev) for ev in graphs.events.values()]
             assert got.in_crotches == graphs.in_crotches
