@@ -20,10 +20,11 @@ Conventions, fixed once for the whole package:
 * An exchange builds the cylinder walk of a coding partition once, on
   first use.  ``cylinder``, ``longest_cylinder`` and ``cylinder_lengths``
   on any equal config, the codings and the regularity checks all share
-  that one walk.  The cylinder calls grow and read its tree of nonempty
-  cylinders; the codings and checks read its depth-m tables, each built
-  once per m by doubling the depth-1 rows.  A partition whose walk
-  cannot be built (MixedRadicalError) is not kept.
+  that one walk.  The cylinder calls grow its tree of nonempty cylinders
+  and walk past it with one step, each part sent through T and split at
+  the partition by letter; the codings and checks read its depth-m
+  tables, each built once per m by doubling the depth-1 rows.  A
+  partition whose walk cannot be built (MixedRadicalError) is not kept.
 """
 from __future__ import annotations
 
@@ -143,17 +144,15 @@ class IETSpec:
         kernel, p, E = self._point(x)
         return kernel.locate(p, E)
 
-    def _domain(self, x):
-        """x checked to lie in [0,1) by both sign tests, and (u, v, E) with
-        x = (u + v*sqrt(d))/E.  The walks (orbit, the codings) check their
-        start with it once per call: a coding reads its start off its
-        table, on no locate scan."""
+    def _domain(self, x) -> ExactScalar:
+        """x, checked to lie in [0,1) by both sign tests: orbit and the
+        codings check their start with it once a call, on no locate scan."""
         x = self._coerce(x)
-        # the signs of x and of x - 1, times E > 0
-        u, v, E = x.num, x.irr, x.den
-        if quadratic_sign(u, v, x.d) < 0 or quadratic_sign(u - E, v, x.d) >= 0:
+        # the signs of x and of x - 1, times x.den > 0
+        if quadratic_sign(x.num, x.irr, x.d) < 0 or \
+                quadratic_sign(x.num - x.den, x.irr, x.d) >= 0:
             raise _outside(x)
-        return x, u, v, E
+        return x
 
     def _point(self, x):
         """The kernel that reads x's field, and x as (u*D, v*D) over E*D,
@@ -182,6 +181,11 @@ class IETSpec:
         kernel, p, E = self._point(x)
         a, b = kernel.step(p, E)
         return ExactScalar._canonical(a, b, E * kernel.D, kernel.d)
+
+    def _natural_key(self, letters) -> "_HashedKey":
+        """The walk key of T's intervals, lettered as passed: cuts are the kernel's left table."""
+        k = self.kernel
+        return _HashedKey(((k.d, k.D, k.left), letters))
 
     def _walk(self, key) -> "_Cylinders":
         """The walk of the partition key = (encoded cuts, piece letters),
@@ -303,7 +307,7 @@ class _IntOrbit:
 def orbit(T: IETSpec, x0, n: int) -> list[ExactScalar]:
     if n < 0:
         raise ValueError("orbit length must be >= 0")
-    x0 = T._domain(x0)[0]
+    x0 = T._domain(x0)
     stepper = T.kernel.widen(x0.d, x0.den)
     p = stepper.encode(x0)
     pts = []
@@ -318,9 +322,8 @@ def natural_coding(T: IETSpec, x0, n: int, letters: str | None = None) -> str:
         letters = DEFAULT_LETTERS
     if len(letters) < T.k:
         raise ValueError(f"need {T.k} letters, got {len(letters)}")
-    k = T.kernel
     # the key of CodingConfig.natural(T, letters): both share one walk
-    return _block_coding(T, _HashedKey(((k.d, k.D, k.left), tuple(letters[:T.k]))), x0, n)[0]
+    return _block_coding(T, T._natural_key(tuple(letters[:T.k])), x0, n)[0]
 
 
 class _HashedKey(tuple):
@@ -394,9 +397,8 @@ class CodingConfig:
         # its cuts are T's interval ends, so it encodes them as the kernel's
         # own table: a walk lookup under an equal key, another natural
         # config's or natural_coding's, then compares them by identity
-        k = T.kernel
-        config.encoded = (k.d, k.D, k.left)
-        config._walk_key = _HashedKey((config.encoded, config.piece_letters))
+        config._walk_key = T._natural_key(config.piece_letters)
+        config.encoded = config._walk_key[0]
         return config
 
 
@@ -427,7 +429,7 @@ def _block_coding(T: IETSpec, key, x0, n: int, sides=(0,)) -> list[str]:
     """
     if n < 0:
         raise ValueError("orbit length must be >= 0")
-    x0 = T._domain(x0)[0]
+    x0 = T._domain(x0)
     kernel = T.kernel.widen(x0.d, x0.den)
     walk = T._walk(key) if kernel is T.kernel else _Cylinders(kernel, *key)
     m = _block_size(len(key[1]), n)
@@ -593,8 +595,7 @@ def _first_hit(E: IETSpec, points, targets, depth: int):
             if n == m > 1 and not full:
                 # the walk reads the rows' maps, not their words, so one
                 # letter stands for every interval
-                key = _HashedKey(((d, kernel.D, kernel.left), " " * E.k))
-                starts, closed, rows = E._walk(key).table(m)
+                starts, closed, rows = E._walk(E._natural_key(" " * E.k)).table(m)
                 full = hi = len(rows)
             r = 0
             if full and n + m <= depth:
@@ -631,13 +632,14 @@ class _Cylinders:
 
     An exchange keeps one walk per coding partition (IETSpec._walk), and
     every call on that partition shares it: the cylinder calls, the
-    codings and the regularity checks.  The walk keeps its cylinder tree,
-    tree[n-1] mapping each word of length n with a nonempty cylinder to
-    its parts, as far as a cylinder call has grown it (levels), and the
-    depth-m tables of the codings and checks, which start from the spans
-    and leave the tree at tree[0].  Sharing is safe: advance and clip
-    return new lists, the tree's parts and the tables are tuples, and
-    the callers only read the parts (intervals, length) and the rows.
+    codings and the regularity checks.  One step,
+    by_letter(advance(parts)), grows its cylinder tree, tree[n-1] mapping
+    each word of length n with a nonempty cylinder to its parts, as far
+    as a cylinder call has grown it (levels), and walks past it
+    (prefix).  The depth-m tables of the codings and checks start from
+    the spans and leave the tree at tree[0].  Sharing is safe: advance
+    and by_letter return new lists, the tree's parts and the tables are
+    tuples, and the callers only read the parts and the rows.
     """
 
     def __init__(self, kernel: _IntOrbit, encoded, letters):
@@ -662,15 +664,9 @@ class _Cylinders:
                 i += sign <= 0
                 j += sign >= 0
         self.bounds, self.span_letters = bounds, span_letters
-        # spans[letter]: (j, lo, hi) of each span of the letter, in order
-        self.spans = {}
-        for j, letter in enumerate(span_letters, start=1):
-            self.spans.setdefault(letter, []).append((j, bounds[j - 1], bounds[j]))
-        # tree[0][letter]: the parts of the letter's one-letter cylinder,
-        # [0,1) clipped to each of its spans: the span itself, unmapped
-        self.tree = [{letter: tuple((j, (lo, hi, True, False, 1, (0, 0)))
-                                    for j, lo, hi in spans)
-                      for letter, spans in self.spans.items()}]
+        # tree[0][letter]: the letter's spans unmapped, in span order; its keys are the letters
+        spans = [(lo, hi, True, False, 1, (0, 0)) for lo, hi in zip(bounds, bounds[1:])]
+        self.tree = [{letter: tuple(parts) for letter, parts in self.by_letter(spans).items()}]
         # tables[m]: the depth-m table, built on first use
         self.tables = {}
 
@@ -694,27 +690,6 @@ class _Cylinders:
             for i in range(j_lo + 1, j):
                 yield i, (bounds[i - 1], bounds[i], True, False, s, b)
             yield j, (bounds[j - 1], hi, True, hc, s, b)
-
-    def clip(self, pieces, spans):
-        """The parts of the pieces inside the given spans of one letter."""
-        d = self.kernel.d
-        out = []
-        for piece in pieces:
-            lo, hi, lc, hc, s, b = piece
-            for j, u, v in spans:
-                # skip the span when the piece ends before u or starts at v
-                c = quadratic_sign(hi[0] - u[0], hi[1] - u[1], d)
-                if c < 0 or (c == 0 and not hc) or \
-                        quadratic_sign(lo[0] - v[0], lo[1] - v[1], d) >= 0:
-                    continue
-                below = quadratic_sign(lo[0] - u[0], lo[1] - u[1], d) < 0
-                above = c > 0 and quadratic_sign(hi[0] - v[0], hi[1] - v[1], d) >= 0
-                if below or above:
-                    out.append((j, (u if below else lo, v if above else hi,
-                                    below or lc, hc and not above, s, b)))
-                else:
-                    out.append((j, piece))
-        return out
 
     def advance(self, parts):
         """Push every part through one step of T."""
@@ -877,20 +852,20 @@ class _Cylinders:
     def prefix(self, w: str):
         """How many leading letters of w have a nonempty cylinder, and its
         parts.  The tree, grown to at least min(len(w), _TREE_DEPTH)
-        levels, gives each prefix it holds by one lookup; past its depth
-        the walk clips the stepped parts to each next letter's spans."""
-        tree, spans = self.tree, self.spans
+        levels, gives each prefix it holds by one lookup; past it, each next
+        letter's parts come from the step that grows the tree."""
+        tree = self.tree
         if len(tree) < min(len(w), _TREE_DEPTH):
             self.levels(min(len(w), _TREE_DEPTH))
         kept = len(tree)
         depth, hit = 0, ()
         for letter in w:
-            # a letter outside the config has no spans and is in no word
-            # of the tree, so its cylinder is empty
+            # a letter outside the config is no key of tree[0] and is in
+            # no word of the tree, so its cylinder is empty
             part = tree[depth].get(w[:depth + 1]) if depth < kept else \
-                self.clip(self.advance(hit), spans.get(letter, ()))
+                self.by_letter(self.advance(hit)).get(letter)
             if not part:
-                if letter not in spans:
+                if letter not in tree[0]:
                     raise ValueError(f"letter {letter!r} not in the coding config")
                 break
             depth, hit = depth + 1, part

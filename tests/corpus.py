@@ -346,6 +346,28 @@ def levels_corpus():
 
 
 @lru_cache(maxsize=None)
+def contract_word_files():
+    """Word file contents by kind, as (kind, bytes of each file): files
+    every command must refuse (empty, blank, non-ASCII), words of 1 to 12
+    letters and one of 12 distinct letters, and periodic and random words
+    over alphabets of 1 to 12 letters, some long enough for reconstruct's
+    default depth (600 letters)."""
+    alphabet = "abcdefghijkl"
+    return (
+        ("empty", (b"",)),
+        ("blank", (b"   \n\t \n", b"\n")),
+        ("non-ascii", (b"ab\xe9ab\n", "abcaé".encode("utf-8"))),
+        ("short", (*(random_word(n, "abc", n).encode() for n in range(1, 13)),
+                   alphabet.encode())),
+        # the 8-letter period keeps every order of its letters, too many to search
+        ("periodic", (b"ab" * 400, b"abc" * 300 + b"\n", b"aab" * 250, b"abacaba" * 100,
+                      b"abcdefgh" * 80)),
+        ("random", tuple(random_word(k, alphabet[:k], 100 * k).encode()
+                         for k in (1, 2, 3, 4, 6, 8, 12))),
+    )
+
+
+@lru_cache(maxsize=None)
 def mark_clash_word():
     """Draw 13 of the flipped corpus coded from 0, letter 213 set to 1:
     unoriented over [1, 12], its label search at K = 2 fails on a mark

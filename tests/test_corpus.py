@@ -42,6 +42,7 @@ PINNED = {
     "search_corpus()": "f452fd50ae4f55357a8f22ae2ced158b57361ee22eac0a7e089dd6d914722e9c",
     "label_search_words()": "4d37c520292b8f3f03f41dd40c07eb747e3db9cbe9c87f8d1d1181c2c1333650",
     "levels_corpus()": "0633a986a9281225a85bb4780840ce44b6b11b1ed1ef54a95525e871791b116a",
+    "contract_word_files()": "faeeff078888d5d1b26c55bc40ce075410564a6868c7f98843e89f0d4cc0b66f",
     "mark_clash_word()": "d79562cbe397fb25172efe3d652032212638a64b418f935281ad4f4d6d0c5360",
 }
 

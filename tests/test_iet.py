@@ -811,8 +811,8 @@ def test_cylinder_queries_read_the_kept_tree():
                  seven_letter_iet(), *flipped_corpus(3)]
     assert sum(any(T.flips) for T in exchanges) >= 3
     scattered = _listed_out_of_span_order()
-    spans = iet._Cylinders(golden_iet().kernel, scattered.encoded, scattered.piece_letters).spans
-    assert list(spans) == ["x", "z", "y"] and scattered.letters == ("y", "z", "x")
+    walk = iet._Cylinders(golden_iet().kernel, scattered.encoded, scattered.piece_letters)
+    assert list(walk.tree[0]) == ["x", "z", "y"] and scattered.letters == ("y", "z", "x")
     raised = past_kept = 0
     for S in exchanges:
         for cfg in (CodingConfig.natural(S, "abcdefg"), scattered):
@@ -1141,6 +1141,49 @@ def test_doubled_table_matches_level_growth():
                 walk.table(m)
         assert len(walk.tree) == 1 and set(walk.tables) == set(ms), (T, cfg)
     assert flipped and path_signs
+
+
+def test_doubled_table_matches_integer_pair_reference():
+    """The doubled tables against the reference's own cylinder walk: each
+    word's rows, merged, are its cylinder, every cylinder of length m
+    has rows, and each row's map s*(x - b) sends the row's closed start
+    and an interior point where the reference's m steps do."""
+    S = silver_iet((False, True, False))
+    cases = [(T, CodingConfig.natural(T)) for T in (
+        golden_iet(), silver_iet(), S, flipped_4iet(), seven_letter_iet(), *flipped_corpus(3))]
+    cases.append((S, scattered_config(random.Random(20082), 2, "xyz", S)))
+    lone = 0
+    for T, cfg in cases:
+        walk = iet._Cylinders(T.kernel, cfg.encoded, cfg.piece_letters)
+        D, d, decode = walk.kernel.D, walk.kernel.d, walk.kernel.decode
+        tree = ref.cylinders(T, cfg, 16)
+        for m in (1, 2, 4, 8, 16):
+            starts, closed, rows = walk.table(m)
+            ends = [*((x, c < 0) for x, c in zip(starts[1:], closed[1:])), ((D, 0), False)]
+            merged = {}
+            for x, c, (w, s, b, _, _), (z, zc) in zip(starts, closed, rows, ends):
+                ivs = merged.setdefault(w, [])
+                if ivs and ivs[-1][1] == x and (ivs[-1][3] or c > 0):
+                    ivs[-1] = (ivs[-1][0], z, ivs[-1][2], zc)
+                else:
+                    ivs.append((x, z, c > 0, zc))
+                # the points checked, over 2D: the closed start, and the midpoint
+                points = [(2 * x[0], 2 * x[1])] if c > 0 else []
+                if x != z:
+                    points.append((x[0] + z[0], x[1] + z[1]))
+                else:
+                    lone += 1
+                for p in points:
+                    x0 = ExactScalar(Fraction(p[0], 2 * D), Fraction(p[1], 2 * D), d)
+                    y = (s * (p[0] - 2 * b[0]), s * (p[1] - 2 * b[1]))
+                    assert ExactScalar(Fraction(y[0], 2 * D), Fraction(y[1], 2 * D), d) == \
+                        ref.orbit(T, x0, m + 1)[m], (T, cfg, m, w, x0)
+                    assert ref.coding(T, cfg, x0, m) == w, (T, cfg, m, w, x0)
+            assert {w for w in tree if len(w) == m} == set(merged), (T, cfg, m)
+            for w, ivs in merged.items():
+                assert tuple(Interval(decode(lo), decode(hi), lc, hc)
+                             for lo, hi, lc, hc in ivs) == tree[w][0], (T, cfg, m, w)
+    assert lone
 
 
 def test_limits_never_land_on_a_lone_point():
