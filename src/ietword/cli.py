@@ -1,10 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 success/accepted, 1 rejected or check failed,
-2 inconclusive (input too short for the requested window), 3 usage or
-input errors, parse errors among them, each reported on one stderr line
-`error: ...`.  All subcommands are deterministic: same inputs, same
-bytes out.
+2 inconclusive (input too short for the requested window, or an order
+search refused for too many orders), 3 usage or input errors, parse
+errors among them, each reported on one stderr line `error: ...`.  All
+subcommands are deterministic: same inputs, same bytes out.  A handler
+returns its exit code and outputs, or raises _UsageError, and main alone
+writes them: a command that ends 2 or 3 writes no file.
 
 Each command is its own process, and start-up is most of a short
 command's time, so a launch loads only what it runs.  No parser object
@@ -18,6 +20,7 @@ the scalar layer `exact`.
 """
 from __future__ import annotations
 
+import os
 import sys
 import types
 
@@ -27,14 +30,8 @@ REJECTED = 1
 OK = 0
 
 
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return USAGE_ERROR
-
-
 class _UsageError(Exception):
-    """An input file could not be read or an output file written; main
-    reports it as a usage error."""
+    """A usage or input error: main reports it on one `error:` line, exit 3."""
 
 
 def _read_text(path: str) -> str:
@@ -57,53 +54,75 @@ def _read_word(path: str):
     return word
 
 
-def _write(path, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _write(outputs) -> None:
+    """Write each (where, text), where a file path, None for stdout or
+    sys.stderr: files first, all opened in append mode before any is
+    written, and none if one cannot be."""
+    files = [(where, text) for where, text in outputs if isinstance(where, str)]
+    handles = []
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        for path, _ in files:
+            new = not os.path.exists(path)
+            handles.append((open(path, "a", encoding="ascii"), new))
+        for (fh, _), (path, text) in zip(handles, files):
+            with fh:
+                if os.fstat(fh.fileno()).st_size:  # cutting a file makes ext4 flush it on close
+                    fh.truncate(0)
+                fh.write(text)
     except OSError as e:
+        for fh, new in handles:
+            fh.close()
+            if new:
+                os.remove(fh.name)
         raise _UsageError(f"cannot write {path}: {e.strerror}") from None
+    for where, text in outputs:
+        if not isinstance(where, str):
+            (where or sys.stdout).write(text)
+
+
+def _inconclusive(why: str):
+    return INCONCLUSIVE, [(sys.stderr, f"inconclusive: {why}\n")]
+
+
+def _verdict(report) -> str:
+    K, witness = ("none" if v is None else v for v in (report.K, report.witness))
+    return f"verdict={report.verdict};K={K};witness={witness}"
 
 
 # ----------------------------------------------------------- subcommands
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     from .config import ConfigError, parse_iet_config
     from .exact import ScalarParseError, parse_scalar
     from .iet import CodingConfig, coding_with_sets, natural_coding
     try:
         T, sets = parse_iet_config(_read_text(args.config))
     except ConfigError as e:
-        return _fail(f"{args.config}: {e}")
+        raise _UsageError(f"{args.config}: {e}") from None
     if args.length <= 0:
-        return _fail("length must be positive")
+        raise _UsageError("length must be positive")
     try:
         x0 = parse_scalar(args.x0)
     except ScalarParseError as e:
-        return _fail(f"bad --x0: {e}")
+        raise _UsageError(f"bad --x0: {e}") from None
     try:
         if sets is None:
             word = natural_coding(T, x0, args.length)
         else:
             word = coding_with_sets(T, CodingConfig(sets.items()), x0, args.length)
     except ValueError as e:
-        return _fail(str(e))
-    _write(args.output, word + "\n")
-    return OK
+        raise _UsageError(str(e)) from None
+    return OK, [(args.output, word + "\n")]
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     from .words import FactorSet, bispecial_factors, complexity, special_factors
     word = _read_word(args.word)
     if args.max_len < 1:
-        return _fail("--max-len must be positive")
+        raise _UsageError("--max-len must be positive")
     if len(word) < args.max_len + 1:
-        print(f"inconclusive: word of length {len(word)} cannot support "
-              f"factors of length {args.max_len + 1}", file=sys.stderr)
-        return INCONCLUSIVE
+        return _inconclusive(f"word of length {len(word)} cannot support "
+                             f"factors of length {args.max_len + 1}")
     fs = FactorSet(word, args.max_len + 1)
     rows = ["n,complexity,left_special,right_special,bispecial"]
     for n in range(args.max_len + 1):
@@ -111,42 +130,32 @@ def _cmd_analyze(args) -> int:
         right = special_factors(fs, n, "right")
         both = bispecial_factors(fs, n)
         rows.append(f"{n},{complexity(fs, n)},{len(left)},{len(right)},{len(both)}")
-    _write(args.output, "\n".join(rows) + "\n")
-    return OK
+    return OK, [(args.output, "\n".join(rows) + "\n")]
 
 
-def _cmd_rauzy(args) -> int:
+def _cmd_rauzy(args):
     from .rauzy import build_k_graph, export_dot
     from .words import FactorSet
     word = _read_word(args.word)
     if args.k_min < 1 or args.k_max < args.k_min:
-        return _fail(f"bad window [{args.k_min}, {args.k_max}]")
+        raise _UsageError(f"bad window [{args.k_min}, {args.k_max}]")
     if len(word) < args.k_max + 1:
-        print(f"inconclusive: word too short for k={args.k_max}",
-              file=sys.stderr)
-        return INCONCLUSIVE
+        return _inconclusive(f"word too short for k={args.k_max}")
     fs = FactorSet(word, args.k_max + 1)
-    for k in range(args.k_min, args.k_max + 1):
-        path = f"{args.out_dir}/rauzy_k{k}.dot"
-        _write(path, export_dot(build_k_graph(fs, k)))
-        print(path)
-    return OK
+    files = [(f"{args.out_dir}/rauzy_k{k}.dot", export_dot(build_k_graph(fs, k)))
+             for k in range(args.k_min, args.k_max + 1)]
+    return OK, [*files, (None, "".join(f"{path}\n" for path, _ in files))]
 
 
-def _witness_text(w) -> str:
-    return "none" if w is None else str(w)
-
-
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     from .rauzy import validate_evolution
     from .words import FactorSet
     word = _read_word(args.word)
     if args.k_min < 1 or args.k_max < args.k_min:
-        return _fail(f"bad window [{args.k_min}, {args.k_max}]")
+        raise _UsageError(f"bad window [{args.k_min}, {args.k_max}]")
     if len(word) < args.k_max + 1:
-        print(f"verdict=inconclusive;K=none;witness=word of length {len(word)} "
-              f"too short for window [{args.k_min}, {args.k_max}]")
-        return INCONCLUSIVE
+        why = f"word of length {len(word)} too short for window [{args.k_min}, {args.k_max}]"
+        return INCONCLUSIVE, [(None, f"verdict=inconclusive;K=none;witness={why}\n")]
     fs = FactorSet(word, args.k_max + 1)
     report = validate_evolution(fs, args.k_min, args.k_max,
                                 oriented=args.oriented)
@@ -164,44 +173,38 @@ def _cmd_validate(args) -> int:
             lines.append(f"minus marks on: {' '.join(marked)}")
     else:
         lines.append(f"witness: {report.witness}")
-    kv = report.K if report.K is not None else "none"
-    lines.append(f"verdict={report.verdict};K={kv};"
-                 f"witness={_witness_text(report.witness)}")
-    _write(args.output, "\n".join(lines) + "\n")
-    return OK if report.accepted else REJECTED
+    lines.append(_verdict(report))
+    return OK if report.accepted else REJECTED, [(args.output, "\n".join(lines) + "\n")]
 
 
 def _parse_order(text: str):
     return tuple(text.split(",")) if "," in text else tuple(text)
 
 
-def _cmd_fz(args) -> int:
-    from .orders import OrderPair, check_orders, search_orders
+def _cmd_fz(args):
+    from .orders import OrderPair, TooManyOrders, check_orders, search_orders
     from .words import FactorSet
     if args.search == (args.orders is not None):
-        return _fail("need exactly one of --orders PI0 PI1 and --search")
+        raise _UsageError("need exactly one of --orders PI0 PI1 and --search")
     word = _read_word(args.word)
     if args.max_len < 0:
-        return _fail("--max-len must not be negative")
+        raise _UsageError("--max-len must not be negative")
     if len(word) < args.max_len + 2:
-        print(f"inconclusive: word too short to check to length {args.max_len}",
-              file=sys.stderr)
-        return INCONCLUSIVE
+        return _inconclusive(f"word too short to check to length {args.max_len}")
     fs = FactorSet(word, args.max_len + 2)
     if args.search:
         try:
             pairs = search_orders(fs, args.max_len)
-        except ValueError as e:
-            return _fail(str(e))
+        except TooManyOrders as e:
+            return _inconclusive(str(e))
         out = [f"pi0={''.join(p.pi0)};pi1={''.join(p.pi1)}" for p in pairs]
         out.append(f"result={'found' if pairs else 'none'};count={len(pairs)}")
-        _write(args.output, "\n".join(out) + "\n")
-        return OK if pairs else REJECTED
+        return OK if pairs else REJECTED, [(args.output, "\n".join(out) + "\n")]
     try:
         pair = OrderPair(_parse_order(args.orders[0]),
                          _parse_order(args.orders[1]))
     except ValueError as e:
-        return _fail(str(e))
+        raise _UsageError(str(e)) from None
     report = check_orders(fs, pair, args.max_len)
     rows = [f"orders: pi0={''.join(pair.pi0)} pi1={''.join(pair.pi1)}"]
     for cond in ("letters", "separation", "1", "2", "3"):
@@ -212,45 +215,42 @@ def _cmd_fz(args) -> int:
         f"result={'pass' if report.passed else 'fail'};"
         f"condition={report.condition or 'none'};"
         f"witness={report.witness if report.witness is not None else 'none'}")
-    _write(args.output, "\n".join(rows) + "\n")
-    return OK if report.passed else REJECTED
+    return OK if report.passed else REJECTED, [(args.output, "\n".join(rows) + "\n")]
 
 
-def _cmd_reconstruct(args) -> int:
+def _cmd_reconstruct(args):
     from .config import format_iet_config
     from .exact import format_scalar
     from .iet import DEFAULT_LETTERS, CodingConfig
+    from .orders import TooManyOrders
     from .rauzy import validate_evolution
     from .reconstruct import SYMBOLS_PER_LEVEL, reconstruct_iet, verify_roundtrip
     from .words import FactorSet
     word = _read_word(args.word)
     if args.k_min < 1 or args.k_max < args.k_min:
-        return _fail(f"bad window [{args.k_min}, {args.k_max}]")
+        raise _UsageError(f"bad window [{args.k_min}, {args.k_max}]")
     if args.depth < 1 or args.roundtrip < 1:
-        return _fail("--depth and --roundtrip must be positive")
+        raise _UsageError("--depth and --roundtrip must be positive")
     if len(word) < max(args.k_max + 1, SYMBOLS_PER_LEVEL * args.depth):
-        print(f"inconclusive: word of length {len(word)} too short for "
-              f"window [{args.k_min}, {args.k_max}] at depth {args.depth}",
-              file=sys.stderr)
-        return INCONCLUSIVE
+        return _inconclusive(f"word of length {len(word)} too short for "
+                             f"window [{args.k_min}, {args.k_max}] at depth {args.depth}")
     fs = FactorSet(word, max(args.k_max + 1, args.depth))
     report = validate_evolution(fs, args.k_min, args.k_max,
                                 oriented=args.oriented)
     if not report.accepted:
-        print(f"verdict={report.verdict};K=none;"
-              f"witness={_witness_text(report.witness)}")
-        return REJECTED
+        return REJECTED, [(None, _verdict(report) + "\n")]
     try:
         T, residual, letters = reconstruct_iet(fs, report, args.depth)
+    except TooManyOrders as e:
+        return _inconclusive(str(e))
     except ValueError as e:
-        return _fail(str(e))
+        raise _UsageError(str(e)) from None
     match, total, depth_hit, x0 = verify_roundtrip(
         word, T, min(len(word), args.roundtrip), letters)
     # sets lines keep the word's letters when they are not 1..k in domain order
     sets = None
     if letters != DEFAULT_LETTERS[:T.k]:
         sets = CodingConfig.natural(T, letters).sets
-    _write(args.out_config, format_iet_config(T, sets))
     csv = [
         "metric,value",
         f"verdict,{report.verdict}",
@@ -261,8 +261,8 @@ def _cmd_reconstruct(args) -> int:
         f"prefix_depth,{depth_hit}",
         f"x0,{format_scalar(x0)}",
     ]
-    _write(args.out_report, "\n".join(csv) + "\n")
-    return OK
+    return OK, [(args.out_config, format_iet_config(T, sets)),
+                (args.out_report, "\n".join(csv) + "\n")]
 
 
 # one row per subcommand: name, help, handler, then each argument as the
@@ -428,9 +428,12 @@ def _parse(argv):
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        return OK if args is None else args.func(args)
+        code, outputs = (OK, []) if args is None else args.func(args)
+        _write(outputs)
+        return code
     except _UsageError as e:
-        return _fail(str(e))
+        print(f"error: {e}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -32,8 +32,13 @@ from itertools import islice
 from .record import Record
 from .words import FactorSet
 
-__all__ = ["OrderPair", "OrderReport", "candidate_orders", "check_orders",
-           "interval_orders", "passing_pairs", "search_orders"]
+__all__ = ["OrderPair", "OrderReport", "TooManyOrders", "candidate_orders",
+           "check_orders", "interval_orders", "passing_pairs", "search_orders"]
+
+
+class TooManyOrders(ValueError):
+    """The extension sets keep more orders on a side than the search
+    takes: the search is refused, which says nothing of the word."""
 
 
 class OrderPair(Record):
@@ -228,7 +233,8 @@ def candidate_orders(fs: FactorSet, max_len: int) -> tuple[list, list]:
     read: a set of one letter or none never prunes an order.  Each side
     may keep at most _MAX_ORDERS, so any word on six letters or fewer is
     searched and a longer alphabet only when its extension sets pin the
-    orders down.  Both guards raise here, before any pair is formed.
+    orders down; a longer list raises TooManyOrders.  Both guards raise
+    here, before any pair is formed.
     """
     letters = tuple(fs.alphabet)
     _check_window(fs, max_len)
@@ -240,8 +246,8 @@ def candidate_orders(fs: FactorSet, max_len: int) -> tuple[list, list]:
     pi0s, pi1s = (list(islice(interval_orders(letters, blocks), _MAX_ORDERS + 1))
                   for blocks in (rights, lefts))
     if len(pi0s) > _MAX_ORDERS or len(pi1s) > _MAX_ORDERS:
-        raise ValueError(f"alphabet of size {len(letters)} keeps more than "
-                         f"{_MAX_ORDERS} orders on a side, too many to search")
+        raise TooManyOrders(f"alphabet of size {len(letters)} keeps more than "
+                            f"{_MAX_ORDERS} orders on a side, too many to search")
     return pi0s, pi1s
 
 

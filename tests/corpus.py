@@ -367,6 +367,52 @@ def contract_word_files():
     )
 
 
+# the flipped silver exchange coded by a partition of its own, two letters
+# on three pieces: the config contract_configs() changes
+FLIPPED_SETS_CFG = """\
+k 3
+d 2
+lengths (-1+1*sqrt(2))/1 (-1+1*sqrt(2))/1 (3-2*sqrt(2))/1
+perm 3 2 1
+flips 0 1 0
+sets x=[0,(-1+1*sqrt(2))/1) [(-2+2*sqrt(2))/1,1)
+sets y=[(-1+1*sqrt(2))/1,(-2+2*sqrt(2))/1)
+"""
+
+
+@lru_cache(maxsize=None)
+def contract_configs(draws: int):
+    """`gen` inputs as (config text, --x0 literal): FLIPPED_SETS_CFG as it
+    is or with one line deleted, duplicated or with one token replaced,
+    by a token of the same line or of the file or by a stray one; the
+    literal is rational or quadratic, in [0, 1) or not, or malformed.
+    About a quarter of the draws are coded, the rest refused."""
+    rng = random.Random(19)
+    lines = FLIPPED_SETS_CFG.splitlines()
+    tokens = sorted({t for line in lines for t in line.split()}) + [
+        "-1", "2", "1/0", "(1+1*sqrt(3))/4", "x=[0,1)", "[1/2,1)", "#"]
+    draw = []
+    for _ in range(draws):
+        changed = list(lines)
+        i = rng.randrange(len(lines))
+        how = rng.choice(("keep",) * 3 + ("delete", "duplicate", "replace", "replace"))
+        if how == "delete":
+            del changed[i]
+        elif how == "duplicate":
+            changed.insert(i, lines[i])
+        elif how == "replace":
+            words = lines[i].split()
+            words[rng.randrange(len(words))] = rng.choice(
+                words if rng.random() < 0.5 else tokens)
+            changed[i] = " ".join(words)
+        q, r, d = rng.randint(1, 9), rng.randint(-3, 3), rng.choice((2, 3))
+        x0 = rng.choice((*[f"{rng.randrange(q)}/{q}"] * 3, f"{rng.randint(q, 9)}/{q}",
+                         f"({rng.randint(-1, 9)}{r:+d}*sqrt({d}))/{q}",
+                         rng.choice(("1/0", "0.5", ""))))
+        draw.append(("\n".join(changed) + "\n", x0))
+    return tuple(draw)
+
+
 @lru_cache(maxsize=None)
 def mark_clash_word():
     """Draw 13 of the flipped corpus coded from 0, letter 213 set to 1:

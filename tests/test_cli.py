@@ -304,13 +304,15 @@ def test_fz_search_seven_letters(tmp_path, capsys):
 
 
 def test_fz_search_refuses_too_many_orders(tmp_path, capsys):
+    # a search limit on a well-formed word is inconclusive, not bad input
     path = tmp_path / "nine.txt"
     path.write_text("abcdefghi" * 20 + "\n")
-    assert main(["fz", str(path), "--search"]) == 3
+    assert main(["fz", str(path), "--search", "-o", str(tmp_path / "fz.txt")]) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert not captured.out and len(err) == 1
-    assert err[0].startswith("error:") and "more than 720 orders" in err[0]
+    assert err[0].startswith("inconclusive:") and "more than 720 orders" in err[0]
+    assert not (tmp_path / "fz.txt").exists()
 
 
 def test_reconstruct_refuses_too_many_orders(tmp_path, capsys):
@@ -320,11 +322,12 @@ def test_reconstruct_refuses_too_many_orders(tmp_path, capsys):
     path.write_text("abcdefghi" * 200 + "\n")
     argv = ["reconstruct", str(path), "--out-config", str(tmp_path / "c.cfg"),
             "--out-report", str(tmp_path / "c.csv")]
-    assert main(argv) == 3
+    assert main(argv) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert not captured.out and len(err) == 1
-    assert err[0].startswith("error:") and "more than 720 orders" in err[0]
+    assert err[0].startswith("inconclusive:") and "more than 720 orders" in err[0]
+    assert not (tmp_path / "c.cfg").exists() and not (tmp_path / "c.csv").exists()
 
 
 def test_fz_needs_mode(tmp_path, cfg, capsys):
@@ -456,16 +459,26 @@ def test_bad_numbers_are_usage_errors(tmp_path, cfg, capsys, cmd):
      "--out-report", "OK"],
     ["reconstruct", "WORD", "--depth", "2", "--out-config", "OK",
      "--out-report", "BAD"],
+    ["rauzy", "WORD", "--k-max", "3", "--out-dir", "DIR"],
 ], ids=" ".join)
 def test_unwritable_output_is_usage_error(tmp_path, cfg, capsys, cmd):
     word = gen_word(tmp_path, cfg, 1000)
     bad = str(tmp_path / "missing" / "out.txt")
-    subst = {"CFG": cfg, "WORD": word, "BAD": bad, "OK": str(tmp_path / "ok.txt")}
+    # in DIR the second graph's file name is taken by a directory
+    dots = tmp_path / "dots"
+    (dots / "rauzy_k2.dot").mkdir(parents=True)
+    if "DIR" in cmd:
+        bad = str(dots / "rauzy_k2.dot")
+    subst = {"CFG": cfg, "WORD": word, "BAD": bad, "OK": str(tmp_path / "ok.txt"),
+             "DIR": str(dots)}
     assert main([subst.get(a, a) for a in cmd]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"error: cannot write {bad}: ")
+    # the outputs that could be written are not written either
+    assert not (tmp_path / "ok.txt").exists()
+    assert [p.name for p in dots.iterdir()] == ["rauzy_k2.dot"]
 
 
 @pytest.mark.parametrize("cmd", [

@@ -43,6 +43,8 @@ PINNED = {
     "label_search_words()": "4d37c520292b8f3f03f41dd40c07eb747e3db9cbe9c87f8d1d1181c2c1333650",
     "levels_corpus()": "0633a986a9281225a85bb4780840ce44b6b11b1ed1ef54a95525e871791b116a",
     "contract_word_files()": "faeeff078888d5d1b26c55bc40ce075410564a6868c7f98843e89f0d4cc0b66f",
+    "FLIPPED_SETS_CFG": "4983aaa8bcd1eb3e7dee0e9b83e25bc2241708db8fb923fb26385dc46e1861fc",
+    "contract_configs(200)": "0854b7403db603bdc243134a0c38d2eea7958887c9540b8ad7461d629bd2df08",
     "mark_clash_word()": "d79562cbe397fb25172efe3d652032212638a64b418f935281ad4f4d6d0c5360",
 }
 
